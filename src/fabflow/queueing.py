@@ -9,15 +9,16 @@ is rho / (1 - rho).
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
-e_i - e_0 (which stays on the simplex).  Gradients are central differences
-with step 1e-6.
+e_i - e_0 (which stays on the simplex).  They are exact: every routing cell
+is a product of factors linear in p, so the product rule differentiates R,
+and the adjoint of the traffic equations carries that to total WIP.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import (
 
 STABILITY_MARGIN = 1e-6        # station is stable when rho <= 1 - this
 TRAFFIC_RESIDUAL_TOL = 1e-10
-GRADIENT_STEP = 1e-6
 WLTP_SUM_TOL = 1e-12
 DIRECTION_SUM_TOL = 1e-12
 _ARRIVAL_EPS = 1e-12           # arrivals below this count as "no traffic"
@@ -182,32 +182,28 @@ def _eval_expr(factors, P: np.ndarray) -> np.ndarray:
 class RoutingModel:
     """Stations plus a p-dependent routing matrix.
 
-    Built either from serializable bindings (scenario files) or from an
-    arbitrary callable (tests).  Rows of the routing matrix must sum to at
-    most 1; the slack is the probability of leaving the network.
+    Each binding (from, to, factors) sets one routing cell to a product of
+    factors linear in p.  Rows of the routing matrix must sum to at most 1;
+    the slack is the probability of leaving the network.
     """
 
     stations: tuple[StationProfile, ...]
     wltp_dim: int
-    bindings: tuple[tuple[str, str, tuple], ...] | None = None
-    matrix_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    bindings: tuple[tuple[str, str, tuple], ...]
 
     def __post_init__(self):
         ids = [s.station_id for s in self.stations]
         if len(set(ids)) != len(ids):
             raise InvalidRouting("duplicate station ids")
-        if (self.bindings is None) == (self.matrix_fn is None):
-            raise InvalidRouting("provide exactly one of bindings or matrix_fn")
-        if self.bindings is not None:
-            index = {sid: i for i, sid in enumerate(ids)}
-            for frm, to, factors in self.bindings:
-                if frm not in index or to not in index:
-                    raise InvalidRouting(f"routing binding references unknown station {frm}->{to}")
-                for kind, value in factors:
-                    if kind in ("p", "comp") and not (0 <= value < self.wltp_dim):
-                        raise InvalidRouting(
-                            f"routing binding {frm}->{to} uses p index {value} out of range"
-                        )
+        index = {sid: i for i, sid in enumerate(ids)}
+        for frm, to, factors in self.bindings:
+            if frm not in index or to not in index:
+                raise InvalidRouting(f"routing binding references unknown station {frm}->{to}")
+            for kind, value in factors:
+                if kind in ("p", "comp") and not (0 <= value < self.wltp_dim):
+                    raise InvalidRouting(
+                        f"routing binding {frm}->{to} uses p index {value} out of range"
+                    )
 
     @classmethod
     def from_bindings(cls, stations, bindings, wltp_dim) -> "RoutingModel":
@@ -216,10 +212,6 @@ class RoutingModel:
             for frm, to, expr in bindings
         )
         return cls(stations=tuple(stations), wltp_dim=wltp_dim, bindings=parsed)
-
-    @classmethod
-    def from_function(cls, stations, fn, wltp_dim) -> "RoutingModel":
-        return cls(stations=tuple(stations), wltp_dim=wltp_dim, matrix_fn=fn)
 
     @property
     def station_ids(self) -> tuple[str, ...]:
@@ -233,13 +225,10 @@ class RoutingModel:
         """Routing matrices for a batch of p rows, shape (N, k, k)."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
         k = len(self.stations)
-        if self.matrix_fn is not None:
-            R = np.stack([np.asarray(self.matrix_fn(row), dtype=float) for row in P])
-        else:
-            index = {s.station_id: i for i, s in enumerate(self.stations)}
-            R = np.zeros((P.shape[0], k, k))
-            for frm, to, factors in self.bindings:
-                R[:, index[frm], index[to]] = _eval_expr(factors, P)
+        index = {s.station_id: i for i, s in enumerate(self.stations)}
+        R = np.zeros((P.shape[0], k, k))
+        for frm, to, factors in self.bindings:
+            R[:, index[frm], index[to]] = _eval_expr(factors, P)
         row_sums = R.sum(axis=2)
         if (row_sums > 1.0 + 1e-9).any():
             bad = np.unravel_index(np.argmax(row_sums), row_sums.shape)
@@ -270,10 +259,10 @@ def service_rates(model: RoutingModel, fleet: FleetConfig) -> np.ndarray:
 
 # --- traffic equations ------------------------------------------------------
 
-def _traffic_batch(model: RoutingModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _traffic_batch(model: RoutingModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve lambda = gamma + R(p)^T lambda for each row of P.
 
-    Returns (lam, open_mask); rows where the network is not open (spectral
+    Returns (R, lam, open_mask); rows where the network is not open (spectral
     radius of R at or above 1, negative solution, residual too large) get
     open_mask False and NaN arrival rates.
     """
@@ -293,7 +282,7 @@ def _traffic_batch(model: RoutingModel, P: np.ndarray) -> tuple[np.ndarray, np.n
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             ok[:] = False
-            return lam, ok
+            return R, lam, ok
         lam[ok] = sol[:, :, 0]
         residual = np.abs(
             lam[ok] - (gamma + np.einsum("nij,ni->nj", R[ok], lam[ok]))
@@ -302,12 +291,12 @@ def _traffic_batch(model: RoutingModel, P: np.ndarray) -> tuple[np.ndarray, np.n
         ok_idx = np.flatnonzero(ok)
         ok[ok_idx[~good]] = False
         lam[ok_idx[~good]] = np.nan
-    return lam, ok
+    return R, lam, ok
 
 
 def traffic_equations(model: RoutingModel, p) -> np.ndarray:
     """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    lam, ok = _traffic_batch(model, _as_p(p)[None, :])
+    _, lam, ok = _traffic_batch(model, _as_p(p)[None, :])
     if not ok[0]:
         raise NonOpenNetwork(
             "routing keeps lots circulating forever (spectral radius >= 1)"
@@ -347,11 +336,11 @@ def wip_totals_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total WIP for each p row; unstable (or non-open) rows give NaN.
 
-    The workhorse behind gradients, grids, and the planner's searches; one
-    call means one batched linear solve.
+    The workhorse behind the planner's searches; one call means one batched
+    linear solve.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    lam, ok = _traffic_batch(model, P)
+    _, lam, ok = _traffic_batch(model, P)
     mu = service_rates(model, fleet)
     totals = np.full(P.shape[0], np.nan)
     stable = np.zeros(P.shape[0], dtype=bool)
@@ -386,34 +375,79 @@ def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     )
 
 
-def _free_probe_matrix(p: np.ndarray, h: float) -> np.ndarray:
-    """Rows p + h*(e_i - e_0) and p - h*(e_i - e_0) for i = 1..n, then p itself."""
-    n = p.size - 1
-    probes = np.tile(p, (2 * n + 1, 1))
-    for i in range(1, n + 1):
-        probes[2 * (i - 1), i] += h
-        probes[2 * (i - 1), 0] -= h
-        probes[2 * (i - 1) + 1, i] -= h
-        probes[2 * (i - 1) + 1, 0] += h
-    return probes
+def _routing_derivatives(model: RoutingModel, P: np.ndarray, hessian: bool):
+    """Free-coordinate derivatives of R: dR (N, n, k, k) and d2R (N, n, n, k, k).
+
+    Cells are products of factors linear in p, so the product rule needs only
+    their slopes: along e_j - e_0, p_m moves by +1 when m = j and -1 when m = 0.
+    """
+    N, n, k = P.shape[0], model.n_free, len(model.stations)
+    slopes = np.vstack([-np.ones(n), np.eye(n)])
+    index = {s.station_id: i for i, s in enumerate(model.stations)}
+    dR, d2R = np.zeros((N, n, k, k)), np.zeros((N, n, n, k, k) if hessian else 0)
+    for frm, to, factors in model.bindings:
+        val, grad, hess = np.ones(N), np.zeros((N, n)), np.zeros((N, n, n))
+        for kind, m in factors:
+            f = np.full(N, m) if kind == "const" else P[:, m] if kind == "p" else 1.0 - P[:, m]
+            df = np.zeros(n) if kind == "const" else slopes[m] if kind == "p" else -slopes[m]
+            cross = grad[:, :, None] * df
+            hess = hess * f[:, None, None] + cross + np.swapaxes(cross, 1, 2)
+            grad = grad * f[:, None] + val[:, None] * df
+            val = val * f
+        dR[:, :, index[frm], index[to]] = grad
+        if hessian:
+            d2R[:, :, :, index[frm], index[to]] = hess
+    return dR, d2R
 
 
-def wip_gradient(model: RoutingModel, p, fleet: FleetConfig, step: float = GRADIENT_STEP) -> np.ndarray:
+def _wip_derivatives(model: RoutingModel, P, fleet: FleetConfig, hessian: bool = False):
+    """Exact free-coordinate WIP gradients (N, n) and, if asked, Hessians (N, n, n).
+
+    The adjoint of the traffic equations, after one batched solve for lam:
+      w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b;
+    differentiating once more, d_i lam = (I - R^T)^-1 d_iR^T lam and
+    d_i w = (I - R)^-1 (d_iR w + 2 mu / (mu - lam)^3 d_i lam).
+    An unstable row raises the error a direct wip() call there raises.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    R, lam, _ = _traffic_batch(model, P)
+    lam, mu = np.maximum(lam, 0.0), service_rates(model, fleet)
+    unstable = ~(_utilizations(model, lam, mu) <= 1.0 - STABILITY_MARGIN).all(axis=1)
+    if unstable.any():
+        wip(model, P[np.flatnonzero(unstable)[0]], fleet)  # raises with the precise station
+    dR, d2R = _routing_derivatives(model, P, hessian)
+    A = np.eye(lam.shape[1]) - R
+    gap = np.where(mu > 0.0, mu - lam, 1.0)  # stable zero-vehicle stations see no traffic
+    c, dc_dlam = mu / gap**2, 2.0 * mu / gap**3
+    w = np.linalg.solve(A, c[:, :, None])[:, :, 0]
+    grads = np.einsum("njab,na,nb->nj", dR, lam, w)
+    if not hessian:
+        return grads, None
+    rhs = np.einsum("niab,na->nib", dR, lam)[..., None]
+    dlam = np.linalg.solve(np.swapaxes(A, 1, 2)[:, None], rhs)[..., 0]
+    rhs = (np.einsum("niab,nb->nia", dR, w) + dc_dlam[:, None, :] * dlam)[..., None]
+    dw = np.linalg.solve(A[:, None], rhs)[..., 0]
+    hess = (
+        np.einsum("nijab,na,nb->nij", d2R, lam, w)
+        + np.einsum("njab,nia,nb->nij", dR, dlam, w)
+        + np.einsum("njab,na,nib->nij", dR, lam, dw)
+    )
+    return grads, hess
+
+
+def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:
     """Free-coordinate WIP gradient: d/dp_i along e_i - e_0, i = 1..n.
 
-    Central differences; any unstable probe point raises the same error a
-    direct wip() call there would.
+    Exact, by the adjoint of the traffic equations; an unstable p raises the
+    same error a direct wip() call there would.
     """
-    p = _as_p(p)
-    probes = _free_probe_matrix(p, step)
-    totals, stable = wip_totals_batch(model, probes, fleet)
-    if not stable.all():
-        # re-run the first bad probe through the scalar path for a precise error
-        bad = int(np.flatnonzero(~stable)[0])
-        wip(model, probes[bad], fleet)
-        raise UnstableStation("unknown", float("nan"))  # unreachable
-    n = p.size - 1
-    return (totals[0 : 2 * n : 2] - totals[1 : 2 * n : 2]) / (2.0 * step)
+    return _wip_derivatives(model, _as_p(p), fleet)[0][0]
+
+
+def wip_hessian(model: RoutingModel, p, fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
+    grads, hess = _wip_derivatives(model, _as_p(p), fleet, hessian=True)
+    return grads[0], hess[0]
 
 
 def directional_derivative(model: RoutingModel, p, x, fleet: FleetConfig) -> float:
@@ -445,13 +479,17 @@ def steepest_feasible_direction(
     and projected onto the sum-zero subspace; the maximum value is that
     projection's Euclidean norm.
     """
-    g = wip_gradient(model, p, fleet)
-    embedded = np.concatenate([[0.0], g])
-    tangent = simplex.project_sum_zero(embedded)
-    norm = float(np.linalg.norm(tangent))
+    tangent, norm = projected_gradient(wip_gradient(model, p, fleet))
     if norm == 0.0:
-        return np.zeros_like(embedded), 0.0
+        return np.zeros_like(tangent), 0.0
     return tangent / norm, norm
+
+
+def projected_gradient(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Free-coordinate gradient g embedded as (0, g_1..g_n) and projected onto
+    the sum-zero subspace, with that projection's norm (phi)."""
+    tangent = simplex.project_sum_zero(np.concatenate([[0.0], g]))
+    return tangent, float(np.linalg.norm(tangent))
 
 
 # --- monotonicity audit ------------------------------------------------------
@@ -516,15 +554,7 @@ def gradient_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Free-coordinate gradients at every grid point, one batched solve."""
     pts = np.vstack([_as_p(p) for p in grid])
-    n = pts.shape[1] - 1
-    probes = np.vstack([_free_probe_matrix(row, GRADIENT_STEP) for row in pts])
-    totals, stable = wip_totals_batch(model, probes, fleet)
-    if not stable.all():
-        bad = int(np.flatnonzero(~stable)[0])
-        wip(model, probes[bad], fleet)
-    per_point = totals.reshape(len(pts), 2 * n + 1)
-    grads = (per_point[:, 0 : 2 * n : 2] - per_point[:, 1 : 2 * n : 2]) / (2.0 * GRADIENT_STEP)
-    return pts, grads
+    return pts, _wip_derivatives(model, pts, fleet)[0]
 
 
 def check_monotonicity(

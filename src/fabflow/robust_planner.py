@@ -39,7 +39,6 @@ ASCENT_STARTS = 16
 ASCENT_MAX_ITERS = 500
 DELTA_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 100_000
-_PHI_GRAD_STEP = 1e-5
 _MC_SEED = 7654321
 
 _STABILITY_ERRORS = (UnstableStation, ZeroVehicles, NonOpenNetwork)
@@ -164,54 +163,43 @@ class _PhiTracker:
     def __call__(self, p: np.ndarray) -> float | None:
         self.evaluations += 1
         try:
-            g = queueing.wip_gradient(self.model, p, self.fleet)
+            v = queueing.projected_gradient(queueing.wip_gradient(self.model, p, self.fleet))[1]
         except _STABILITY_ERRORS:
             return None
-        tangent = simplex.project_sum_zero(np.concatenate([[0.0], g]))
-        v = float(np.linalg.norm(tangent))
         if v > self.best_v:
             self.best_v = v
             self.best_p = np.array(p)
         return v
 
 
-def _phi_gradient(phi: _PhiTracker, p: np.ndarray) -> np.ndarray | None:
-    """Finite-difference gradient of phi in free coordinates.
-
-    Derivative probes are not candidate points (they may leave the clipped
-    box by the probe step), so they bypass the tracker's best-point
-    bookkeeping.
-    """
-    n = p.size - 1
-    grad = np.empty(n)
-    for i in range(1, n + 1):
-        shift = np.zeros_like(p)
-        shift[i] += _PHI_GRAD_STEP
-        shift[0] -= _PHI_GRAD_STEP
-        hi = _phi_raw(phi, p + shift)
-        lo = _phi_raw(phi, p - shift)
-        if hi is None or lo is None:
-            return None
-        grad[i - 1] = (hi - lo) / (2.0 * _PHI_GRAD_STEP)
-    return grad
-
-
-def _phi_raw(phi: _PhiTracker, p: np.ndarray) -> float | None:
-    try:
-        g = queueing.wip_gradient(phi.model, p, phi.fleet)
-    except _STABILITY_ERRORS:
-        return None
-    tangent = simplex.project_sum_zero(np.concatenate([[0.0], g]))
-    return float(np.linalg.norm(tangent))
+def _phi_gradient(model, fleet, p: np.ndarray) -> np.ndarray:
+    """Exact free-coordinate gradient of phi at a stable p: with t = Pi[0; g]
+    the projected gradient and H the WIP Hessian, grad phi = H^T t[1:] / phi."""
+    g, hess = queueing.wip_hessian(model, p, fleet)
+    tangent, v = queueing.projected_gradient(g)
+    if v == 0.0:
+        return np.zeros_like(g)
+    return hess.T @ tangent[1:] / v
 
 
 def _search_bounds(dim: int, limits: PlannerLimits, p_nominal) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate box of the adversarial search; raises ValidationErrors
+    when no transfer vector fits in it."""
     lower = np.full(dim, CLIP_ETA)
     upper = np.full(dim, 1.0 - CLIP_ETA)
     if limits.p_neighborhood_radius is not None and p_nominal is not None:
         pn = np.asarray(p_nominal, dtype=float)
         lower = np.maximum(lower, pn - limits.p_neighborhood_radius)
         upper = np.minimum(upper, pn + limits.p_neighborhood_radius)
+    # same tolerance as simplex.project_capped_simplex
+    if (lower > upper).any() or lower.sum() > 1.0 + 1e-12 or upper.sum() < 1.0 - 1e-12:
+        raise ValidationErrors(
+            [
+                f"no transfer vector fits the search box around nominal_p "
+                f"(p_neighborhood_radius={limits.p_neighborhood_radius}; lower bounds sum "
+                f"to {float(lower.sum())!r}, upper bounds to {float(upper.sum())!r})"
+            ]
+        )
     return lower, upper
 
 
@@ -249,11 +237,8 @@ def worst_case_direction(
         p = p0
         step = 0.1
         for _ in range(max_iters):
-            grad = _phi_gradient(phi, p)
-            if grad is None:
-                break
-            direction = simplex.project_sum_zero(np.concatenate([[0.0], grad]))
-            gnorm = float(np.linalg.norm(direction))
+            grad = _phi_gradient(model, fleet, p)
+            direction, gnorm = queueing.projected_gradient(grad)
             if gnorm < 1e-10:
                 break
             direction /= gnorm
@@ -305,7 +290,6 @@ def probe_wip_extremes(
     totals, stable = queueing.wip_totals_batch(model, batch, fleet)
     if not stable[0]:
         queueing.wip(model, p, fleet)  # raises with the precise station
-        raise UnstableStation("unknown", float("nan"))
     if not stable[1:].all():
         return math.inf, math.inf
     base = totals[0]

@@ -138,13 +138,28 @@ def _req(raw: Mapping, key: str, kind, errs: _Collector, where: str):
     return value
 
 
+def _objects(raw, errs: _Collector, where: str) -> list[tuple[int, Mapping]]:
+    """(index, entry) for every object in a list section; a section that is
+    not a list, and entries that are not objects, are reported and skipped."""
+    if not isinstance(raw, list):
+        errs.add(f"{where}: must be a list")
+        return []
+    out = []
+    for i, entry in enumerate(raw):
+        if isinstance(entry, Mapping):
+            out.append((i, entry))
+        else:
+            errs.add(f"{where}[{i}]: must be an object")
+    return out
+
+
 def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
     if not isinstance(raw, Mapping):
         errs.add("network: must be an object with nodes and edges")
         return None
     nodes: list[tuple[str, NodeKind]] = []
     seen_nodes: set[str] = set()
-    for i, nd in enumerate(raw.get("nodes", [])):
+    for i, nd in _objects(raw.get("nodes", []), errs, "network.nodes"):
         where = f"network.nodes[{i}]"
         nid = _req(nd, "id", str, errs, where)
         kind = _req(nd, "kind", str, errs, where)
@@ -160,7 +175,7 @@ def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
         nodes.append((nid, _NODE_KINDS[kind]))
     edges: list[Edge] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for i, ed in enumerate(raw.get("edges", [])):
+    for i, ed in _objects(raw.get("edges", []), errs, "network.edges"):
         where = f"network.edges[{i}]"
         frm = _req(ed, "from", str, errs, where)
         to = _req(ed, "to", str, errs, where)
@@ -202,7 +217,7 @@ def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
 def _parse_stations(raw, errs: _Collector):
     stations = []
     seen: set[str] = set()
-    for i, st in enumerate(raw):
+    for i, st in _objects(raw, errs, "stations"):
         where = f"stations[{i}]"
         sid = _req(st, "id", str, errs, where)
         kind = _req(st, "kind", str, errs, where)
@@ -262,10 +277,17 @@ _PARAM_FIELDS = {
 def _parse_params(raw, errs: _Collector) -> MetaheuristicParams:
     if raw is None:
         return MetaheuristicParams()
+    if not isinstance(raw, Mapping):
+        errs.add("metaheuristic_params: must be an object")
+        return MetaheuristicParams()
     kwargs = {}
     for key, cls in _PARAM_FIELDS.items():
         sub = raw.get(key)
         if sub is None:
+            kwargs[key] = cls()
+            continue
+        if not isinstance(sub, Mapping):
+            errs.add(f"metaheuristic_params.{key}: must be an object")
             kwargs[key] = cls()
             continue
         allowed = set(cls.__dataclass_fields__)
@@ -336,7 +358,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     if "fleet_candidates" in raw:
         bounds = []
         ok = True
-        for i, b in enumerate(raw["fleet_candidates"]):
+        for i, b in _objects(raw["fleet_candidates"], errs, "fleet_candidates"):
             where = f"fleet_candidates[{i}]"
             lo = _req(b, "min", int, errs, where)
             hi = _req(b, "max", int, errs, where)
@@ -378,7 +400,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     if "routing" in raw:
         station_ids = {s.station_id for s in stations} if stations else set()
         seen_cells: set[tuple[str, str]] = set()
-        for i, cell in enumerate(raw["routing"]):
+        for i, cell in _objects(raw["routing"], errs, "routing"):
             where = f"routing[{i}]"
             frm = _req(cell, "from", str, errs, where)
             to = _req(cell, "to", str, errs, where)
@@ -409,9 +431,9 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     limits = None
     if "limits" in raw:
         lr = raw["limits"]
-        allowed = set(PlannerLimits.__dataclass_fields__)
-        unknown_l = set(lr) - allowed
-        if unknown_l:
+        if not isinstance(lr, Mapping):
+            errs.add("limits: must be an object")
+        elif unknown_l := set(lr) - set(PlannerLimits.__dataclass_fields__):
             errs.add(f"limits: unknown fields {sorted(unknown_l)}")
         else:
             try:
@@ -426,7 +448,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     if "vehicles" in raw:
         vehicles = []
         seen_v: set[str] = set()
-        for i, vd in enumerate(raw["vehicles"]):
+        for i, vd in _objects(raw["vehicles"], errs, "vehicles"):
             where = f"vehicles[{i}]"
             vid = _req(vd, "vehicle_id", str, errs, where)
             speed = _req(vd, "speed", float, errs, where)
@@ -453,7 +475,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
 
     distances: dict[tuple[str, str], float] = {}
     if "distances" in raw:
-        for i, dd in enumerate(raw["distances"]):
+        for i, dd in _objects(raw["distances"], errs, "distances"):
             where = f"distances[{i}]"
             frm = _req(dd, "from", str, errs, where)
             to = _req(dd, "to", str, errs, where)
@@ -476,7 +498,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
         tasks = []
         seen_t: set[str] = set()
         node_ids = {nid for nid, _ in network.nodes} if network else None
-        for i, td in enumerate(raw["tasks"]):
+        for i, td in _objects(raw["tasks"], errs, "tasks"):
             where = f"tasks[{i}]"
             tid = _req(td, "task_id", str, errs, where)
             ttype = _req(td, "task_type", str, errs, where)

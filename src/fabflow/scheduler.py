@@ -387,6 +387,13 @@ class SaParams:
     iters_per_temp: int = 200
     t_min: float = 1e-3
 
+    def __post_init__(self):
+        # geometric cooling only reaches t_min when both hold
+        if not 0.0 < self.cooling < 1.0:
+            raise ValueError(f"cooling must lie strictly between 0 and 1 (got {self.cooling!r})")
+        if not self.t_min > 0.0:
+            raise ValueError(f"t_min must be positive (got {self.t_min!r})")
+
 
 def sa_optimize(
     inst: SchedulingInstance, params: SaParams | None = None, seed: int = 42
@@ -435,6 +442,10 @@ class AcoParams:
     alpha: float = 1.0
     beta: float = 2.0
     deposit: float = 1.0
+
+    def __post_init__(self):
+        if not self.ants >= 1:
+            raise ValueError(f"ants must be at least 1 (got {self.ants!r})")
 
 
 def aco_optimize(

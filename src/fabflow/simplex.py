@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # seed for the fixed direction sets used by fluctuation probes
 _DIRECTION_SEED = 20260823
 
@@ -30,14 +28,27 @@ def _radical_inverse(index: int, base: int) -> float:
     return out
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes, by trial division."""
+    out: list[int] = []
+    candidate = 2
+    while len(out) < count:
+        if all(candidate % q for q in out if q * q <= candidate):
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
 def halton(count: int, dims: int) -> np.ndarray:
-    """First `count` points of the Halton sequence in [0,1)^dims (1-based)."""
-    if dims > len(_PRIMES):
-        raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
+    """First `count` points of the Halton sequence in [0,1)^dims (1-based).
+
+    Dimension d uses the d-th prime as its base (2, 3, 5, ...).
+    """
+    bases = _primes(dims)
     pts = np.empty((count, dims))
     for i in range(count):
         for d in range(dims):
-            pts[i, d] = _radical_inverse(i + 1, _PRIMES[d])
+            pts[i, d] = _radical_inverse(i + 1, bases[d])
     return pts
 
 def halton_simplex(count: int, dim: int) -> np.ndarray:
@@ -57,34 +68,24 @@ def halton_simplex(count: int, dim: int) -> np.ndarray:
 def project_capped_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {p : sum(p) = 1, lower <= p <= upper}.
 
-    Bisection on the dual shift tau: sum(clip(v - tau, lower, upper)) is
-    non-increasing in tau, so the root bracket just needs to be wide enough.
-    Requires sum(lower) <= 1 <= sum(upper).
+    The projection is clip(v - tau, lower, upper) for the dual shift tau
+    solving s(tau) = 1, where s(tau) = sum(clip(v - tau, lower, upper)) is
+    non-increasing and piecewise linear with kinks at v - upper and v - lower.
+    Evaluating s at the sorted kinks brackets s = 1, and linear interpolation
+    between the bracketing kinks gives tau exactly (Kiwiel, Math. Program.
+    2008).  Requires sum(lower) <= 1 <= sum(upper).
     """
     v = np.asarray(v, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
     if lower.sum() > 1.0 + 1e-12 or upper.sum() < 1.0 - 1e-12:
         raise ValueError("capped simplex is empty for these bounds")
-    lo = (v - upper).min() - 1.0
-    hi = (v - lower).max() + 1.0
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        s = np.clip(v - tau, lower, upper).sum()
-        if s > 1.0:
-            lo = tau
-        else:
-            hi = tau
-    out = np.clip(v - 0.5 * (lo + hi), lower, upper)
-    # kill the last bisection residue so downstream sum checks at 1e-12 hold
-    gap = 1.0 - out.sum()
-    if abs(gap) > 0:
-        free = (out > lower + 1e-15) & (out < upper - 1e-15) if gap < 0 else (out < upper - 1e-15)
-        idx = np.flatnonzero(free)
-        if idx.size:
-            out[idx] += gap / idx.size
-            out = np.clip(out, lower, upper)
-    return out
+    kinks = np.unique(np.concatenate([v - upper, v - lower]))
+    sums = np.clip(v - kinks[:, None], lower, upper).sum(axis=1)
+    # reversed, s rises through the kinks and is linear between them, so
+    # interpolating it at 1 is exact; outside the kinks it clamps to a bound
+    tau = np.interp(1.0, sums[::-1], kinks[::-1])
+    return np.clip(v - tau, lower, upper)
 
 
 def unit_directions(count: int, dim: int, seed: int = _DIRECTION_SEED) -> np.ndarray:

@@ -85,6 +85,38 @@ def three_point_gradient(model, p, fleet, h=1e-4):
     return out
 
 
+def central_phi_gradient(model, p, fleet, h=2e-4, h_inner=1e-5):
+    """Central-difference gradient of phi in free coordinates.
+
+    phi(p) is the norm of the free-coordinate WIP gradient embedded as
+    (0, g_1..g_n) and projected onto the sum-zero subspace.  Here g is itself
+    a central difference with step `h_inner`, and phi is differenced with
+    step `h`, both along e_i - e_0 and built entirely on scalar wip() calls,
+    so nothing is shared with the adjoint derivatives it is checked against.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size - 1
+
+    def along(i):
+        d = np.zeros_like(p)
+        d[i] = 1.0
+        d[0] = -1.0
+        return d
+
+    def phi(q):
+        g = [
+            (wip(model, q + h_inner * along(i), fleet).total_wip
+             - wip(model, q - h_inner * along(i), fleet).total_wip) / (2.0 * h_inner)
+            for i in range(1, n + 1)
+        ]
+        emb = np.array([0.0] + g)
+        return float(np.linalg.norm(emb - emb.mean()))
+
+    return np.array(
+        [(phi(p + h * along(i)) - phi(p - h * along(i))) / (2.0 * h) for i in range(1, n + 1)]
+    )
+
+
 def random_capped_instance(rng):
     """Random open network whose nominal utilizations all sit at 0.25.
 

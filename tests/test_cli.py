@@ -218,6 +218,68 @@ def test_override_path_errors_exit_1(capsys):
     assert out2.strip() == "error=validation_errors"
 
 
+def test_empty_search_box_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "worstcase",
+        "--scenario",
+        "planner_small",
+        "--set",
+        "nominal_p=[0.9985,0.001,0.0005]",
+        "--set",
+        "limits.p_neighborhood_radius=0.0001",
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert "p_neighborhood_radius" in err
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "stations",
+        "routing",
+        "fleet_candidates",
+        "limits",
+        "tasks",
+        "vehicles",
+        "distances",
+        "metaheuristic_params",
+    ],
+)
+def test_section_of_wrong_type_exits_1(capsys, section):
+    code, out, err = run_cli(
+        capsys, "report", "--scenario", "fig10_optimized", "--set", f"{section}=5"
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(section)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("sa.t_min=-1", "t_min must be positive"),
+        ("sa.cooling=1.0", "cooling must lie strictly between 0 and 1"),
+        ("aco.ants=0", "ants must be at least 1"),
+    ],
+)
+def test_metaheuristic_parameter_domains_exit_1(capsys, override, message):
+    # report on a network-only scenario never runs a scheduler, so a missed
+    # check shows up as exit 0 rather than as a search that never ends
+    code, out, err = run_cli(
+        capsys,
+        "report",
+        "--scenario",
+        "fig10_optimized",
+        "--set",
+        f"metaheuristic_params.{override}",
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert message in err
+
+
 # --- determinism -------------------------------------------------------------
 
 def test_repeated_runs_are_byte_identical(capsys, tmp_path):

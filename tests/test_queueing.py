@@ -31,6 +31,7 @@ from fabflow.queueing import (
     traffic_equations,
     wip,
     wip_gradient,
+    wip_hessian,
     wip_totals_batch,
     wltp_errors,
 )
@@ -250,6 +251,23 @@ def test_gradient_matches_slow_reference():
         fast = wip_gradient(model, p, fleet)
         slow = support.three_point_gradient(model, p, fleet)
         np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-6)
+
+
+def test_hessian_is_symmetric_and_differentiates_the_gradient():
+    rng = np.random.default_rng(2403)
+    cases = [support.random_capped_instance(rng) for _ in range(10)]
+    model, p_nom, fleet = hub()
+    cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]))]
+    h = 1e-5
+    for model, p, fleet in cases:
+        g, hess = wip_hessian(model, p, fleet)
+        np.testing.assert_array_equal(g, wip_gradient(model, p, fleet))
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-9, atol=1e-12)
+        for j in range(1, p.size):
+            d = np.zeros_like(p)
+            d[j], d[0] = 1.0, -1.0
+            column = (wip_gradient(model, p + h * d, fleet) - wip_gradient(model, p - h * d, fleet)) / (2 * h)
+            np.testing.assert_allclose(hess[:, j - 1], column, rtol=1e-5, atol=1e-7)
 
 
 def test_gradient_probe_hitting_unstable_point_raises():

@@ -24,6 +24,7 @@ from fabflow.robust_planner import (
     CLIP_ETA,
     FleetCandidateSpace,
     PlannerLimits,
+    _phi_gradient,
     check_constraints,
     delta_wip,
     plan_fleet,
@@ -47,6 +48,21 @@ def hub():
 def phi(model, p, fleet):
     """Projected-gradient norm, the quantity the adversarial search maximizes."""
     return steepest_feasible_direction(model, p, fleet)[1]
+
+
+def wide_hub(dim):
+    """Hub-and-arms model with `dim` transfer probabilities, stable everywhere."""
+    stations = [
+        StationProfile("IN", StationKind.PROCESS, 3.0, gamma=1.0),
+        StationProfile("T", StationKind.TRANSPORT, 0.8, vehicle_type=0),
+        StationProfile("OUT", StationKind.PROCESS, 4.0),
+    ]
+    bindings = [("IN", "T", "const:1.0"), ("T", "OUT", "p:0")]
+    for i in range(1, dim):
+        stations.append(StationProfile(f"A{i}", StationKind.PROCESS, 10.0 + i))
+        bindings += [("T", f"A{i}", f"p:{i}"), (f"A{i}", "T", "const:0.5"), (f"A{i}", "OUT", "const:0.5")]
+    model = RoutingModel.from_bindings(stations, bindings, wltp_dim=dim)
+    return model, np.full(dim, 1.0 / dim), FleetConfig((4,))
 
 
 def lattice_phi_max(model, fleet, m=40):
@@ -92,6 +108,42 @@ def test_capped_projection_stays_feasible_and_is_closest():
         for _ in range(40):
             q = lower + rng.dirichlet(np.ones(3)) * (1.0 - lower.sum())
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
+    # non-uniform boxes around a nominal point, as p_neighborhood_radius
+    # builds them, in up to 15 dimensions; optimality is checked through the
+    # KKT conditions: p = clip(v - tau, lower, upper) for one shift tau, so
+    # v - p is <= tau where p sits at its lower bound, == tau where p is free
+    # and >= tau where p sits at its upper bound
+    for _ in range(200):
+        dim = int(rng.integers(2, 16))
+        nominal = rng.dirichlet(np.ones(dim))
+        radius = rng.uniform(CLIP_ETA, 0.3)
+        lower = np.maximum(CLIP_ETA, nominal - radius)
+        upper = np.minimum(1.0 - CLIP_ETA, nominal + radius)
+        if lower.sum() > 1.0 or upper.sum() < 1.0:
+            continue
+        v = nominal + rng.normal(scale=rng.choice([0.01, 0.3, 3.0]), size=dim)
+        p = simplex.project_capped_simplex(v, lower, upper)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (p >= lower - 1e-12).all() and (p <= upper + 1e-12).all()
+        shift = v - p
+        at_lower, at_upper = p <= lower + 1e-12, p >= upper - 1e-12
+        assert shift[~at_upper].max(initial=-np.inf) <= shift[~at_lower].min(initial=np.inf) + 1e-9
+
+
+def test_halton_extends_past_twelve_dimensions():
+    # the first twelve bases stay 2..37, so existing start points do not move
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    expected = [[simplex._radical_inverse(i + 1, b) for b in bases] for i in range(8)]
+    np.testing.assert_array_equal(simplex.halton(8, 14), expected)
+
+
+def test_worst_case_runs_in_fourteen_dimensions():
+    model, p_nom, fleet = wide_hub(14)
+    limits = PlannerLimits(c_max=4, w_star=math.inf, u=math.inf, delta_wip_max=math.inf)
+    wc = worst_case_direction(model, fleet, limits, p_nom, starts=2, max_iters=5)
+    assert len(wc.p_star) == 14
+    assert wc.v_star == pytest.approx(phi(model, wc.p_star, fleet), rel=1e-12)
+    assert wc.v_star >= phi(model, p_nom, fleet)
 
 
 def test_capped_projection_fixes_feasible_points():
@@ -179,6 +231,17 @@ def test_no_stable_point():
     with pytest.raises(NoStablePoint) as exc:
         worst_case_direction(model, FleetConfig((1,)), limits, None)
     assert exc.value.code == "no_stable_point"
+
+
+def test_phi_gradient_matches_scalar_oracle():
+    rng = np.random.default_rng(2402)
+    cases = [support.random_capped_instance(rng) for _ in range(10)]
+    model, p_nom, fleet = hub()
+    cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]), np.array([0.55, 0.15, 0.3]))]
+    for model, p, fleet in cases:
+        exact = _phi_gradient(model, fleet, p)
+        slow = support.central_phi_gradient(model, p, fleet)
+        np.testing.assert_allclose(exact, slow, rtol=1e-4, atol=1e-6)
 
 
 # --- fluctuation probes ------------------------------------------------------
