@@ -6,6 +6,11 @@ success, 1 when the scenario or arguments are malformed, 2 when the inputs
 parse fine but the model has no feasible answer.  Runs are deterministic:
 the same invocation produces byte-identical stdout and artifacts, keyed by
 a run id derived from the scenario digest, the subcommand, and the seed.
+
+Each analysis is one section function ``(scenario, args) -> (stdout pairs,
+artifacts)``.  A subcommand runs one section through ``_run``, which owns
+loading, validation, the digest, the run id and emission; ``report`` runs
+every section the scenario supports.
 """
 from __future__ import annotations
 
@@ -71,28 +76,11 @@ def _apply_override(raw: dict, spec: str):
             )
 
 
-def _load(args):
-    raw = resolve_scenario_raw(args.scenario)
-    for spec in args.set or []:
-        _apply_override(raw, spec)
-    scenario = scenario_from_dict(raw)
-    return scenario, scenario_digest(scenario)
-
-
 def _run_id(digest: str, command: str, seed, extra: dict) -> str:
     payload = canonical_json(
         {"digest": digest, "command": command, "seed": seed, "extra": extra}
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _print_pairs(pairs):
-    print(" ".join(f"{k}={v}" for k, v in pairs))
-
-
-def _emit(args, bundle: ReportBundle):
-    if args.out:
-        emit_report(bundle, args.out)
 
 
 def _fmt(value) -> str:
@@ -101,96 +89,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# --- subcommand bodies -------------------------------------------------------
-
-def _cmd_maxflow(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
-    net = netflow.build_network(scenario)
-    fa = netflow.max_flow(net)
-    cut_nodes, cut_cap = netflow.min_cut(net)
-    run_id = _run_id(digest, "maxflow", args.seed, {})
-    bundle = ReportBundle(
-        run_id=run_id,
-        inputs_digest=digest,
-        artifacts=(
-            flow_csv_artifact("maxflow_edges.csv", net, fa),
-            JsonArtifact(
-                "maxflow_summary.json",
-                {
-                    "value_kg": fa.value,
-                    "cut_capacity_kg": cut_cap,
-                    "cut_source_side": sorted(cut_nodes),
-                },
-            ),
-        ),
-    )
-    _emit(args, bundle)
-    return [
-        ("value_kg", str(fa.value)),
-        ("cut_capacity_kg", str(cut_cap)),
-        ("run_id", run_id),
-    ]
-
-
-def _cmd_mincost(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
-    net = netflow.build_network(scenario)
-    fa = netflow.min_cost_flow(net, args.demand)
-    cost = netflow.flow_cost(net, fa)
-    run_id = _run_id(digest, "mincost", args.seed, {"demand": args.demand})
-    bundle = ReportBundle(
-        run_id=run_id,
-        inputs_digest=digest,
-        artifacts=(
-            flow_csv_artifact("mincost_edges.csv", net, fa),
-            JsonArtifact(
-                "mincost_summary.json",
-                {"demand_kg": args.demand, "cost": float(cost)},
-            ),
-        ),
-    )
-    _emit(args, bundle)
-    return [
-        ("demand_kg", str(args.demand)),
-        ("cost", _fmt(float(cost))),
-        ("run_id", run_id),
-    ]
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValidationErrors([f"--seeds must be a comma-separated integer list, got '{text}'"])
+    return seeds
 
 
 def _fleet_of(scenario) -> queueing.FleetConfig:
     if scenario.nominal_fleet is not None:
         return scenario.nominal_fleet
     return queueing.FleetConfig(counts=())
-
-
-def _wip_artifacts(report) -> tuple:
-    header, rows = report.to_csv_rows()
-    return (
-        CsvArtifact("wip_stations.csv", header, tuple(rows)),
-        JsonArtifact(
-            "wip_summary.json",
-            {
-                "total_wip": report.total_wip,
-                "stations": {
-                    sid: {"wip": w, "utilization": u}
-                    for sid, w, u in zip(
-                        report.station_ids, report.per_station_wip, report.utilizations
-                    )
-                },
-            },
-        ),
-    )
-
-
-def _cmd_wip(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
-    model = queueing.build_routing_model(scenario)
-    fleet = _fleet_of(scenario)
-    report = queueing.wip(model, scenario.nominal_p, fleet)
-    run_id = _run_id(digest, "wip", args.seed, {})
-    bundle = ReportBundle(run_id, digest, _wip_artifacts(report))
-    _emit(args, bundle)
-    return [("total_wip", _fmt(report.total_wip)), ("run_id", run_id)]
 
 
 def _limits_of(scenario) -> robust_planner.PlannerLimits:
@@ -207,27 +117,89 @@ def _limits_of(scenario) -> robust_planner.PlannerLimits:
     )
 
 
-def _cmd_worstcase(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
+# --- sections: (scenario, args) -> (stdout pairs, artifacts) -----------------
+
+def maxflow(scenario, args):
+    net = netflow.build_network(scenario)
+    fa = netflow.max_flow(net)
+    cut_nodes, cut_cap = netflow.min_cut(net)
+    summary = {
+        "value_kg": fa.value,
+        "cut_capacity_kg": cut_cap,
+        "cut_source_side": sorted(cut_nodes),
+    }
+    return (
+        [("value_kg", str(fa.value)), ("cut_capacity_kg", str(cut_cap))],
+        [
+            flow_csv_artifact("maxflow_edges.csv", net, fa),
+            JsonArtifact("maxflow_summary.json", summary),
+        ],
+    )
+
+
+def mincost(scenario, args):
+    net = netflow.build_network(scenario)
+    fa = netflow.min_cost_flow(net, args.demand)
+    cost = float(netflow.flow_cost(net, fa))
+    return (
+        [("demand_kg", str(args.demand)), ("cost", _fmt(cost))],
+        [
+            flow_csv_artifact("mincost_edges.csv", net, fa),
+            JsonArtifact("mincost_summary.json", {"demand_kg": args.demand, "cost": cost}),
+        ],
+    )
+
+
+def wip(scenario, args):
     model = queueing.build_routing_model(scenario)
-    fleet = _fleet_of(scenario)
-    wc = robust_planner.worst_case_direction(
-        model, fleet, _limits_of(scenario), scenario.nominal_p
+    report = queueing.wip(model, scenario.nominal_p, _fleet_of(scenario))
+    header, rows = report.to_csv_rows()
+    stations = {
+        sid: {"wip": w, "utilization": u}
+        for sid, w, u in zip(report.station_ids, report.per_station_wip, report.utilizations)
+    }
+    return (
+        [("total_wip", _fmt(report.total_wip))],
+        [
+            CsvArtifact("wip_stations.csv", header, tuple(rows)),
+            JsonArtifact(
+                "wip_summary.json", {"total_wip": report.total_wip, "stations": stations}
+            ),
+        ],
     )
-    run_id = _run_id(digest, "worstcase", args.seed, {})
-    bundle = ReportBundle(
-        run_id, digest, (JsonArtifact("worstcase_summary.json", wc.to_dict()),)
+
+
+def monotonicity(scenario, args):
+    # only report runs this section, so it prints nothing of its own
+    model = queueing.build_routing_model(scenario)
+    grid = queueing.grid_from_axes(
+        scenario.metadata["monotonicity_grid"]["free_axes"], len(scenario.nominal_p)
     )
-    _emit(args, bundle)
-    return [
-        ("v_star", _fmt(wc.v_star)),
-        ("p_star", ",".join(repr(x) for x in wc.p_star)),
-        ("run_id", run_id),
+    audit = queueing.check_monotonicity(model, grid, _fleet_of(scenario))
+    header, rows = audit.to_csv_rows()
+    summary = {
+        "grid_points": audit.grid_points,
+        "claims": dict(audit.claim_passed),
+        "violations": len(audit.violations),
+    }
+    return [], [
+        CsvArtifact("monotonicity_lines.csv", header, tuple(rows)),
+        JsonArtifact("monotonicity_summary.json", summary),
     ]
 
 
-def _cmd_plan(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
+def worstcase(scenario, args):
+    model = queueing.build_routing_model(scenario)
+    wc = robust_planner.worst_case_direction(
+        model, _fleet_of(scenario), _limits_of(scenario), scenario.nominal_p
+    )
+    return (
+        [("v_star", _fmt(wc.v_star)), ("p_star", ",".join(repr(x) for x in wc.p_star))],
+        [JsonArtifact("worstcase_summary.json", wc.to_dict())],
+    )
+
+
+def plan(scenario, args):
     model = queueing.build_routing_model(scenario)
     if scenario.fleet_candidates is None or scenario.limits is None:
         raise ValidationErrors(
@@ -236,199 +208,113 @@ def _cmd_plan(args) -> list[tuple[str, str]]:
     result = robust_planner.plan_fleet(
         model, scenario.fleet_candidates, scenario.limits, scenario.nominal_p
     )
-    run_id = _run_id(digest, "plan", args.seed, {})
     header, rows = result.to_csv_rows()
-    bundle = ReportBundle(
-        run_id,
-        digest,
-        (
+    return (
+        [
+            ("c_star", ",".join(str(c) for c in result.c_star.counts)),
+            ("v_star", _fmt(result.worst_case.v_star)),
+            ("nominal_wip", _fmt(result.nominal_wip)),
+            ("search_mode", result.search_mode),
+        ],
+        [
             CsvArtifact("plan_candidates.csv", header, tuple(rows)),
             JsonArtifact("plan_summary.json", result.to_dict()),
-        ),
+        ],
     )
-    _emit(args, bundle)
-    return [
-        ("c_star", ",".join(str(c) for c in result.c_star.counts)),
-        ("v_star", _fmt(result.worst_case.v_star)),
-        ("nominal_wip", _fmt(result.nominal_wip)),
-        ("search_mode", result.search_mode),
-        ("run_id", run_id),
-    ]
 
 
-def _cmd_schedule(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
+def schedule(scenario, args):
     inst = scheduler.SchedulingInstance.from_scenario(scenario)
-    run_id = _run_id(digest, "schedule", args.seed, {"method": args.method})
+    params = getattr(scenario.metaheuristic, args.method)
     if args.method == "ga":
-        front = scheduler.ga_optimize(inst, scenario.metaheuristic.ga, args.seed)
+        front = scheduler.ga_optimize(inst, params, args.seed)
         header, rows = front.to_csv_rows()
         _, best_mk = front.best_by("makespan_h")
         _, best_cost = front.best_by("total_cost")
-        bundle = ReportBundle(
-            run_id,
-            digest,
-            (
+        summary = {
+            "method": "ga",
+            "front_size": len(front.members),
+            "best_makespan_h": best_mk.makespan_h,
+            "best_cost": best_cost.total_cost,
+        }
+        return (
+            [
+                ("method", "ga"),
+                ("front_size", str(len(front.members))),
+                ("best_makespan_h", _fmt(best_mk.makespan_h)),
+                ("best_cost", _fmt(best_cost.total_cost)),
+            ],
+            [
                 CsvArtifact("schedule_front.csv", header, tuple(rows)),
-                JsonArtifact(
-                    "schedule_summary.json",
-                    {
-                        "method": "ga",
-                        "front_size": len(front.members),
-                        "best_makespan_h": best_mk.makespan_h,
-                        "best_cost": best_cost.total_cost,
-                    },
-                ),
-            ),
+                JsonArtifact("schedule_summary.json", summary),
+            ],
         )
-        _emit(args, bundle)
-        return [
-            ("method", "ga"),
-            ("front_size", str(len(front.members))),
-            ("best_makespan_h", _fmt(best_mk.makespan_h)),
-            ("best_cost", _fmt(best_cost.total_cost)),
-            ("run_id", run_id),
-        ]
     run = scheduler.sa_optimize if args.method == "sa" else scheduler.aco_optimize
-    params = scenario.metaheuristic.sa if args.method == "sa" else scenario.metaheuristic.aco
     result = run(inst, params, args.seed)
-    bundle = ReportBundle(
-        run_id,
-        digest,
-        (
-            JsonArtifact(
-                "schedule_summary.json",
-                {
-                    "method": args.method,
-                    "scalar_score": result.scalar_score,
-                    "makespan_h": result.objectives.makespan_h,
-                    "total_cost": result.objectives.total_cost,
-                    "assignment": dict(sorted(result.assignment.mapping.items())),
-                },
-            ),
-        ),
+    summary = {
+        "method": args.method,
+        "scalar_score": result.scalar_score,
+        "makespan_h": result.objectives.makespan_h,
+        "total_cost": result.objectives.total_cost,
+        "assignment": dict(sorted(result.assignment.mapping.items())),
+    }
+    return (
+        [
+            ("method", args.method),
+            ("makespan_h", _fmt(result.objectives.makespan_h)),
+            ("total_cost", _fmt(result.objectives.total_cost)),
+            ("scalar_score", _fmt(result.scalar_score)),
+        ],
+        [JsonArtifact("schedule_summary.json", summary)],
     )
-    _emit(args, bundle)
-    return [
-        ("method", args.method),
-        ("makespan_h", _fmt(result.objectives.makespan_h)),
-        ("total_cost", _fmt(result.objectives.total_cost)),
-        ("scalar_score", _fmt(result.scalar_score)),
-        ("run_id", run_id),
-    ]
 
 
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValidationErrors([f"--seeds must be a comma-separated integer list, got '{text}'"])
-    return seeds
-
-
-def _cmd_bench(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
-    seeds = _parse_seeds(args.seeds)
-    table = scheduler.benchmark(
-        scenario,
-        seeds,
-        scenario.metaheuristic.ga,
-        scenario.metaheuristic.sa,
-        scenario.metaheuristic.aco,
-    )
-    run_id = _run_id(digest, "bench", args.seed, {"seeds": seeds})
+def bench(scenario, args):
+    mh = scenario.metaheuristic
+    table = scheduler.benchmark(scenario, _parse_seeds(args.seeds), mh.ga, mh.sa, mh.aco)
     header, rows = table.to_csv_rows()
     aggregates = {m: table.aggregate(m) for m in ("ga", "sa", "aco")}
-    bundle = ReportBundle(
-        run_id,
-        digest,
-        (
-            CsvArtifact("bench_table.csv", header, tuple(rows)),
-            JsonArtifact(
-                "bench_summary.json",
-                {
-                    m: {
-                        "before_hours": a[0],
-                        "after_hours": a[1],
-                        "before_cost": a[2],
-                        "after_cost": a[3],
-                    }
-                    for m, a in aggregates.items()
-                },
-            ),
-        ),
-    )
-    _emit(args, bundle)
+    summary = {
+        m: {"before_hours": a[0], "after_hours": a[1], "before_cost": a[2], "after_cost": a[3]}
+        for m, a in aggregates.items()
+    }
     before_h, ga_h, before_c, ga_c = aggregates["ga"]
-    return [
-        ("before_hours", _fmt(before_h)),
-        ("ga_after_hours", _fmt(ga_h)),
-        ("sa_after_hours", _fmt(aggregates["sa"][1])),
-        ("aco_after_hours", _fmt(aggregates["aco"][1])),
-        ("before_cost", _fmt(before_c)),
-        ("ga_after_cost", _fmt(ga_c)),
-        ("run_id", run_id),
-    ]
+    return (
+        [
+            ("before_hours", _fmt(before_h)),
+            ("ga_after_hours", _fmt(ga_h)),
+            ("sa_after_hours", _fmt(aggregates["sa"][1])),
+            ("aco_after_hours", _fmt(aggregates["aco"][1])),
+            ("before_cost", _fmt(before_c)),
+            ("ga_after_cost", _fmt(ga_c)),
+        ],
+        [
+            CsvArtifact("bench_table.csv", header, tuple(rows)),
+            JsonArtifact("bench_summary.json", summary),
+        ],
+    )
 
 
-def _cmd_fixtures(args) -> list[tuple[str, str]]:
-    return [("fixtures", ",".join(fixture_catalog()))]
+def _has_grid(scenario) -> bool:
+    spec = scenario.metadata.get("monotonicity_grid")
+    return isinstance(spec, dict) and "free_axes" in spec
 
 
-def _cmd_report(args) -> list[tuple[str, str]]:
-    scenario, digest = _load(args)
-    run_id = _run_id(digest, "report", args.seed, {})
-    artifacts: list = []
-    sections: list[str] = []
-    if scenario.network is not None:
-        net = netflow.build_network(scenario)
-        fa = netflow.max_flow(net)
-        cut_nodes, cut_cap = netflow.min_cut(net)
-        artifacts.append(flow_csv_artifact("maxflow_edges.csv", net, fa))
-        artifacts.append(
-            JsonArtifact(
-                "maxflow_summary.json",
-                {
-                    "value_kg": fa.value,
-                    "cut_capacity_kg": cut_cap,
-                    "cut_source_side": sorted(cut_nodes),
-                },
-            )
-        )
-        sections.append("flow")
-    if scenario.stations is not None:
-        model = queueing.build_routing_model(scenario)
-        fleet = _fleet_of(scenario)
-        report = queueing.wip(model, scenario.nominal_p, fleet)
-        artifacts.extend(_wip_artifacts(report))
-        sections.append("wip")
-        grid_spec = scenario.metadata.get("monotonicity_grid")
-        if isinstance(grid_spec, dict) and "free_axes" in grid_spec:
-            grid = queueing.grid_from_axes(
-                grid_spec["free_axes"], len(scenario.nominal_p)
-            )
-            audit = queueing.check_monotonicity(model, grid, fleet)
-            header, rows = audit.to_csv_rows()
-            artifacts.append(CsvArtifact("monotonicity_lines.csv", header, tuple(rows)))
-            artifacts.append(
-                JsonArtifact(
-                    "monotonicity_summary.json",
-                    {
-                        "grid_points": audit.grid_points,
-                        "claims": dict(audit.claim_passed),
-                        "violations": len(audit.violations),
-                    },
-                )
-            )
-            sections.append("monotonicity")
-        if scenario.fleet_candidates is not None and scenario.limits is not None:
-            result = robust_planner.plan_fleet(
-                model, scenario.fleet_candidates, scenario.limits, scenario.nominal_p
-            )
-            header, rows = result.to_csv_rows()
-            artifacts.append(CsvArtifact("plan_candidates.csv", header, tuple(rows)))
-            artifacts.append(JsonArtifact("plan_summary.json", result.to_dict()))
-            sections.append("plan")
+# report's sections in order: (name, section, whether the scenario supports it)
+_REPORT_SECTIONS = (
+    ("flow", maxflow, lambda sc: sc.network is not None),
+    ("wip", wip, lambda sc: sc.stations is not None),
+    ("monotonicity", monotonicity, lambda sc: sc.stations is not None and _has_grid(sc)),
+    ("plan", plan, lambda sc: None not in (sc.stations, sc.fleet_candidates, sc.limits)),
+)
+
+
+def report(scenario, args):
+    sections, artifacts = [], []
+    for name, section, applies in _REPORT_SECTIONS:
+        if applies(scenario):
+            artifacts.extend(section(scenario, args)[1])
+            sections.append(name)
     if not artifacts:
         raise ValidationErrors(
             ["scenario has no reportable sections (network or stations)"]
@@ -439,16 +325,54 @@ def _cmd_report(args) -> list[tuple[str, str]]:
         # treats them as targets
         artifacts.append(JsonArtifact("reference_deltas.json", dict(deltas)))
         sections.append("reference")
-    bundle = ReportBundle(run_id, digest, tuple(artifacts))
-    _emit(args, bundle)
-    return [
-        ("sections", ",".join(sections)),
-        ("artifacts", str(len(artifacts))),
-        ("run_id", run_id),
-    ]
+    return [("sections", ",".join(sections)), ("artifacts", str(len(artifacts)))], artifacts
 
 
-# --- wiring ------------------------------------------------------------------
+# --- pipeline and wiring -----------------------------------------------------
+
+# subcommand -> (help, section, options that the run id records); fixtures
+# has no section because it reads no scenario
+_COMMANDS = {
+    "maxflow": ("maximum shipment throughput and the binding cut", maxflow, ()),
+    "mincost": ("cheapest routing of a fixed demand", mincost, ("demand",)),
+    "wip": ("steady-state WIP at the nominal operating point", wip, ()),
+    "worstcase": ("adversarial transfer direction search", worstcase, ()),
+    "plan": ("fleet sizing under the scenario limits", plan, ()),
+    "schedule": ("optimize the dispatch of the scenario's tasks", schedule, ("method",)),
+    "bench": ("before/after dispatch benchmark per task type", bench, ("seeds",)),
+    "fixtures": ("list bundled scenarios", None, ()),
+    "report": ("emit every report the scenario supports", report, ()),
+}
+
+_OPTIONS = {
+    "demand": {"type": int, "required": True, "help": "kg to ship"},
+    "method": {"choices": ("ga", "sa", "aco"), "default": "ga"},
+    "seeds": {"default": DEFAULT_BENCH_SEEDS, "help": "comma-separated seed list"},
+}
+
+
+def _run(args) -> list[tuple[str, str]]:
+    """Load, validate and digest the scenario, run the subcommand's section,
+    then emit its artifacts under the run id and return its stdout pairs."""
+    _, section, options = _COMMANDS[args.command]
+    if section is None:
+        return [("fixtures", ",".join(fixture_catalog()))]
+    raw = resolve_scenario_raw(args.scenario)
+    for spec in args.set or []:
+        _apply_override(raw, spec)
+    scenario = scenario_from_dict(raw)
+    digest = scenario_digest(scenario)
+    pairs, artifacts = section(scenario, args)
+    # the run id records --seeds as the parsed list the section ran
+    extra = {
+        name: _parse_seeds(args.seeds) if name == "seeds" else getattr(args, name)
+        for name in options
+    }
+    run_id = _run_id(digest, args.command, args.seed, extra)
+    if args.out:
+        emit_report(ReportBundle(run_id, digest, tuple(artifacts)), args.out)
+    return [*pairs, ("run_id", run_id)]
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are malformed input, so they exit 1 like any other
@@ -458,73 +382,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationErrors([f"usage: {message}"])
 
 
-def _add_common(sub, scenario_required=True):
-    if scenario_required:
-        sub.add_argument("--scenario", required=True, help="scenario file path or fixture name")
-        sub.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="dotted override applied to the scenario before validation",
-        )
-        sub.add_argument("--out", help="directory for report artifacts")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fabflow",
         description="Fab logistics analysis: network flow, queueing, fleet planning, dispatch.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("maxflow", help="maximum shipment throughput and the binding cut")
-    _add_common(sub)
-    sub.set_defaults(body=_cmd_maxflow)
-
-    sub = commands.add_parser("mincost", help="cheapest routing of a fixed demand")
-    _add_common(sub)
-    sub.add_argument("--demand", type=int, required=True, help="kg to ship")
-    sub.set_defaults(body=_cmd_mincost)
-
-    sub = commands.add_parser("wip", help="steady-state WIP at the nominal operating point")
-    _add_common(sub)
-    sub.set_defaults(body=_cmd_wip)
-
-    sub = commands.add_parser("worstcase", help="adversarial transfer direction search")
-    _add_common(sub)
-    sub.set_defaults(body=_cmd_worstcase)
-
-    sub = commands.add_parser("plan", help="fleet sizing under the scenario limits")
-    _add_common(sub)
-    sub.set_defaults(body=_cmd_plan)
-
-    sub = commands.add_parser("schedule", help="optimize the dispatch of the scenario's tasks")
-    _add_common(sub)
-    sub.add_argument("--method", choices=("ga", "sa", "aco"), default="ga")
-    sub.set_defaults(body=_cmd_schedule)
-
-    sub = commands.add_parser("bench", help="before/after dispatch benchmark per task type")
-    _add_common(sub)
-    sub.add_argument("--seeds", default=DEFAULT_BENCH_SEEDS, help="comma-separated seed list")
-    sub.set_defaults(body=_cmd_bench)
-
-    sub = commands.add_parser("fixtures", help="list bundled scenarios")
-    _add_common(sub, scenario_required=False)
-    sub.set_defaults(body=_cmd_fixtures)
-
-    sub = commands.add_parser("report", help="emit every report the scenario supports")
-    _add_common(sub)
-    sub.set_defaults(body=_cmd_report)
-
+    for name, (help_text, section, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if section is not None:
+            sub.add_argument("--scenario", required=True, help="scenario file path or fixture name")
+            sub.add_argument(
+                "--set",
+                action="append",
+                metavar="KEY=VALUE",
+                help="dotted override applied to the scenario before validation",
+            )
+            sub.add_argument("--out", help="directory for report artifacts")
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        for option in options:
+            sub.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        pairs = args.body(args)
+        pairs = _run(parser.parse_args(argv))
     except ScenarioValidationError as exc:
         print(f"error={exc.code}")
         print(str(exc), file=sys.stderr)
@@ -533,7 +417,7 @@ def main(argv=None) -> int:
         print(f"error={exc.code}")
         print(str(exc), file=sys.stderr)
         return 2
-    _print_pairs(pairs)
+    print(" ".join(f"{k}={v}" for k, v in pairs))
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     InvalidWltp,
     NonOpenNetwork,
     UnstableStation,
+    ValidationErrors,
     ZeroVehicles,
 )
 
@@ -687,8 +689,21 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
     """Grid from explicit per-coordinate value lists (free coords 1..n in order).
 
     This is what scenario metadata carries; p_0 absorbs the remainder and
-    points leaving the open simplex are dropped.
+    points leaving the open simplex are dropped.  Raises ValidationErrors
+    unless free_axes is a list of at most dim - 1 lists of numbers that
+    leaves at least one point.
     """
+    where = "metadata.monotonicity_grid.free_axes"
+    if not (
+        isinstance(free_axes, (list, tuple))
+        and len(free_axes) <= dim - 1
+        and all(
+            isinstance(axis, (list, tuple))
+            and all(isinstance(v, Real) and not isinstance(v, bool) for v in axis)
+            for axis in free_axes
+        )
+    ):
+        raise ValidationErrors([f"{where}: must be a list of at most {dim - 1} lists of numbers"])
     points = []
     for combo in itertools.product(*free_axes):
         p = np.zeros(dim)
@@ -696,6 +711,8 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
         p[0] = 1.0 - float(np.sum(combo))
         if 0.0 < p[0] < 1.0:
             points.append(p)
+    if not points:
+        raise ValidationErrors([f"{where}: no grid point lies inside the open simplex"])
     return points
 
 

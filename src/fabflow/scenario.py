@@ -138,6 +138,18 @@ def _req(raw: Mapping, key: str, kind, errs: _Collector, where: str):
     return value
 
 
+def _opt_number(raw: Mapping, key: str, errs: _Collector, where: str):
+    """Optional numeric field as a float: 0.0 when absent or null, None
+    (with the problem collected) when it is not a number."""
+    value = raw.get(key)
+    if value is None:
+        return 0.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errs.add(f"{where}: field '{key}' must be a number")
+        return None
+    return float(value)
+
+
 def _objects(raw, errs: _Collector, where: str) -> list[tuple[int, Mapping]]:
     """(index, entry) for every object in a list section; a section that is
     not a list, and entries that are not objects, are reported and skipped."""
@@ -231,10 +243,12 @@ def _parse_stations(raw, errs: _Collector):
             errs.add(f"{where}: station id declared twice: {sid}")
             continue
         seen.add(sid)
-        gamma = st.get("gamma", 0.0)
         vt = st.get("vehicle_type")
         if kind == "transport" and vt is None:
             errs.add(f"{where}: transport station needs vehicle_type")
+            continue
+        gamma = _opt_number(st, "gamma", errs, where)
+        if gamma is None:
             continue
         try:
             stations.append(
@@ -242,7 +256,7 @@ def _parse_stations(raw, errs: _Collector):
                     station_id=sid,
                     kind=StationKind(kind),
                     mu_base=float(mu),
-                    gamma=float(gamma),
+                    gamma=gamma,
                     vehicle_type=vt,
                 )
             )
@@ -458,16 +472,14 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
                 errs.add(f"{where}: vehicle id declared twice: {vid}")
                 continue
             seen_v.add(vid)
+            extras = {
+                key: _opt_number(vd, key, errs, where)
+                for key in ("load_time_h", "unload_time_h", "cost_rate")
+            }
+            if None in extras.values():
+                continue
             try:
-                vehicles.append(
-                    VehicleSpec(
-                        vehicle_id=vid,
-                        speed=float(speed),
-                        load_time_h=float(vd.get("load_time_h", 0.0)),
-                        unload_time_h=float(vd.get("unload_time_h", 0.0)),
-                        cost_rate=float(vd.get("cost_rate", 0.0)),
-                    )
-                )
+                vehicles.append(VehicleSpec(vehicle_id=vid, speed=float(speed), **extras))
             except ValidationErrors as exc:
                 for problem in exc.errors:
                     errs.add(f"{where}: {problem}")
@@ -523,6 +535,9 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
             if distances and (origin, dest) not in distances:
                 errs.add(f"{where}: no distance entry for {origin}->{dest}")
             seen_t.add(tid)
+            baseline = _opt_number(td, "baseline_duration_h", errs, where)
+            if baseline is None:
+                continue
             try:
                 tasks.append(
                     TransportTask(
@@ -531,7 +546,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
                         origin=origin,
                         destination=dest,
                         lot_mass_kg=float(mass),
-                        baseline_duration_h=float(td.get("baseline_duration_h", 0.0)),
+                        baseline_duration_h=baseline,
                     )
                 )
             except ValidationErrors as exc:

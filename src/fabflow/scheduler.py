@@ -244,12 +244,29 @@ def _crowding_distance(F: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> None:
+    """ValueError unless `value` is a number (an int when `integer`; never a
+    bool) for which ok(value) holds; `domain` completes "<name> must ..."."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'} (got {value!r})")
+    if not ok(value):
+        raise ValueError(f"{name} must {domain} (got {value!r})")
+
+
 @dataclass(frozen=True)
 class GaParams:
     population: int = 100
     generations: int = 200
     crossover_rate: float = 0.9
     mutation_rate: float | None = None  # default 1/num_tasks
+
+    def __post_init__(self):
+        # crossover pairs consecutive members, so a population of one never recombines
+        _check_param("population", self.population, "be at least 2", lambda v: v >= 2, True)
+        _check_param("generations", self.generations, "be non-negative", lambda v: v >= 0, True)
+        _check_param("crossover_rate", self.crossover_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        if self.mutation_rate is not None:
+            _check_param("mutation_rate", self.mutation_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 def _front_to_pareto(inst, pop, F) -> ParetoSet:
@@ -388,11 +405,12 @@ class SaParams:
     t_min: float = 1e-3
 
     def __post_init__(self):
-        # geometric cooling only reaches t_min when both hold
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError(f"cooling must lie strictly between 0 and 1 (got {self.cooling!r})")
-        if not self.t_min > 0.0:
-            raise ValueError(f"t_min must be positive (got {self.t_min!r})")
+        # geometric cooling from a finite t_initial only reaches t_min when
+        # these hold
+        _check_param("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v < math.inf)
+        _check_param("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
+        _check_param("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True)
+        _check_param("t_min", self.t_min, "be positive", lambda v: v > 0.0)
 
 
 def sa_optimize(
@@ -444,8 +462,10 @@ class AcoParams:
     deposit: float = 1.0
 
     def __post_init__(self):
-        if not self.ants >= 1:
-            raise ValueError(f"ants must be at least 1 (got {self.ants!r})")
+        _check_param("ants", self.ants, "be at least 1", lambda v: v >= 1, True)
+        _check_param("iterations", self.iterations, "be at least 1", lambda v: v >= 1, True)
+        # pheromone keeps a 1 - evaporation share each iteration
+        _check_param("evaporation", self.evaporation, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 def aco_optimize(

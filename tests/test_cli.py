@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fabflow.cli import main
+from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 
 SHRUNK_GA = (
     "--set",
@@ -62,7 +64,7 @@ def test_worstcase_reports_direction(capsys):
     assert code == 0
     got = pairs_of(out)
     # nominal fleet (1, 1) barely clears instability at the corner
-    assert float(got["v_star"]) == pytest.approx(204124.19794178221, rel=1e-6)
+    assert float(got["v_star"]) == pytest.approx(204124.14690486537, rel=1e-6)
     assert len(got["p_star"].split(",")) == 3
 
 
@@ -165,6 +167,56 @@ def test_report_flow_only_scenario(capsys, tmp_path):
     assert pairs_of(out)["sections"] == "flow"
 
 
+# two candidate mixes around the chosen 1:5 keep planner_small's plan quick
+NARROW_PLAN = (
+    "--set",
+    "fleet_candidates.0.min=1",
+    "--set",
+    "fleet_candidates.0.max=1",
+    "--set",
+    "fleet_candidates.1.min=4",
+    "--set",
+    "fleet_candidates.1.max=5",
+)
+
+
+def artifact_contents(directory):
+    """name -> comparable content: a JSON artifact's inputs digest and data
+    (its run id names the subcommand), a CSV artifact's full text."""
+    out = {}
+    for path in sorted(directory.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            out[path.name] = (doc["inputs_digest"], doc["data"])
+        else:
+            out[path.name] = text
+    return out
+
+
+@pytest.mark.parametrize("fixture", fixture_catalog())
+def test_report_sections_match_their_subcommands(capsys, tmp_path, fixture):
+    argv = ["--scenario", fixture]
+    if fixture == "planner_small":
+        argv += NARROW_PLAN
+    code, _, _ = run_cli(capsys, "report", *argv, "--out", str(tmp_path / "report"))
+    reported = artifact_contents(tmp_path / "report") if code == 0 else {}
+    covered = set()
+    for command in ("maxflow", "wip", "plan"):
+        code, _, _ = run_cli(capsys, command, *argv, "--out", str(tmp_path / command))
+        if code != 0:
+            continue
+        for name, content in artifact_contents(tmp_path / command).items():
+            assert reported[name] == content, (command, name)
+            covered.add(name)
+    # what no subcommand writes: the grid audit and the quoted figures
+    assert set(reported) - covered <= {
+        "monotonicity_lines.csv",
+        "monotonicity_summary.json",
+        "reference_deltas.json",
+    }
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_unstable_fleet_exits_2(capsys):
@@ -234,26 +286,46 @@ def test_empty_search_box_exits_1(capsys):
     assert "p_neighborhood_radius" in err
 
 
+FREE_AXES = "metadata.monotonicity_grid.free_axes"
+
+
 @pytest.mark.parametrize(
-    "section",
+    "scenario, override, where",
     [
-        "stations",
-        "routing",
-        "fleet_candidates",
-        "limits",
-        "tasks",
-        "vehicles",
-        "distances",
-        "metaheuristic_params",
+        *(
+            pytest.param("fig10_optimized", f"{section}=5", section, id=section)
+            for section in (
+                "stations",
+                "routing",
+                "fleet_candidates",
+                "limits",
+                "tasks",
+                "vehicles",
+                "distances",
+                "metaheuristic_params",
+            )
+        ),
+        ("queueing_reference", "stations.0.gamma=x", "stations[0]: field 'gamma'"),
+        ("queueing_reference", "stations.1.gamma=[1]", "stations[1]: field 'gamma'"),
+        ("table1_bench", "vehicles.0.load_time_h=[]", "vehicles[0]: field 'load_time_h'"),
+        ("table1_bench", "vehicles.1.unload_time_h={}", "vehicles[1]: field 'unload_time_h'"),
+        ("table1_bench", "vehicles.2.cost_rate=x", "vehicles[2]: field 'cost_rate'"),
+        ("table1_bench", "tasks.0.baseline_duration_h=true", "tasks[0]: field 'baseline_duration_h'"),
+        ("queueing_reference", f"{FREE_AXES}=5", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=x", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[]", FREE_AXES),
+        ("queueing_reference", f'{FREE_AXES}=[["a"]]', FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[null]]", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[0.1],[0.1],[0.1],[0.1],[0.1]]", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[0.9],[0.9]]", FREE_AXES),
     ],
 )
-def test_section_of_wrong_type_exits_1(capsys, section):
-    code, out, err = run_cli(
-        capsys, "report", "--scenario", "fig10_optimized", "--set", f"{section}=5"
-    )
+def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
+    # report never runs a scheduler, so a missed check cannot start a search
+    code, out, err = run_cli(capsys, "report", "--scenario", scenario, "--set", override)
     assert code == 1
     assert out.strip() == "error=validation_errors"
-    assert err.startswith(section)
+    assert err.startswith(where)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +334,16 @@ def test_section_of_wrong_type_exits_1(capsys, section):
         ("sa.t_min=-1", "t_min must be positive"),
         ("sa.cooling=1.0", "cooling must lie strictly between 0 and 1"),
         ("aco.ants=0", "ants must be at least 1"),
+        ("ga.population=0", "population must be at least 2"),
+        ("ga.population=true", "population must be an integer"),
+        ("ga.generations=-1", "generations must be non-negative"),
+        ("ga.crossover_rate=x", "crossover_rate must be a number"),
+        ("ga.mutation_rate=1.5", "mutation_rate must lie in [0, 1]"),
+        ("sa.t_initial=0", "t_initial must be positive and finite"),
+        ("sa.iters_per_temp=x", "iters_per_temp must be an integer"),
+        ("aco.iterations=0", "iterations must be at least 1"),
+        ("aco.evaporation=2", "evaporation must lie in (0, 1]"),
+        ("aco.ants=true", "ants must be an integer"),
     ],
 )
 def test_metaheuristic_parameter_domains_exit_1(capsys, override, message):
@@ -278,6 +360,45 @@ def test_metaheuristic_parameter_domains_exit_1(capsys, override, message):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert message in err
+
+
+HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench")
+HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308)
+
+
+def leaf_paths(node, prefix=""):
+    """Dotted --set paths of every scalar, empty list and empty object."""
+    if not isinstance(node, (dict, list)) or not node:
+        yield prefix[1:]
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from leaf_paths(child, f"{prefix}.{key}")
+
+
+LEAVES = {name: sorted(leaf_paths(resolve_scenario_raw(name))) for name in HOSTILE_FIXTURES}
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(HOSTILE_FIXTURES).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(LEAVES[name]))
+    ),
+    st.sampled_from(HOSTILE_VALUES),
+)
+def test_hostile_leaf_ends_in_an_exit_code(capsys, leaf, value):
+    # in-process report: no scheduler loop can start, a crash is a traceback
+    fixture, path = leaf
+    code, out, _ = run_cli(
+        capsys, "report", "--scenario", fixture, "--set", f"{path}={json.dumps(value)}"
+    )
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out.startswith("error=") and out.count("\n") == 1
 
 
 # --- determinism -------------------------------------------------------------
