@@ -49,9 +49,10 @@ def wltp_errors(values: Sequence[float]) -> list[str]:
     out = []
     if p.ndim != 1 or p.size < 2:
         return ["transfer probabilities need at least two entries"]
-    if abs(p.sum() - 1.0) > WLTP_SUM_TOL:
+    # positive conditions, so that NaN fails them
+    if not abs(p.sum() - 1.0) <= WLTP_SUM_TOL:
         out.append(f"probabilities must sum to 1 (got {p.sum()!r})")
-    if (p <= 0.0).any() or (p >= 1.0).any():
+    if not ((0.0 < p) & (p < 1.0)).all():
         out.append("each probability must lie strictly between 0 and 1")
     return out
 

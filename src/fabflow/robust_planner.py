@@ -67,21 +67,22 @@ class PlannerLimits:
 
     def __post_init__(self):
         problems = []
-        if self.c_max < 1:
+        # positive conditions, so that NaN fails them
+        if not self.c_max >= 1:
             problems.append("c_max must be at least 1")
         if not self.w_star > 0:
             problems.append("w_star must be positive")
-        if self.u < self.w_star:
+        if not self.u >= self.w_star:
             problems.append("u must be at least w_star")
         if not self.delta_wip_max > 0:
             problems.append("delta_wip_max must be positive")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             problems.append("epsilon must be non-negative")
         if self.p_neighborhood_radius is not None and not self.p_neighborhood_radius > 0:
             problems.append("p_neighborhood_radius must be positive when set")
-        if self.mc_samples < 0:
+        if not self.mc_samples >= 0:
             problems.append("mc_samples must be non-negative")
-        if self.mc_alpha <= 0:
+        if not self.mc_alpha > 0:
             problems.append("mc_alpha must be positive")
         if problems:
             raise ValidationErrors(problems)

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -135,17 +136,25 @@ def _req(raw: Mapping, key: str, kind, errs: _Collector, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         errs.add(f"{where}: field '{key}' has wrong type")
         return None
+    if kind is float and not _finite(value):
+        errs.add(f"{where}: field '{key}' must be finite")
+        return None
     return value
+
+
+def _finite(value) -> bool:
+    """False for NaN, +-Infinity and ints too large for a float."""
+    return abs(value) <= sys.float_info.max
 
 
 def _opt_number(raw: Mapping, key: str, errs: _Collector, where: str):
     """Optional numeric field as a float: 0.0 when absent or null, None
-    (with the problem collected) when it is not a number."""
+    (with the problem collected) when it is not a finite number."""
     value = raw.get(key)
     if value is None:
         return 0.0
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.add(f"{where}: field '{key}' must be a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+        errs.add(f"{where}: field '{key}' must be a finite number")
         return None
     return float(value)
 
@@ -271,8 +280,8 @@ def _parse_scalar_list(raw, errs: _Collector, where: str, integral: bool = False
         errs.add(f"{where}: must be a list")
         return None
     for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            errs.add(f"{where}[{i}]: must be a number")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
+            errs.add(f"{where}[{i}]: must be a finite number")
             return None
         if integral and int(v) != v:
             errs.add(f"{where}[{i}]: must be an integer")

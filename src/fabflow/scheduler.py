@@ -5,18 +5,23 @@ their tasks in dispatch rounds, one task per round, so a vehicle's completion
 time is the sum of its task times (travel at constant speed plus fixed load
 and unload handling).  Objectives: total cost (busy time times cost rate,
 summed over vehicles), makespan (latest completion), and productivity
-(tasks per hour of makespan).
+(tasks per hour of makespan, 0 at makespan 0).
 
-The GA is an elitist non-dominated-sorting algorithm over the task-to-vehicle
-vector; SA and ACO optimize an equal-weight scalarization of cost and
+All three searches score assignments with one kernel, `_objectives`, which
+gives (cost, makespan) for one chromosome or a whole batch.  The GA is an
+elitist non-dominated-sorting algorithm over the task-to-vehicle vector that
+searches (cost, makespan): productivity is a decreasing function of makespan,
+so it adds nothing to dominance and is derived only when an ObjectiveVector
+is built.  SA and ACO optimize an equal-weight scalarization of cost and
 makespan after min-max normalization over a seeded sample of random
-assignments (productivity is a monotone transform of makespan, so the
-scalarization keeps two terms).  All three are deterministic given the seed.
+assignments.  All three are deterministic given the seed.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -179,53 +184,43 @@ def evaluate_schedule(inst: SchedulingInstance, assignment: Assignment) -> Objec
         vi = vehicle_index[vid]
         busy[vi] += task_time_h(task, inst.vehicles[vi], inst.distances)
     rates = np.array([v.cost_rate for v in inst.vehicles])
-    total_cost = float(busy @ rates)
-    makespan = float(busy.max())
-    productivity = len(inst.tasks) / makespan if makespan > 0 else 0.0
-    return ObjectiveVector(total_cost, makespan, productivity)
+    return _objective_vector(len(inst.tasks), busy @ rates, busy.max())
 
 
-# --- vectorized objective evaluation over chromosome batches ----------------
-
-def _batch_objectives(pop: np.ndarray, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Minimization objectives (cost, makespan, -productivity) per chromosome."""
-    m, n_tasks = pop.shape
-    n_veh = T.shape[1]
-    rows = np.arange(n_tasks)
-    out = np.empty((m, 3))
-    for i in range(m):
-        a = pop[i]
-        times = T[rows, a]
-        busy = np.bincount(a, weights=times, minlength=n_veh)
-        cost = C[rows, a].sum()
-        mk = busy.max()
-        out[i, 0] = cost
-        out[i, 1] = mk
-        out[i, 2] = -(n_tasks / mk) if mk > 0 else 0.0
-    return out
+def _objective_vector(n_tasks: int, cost, makespan) -> ObjectiveVector:
+    makespan = float(makespan)
+    return ObjectiveVector(float(cost), makespan, n_tasks / makespan if makespan > 0 else 0.0)
 
 
-def _dominance_matrix(F: np.ndarray) -> np.ndarray:
-    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
-    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
-    return le & lt
+def _objectives(pop: np.ndarray, T: np.ndarray, C: np.ndarray):
+    """(cost, makespan) of one chromosome (n_tasks,) or per row of a batch
+    (m, n_tasks).  Busy time adds task times in task order and cost sums one
+    chromosome's row, so a row scores the same alone or in a batch."""
+    rows = np.arange(T.shape[0])
+    # ufunc reductions skip the .sum/.max wrappers, a real share of a one-row call
+    busy = np.add.reduce(np.where(pop[..., None] == np.arange(T.shape[1]), T, 0.0), axis=-2)
+    return np.add.reduce(C[rows, pop], axis=-1), np.maximum.reduce(busy, axis=-1)
 
 
 def _nondominated_sort(F: np.ndarray) -> np.ndarray:
-    """Front rank per row, 0 = best."""
-    dom = _dominance_matrix(F)
-    n_dominators = dom.sum(axis=0)
-    ranks = np.full(len(F), -1)
-    rank = 0
-    remaining = np.ones(len(F), dtype=bool)
-    while remaining.any():
-        front = remaining & (n_dominators == 0)
-        if not front.any():  # numerical safety; cannot happen with strict dominance
-            front = remaining
-        ranks[front] = rank
-        remaining &= ~front
-        n_dominators = n_dominators - dom[front].sum(axis=0)
-        rank += 1
+    """Front rank per row of an (n, 2) minimization matrix, 0 = best.
+
+    Rows are visited by (cost, makespan), so each row's dominators come
+    before it.  Each front keeps the (makespan, cost) key of its last member;
+    these keys increase front by front, and a front dominates a row exactly
+    when its key is smaller.  Bisection therefore finds the row's front, and
+    an equal key, a duplicate, joins that front (Jensen, IEEE TEC 2003).
+    """
+    keys = list(zip(F[:, 1].tolist(), F[:, 0].tolist()))
+    ranks = np.empty(len(F), dtype=int)
+    tails: list[tuple[float, float]] = []
+    for i in np.lexsort((F[:, 1], F[:, 0])).tolist():
+        r = bisect.bisect_left(tails, keys[i])
+        if r == len(tails):
+            tails.append(keys[i])
+        else:
+            tails[r] = keys[i]
+        ranks[i] = r
     return ranks
 
 
@@ -246,7 +241,9 @@ def _crowding_distance(F: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> None:
     """ValueError unless `value` is a number (an int when `integer`; never a
-    bool) for which ok(value) holds; `domain` completes "<name> must ..."."""
+    bool) for which ok(value) holds; `domain` completes "<name> must ...".
+    A finite domain's bound is sys.float_info.max, not inf, so that an int
+    too large for a float fails it."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'} (got {value!r})")
     if not ok(value):
@@ -282,8 +279,7 @@ def _front_to_pareto(inst, pop, F) -> ParetoSet:
             continue
         seen.add(key)
         mapping = {task_ids[t]: veh_ids[pop[i, t]] for t in range(len(task_ids))}
-        obj = ObjectiveVector(float(F[i, 0]), float(F[i, 1]), float(-F[i, 2]))
-        members.append((Assignment(mapping=mapping), obj))
+        members.append((Assignment(mapping=mapping), _objective_vector(len(task_ids), *F[i])))
     members.sort(key=lambda m: (m[1].total_cost, m[1].makespan_h))
     return ParetoSet(members=tuple(members))
 
@@ -300,7 +296,7 @@ def ga_optimize(
     n_tasks, n_veh = T.shape
     pmut = params.mutation_rate if params.mutation_rate is not None else 1.0 / n_tasks
     pop = rng.integers(0, n_veh, size=(params.population, n_tasks))
-    F = _batch_objectives(pop, T, C)
+    F = np.column_stack(_objectives(pop, T, C))
     for _ in range(params.generations):
         ranks = _nondominated_sort(F)
         crowd = np.empty(len(pop))
@@ -322,7 +318,7 @@ def ga_optimize(
                 children[i], children[i + 1] = c1, c2
         mut = rng.random(children.shape) < pmut
         children[mut] = rng.integers(0, n_veh, size=int(mut.sum()))
-        Fc = _batch_objectives(children, T, C)
+        Fc = np.column_stack(_objectives(children, T, C))
         # elitist environmental selection on the merged population
         merged = np.vstack([pop, children])
         Fm = np.vstack([F, Fc])
@@ -367,32 +363,24 @@ class ScalarResult:
 
 def _sample_bounds(rng, T, C, samples: int = 100) -> ScalarBounds:
     n_tasks, n_veh = T.shape
-    pop = rng.integers(0, n_veh, size=(samples, n_tasks))
-    F = _batch_objectives(pop, T, C)
+    cost, mk = _objectives(rng.integers(0, n_veh, size=(samples, n_tasks)), T, C)
     return ScalarBounds(
-        cost_lo=float(F[:, 0].min()),
-        cost_hi=float(F[:, 0].max()),
-        makespan_lo=float(F[:, 1].min()),
-        makespan_hi=float(F[:, 1].max()),
+        cost_lo=float(cost.min()),
+        cost_hi=float(cost.max()),
+        makespan_lo=float(mk.min()),
+        makespan_hi=float(mk.max()),
     )
 
 
-def _chromosome_objectives(a: np.ndarray, T: np.ndarray, C: np.ndarray) -> tuple[float, float]:
-    rows = np.arange(len(a))
-    busy = np.bincount(a, weights=T[rows, a], minlength=T.shape[1])
-    return float(C[rows, a].sum()), float(busy.max())
-
-
 def _as_result(inst, a, T, C, bounds) -> ScalarResult:
-    cost, mk = _chromosome_objectives(a, T, C)
+    obj = _objective_vector(len(a), *_objectives(a, T, C))
     mapping = {
         inst.tasks[t].task_id: inst.vehicles[a[t]].vehicle_id for t in range(len(a))
     }
-    prod = len(a) / mk if mk > 0 else 0.0
     return ScalarResult(
         assignment=Assignment(mapping=mapping),
-        objectives=ObjectiveVector(cost, mk, prod),
-        scalar_score=bounds.score(cost, mk),
+        objectives=obj,
+        scalar_score=bounds.score(obj.total_cost, obj.makespan_h),
         bounds=bounds,
     )
 
@@ -407,7 +395,7 @@ class SaParams:
     def __post_init__(self):
         # geometric cooling from a finite t_initial only reaches t_min when
         # these hold
-        _check_param("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v < math.inf)
+        _check_param("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
         _check_param("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
         _check_param("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True)
         _check_param("t_min", self.t_min, "be positive", lambda v: v > 0.0)
@@ -429,7 +417,7 @@ def sa_optimize(
     n_tasks, n_veh = T.shape
     bounds = _sample_bounds(rng, T, C)
     current = rng.integers(0, n_veh, size=n_tasks)
-    cur_score = bounds.score(*_chromosome_objectives(current, T, C))
+    cur_score = bounds.score(*_objectives(current, T, C))
     best, best_score = current.copy(), cur_score
     t = params.t_initial
     while t > params.t_min:
@@ -441,7 +429,7 @@ def sa_optimize(
             else:
                 i = rng.integers(0, n_tasks)
                 cand[i] = (cand[i] + 1 + rng.integers(0, max(n_veh - 1, 1))) % n_veh
-            cand_score = bounds.score(*_chromosome_objectives(cand, T, C))
+            cand_score = bounds.score(*_objectives(cand, T, C))
             delta = cand_score - cur_score
             if delta <= 0 or rng.random() < math.exp(-delta / t):
                 current, cur_score = cand, cand_score
@@ -466,6 +454,10 @@ class AcoParams:
         _check_param("iterations", self.iterations, "be at least 1", lambda v: v >= 1, True)
         # pheromone keeps a 1 - evaporation share each iteration
         _check_param("evaporation", self.evaporation, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+        for name in ("alpha", "beta"):
+            _check_param(name, getattr(self, name), "be non-negative and finite", lambda v: 0.0 <= v <= sys.float_info.max)
+        for name in ("pheromone_init", "deposit"):
+            _check_param(name, getattr(self, name), "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
 
 
 def aco_optimize(
@@ -485,7 +477,7 @@ def aco_optimize(
     bounds = _sample_bounds(rng, T, C)
     with np.errstate(divide="ignore"):
         heuristic = np.where(T > 0, 1.0 / T, 1e6)
-    tau = np.full((n_tasks, n_veh), params.pheromone_init)
+    tau = np.full((n_tasks, n_veh), params.pheromone_init, dtype=float)
     best, best_score = None, math.inf
     for _ in range(params.iterations):
         weights_all = (tau**params.alpha) * (heuristic**params.beta)
@@ -494,13 +486,11 @@ def aco_optimize(
         cum = probs.cumsum(axis=1)
         u = rng.random((params.ants, n_tasks, 1))
         ants = np.minimum((u > cum[None, :, :]).sum(axis=2), n_veh - 1)
-        scores = np.empty(params.ants)
-        for a in range(params.ants):
-            scores[a] = bounds.score(*_chromosome_objectives(ants[a], T, C))
+        # score() is a scalar 0.0 when both sample spans are empty
+        scores = np.broadcast_to(bounds.score(*_objectives(ants, T, C)), params.ants)
         tau *= 1.0 - params.evaporation
-        for a in range(params.ants):
-            gain = params.deposit / (0.01 + scores[a])
-            tau[np.arange(n_tasks), ants[a]] += gain
+        # unbuffered, so a cell that several ants chose gets every gain, in ant order
+        np.add.at(tau, (np.arange(n_tasks), ants), (params.deposit / (0.01 + scores))[:, None])
         it_best = int(np.argmin(scores))
         if scores[it_best] < best_score:
             best, best_score = ants[it_best].copy(), float(scores[it_best])

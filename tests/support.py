@@ -54,6 +54,26 @@ def brute_force_front(inst):
     return front
 
 
+def dominance_ranks(F):
+    """Front rank per row by peeling: rank 0 is every row that no other row
+    dominates, rank 1 the same among the rest, and so on."""
+    rows = [tuple(r) for r in F]
+
+    def dominates(a, b):
+        return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+    ranks = [None] * len(rows)
+    remaining = set(range(len(rows)))
+    rank = 0
+    while remaining:
+        front = {i for i in remaining if not any(dominates(rows[j], rows[i]) for j in remaining)}
+        for i in front:
+            ranks[i] = rank
+        remaining -= front
+        rank += 1
+    return ranks
+
+
 def brute_force_best_scalar(inst, bounds):
     best = float("inf")
     vids = [v.vehicle_id for v in inst.vehicles]

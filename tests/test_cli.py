@@ -1,4 +1,5 @@
 """Command-line behaviour: stdout contract, exit codes, artifact determinism."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fabflow.cli import main
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
+from fabflow.scheduler import AcoParams, GaParams, SaParams
 
 SHRUNK_GA = (
     "--set",
@@ -318,6 +320,12 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
         ("queueing_reference", f"{FREE_AXES}=[[null]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.1],[0.1],[0.1],[0.1],[0.1]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.9],[0.9]]", FREE_AXES),
+        ("queueing_reference", "stations.0.gamma=NaN", "stations[0]: field 'gamma'"),
+        ("queueing_reference", "stations.0.mu_base=NaN", "stations[0]: field 'mu_base'"),
+        ("table1_bench", "vehicles.0.speed=Infinity", "vehicles[0]: field 'speed'"),
+        ("queueing_reference", "nominal_p.1=NaN", "nominal_p[1]"),
+        ("planner_small", "limits.c_max=NaN", "limits: c_max"),
+        ("planner_small", "limits.u=NaN", "limits: u must be at least w_star"),
     ],
 )
 def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
@@ -344,6 +352,18 @@ def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
         ("aco.iterations=0", "iterations must be at least 1"),
         ("aco.evaporation=2", "evaporation must lie in (0, 1]"),
         ("aco.ants=true", "ants must be an integer"),
+        ("aco.alpha=x", "alpha must be a number"),
+        ("aco.alpha=Infinity", "alpha must be non-negative and finite"),
+        ("aco.beta=-1", "beta must be non-negative and finite"),
+        ("aco.pheromone_init=0", "pheromone_init must be positive and finite"),
+        ("aco.deposit=x", "deposit must be a number"),
+        ("aco.deposit=NaN", "deposit must be positive and finite"),
+        pytest.param(
+            f"sa.t_initial=1{'0' * 400}", "t_initial must be positive and finite", id="sa.t_initial=10**400"
+        ),
+        pytest.param(
+            f"aco.alpha=1{'0' * 400}", "alpha must be non-negative and finite", id="aco.alpha=10**400"
+        ),
     ],
 )
 def test_metaheuristic_parameter_domains_exit_1(capsys, override, message):
@@ -362,8 +382,25 @@ def test_metaheuristic_parameter_domains_exit_1(capsys, override, message):
     assert message in err
 
 
+def test_aco_integer_pheromone_init_matches_float(capsys, tmp_path):
+    docs = []
+    for value in ("2", "2.0"):
+        out_dir = tmp_path / value
+        code, _, _ = run_cli(
+            capsys,
+            "schedule", "--scenario", "table1_bench", "--method", "aco",
+            "--set", "metaheuristic_params.aco.ants=5",
+            "--set", "metaheuristic_params.aco.iterations=10",
+            "--set", f"metaheuristic_params.aco.pheromone_init={value}",
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        docs.append(json.loads((out_dir / "schedule_summary.json").read_text(encoding="utf-8"))["data"])
+    assert docs[0] == docs[1]
+
+
 HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench")
-HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308)
+HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, float("nan"))
 
 
 def leaf_paths(node, prefix=""):
@@ -395,6 +432,38 @@ def test_hostile_leaf_ends_in_an_exit_code(capsys, leaf, value):
     fixture, path = leaf
     code, out, _ = run_cli(
         capsys, "report", "--scenario", fixture, "--set", f"{path}={json.dumps(value)}"
+    )
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out.startswith("error=") and out.count("\n") == 1
+
+
+# a09's shrunk search sizes: the one hostile field decides how the run ends
+SHRUNK_PARAMS = {
+    "ga": {"population": 20, "generations": 10},
+    "sa": {"t_initial": 1.0, "iters_per_temp": 20},
+    "aco": {"ants": 5, "iterations": 10},
+}
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
+@pytest.mark.parametrize(
+    "group, field",
+    [
+        (group, f.name)
+        for group, cls in (("ga", GaParams), ("sa", SaParams), ("aco", AcoParams))
+        for f in dataclasses.fields(cls)
+    ],
+)
+def test_hostile_search_parameter_ends_in_an_exit_code(capsys, group, field, value):
+    params = {**SHRUNK_PARAMS[group], field: value}
+    overrides = [
+        arg
+        for key, v in params.items()
+        for arg in ("--set", f"metaheuristic_params.{group}.{key}={json.dumps(v)}")
+    ]
+    code, out, _ = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", group, *overrides
     )
     assert code in (0, 1, 2)
     if code != 0:

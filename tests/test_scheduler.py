@@ -21,6 +21,7 @@ from fabflow.scheduler import (
     TaskType,
     TransportTask,
     VehicleSpec,
+    _nondominated_sort,
     aco_optimize,
     baseline_assignment,
     benchmark,
@@ -30,7 +31,7 @@ from fabflow.scheduler import (
     task_time_h,
 )
 from fabflow.scenario import load_fixture
-from support import brute_force_best_scalar, brute_force_front
+from support import brute_force_best_scalar, brute_force_front, dominance_ranks
 
 V_SLOW = VehicleSpec("V1", speed=30.0, load_time_h=0.25, unload_time_h=0.25, cost_rate=60.0)
 V_FAST = VehicleSpec("V2", speed=60.0, load_time_h=0.2, unload_time_h=0.2, cost_rate=70.0)
@@ -166,6 +167,29 @@ def test_pareto_front_members_are_mutually_nondominated():
     header, rows = front.to_csv_rows()
     assert header == ("assignment", "total_cost", "makespan_h", "productivity")
     assert len(rows) == len(objs)
+
+
+def test_nondominated_sort_matches_peeling():
+    rng = np.random.default_rng(2003)
+    for trial in range(1000):
+        n = int(rng.integers(1, 40))
+        # small integers give many ties and duplicate rows
+        F = rng.integers(0, 5, size=(n, 2)).astype(float) if trial % 2 else rng.random((n, 2))
+        assert _nondominated_sort(F).tolist() == dominance_ranks(F)
+
+
+def test_zero_makespan_assignment_leads_every_search():
+    # no handling time on a zero-length leg: V0 finishes every task at once
+    v_zero = VehicleSpec("V0", speed=30.0, load_time_h=0.0, unload_time_h=0.0, cost_rate=60.0)
+    tasks = tuple(task(f"t{i}") for i in range(4))
+    inst = SchedulingInstance(tasks, (v_zero, V_FAST), {("X", "Y"): 0.0})
+    front = ga_optimize(inst, GaParams(population=24, generations=30), seed=5)
+    got = {(round(o.total_cost, 9), round(o.makespan_h, 9)) for o in front.objectives}
+    assert got == brute_force_front(inst) == {(0.0, 0.0)}
+    assert [repr(o.productivity) for o in front.objectives] == ["0.0"]
+    for result in (sa_optimize(inst, seed=1), aco_optimize(inst, seed=1)):
+        obj = result.objectives
+        assert (obj.total_cost, obj.makespan_h, repr(obj.productivity)) == (0.0, 0.0, "0.0")
 
 
 def test_ga_rejects_empty_instance():
