@@ -7,6 +7,13 @@ equations lambda = gamma + R(p)^T lambda, where the routing matrix R may
 depend on the transfer-probability vector p.  Steady-state WIP per station
 is rho / (1 - rho).
 
+One batched pass, `_solve`, computes all of this for a batch of p rows:
+the routing matrices (and, when asked, their derivatives), one linear solve
+for the arrival rates, the service rates, the utilizations and a per-row
+stability mask.  `wip`, `wip_totals_batch`, `traffic_equations` and the
+derivatives only read it; an unstable row raises NonOpenNetwork, else
+ZeroVehicles, else UnstableStation for its first offending station.
+
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
 e_i - e_0 (which stays on the simplex).  They are exact: every routing cell
@@ -19,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,19 +175,6 @@ def routing_expr_to_str(factors: Iterable[tuple]) -> str:
     return "*".join(parts)
 
 
-def _eval_expr(factors, P: np.ndarray) -> np.ndarray:
-    """Evaluate one routing cell for a batch of p rows, shape (N,)."""
-    out = np.ones(P.shape[0])
-    for kind, value in factors:
-        if kind == "const":
-            out *= value
-        elif kind == "p":
-            out *= P[:, value]
-        else:
-            out *= 1.0 - P[:, value]
-    return out
-
-
 @dataclass(frozen=True)
 class RoutingModel:
     """Stations plus a p-dependent routing matrix.
@@ -220,29 +214,6 @@ class RoutingModel:
     def station_ids(self) -> tuple[str, ...]:
         return tuple(s.station_id for s in self.stations)
 
-    @property
-    def n_free(self) -> int:
-        return self.wltp_dim - 1
-
-    def routing_batch(self, P: np.ndarray) -> np.ndarray:
-        """Routing matrices for a batch of p rows, shape (N, k, k)."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        k = len(self.stations)
-        index = {s.station_id: i for i, s in enumerate(self.stations)}
-        R = np.zeros((P.shape[0], k, k))
-        for frm, to, factors in self.bindings:
-            R[:, index[frm], index[to]] = _eval_expr(factors, P)
-        row_sums = R.sum(axis=2)
-        if (row_sums > 1.0 + 1e-9).any():
-            bad = np.unravel_index(np.argmax(row_sums), row_sums.shape)
-            raise InvalidRouting(
-                f"routing row for station {self.station_ids[bad[1]]} sums to {row_sums[bad]:.6f} > 1"
-            )
-        return R
-
-    def routing(self, p) -> np.ndarray:
-        return self.routing_batch(_as_p(p)[None, :])[0]
-
 
 def service_rates(model: RoutingModel, fleet: FleetConfig) -> np.ndarray:
     """Effective service rate per station; zero-vehicle transport gives 0."""
@@ -260,51 +231,116 @@ def service_rates(model: RoutingModel, fleet: FleetConfig) -> np.ndarray:
     return mu
 
 
-# --- traffic equations ------------------------------------------------------
+# --- the WIP pass ------------------------------------------------------------
 
-def _traffic_batch(model: RoutingModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve lambda = gamma + R(p)^T lambda for each row of P.
+def _routing(model: RoutingModel, P: np.ndarray, order: int):
+    """Routing matrices R (N, k, k) for a batch of p rows; for order >= 1 also
+    the free-coordinate derivatives dR (N, n, k, k), for order 2 also d2R
+    (N, n, n, k, k), else None.
 
-    Returns (R, lam, open_mask); rows where the network is not open (spectral
-    radius of R at or above 1, negative solution, residual too large) get
-    open_mask False and NaN arrival rates.
+    Cells are products of factors linear in p, so the product rule needs only
+    their slopes: along e_j - e_0, p_m moves by +1 when m = j and -1 when m = 0.
+    """
+    N, n, k = P.shape[0], model.wltp_dim - 1, len(model.stations)
+    slopes = np.vstack([-np.ones(n), np.eye(n)])
+    index = {s.station_id: i for i, s in enumerate(model.stations)}
+    R = np.zeros((N, k, k))
+    dR = np.zeros((N, n, k, k)) if order >= 1 else None
+    d2R = np.zeros((N, n, n, k, k)) if order == 2 else None
+    for frm, to, factors in model.bindings:
+        val, grad, hess = np.ones(N), np.zeros((N, n)), np.zeros((N, n, n) if order == 2 else 0)
+        for kind, m in factors:
+            f = np.full(N, m) if kind == "const" else P[:, m] if kind == "p" else 1.0 - P[:, m]
+            if order:
+                df = np.zeros(n) if kind == "const" else slopes[m] if kind == "p" else -slopes[m]
+                if order == 2:
+                    cross = grad[:, :, None] * df
+                    hess = hess * f[:, None, None] + cross + np.swapaxes(cross, 1, 2)
+                grad = grad * f[:, None] + val[:, None] * df
+            val = val * f
+        R[:, index[frm], index[to]] = val
+        if order:
+            dR[:, :, index[frm], index[to]] = grad
+        if order == 2:
+            d2R[:, :, :, index[frm], index[to]] = hess
+    row_sums = R.sum(axis=2)
+    if (row_sums > 1.0 + 1e-9).any():
+        bad = np.unravel_index(np.argmax(row_sums), row_sums.shape)
+        raise InvalidRouting(
+            f"routing row for station {model.station_ids[bad[1]]} sums to {row_sums[bad]:.6f} > 1"
+        )
+    return R, dR, d2R
+
+
+_NOT_OPEN = "routing keeps lots circulating forever (spectral radius >= 1)"
+
+
+class _Pass(NamedTuple):
+    R: np.ndarray                # routing matrices (N, k, k)
+    dR: np.ndarray | None        # their free-coordinate derivatives (order >= 1)
+    d2R: np.ndarray | None       # and second derivatives (order 2)
+    lam: np.ndarray              # arrival rates (N, k); NaN rows are not open
+    mu: np.ndarray | None        # service rates (k,); None without a fleet
+    rho: np.ndarray | None       # utilizations (N, k)
+    stable: np.ndarray | None    # (N,) every station at rho <= 1 - STABILITY_MARGIN
+
+
+def _solve(model: RoutingModel, P, fleet: FleetConfig | None, order: int = 0) -> _Pass:
+    """The one WIP pass over a batch of p rows.
+
+    Solves lambda = gamma + R(p)^T lambda for every row at once.  A row is
+    not open (NaN arrival rates) when the spectral radius of R is at or above
+    1, or the solution is negative or leaves too large a residual.  Then
+    rho = lambda / mu, except that a zero-vehicle station reads 0 when idle
+    and inf under traffic; NaN fails the stability test, so a row that is
+    not open is never stable.  Without a fleet only the traffic is solved.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    R = model.routing_batch(P)
+    R, dR, d2R = _routing(model, P, order)
     gamma = np.asarray([s.gamma for s in model.stations])
     k = gamma.size
-    N = P.shape[0]
-    ok = np.ones(N, dtype=bool)
-    spectral = np.abs(np.linalg.eigvals(R)).max(axis=1)
-    ok &= spectral < 1.0 - 1e-12
-    lam = np.full((N, k), np.nan)
+    lam = np.full((P.shape[0], k), np.nan)
+    ok = np.abs(np.linalg.eigvals(R)).max(axis=1) < 1.0 - 1e-12
     if ok.any():
         A = np.eye(k)[None, :, :] - np.swapaxes(R[ok], 1, 2)
         rhs = np.broadcast_to(gamma[:, None], (int(ok.sum()), k, 1))
         try:
-            sol = np.linalg.solve(A, rhs)
+            sol = np.linalg.solve(A, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            ok[:] = False
-            return R, lam, ok
-        lam[ok] = sol[:, :, 0]
-        residual = np.abs(
-            lam[ok] - (gamma + np.einsum("nij,ni->nj", R[ok], lam[ok]))
-        ).max(axis=1)
-        good = (residual <= TRAFFIC_RESIDUAL_TOL) & (lam[ok] > -1e-9).all(axis=1)
-        ok_idx = np.flatnonzero(ok)
-        ok[ok_idx[~good]] = False
-        lam[ok_idx[~good]] = np.nan
-    return R, lam, ok
+            sol = np.full(rhs.shape[:2], np.nan)
+        residual = np.abs(sol - (gamma + np.einsum("nij,ni->nj", R[ok], sol))).max(axis=1)
+        good = (residual <= TRAFFIC_RESIDUAL_TOL) & (sol > -1e-9).all(axis=1)
+        lam[np.flatnonzero(ok)[good]] = sol[good]
+    lam = np.maximum(lam, 0.0)
+    if fleet is None:
+        return _Pass(R, dR, d2R, lam, None, None, None)
+    mu = service_rates(model, fleet)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = lam / mu
+    rho = np.where((mu <= 0.0) & (lam <= _ARRIVAL_EPS), 0.0, rho)
+    rho = np.where((mu <= 0.0) & (lam > _ARRIVAL_EPS), np.inf, rho)
+    return _Pass(R, dR, d2R, lam, mu, rho, (rho <= 1.0 - STABILITY_MARGIN).all(axis=1))
+
+
+def _raise_unstable(model: RoutingModel, s: _Pass, row: int):
+    """Raise the error of an unstable row: NonOpenNetwork, else ZeroVehicles,
+    else UnstableStation, each for the first station it applies to."""
+    lam, rho = s.lam[row], s.rho[row]
+    if np.isnan(lam).any():
+        raise NonOpenNetwork(_NOT_OPEN)
+    zero = np.flatnonzero((s.mu <= 0.0) & (lam > _ARRIVAL_EPS))
+    if zero.size:
+        raise ZeroVehicles(model.station_ids[zero[0]])
+    i = np.flatnonzero(rho > 1.0 - STABILITY_MARGIN)[0]
+    raise UnstableStation(model.station_ids[i], rho[i])
 
 
 def traffic_equations(model: RoutingModel, p) -> np.ndarray:
     """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    _, lam, ok = _traffic_batch(model, _as_p(p)[None, :])
-    if not ok[0]:
-        raise NonOpenNetwork(
-            "routing keeps lots circulating forever (spectral radius >= 1)"
-        )
-    return np.maximum(lam[0], 0.0)
+    lam = _solve(model, _as_p(p), None).lam[0]
+    if np.isnan(lam).any():
+        raise NonOpenNetwork(_NOT_OPEN)
+    return lam
 
 
 # --- WIP ---------------------------------------------------------------------
@@ -325,15 +361,6 @@ class WipReport:
         return header, rows
 
 
-def _utilizations(model: RoutingModel, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Batch rho = lam/mu with the zero-vehicle convention (rho inf, or 0 when idle)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = lam / mu
-    rho = np.where((mu <= 0.0) & (lam <= _ARRIVAL_EPS), 0.0, rho)
-    rho = np.where((mu <= 0.0) & (lam > _ARRIVAL_EPS), np.inf, rho)
-    return rho
-
-
 def wip_totals_batch(
     model: RoutingModel, P: np.ndarray, fleet: FleetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -342,33 +369,18 @@ def wip_totals_batch(
     The workhorse behind the planner's searches; one call means one batched
     linear solve.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    _, lam, ok = _traffic_batch(model, P)
-    mu = service_rates(model, fleet)
-    totals = np.full(P.shape[0], np.nan)
-    stable = np.zeros(P.shape[0], dtype=bool)
-    if ok.any():
-        rho = _utilizations(model, np.maximum(lam[ok], 0.0), mu)
-        row_ok = (rho <= 1.0 - STABILITY_MARGIN).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.where(row_ok[:, None], rho / np.maximum(1.0 - rho, 1e-300), np.nan)
-        idx = np.flatnonzero(ok)
-        totals[idx[row_ok]] = w[row_ok].sum(axis=1)
-        stable[idx[row_ok]] = True
-    return totals, stable
+    s = _solve(model, P, fleet)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        totals = (s.rho / (1.0 - s.rho)).sum(axis=1)
+    return np.where(s.stable, totals, np.nan), s.stable
 
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
-    lam = traffic_equations(model, p)
-    mu = service_rates(model, fleet)
-    for i, st in enumerate(model.stations):
-        if mu[i] <= 0.0 and lam[i] > _ARRIVAL_EPS:
-            raise ZeroVehicles(st.station_id)
-    rho = _utilizations(model, lam, mu)
-    for i, st in enumerate(model.stations):
-        if rho[i] > 1.0 - STABILITY_MARGIN:
-            raise UnstableStation(st.station_id, rho[i])
+    s = _solve(model, _as_p(p), fleet)
+    if not s.stable[0]:
+        _raise_unstable(model, s, 0)
+    rho = s.rho[0]
     per = rho / (1.0 - rho)
     return WipReport(
         station_ids=model.station_ids,
@@ -378,31 +390,6 @@ def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     )
 
 
-def _routing_derivatives(model: RoutingModel, P: np.ndarray, hessian: bool):
-    """Free-coordinate derivatives of R: dR (N, n, k, k) and d2R (N, n, n, k, k).
-
-    Cells are products of factors linear in p, so the product rule needs only
-    their slopes: along e_j - e_0, p_m moves by +1 when m = j and -1 when m = 0.
-    """
-    N, n, k = P.shape[0], model.n_free, len(model.stations)
-    slopes = np.vstack([-np.ones(n), np.eye(n)])
-    index = {s.station_id: i for i, s in enumerate(model.stations)}
-    dR, d2R = np.zeros((N, n, k, k)), np.zeros((N, n, n, k, k) if hessian else 0)
-    for frm, to, factors in model.bindings:
-        val, grad, hess = np.ones(N), np.zeros((N, n)), np.zeros((N, n, n))
-        for kind, m in factors:
-            f = np.full(N, m) if kind == "const" else P[:, m] if kind == "p" else 1.0 - P[:, m]
-            df = np.zeros(n) if kind == "const" else slopes[m] if kind == "p" else -slopes[m]
-            cross = grad[:, :, None] * df
-            hess = hess * f[:, None, None] + cross + np.swapaxes(cross, 1, 2)
-            grad = grad * f[:, None] + val[:, None] * df
-            val = val * f
-        dR[:, :, index[frm], index[to]] = grad
-        if hessian:
-            d2R[:, :, :, index[frm], index[to]] = hess
-    return dR, d2R
-
-
 def _wip_derivatives(model: RoutingModel, P, fleet: FleetConfig, hessian: bool = False):
     """Exact free-coordinate WIP gradients (N, n) and, if asked, Hessians (N, n, n).
 
@@ -410,18 +397,25 @@ def _wip_derivatives(model: RoutingModel, P, fleet: FleetConfig, hessian: bool =
       w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b;
     differentiating once more, d_i lam = (I - R^T)^-1 d_iR^T lam and
     d_i w = (I - R)^-1 (d_iR w + 2 mu / (mu - lam)^3 d_i lam).
-    An unstable row raises the error a direct wip() call there raises.
+    An unstable row raises the error a direct wip() call there raises; a
+    service rate too large for c or its slope in floating point raises
+    ValidationErrors.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    R, lam, _ = _traffic_batch(model, P)
-    lam, mu = np.maximum(lam, 0.0), service_rates(model, fleet)
-    unstable = ~(_utilizations(model, lam, mu) <= 1.0 - STABILITY_MARGIN).all(axis=1)
-    if unstable.any():
-        wip(model, P[np.flatnonzero(unstable)[0]], fleet)  # raises with the precise station
-    dR, d2R = _routing_derivatives(model, P, hessian)
-    A = np.eye(lam.shape[1]) - R
+    s = _solve(model, P, fleet, order=2 if hessian else 1)
+    if not s.stable.all():
+        _raise_unstable(model, s, int(np.argmin(s.stable)))
+    lam, mu, dR = s.lam, s.mu, s.dR
+    A = np.eye(lam.shape[1]) - s.R
     gap = np.where(mu > 0.0, mu - lam, 1.0)  # stable zero-vehicle stations see no traffic
-    c, dc_dlam = mu / gap**2, 2.0 * mu / gap**3
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, dc_dlam = mu / gap**2, 2.0 * mu / gap**3
+    finite = (np.isfinite(c) & np.isfinite(dc_dlam)).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationErrors([
+            f"stations[{i}]: service rate {float(mu[i])!r} of station "
+            f"{model.station_ids[i]} is too large for the WIP derivatives"
+        ])
     w = np.linalg.solve(A, c[:, :, None])[:, :, 0]
     grads = np.einsum("njab,na,nb->nj", dR, lam, w)
     if not hessian:
@@ -431,7 +425,7 @@ def _wip_derivatives(model: RoutingModel, P, fleet: FleetConfig, hessian: bool =
     rhs = (np.einsum("niab,nb->nia", dR, w) + dc_dlam[:, None, :] * dlam)[..., None]
     dw = np.linalg.solve(A[:, None], rhs)[..., 0]
     hess = (
-        np.einsum("nijab,na,nb->nij", d2R, lam, w)
+        np.einsum("nijab,na,nb->nij", s.d2R, lam, w)
         + np.einsum("njab,nia,nb->nij", dR, dlam, w)
         + np.einsum("njab,na,nib->nij", dR, lam, dw)
     )
@@ -599,63 +593,48 @@ def check_monotonicity(
     def _key(values) -> tuple:
         return tuple(round(float(v), 10) for v in values)
 
-    # p0_decreasing: for target coordinate i, hold p_i and every other free
-    # coordinate except one compensator j; p_0 then trades off against p_j.
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            groups: dict = {}
-            for idx in range(len(pts)):
-                key = _key(pts[idx][m] for m in range(1, n + 1) if m != j)
-                groups.setdefault(key, []).append(idx)
-            for key, members in sorted(groups.items()):
-                if len(members) < 2:
-                    continue
-                members.sort(key=lambda m: pts[m][0])
-                label = f"dW/dp{i} along p0 (p{i}={key[0] if n == 2 else key}, trade p{j})"
-                ok, detail = True, ""
-                for a, b in zip(members, members[1:]):
-                    if grads[b, i - 1] > grads[a, i - 1] + _LINE_TOL:
-                        ok = False
-                        claim_passed[CLAIM_P0_DECREASING] = False
-                        detail = f"{_fmt_point(pts[a])}->{_fmt_point(pts[b])}"
-                        violations.append(
-                            MonotonicityViolation(
-                                CLAIM_P0_DECREASING, i, label,
-                                tuple(pts[a]), tuple(pts[b]),
-                                float(grads[a, i - 1]), float(grads[b, i - 1]),
-                            )
-                        )
-                        break
-                line_records.append((CLAIM_P0_DECREASING, label, ok, detail))
-
-    # pi_increasing: vary only p_i (p_0 compensates), all other free held.
-    for i in range(1, n + 1):
-        groups = {}
+    # (claim, target i, traded j, sort axis).  p0_decreasing holds p_i and
+    # every other free coordinate except one compensator j, so p_0 trades off
+    # against p_j; pi_increasing varies only p_i (p_0 compensates).
+    lines = [
+        (CLAIM_P0_DECREASING, i, j, 0)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if j != i
+    ]
+    lines += [(CLAIM_PI_INCREASING, i, i, i) for i in range(1, n + 1)]
+    for claim, i, j, axis in lines:
+        groups: dict = {}
         for idx in range(len(pts)):
-            key = _key(pts[idx][m] for m in range(1, n + 1) if m != i)
+            key = _key(pts[idx][m] for m in range(1, n + 1) if m != j)
             groups.setdefault(key, []).append(idx)
         for key, members in sorted(groups.items()):
             if len(members) < 2:
                 continue
-            members.sort(key=lambda m: pts[m][i])
-            label = f"dW/dp{i} along p{i} (fixed={key})"
+            members.sort(key=lambda m: pts[m][axis])
+            if claim == CLAIM_P0_DECREASING:
+                label = f"dW/dp{i} along p0 (p{i}={key[0] if n == 2 else key}, trade p{j})"
+            else:
+                label = f"dW/dp{i} along p{i} (fixed={key})"
             ok, detail = True, ""
             for a, b in zip(members, members[1:]):
-                if grads[b, i - 1] < grads[a, i - 1] - _LINE_TOL:
+                if claim == CLAIM_P0_DECREASING:
+                    broken = grads[b, i - 1] > grads[a, i - 1] + _LINE_TOL
+                else:
+                    broken = grads[b, i - 1] < grads[a, i - 1] - _LINE_TOL
+                if broken:
                     ok = False
-                    claim_passed[CLAIM_PI_INCREASING] = False
+                    claim_passed[claim] = False
                     detail = f"{_fmt_point(pts[a])}->{_fmt_point(pts[b])}"
                     violations.append(
                         MonotonicityViolation(
-                            CLAIM_PI_INCREASING, i, label,
+                            claim, i, label,
                             tuple(pts[a]), tuple(pts[b]),
                             float(grads[a, i - 1]), float(grads[b, i - 1]),
                         )
                     )
                     break
-            line_records.append((CLAIM_PI_INCREASING, label, ok, detail))
+            line_records.append((claim, label, ok, detail))
 
     return MonotonicityReport(
         grid_points=len(pts),
@@ -663,27 +642,6 @@ def check_monotonicity(
         line_records=tuple(line_records),
         violations=tuple(violations),
     )
-
-
-def box_simplex_grid(axes: Sequence[tuple[int, float, float, int]], dim: int) -> list[np.ndarray]:
-    """Grid over free coordinates; p_0 absorbs the remainder.
-
-    `axes` holds (coordinate index, start, stop, num) per free coordinate.
-    Points whose dependent coordinate would leave (0, 1) are dropped.
-    """
-    grids = [np.linspace(start, stop, num) for _, start, stop, num in axes]
-    coords = [axis[0] for axis in axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    points = []
-    for row in flat:
-        p = np.zeros(dim)
-        for c, v in zip(coords, row):
-            p[c] = v
-        p[0] = 1.0 - row.sum()
-        if 0.0 < p[0] < 1.0:
-            points.append(p)
-    return points
 
 
 def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.ndarray]:

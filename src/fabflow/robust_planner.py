@@ -365,12 +365,8 @@ def check_constraints(
     )
 
     if math.isfinite(nominal):
-        try:
-            fluct, wmax = probe_wip_extremes(model, p, fleet, limits.epsilon)
-            fluct_detail = ""
-        except _STABILITY_ERRORS as exc:  # pragma: no cover - base point already checked
-            fluct, wmax = math.inf, math.inf
-            fluct_detail = exc.code
+        fluct, wmax = probe_wip_extremes(model, p, fleet, limits.epsilon)
+        fluct_detail = ""
     else:
         fluct, wmax = math.inf, math.inf
         fluct_detail = "nominal point unstable"

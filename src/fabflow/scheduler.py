@@ -480,8 +480,17 @@ def aco_optimize(
     tau = np.full((n_tasks, n_veh), params.pheromone_init, dtype=float)
     best, best_score = None, math.inf
     for _ in range(params.iterations):
-        weights_all = (tau**params.alpha) * (heuristic**params.beta)
-        probs = weights_all / weights_all.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights_all = (tau**params.alpha) * (heuristic**params.beta)
+            row_sums = weights_all.sum(axis=1, keepdims=True)
+        # an inf or NaN weight leaves its row sum non-finite; a row may sum below
+        # zero, because a score under the sampled lower bound deposits negatively
+        if not (np.isfinite(row_sums) & (row_sums != 0.0)).all():
+            raise ValidationErrors([
+                "metaheuristic_params.aco: alpha, beta, pheromone_init and deposit drive "
+                "the pheromone weights out of floating-point range"
+            ])
+        probs = weights_all / row_sums
         # inverse-CDF sampling for all ants and tasks at once
         cum = probs.cumsum(axis=1)
         u = rng.random((params.ants, n_tasks, 1))
@@ -490,7 +499,8 @@ def aco_optimize(
         scores = np.broadcast_to(bounds.score(*_objectives(ants, T, C)), params.ants)
         tau *= 1.0 - params.evaporation
         # unbuffered, so a cell that several ants chose gets every gain, in ant order
-        np.add.at(tau, (np.arange(n_tasks), ants), (params.deposit / (0.01 + scores))[:, None])
+        with np.errstate(all="ignore"):  # an overflow here shows in the next weights
+            np.add.at(tau, (np.arange(n_tasks), ants), (params.deposit / (0.01 + scores))[:, None])
         it_best = int(np.argmin(scores))
         if scores[it_best] < best_score:
             best, best_score = ants[it_best].copy(), float(scores[it_best])

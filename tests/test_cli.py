@@ -1,6 +1,7 @@
 """Command-line behaviour: stdout contract, exit codes, artifact determinism."""
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -397,6 +398,35 @@ def test_aco_integer_pheromone_init_matches_float(capsys, tmp_path):
         assert code == 0
         docs.append(json.loads((out_dir / "schedule_summary.json").read_text(encoding="utf-8"))["data"])
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("command", ["report", "worstcase"])
+@pytest.mark.parametrize("station", [0, 1])
+def test_huge_service_rate_ends_without_nan(capsys, tmp_path, command, station):
+    # mu / (mu - lam)**2 overflows for such rates; a NaN must never pass as a result
+    code, out, _ = run_cli(
+        capsys, command, "--scenario", "queueing_reference",
+        "--set", f"stations.{station}.mu_base=1e308", "--out", str(tmp_path),
+    )
+    if code == 0:
+        texts = [out] + [p.read_text(encoding="utf-8") for p in tmp_path.rglob("*") if p.is_file()]
+        assert not any(re.search(r"\bnan\b", text, re.IGNORECASE) for text in texts)
+    else:
+        assert code == 1
+        assert out.strip() == "error=validation_errors"
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "pheromone_init", "deposit"])
+def test_aco_weights_out_of_float_range_exit_1(capsys, field):
+    code, out, err = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", "aco",
+        "--set", "metaheuristic_params.aco.ants=5",
+        "--set", "metaheuristic_params.aco.iterations=10",
+        "--set", f"metaheuristic_params.aco.{field}=1e308",
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert "pheromone weights" in err
 
 
 HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench")

@@ -19,7 +19,6 @@ from fabflow.queueing import (
     StationKind,
     StationProfile,
     WltpVector,
-    box_simplex_grid,
     build_routing_model,
     check_monotonicity,
     directional_derivative,
@@ -235,6 +234,62 @@ def test_wip_totals_batch_flags_unstable_rows():
     assert totals[0] == pytest.approx(hub_total_wip(p), rel=1e-9)
 
 
+def mixed_batch():
+    """A line whose rows are stable, unstable, zero-vehicle or not open.
+
+    T sends p1 of its lots to Z, a transport station with no vehicles, and
+    p2 to A, which sends every lot back to T: p1 > 0 starves Z, a large p2
+    overloads T, and p2 = 1 keeps lots circulating forever.
+    """
+    stations = [
+        StationProfile("IN", StationKind.PROCESS, 3.0, 1.0),
+        StationProfile("T", StationKind.TRANSPORT, 0.7, vehicle_type=0),
+        StationProfile("Z", StationKind.TRANSPORT, 1.0, vehicle_type=1),
+        station("A", 2.0),
+        station("OUT", 4.0),
+    ]
+    bindings = [
+        ("IN", "T", "const:1.0"),
+        ("T", "OUT", "p:0"),
+        ("T", "Z", "p:1"),
+        ("T", "A", "p:2"),
+        ("A", "T", "const:1.0"),
+        ("Z", "OUT", "const:1.0"),
+    ]
+    model = RoutingModel.from_bindings(stations, bindings, wltp_dim=3)
+    rng = np.random.default_rng(2024)
+    p2 = rng.uniform(0.0, 0.9, 60)
+    p1 = np.where(rng.random(60) < 0.5, 0.0, rng.uniform(0.0, 0.1, 60))
+    P = np.vstack([np.column_stack([1.0 - p1 - p2, p1, p2]), [[0.0, 0.0, 1.0]] * 4])
+    return model, P[rng.permutation(len(P))], FleetConfig((3, 0))
+
+
+def outcome(fn, *args):
+    """(error class, station or message) of a call, or None when it returns."""
+    try:
+        fn(*args)
+    except (NonOpenNetwork, UnstableStation, ZeroVehicles) as exc:
+        return type(exc), getattr(exc, "station_id", str(exc))
+    return None
+
+
+def test_wip_kernel_contract_on_mixed_rows():
+    model, P, fleet = mixed_batch()
+    totals, stable = wip_totals_batch(model, P, fleet)
+    outcomes = [outcome(wip, model, p, fleet) for p in P]
+    kinds = {o[0] if o else None for o in outcomes}
+    assert kinds == {None, UnstableStation, ZeroVehicles, NonOpenNetwork}
+    for p, total, ok, out in zip(P, totals, stable, outcomes):
+        assert ok == (out is None)
+        if ok:
+            assert total == wip(model, p, fleet).total_wip  # bit for bit
+        else:
+            assert np.isnan(total)
+            assert outcome(wip_gradient, model, p, fleet) == out
+        if out and out[0] is NonOpenNetwork:
+            assert outcome(traffic_equations, model, p) == out
+
+
 # --- gradients ---------------------------------------------------------------
 
 def test_hub_gradient_matches_closed_form():
@@ -389,14 +444,6 @@ def test_grid_from_axes_drops_points_outside_open_simplex():
     for p in pts:
         assert p.sum() == pytest.approx(1.0)
         assert 0.0 < p[0] < 1.0
-
-
-def test_box_simplex_grid_places_coordinates():
-    pts = box_simplex_grid([(1, 0.2, 0.8, 4), (2, 0.1, 0.1, 1)], dim=3)
-    assert len(pts) == 4
-    assert sorted(p[1] for p in pts) == pytest.approx([0.2, 0.4, 0.6, 0.8])
-    assert all(p[2] == pytest.approx(0.1) for p in pts)
-    assert all(p.sum() == pytest.approx(1.0) for p in pts)
 
 
 def test_wip_report_csv_shape():
