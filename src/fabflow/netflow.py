@@ -5,14 +5,25 @@ and cut comparisons are exact integer arithmetic.  Edge costs are Fractions
 (scenario files store integer milli-units per kg), so min-cost optimality
 checks never see float drift.
 
-Max flow uses shortest augmenting paths (BFS on the residual graph), min-cost
-flow uses successive shortest paths with node potentials, and min cut reads
-the source-side reachability of the final residual graph.
+Max flow uses shortest augmenting paths (BFS on the residual graph).  Its
+last BFS, the one that fails to reach the sink, has marked exactly the nodes
+the residual graph reaches from the source: that set is the source side of a
+minimum cut, so `max_flow` returns the cut with the flow and `min_cut` only
+reads it.
+
+Min-cost flow uses successive shortest paths with node potentials (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Before the first path,
+every cost is multiplied by the lcm L of the cost denominators (L = 1000 for
+scenario files), so Dijkstra adds and compares Python ints.  Scaling by
+L > 0 is exact and keeps the order of every pair of keys, ties included, so
+the paths augmented are the ones the Fraction costs would choose; the cost
+of a flow is still read in Fractions by `flow_cost`.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -62,9 +73,6 @@ class FlowNetwork:
     source: str
     sink: str
 
-    def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.tail == node]
-
 
 @dataclass(frozen=True)
 class FlowAssignment:
@@ -72,6 +80,15 @@ class FlowAssignment:
 
     flow: Mapping[tuple[str, str], int]
     value: int
+
+
+@dataclass(frozen=True)
+class MaxFlowAssignment(FlowAssignment):
+    """A maximum flow with the minimum cut its final residual graph proves:
+    the source side and the capacity of the edges leaving it."""
+
+    source_side: frozenset[str]
+    cut_capacity: int
 
 
 def make_network(
@@ -162,16 +179,25 @@ class _Arc:
         self.edge_key = edge_key  # (tail, head) for forward arcs, None for reverse
 
 
-def _build_residual(net: FlowNetwork):
+def _build_residual(net: FlowNetwork, costs=None):
+    """Residual graph with one forward and one reverse arc per edge; `costs`
+    lists one arc cost per edge of `net` (all 0 when omitted)."""
     index = {nid: i for i, nid in enumerate(net.nodes)}
     graph: list[list[_Arc]] = [[] for _ in index]
-    for e in net.edges:
+    for e, cost in zip(net.edges, costs or [0] * len(net.edges)):
         u, v = index[e.tail], index[e.head]
-        fwd = _Arc(v, e.capacity_kg, e.cost_per_kg, len(graph[v]), (e.tail, e.head))
-        rev = _Arc(u, 0, -e.cost_per_kg, len(graph[u]), None)
+        fwd = _Arc(v, e.capacity_kg, cost, len(graph[v]), (e.tail, e.head))
+        rev = _Arc(u, 0, -cost, len(graph[u]), None)
         graph[u].append(fwd)
         graph[v].append(rev)
     return index, graph
+
+
+def _integer_costs(net: FlowNetwork) -> list[int]:
+    """Every edge cost times the lcm of the cost denominators, as an int."""
+    costs = [e.cost_per_kg for e in net.edges]
+    scale = math.lcm(*(c.denominator for c in costs))
+    return [c.numerator * (scale // c.denominator) for c in costs]
 
 
 def _extract_flow(net: FlowNetwork, graph, index) -> dict[tuple[str, str], int]:
@@ -184,8 +210,28 @@ def _extract_flow(net: FlowNetwork, graph, index) -> dict[tuple[str, str], int]:
     return flow
 
 
-def max_flow(net: FlowNetwork) -> FlowAssignment:
-    """Maximum s-t flow via BFS augmenting paths (Edmonds-Karp)."""
+def _augment(graph, parent, s: int, t: int, limit=None) -> int:
+    """Push the bottleneck of the parent path from s to t (at most `limit`)."""
+    bottleneck = limit
+    v = t
+    while v != s:
+        u, ai = parent[v]
+        cap = graph[u][ai].cap
+        bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+        v = u
+    v = t
+    while v != s:
+        u, ai = parent[v]
+        arc = graph[u][ai]
+        arc.cap -= bottleneck
+        graph[v][arc.rev].cap += bottleneck
+        v = u
+    return bottleneck
+
+
+def max_flow(net: FlowNetwork) -> MaxFlowAssignment:
+    """Maximum s-t flow via BFS augmenting paths (Edmonds-Karp), with the
+    minimum cut read from the last BFS."""
     index, graph = _build_residual(net)
     s, t = index[net.source], index[net.sink]
     total = 0
@@ -202,101 +248,67 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                     queue.append(arc.head)
         if parent[t] is None:
             break
-        bottleneck = None
-        v = t
-        while v != s:
-            u, ai = parent[v]
-            cap = graph[u][ai].cap
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = t
-        while v != s:
-            u, ai = parent[v]
-            arc = graph[u][ai]
-            arc.cap -= bottleneck
-            graph[v][arc.rev].cap += bottleneck
-            v = u
-        total += bottleneck
-    return FlowAssignment(flow=_extract_flow(net, graph, index), value=total)
+        total += _augment(graph, parent, s, t)
+    # the BFS that missed t ran until its queue was empty, so it marked
+    # every node reachable from s in the final residual graph
+    side = frozenset(nid for nid, i in index.items() if parent[i] is not None)
+    capacity = sum(
+        e.capacity_kg for e in net.edges if e.tail in side and e.head not in side
+    )
+    return MaxFlowAssignment(
+        flow=_extract_flow(net, graph, index),
+        value=total,
+        source_side=side,
+        cut_capacity=capacity,
+    )
 
 
 def min_cut(net: FlowNetwork) -> tuple[frozenset[str], int]:
     """Source side of a minimum cut and its capacity (equals the max flow)."""
     fa = max_flow(net)
-    # rebuild residual capacities from the computed flow
-    index, graph = _build_residual(net)
-    for u, arcs in enumerate(graph):
-        for arc in arcs:
-            if arc.edge_key is not None:
-                used = fa.flow[arc.edge_key]
-                arc.cap -= used
-                graph[arc.head][arc.rev].cap += used
-    reachable = {index[net.source]}
-    queue = deque(reachable)
-    while queue:
-        u = queue.popleft()
-        for arc in graph[u]:
-            if arc.cap > 0 and arc.head not in reachable:
-                reachable.add(arc.head)
-                queue.append(arc.head)
-    names = {i: nid for nid, i in index.items()}
-    side = frozenset(names[i] for i in reachable)
-    capacity = sum(
-        e.capacity_kg for e in net.edges if e.tail in side and e.head not in side
-    )
-    return side, capacity
+    return fa.source_side, fa.cut_capacity
 
 
 def min_cost_flow(net: FlowNetwork, demand: int) -> FlowAssignment:
     """Cheapest feasible flow of exactly `demand` kg from source to sink.
 
-    Successive shortest paths with node potentials; all costs are
-    non-negative so potentials start at zero and Dijkstra applies throughout.
-    Raises InfeasibleDemand when the network cannot carry the demand.
+    Successive shortest paths with node potentials over integer-scaled
+    costs; all costs are non-negative so potentials start at zero and
+    Dijkstra applies throughout.  Raises InfeasibleDemand when the network
+    cannot carry the demand.
     """
     if demand < 0:
         raise ValidationErrors(["demand must be non-negative"])
-    index, graph = _build_residual(net)
+    index, graph = _build_residual(net, _integer_costs(net))
     s, t = index[net.source], index[net.sink]
     n = len(graph)
-    potential = [Fraction(0)] * n
+    potential = [0] * n
     sent = 0
     while sent < demand:
-        dist: list[Fraction | None] = [None] * n
+        dist: list[int | None] = [None] * n
         parent: list[tuple[int, int] | None] = [None] * n
-        dist[s] = Fraction(0)
-        heap = [(Fraction(0), s)]
+        dist[s] = 0
+        heap = [(0, s)]
         while heap:
             d, u = heappop(heap)
-            if dist[u] is not None and d > dist[u]:
+            if d > dist[u]:
                 continue
+            base = d + potential[u]
             for ai, arc in enumerate(graph[u]):
                 if arc.cap <= 0:
                     continue
-                nd = d + arc.cost + potential[u] - potential[arc.head]
-                if dist[arc.head] is None or nd < dist[arc.head]:
-                    dist[arc.head] = nd
-                    parent[arc.head] = (u, ai)
-                    heappush(heap, (nd, arc.head))
+                v = arc.head
+                nd = base + arc.cost - potential[v]  # reduced costs are >= 0
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, ai)
+                    heappush(heap, (nd, v))
         if dist[t] is None:
             raise InfeasibleDemand(demand, sent)
         for v in range(n):
             if dist[v] is not None:
                 potential[v] += dist[v]
-        bottleneck = demand - sent
-        v = t
-        while v != s:
-            u, ai = parent[v]
-            bottleneck = min(bottleneck, graph[u][ai].cap)
-            v = u
-        v = t
-        while v != s:
-            u, ai = parent[v]
-            arc = graph[u][ai]
-            arc.cap -= bottleneck
-            graph[v][arc.rev].cap += bottleneck
-            v = u
-        sent += bottleneck
+        sent += _augment(graph, parent, s, t, demand - sent)
     return FlowAssignment(flow=_extract_flow(net, graph, index), value=sent)
 
 

@@ -21,11 +21,12 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .errors import (
     InvalidRouting,
@@ -54,6 +55,10 @@ from .scheduler import (
 )
 
 SCHEMA_VERSION = 1
+
+# largest capacity_kg and cost_milli_per_kg an edge may have: every product
+# of the two then fits a float, so each printed flow cost is finite
+_MAX_EDGE_INT = 2 ** 53 - 1
 
 _NODE_KINDS = {
     "production": NodeKind.PRODUCTION,
@@ -119,11 +124,6 @@ class _Collector:
 
     def add(self, message: str):
         self.problems.append(message)
-
-    def expect(self, cond: bool, message: str) -> bool:
-        if not cond:
-            self.add(message)
-        return cond
 
 
 def _req(raw: Mapping, key: str, kind, errs: _Collector, where: str):
@@ -204,23 +204,29 @@ def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
         if frm is None or to is None or cap is None:
             continue
         cost_milli = ed.get("cost_milli_per_kg", 0)
-        transit = ed.get("transit_time_h", 0.0)
-        ok = errs.expect(frm in seen_nodes, f"{where}: unknown node '{frm}'")
-        ok &= errs.expect(to in seen_nodes, f"{where}: unknown node '{to}'")
-        ok &= errs.expect(frm != to, f"{where}: self loop on '{frm}'")
-        ok &= errs.expect(cap >= 0, f"{where}: capacity must be non-negative")
-        ok &= errs.expect(
-            isinstance(cost_milli, int) and not isinstance(cost_milli, bool) and cost_milli >= 0,
-            f"{where}: cost_milli_per_kg must be a non-negative integer",
-        )
-        ok &= errs.expect(
-            isinstance(transit, (int, float)) and transit >= 0,
-            f"{where}: transit_time_h must be non-negative",
-        )
-        ok &= errs.expect(
-            (frm, to) not in seen_pairs, f"{where}: parallel edge {frm}->{to}"
-        )
-        if not ok:
+        # every problem of this edge is collected, each message formatted
+        # only when its check fails; any problem drops the edge
+        found = len(errs.problems)
+        if frm not in seen_nodes:
+            errs.add(f"{where}: unknown node '{frm}'")
+        if to not in seen_nodes:
+            errs.add(f"{where}: unknown node '{to}'")
+        if frm == to:
+            errs.add(f"{where}: self loop on '{frm}'")
+        if cap < 0:
+            errs.add(f"{where}: capacity must be non-negative")
+        if cap > _MAX_EDGE_INT:
+            errs.add(f"{where}: capacity_kg must be at most 2**53 - 1")
+        if not isinstance(cost_milli, int) or isinstance(cost_milli, bool) or cost_milli < 0:
+            errs.add(f"{where}: cost_milli_per_kg must be a non-negative integer")
+        elif cost_milli > _MAX_EDGE_INT:
+            errs.add(f"{where}: cost_milli_per_kg must be at most 2**53 - 1")
+        transit = _opt_number(ed, "transit_time_h", errs, where)
+        if transit is not None and transit < 0:
+            errs.add(f"{where}: transit_time_h must be non-negative")
+        if (frm, to) in seen_pairs:
+            errs.add(f"{where}: parallel edge {frm}->{to}")
+        if len(errs.problems) > found:
             continue
         seen_pairs.add((frm, to))
         edges.append(
@@ -229,7 +235,7 @@ def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
                 head=to,
                 capacity_kg=cap,
                 cost_per_kg=Fraction(cost_milli, 1000),
-                transit_time_h=float(transit),
+                transit_time_h=transit,
             )
         )
     return NetworkSection(nodes=tuple(nodes), edges=tuple(edges))

@@ -1,6 +1,7 @@
 """Command-line behaviour: stdout contract, exit codes, artifact determinism."""
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -327,6 +328,22 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
         ("queueing_reference", "nominal_p.1=NaN", "nominal_p[1]"),
         ("planner_small", "limits.c_max=NaN", "limits: c_max"),
         ("planner_small", "limits.u=NaN", "limits: u must be at least w_star"),
+        pytest.param(
+            "fig9_baseline",
+            f"network.edges.0.cost_milli_per_kg={'9' * 400}",
+            "network.edges[0]: cost_milli_per_kg must be at most",
+            id="cost_milli_per_kg=400 nines",
+        ),
+        ("fig9_baseline", f"network.edges.0.cost_milli_per_kg={2 ** 53}", "network.edges[0]: cost_milli_per_kg"),
+        ("fig9_baseline", f"network.edges.0.capacity_kg={2 ** 53}", "network.edges[0]: capacity_kg"),
+        pytest.param(
+            "fig9_baseline",
+            f"network.edges.0.transit_time_h=1{'0' * 400}",
+            "network.edges[0]: field 'transit_time_h'",
+            id="transit_time_h=10**400",
+        ),
+        ("fig9_baseline", "network.edges.0.transit_time_h=Infinity", "network.edges[0]: field 'transit_time_h'"),
+        ("fig9_baseline", "network.edges.0.transit_time_h=true", "network.edges[0]: field 'transit_time_h'"),
     ],
 )
 def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
@@ -335,6 +352,22 @@ def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert err.startswith(where)
+
+
+def test_edge_numbers_at_the_bound_print_finite_costs(capsys, tmp_path):
+    at_bound = [
+        "--set", f"network.edges.0.capacity_kg={2 ** 53 - 1}",
+        "--set", f"network.edges.0.cost_milli_per_kg={2 ** 53 - 1}",
+    ]
+    for command in (["maxflow"], ["mincost", "--demand", "20000"]):
+        out_dir = tmp_path / command[0]
+        code, out, _ = run_cli(
+            capsys, *command, "--scenario", "fig9_baseline", *at_bound, "--out", str(out_dir)
+        )
+        assert code == 0
+        (csv_path,) = out_dir.glob("*_edges.csv")
+        costs = [float(line.split(",")[-1]) for line in csv_path.read_text().splitlines()[2:]]
+        assert costs[0] > 1e16 and all(math.isfinite(c) for c in costs)
 
 
 @pytest.mark.parametrize(

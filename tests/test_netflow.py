@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from support import brute_force_min_cut
 
+from fabflow import netflow
+from fabflow.cli import main
 from fabflow.errors import (
     DanglingEdge,
     DuplicateNode,
@@ -85,6 +87,30 @@ def random_network(rng):
     spec.setdefault((names[0], names[1]), rng.randint(1, 15))
     spec.setdefault((names[-2], names[-1]), rng.randint(1, 15))
     return net_of(spec, source=names[0], sink=names[-1])
+
+
+def costed_network(rng, denominator, names=("s", "a", "b", "t"), max_cap=3):
+    """Random network on `names` whose costs are multiples of 1/denominator;
+    with the default four nodes and tiny capacities brute force can
+    enumerate every flow."""
+    spec, costs = {}, {}
+    for u, v in itertools.permutations(names, 2):
+        if v == names[0] or u == names[-1]:
+            continue
+        if rng.random() < 0.7 and (v, u) not in spec:
+            spec[(u, v)] = rng.randint(1, max_cap)
+            costs[(u, v)] = Fraction(rng.randint(0, 4 * denominator), denominator)
+    spec.setdefault((names[0], names[1]), 2), costs.setdefault((names[0], names[1]), Fraction(1))
+    spec.setdefault((names[1], names[-1]), 2), costs.setdefault((names[1], names[-1]), Fraction(1))
+    return net_of(spec, source=names[0], sink=names[-1], costs=costs)
+
+
+def scaled_costs(net: FlowNetwork, factor: Fraction) -> FlowNetwork:
+    edges = [
+        Edge(e.tail, e.head, e.capacity_kg, e.cost_per_kg * factor, e.transit_time_h)
+        for e in net.edges
+    ]
+    return make_network(net.nodes.items(), edges, net.source, net.sink)
 
 
 # --- construction and validation ---------------------------------------------
@@ -198,6 +224,40 @@ def test_adding_an_edge_never_decreases_max_flow():
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_max_flow_carries_a_min_cut_certificate(seed):
+    import random
+
+    net = random_network(random.Random(seed))
+    fa = max_flow(net)
+    side = fa.source_side
+    assert net.source in side and net.sink not in side
+    for e in net.edges:
+        kg = fa.flow[(e.tail, e.head)]
+        if e.tail in side and e.head not in side:
+            assert kg == e.capacity_kg          # leaving the side: saturated
+        elif e.head in side and e.tail not in side:
+            assert kg == 0                      # entering the side: empty
+    crossing = sum(e.capacity_kg for e in net.edges if e.tail in side and e.head not in side)
+    assert fa.cut_capacity == crossing == fa.value
+    assert min_cut(net) == (side, fa.value)
+
+
+@pytest.mark.parametrize("command", ["maxflow", "report"])
+def test_maxflow_section_builds_one_residual_graph(monkeypatch, command):
+    built = []
+    original = netflow._build_residual
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(netflow, "_build_residual", counting)
+    assert main([command, "--scenario", "fig10_optimized"]) == 0
+    assert len(built) == 1
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=40, deadline=None)
 def test_flow_is_feasible_and_conserved(seed):
     import random
@@ -253,6 +313,38 @@ def test_min_cost_against_exhaustive_enumeration():
         assert fa.value == demand
         oracle = brute_force_min_cost(net, demand)
         assert flow_cost(net, fa) == oracle
+
+
+@pytest.mark.parametrize("denominator", [1, 3, 7, 1000])
+def test_min_cost_with_fractional_costs_against_enumeration(denominator):
+    import random
+
+    rng = random.Random(denominator)
+    for _ in range(12):
+        net = costed_network(rng, denominator)
+        cap = max_flow(net).value
+        for demand in sorted({1, rng.randint(1, cap), cap}):
+            fa = min_cost_flow(net, demand)
+            assert fa.value == demand
+            assert flow_cost(net, fa) == brute_force_min_cost(net, demand)
+
+
+def test_min_cost_flow_is_invariant_under_cost_scaling():
+    import random
+
+    rng = random.Random(20261018)
+    nets = [build_network(load_fixture("fig9_baseline"))]
+    for denominator in (1, 3, 1000):
+        names = tuple(f"n{i}" for i in range(8))
+        nets += [costed_network(rng, denominator, names, max_cap=9) for _ in range(5)]
+    seventh = Fraction(1, 7)
+    for net in nets:
+        scaled = scaled_costs(net, seventh)
+        cap = max_flow(net).value
+        for demand in (cap // 3, cap):
+            fa, fs = min_cost_flow(net, demand), min_cost_flow(scaled, demand)
+            assert fs.flow == fa.flow and fs.value == fa.value
+            assert flow_cost(scaled, fs) == flow_cost(net, fa) * seventh
 
 
 def test_min_cost_marginal_cost_is_nondecreasing():
