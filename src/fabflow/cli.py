@@ -44,8 +44,8 @@ def _apply_override(raw: dict, spec: str):
     dotted, _, text = spec.partition("=")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
-        value = text  # bare strings need no quoting
+    except (ValueError, RecursionError):
+        value = text  # bare strings need no quoting, nor does what JSON cannot read
     node = raw
     parts = dotted.split(".")
     for i, part in enumerate(parts):

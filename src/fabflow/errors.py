@@ -45,6 +45,20 @@ class ValidationErrors(ScenarioValidationError):
         super().__init__("; ".join(self.errors))
 
 
+def param_error(name: str, value, domain: str, ok, integer: bool = False) -> str | None:
+    """The problem with a numeric parameter, or None when `value` is a number
+    (an int when `integer`; never a bool) for which ok(value) holds.
+
+    `domain` completes "<name> must ...".  A finite domain's bound is
+    sys.float_info.max, not inf, so that an int too large for a float fails it.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return f"{name} must be {'an integer' if integer else 'a number'} (got {value!r})"
+    if not ok(value):
+        return f"{name} must {domain} (got {value!r})"
+    return None
+
+
 class IoError(ScenarioValidationError):
     code = "io_error"
 
@@ -53,10 +67,6 @@ class IoError(ScenarioValidationError):
 
 class DuplicateNode(ScenarioValidationError):
     code = "duplicate_node"
-
-
-class DanglingEdge(ScenarioValidationError):
-    code = "dangling_edge"
 
 
 class NoOriginOrDestination(ScenarioValidationError):
@@ -75,14 +85,6 @@ class InfeasibleDemand(InfeasibleError):
 
 
 # --- queueing --------------------------------------------------------------
-
-class InvalidWltp(ScenarioValidationError):
-    code = "invalid_wltp"
-
-
-class InvalidDirection(ScenarioValidationError):
-    code = "invalid_direction"
-
 
 class InvalidRouting(ScenarioValidationError):
     code = "invalid_routing"

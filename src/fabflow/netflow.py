@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import (
-    DanglingEdge,
     DuplicateNode,
     InfeasibleDemand,
     NoOriginOrDestination,
@@ -91,46 +90,62 @@ class MaxFlowAssignment(FlowAssignment):
     cut_capacity: int
 
 
+def node_errors(node_id: str, declared: Container[str]) -> list[str]:
+    """The rule a node breaks given the ids declared before it: ids are unique."""
+    return [f"node id declared twice: {node_id}"] if node_id in declared else []
+
+
+def edge_errors(
+    edge: Edge, nodes: Container[str], earlier: Container[tuple[str, str]]
+) -> list[str]:
+    """Every rule `edge` breaks, given the declared node ids and the
+    (tail, head) pairs of the edges before it: known endpoints, no self
+    loop, a non-negative integer capacity, non-negative cost and transit
+    time, no parallel edge."""
+    tail, head, cap = edge.tail, edge.head, edge.capacity_kg
+    out = []
+    if tail not in nodes:
+        out.append(f"unknown node '{tail}'")
+    if head not in nodes:
+        out.append(f"unknown node '{head}'")
+    if tail == head:
+        out.append(f"self loop on '{tail}'")
+    if cap < 0 or int(cap) != cap:
+        out.append("capacity must be a non-negative integer")
+    if edge.cost_per_kg.numerator < 0:  # costs are Fractions (or ints)
+        out.append("cost must be non-negative")
+    if edge.transit_time_h < 0:
+        out.append("transit_time_h must be non-negative")
+    if (tail, head) in earlier:
+        out.append(f"parallel edge {tail}->{head}")
+    return out
+
+
 def make_network(
     nodes: Iterable[tuple[str, NodeKind]],
     edges: Iterable[Edge],
     source: str,
     sink: str,
 ) -> FlowNetwork:
-    """Validated constructor used by tests and by build_network."""
+    """Validated constructor used by tests and by build_network: raises
+    DuplicateNode, NoOriginOrDestination, or ValidationErrors listing every
+    edge problem."""
     node_map: dict[str, NodeKind] = {}
     for node_id, kind in nodes:
-        if node_id in node_map:
-            raise DuplicateNode(f"node id declared twice: {node_id}")
+        problems = node_errors(node_id, node_map)
+        if problems:
+            raise DuplicateNode(problems[0])
         node_map[node_id] = kind
-    problems = []
-    seen_pairs: set[tuple[str, str]] = set()
-    edge_list = []
-    for e in edges:
-        if e.tail not in node_map or e.head not in node_map:
-            raise DanglingEdge(f"edge {e.tail}->{e.head} references unknown node")
-        if e.tail == e.head:
-            problems.append(f"self loop on {e.tail}")
-            continue
-        if (e.tail, e.head) in seen_pairs:
-            problems.append(f"parallel edge {e.tail}->{e.head}")
-            continue
-        if e.capacity_kg < 0 or int(e.capacity_kg) != e.capacity_kg:
-            problems.append(f"capacity of {e.tail}->{e.head} must be a non-negative integer")
-            continue
-        if e.cost_per_kg < 0:
-            problems.append(f"cost of {e.tail}->{e.head} must be non-negative")
-            continue
-        if e.transit_time_h < 0:
-            problems.append(f"transit time of {e.tail}->{e.head} must be non-negative")
-            continue
-        seen_pairs.add((e.tail, e.head))
-        edge_list.append(e)
     if source not in node_map or sink not in node_map:
         raise NoOriginOrDestination("designated source or sink is not a declared node")
+    edges = tuple(edges)
+    problems, pairs = [], set()
+    for i, e in enumerate(edges):
+        problems += (f"edges[{i}]: {p}" for p in edge_errors(e, node_map, pairs))
+        pairs.add((e.tail, e.head))
     if problems:
         raise ValidationErrors(problems)
-    return FlowNetwork(nodes=node_map, edges=tuple(edge_list), source=source, sink=sink)
+    return FlowNetwork(nodes=node_map, edges=edges, source=source, sink=sink)
 
 
 def build_network(scenario) -> FlowNetwork:
@@ -322,13 +337,10 @@ def flow_cost(net: FlowNetwork, assignment: FlowAssignment) -> Fraction:
 
 
 def conservation_residuals(net: FlowNetwork, assignment: FlowAssignment) -> dict[str, int]:
-    """Net outflow minus inflow per node; zero everywhere except source/sink."""
+    """Net outflow minus inflow for every node: the flow value at the source,
+    minus it at the sink, zero elsewhere when the flow is conserved."""
     net_out: dict[str, int] = {nid: 0 for nid in net.nodes}
     for (tail, head), kg in assignment.flow.items():
         net_out[tail] += kg
         net_out[head] -= kg
-    return {
-        nid: v
-        for nid, v in net_out.items()
-        if nid not in (net.source, net.sink)
-    }
+    return net_out

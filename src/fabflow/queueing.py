@@ -26,15 +26,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import simplex
 from .errors import (
-    InvalidDirection,
     InvalidRouting,
-    InvalidWltp,
     NonOpenNetwork,
     UnstableStation,
     ValidationErrors,
@@ -44,7 +42,6 @@ from .errors import (
 STABILITY_MARGIN = 1e-6        # station is stable when rho <= 1 - this
 TRAFFIC_RESIDUAL_TOL = 1e-10
 WLTP_SUM_TOL = 1e-12
-DIRECTION_SUM_TOL = 1e-12
 _ARRIVAL_EPS = 1e-12           # arrivals below this count as "no traffic"
 
 
@@ -58,37 +55,10 @@ def wltp_errors(values: Sequence[float]) -> list[str]:
         return ["transfer probabilities need at least two entries"]
     # positive conditions, so that NaN fails them
     if not abs(p.sum() - 1.0) <= WLTP_SUM_TOL:
-        out.append(f"probabilities must sum to 1 (got {p.sum()!r})")
+        out.append(f"probabilities must sum to 1 (got {float(p.sum())!r})")
     if not ((0.0 < p) & (p < 1.0)).all():
         out.append("each probability must lie strictly between 0 and 1")
     return out
-
-
-@dataclass(frozen=True)
-class WltpVector:
-    """Validated transfer-probability vector (p_0, ..., p_n)."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        errs = wltp_errors(self.probs)
-        if errs:
-            raise InvalidWltp("; ".join(errs))
-        object.__setattr__(self, "probs", tuple(float(x) for x in self.probs))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
-    @property
-    def n_free(self) -> int:
-        return len(self.probs) - 1
-
-
-def _as_p(p) -> np.ndarray:
-    if isinstance(p, WltpVector):
-        return p.array
-    return np.asarray(p, dtype=float)
 
 
 # --- stations, fleets, routing ----------------------------------------------
@@ -114,14 +84,21 @@ class StationProfile:
     vehicle_type: int | None = None
 
     def __post_init__(self):
-        if self.mu_base <= 0:
-            raise InvalidRouting(f"station {self.station_id}: mu_base must be positive")
-        if self.gamma < 0:
-            raise InvalidRouting(f"station {self.station_id}: gamma must be non-negative")
+        problems = []
+        # positive conditions, so that NaN fails them
+        if not self.mu_base > 0:
+            problems.append("mu_base must be positive")
+        if not self.gamma >= 0:
+            problems.append("gamma must be non-negative")
         if self.kind == StationKind.TRANSPORT and self.vehicle_type is None:
-            raise InvalidRouting(
-                f"transport station {self.station_id} needs a vehicle_type binding"
-            )
+            problems.append("a transport station needs a vehicle_type binding")
+        if problems:
+            raise InvalidRouting(f"station {self.station_id}: " + "; ".join(problems))
+
+
+def station_errors(station_id: str, declared: Container[str]) -> list[str]:
+    """The rule a station breaks given the ids declared before it: ids are unique."""
+    return [f"station id declared twice: {station_id}"] if station_id in declared else []
 
 
 @dataclass(frozen=True)
@@ -147,16 +124,36 @@ class FleetConfig:
 
 def _parse_factor(token: str):
     token = token.strip()
-    if token.startswith("const:"):
-        value = float(token[6:])
-        if not (0.0 <= value <= 1.0):
-            raise InvalidRouting(f"constant routing factor out of [0,1]: {token}")
-        return ("const", value)
-    if token.startswith("1-p:"):
-        return ("comp", int(token[4:]))
-    if token.startswith("p:"):
-        return ("p", int(token[2:]))
+    try:
+        if token.startswith("const:"):
+            value = float(token[6:])
+            if not (0.0 <= value <= 1.0):
+                raise InvalidRouting(f"constant routing factor out of [0,1]: {token}")
+            return ("const", value)
+        if token.startswith("1-p:"):
+            return ("comp", int(token[4:]))
+        if token.startswith("p:"):
+            return ("p", int(token[2:]))
+    except ValueError:
+        pass
     raise InvalidRouting(f"unparseable routing factor: {token!r}")
+
+
+def binding_errors(
+    frm: str, to: str, factors, stations: Container[str] | None, wltp_dim: int | None
+) -> list[str]:
+    """Every rule a routing cell frm -> to breaks: both stations are known
+    and every p index lies in range.  A None context skips its check."""
+    out = []
+    if stations is not None:
+        for sid in (frm, to):
+            if sid not in stations:
+                out.append(f"unknown station '{sid}'")
+    if wltp_dim is not None:
+        for kind, m in factors:
+            if kind != "const" and not 0 <= m < wltp_dim:
+                out.append(f"p index {m} outside the {wltp_dim} transfer probabilities")
+    return out
 
 
 def parse_routing_expr(text: str) -> tuple:
@@ -189,18 +186,18 @@ class RoutingModel:
     bindings: tuple[tuple[str, str, tuple], ...]
 
     def __post_init__(self):
-        ids = [s.station_id for s in self.stations]
-        if len(set(ids)) != len(ids):
-            raise InvalidRouting("duplicate station ids")
-        index = {sid: i for i, sid in enumerate(ids)}
+        ids: set[str] = set()
+        problems = []
+        for s in self.stations:
+            problems += station_errors(s.station_id, ids)
+            ids.add(s.station_id)
         for frm, to, factors in self.bindings:
-            if frm not in index or to not in index:
-                raise InvalidRouting(f"routing binding references unknown station {frm}->{to}")
-            for kind, value in factors:
-                if kind in ("p", "comp") and not (0 <= value < self.wltp_dim):
-                    raise InvalidRouting(
-                        f"routing binding {frm}->{to} uses p index {value} out of range"
-                    )
+            problems += (
+                f"routing {frm}->{to}: {p}"
+                for p in binding_errors(frm, to, factors, ids, self.wltp_dim)
+            )
+        if problems:
+            raise InvalidRouting("; ".join(problems))
 
     @classmethod
     def from_bindings(cls, stations, bindings, wltp_dim) -> "RoutingModel":
@@ -337,7 +334,7 @@ def _raise_unstable(model: RoutingModel, s: _Pass, row: int):
 
 def traffic_equations(model: RoutingModel, p) -> np.ndarray:
     """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    lam = _solve(model, _as_p(p), None).lam[0]
+    lam = _solve(model, p, None).lam[0]
     if np.isnan(lam).any():
         raise NonOpenNetwork(_NOT_OPEN)
     return lam
@@ -377,7 +374,7 @@ def wip_totals_batch(
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
-    s = _solve(model, _as_p(p), fleet)
+    s = _solve(model, p, fleet)
     if not s.stable[0]:
         _raise_unstable(model, s, 0)
     rho = s.rho[0]
@@ -438,33 +435,13 @@ def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:
     Exact, by the adjoint of the traffic equations; an unstable p raises the
     same error a direct wip() call there would.
     """
-    return _wip_derivatives(model, _as_p(p), fleet)[0][0]
+    return _wip_derivatives(model, p, fleet)[0][0]
 
 
 def wip_hessian(model: RoutingModel, p, fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
     """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
-    grads, hess = _wip_derivatives(model, _as_p(p), fleet, hessian=True)
+    grads, hess = _wip_derivatives(model, p, fleet, hessian=True)
     return grads[0], hess[0]
-
-
-def directional_derivative(model: RoutingModel, p, x, fleet: FleetConfig) -> float:
-    """Derivative of total WIP along a simplex-tangent direction x.
-
-    x has one entry per probability (including the dependent p_0) and must
-    sum to zero; the value is linear in x, so unit scaling is up to the
-    caller.
-    """
-    x = np.asarray(x, dtype=float)
-    p = _as_p(p)
-    if x.shape != p.shape:
-        raise InvalidDirection("direction and probability vector sizes differ")
-    if abs(x.sum()) > DIRECTION_SUM_TOL:
-        raise InvalidDirection(f"direction must sum to zero (got {x.sum()!r})")
-    if not x.any():
-        return 0.0
-    g = wip_gradient(model, p, fleet)
-    # unique decomposition x = sum_i x_i (e_i - e_0)
-    return float(np.dot(g, x[1:]))
 
 
 def steepest_feasible_direction(
@@ -550,7 +527,7 @@ def gradient_grid(
     model: RoutingModel, grid: Sequence, fleet: FleetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Free-coordinate gradients at every grid point, one batched solve."""
-    pts = np.vstack([_as_p(p) for p in grid])
+    pts = np.vstack([np.asarray(p, dtype=float) for p in grid])
     return pts, _wip_derivatives(model, pts, fleet)[0]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -31,6 +32,7 @@ from .errors import (
     UnstableStation,
     ValidationErrors,
     ZeroVehicles,
+    param_error,
 )
 from .queueing import FleetConfig, RoutingModel
 
@@ -66,24 +68,30 @@ class PlannerLimits:
     mc_alpha: float = 100.0
 
     def __post_init__(self):
-        problems = []
-        # positive conditions, so that NaN fails them
-        if not self.c_max >= 1:
-            problems.append("c_max must be at least 1")
-        if not self.w_star > 0:
-            problems.append("w_star must be positive")
-        if not self.u >= self.w_star:
-            problems.append("u must be at least w_star")
-        if not self.delta_wip_max > 0:
-            problems.append("delta_wip_max must be positive")
-        if not self.epsilon >= 0:
-            problems.append("epsilon must be non-negative")
-        if self.p_neighborhood_radius is not None and not self.p_neighborhood_radius > 0:
-            problems.append("p_neighborhood_radius must be positive when set")
-        if not self.mc_samples >= 0:
-            problems.append("mc_samples must be non-negative")
-        if not self.mc_alpha > 0:
-            problems.append("mc_alpha must be positive")
+        # the caps may be inf; epsilon and mc_alpha feed the probes and the
+        # Dirichlet draw, so their bound is the largest float.  u is compared
+        # with w_star only when w_star is a number.
+        w_star = self.w_star if isinstance(self.w_star, (int, float)) else -math.inf
+        problems = [
+            param_error("c_max", self.c_max, "be at least 1", lambda v: v >= 1, integer=True),
+            param_error("w_star", self.w_star, "be positive", lambda v: v > 0),
+            param_error("u", self.u, "be at least w_star", lambda v: v >= w_star),
+            param_error("delta_wip_max", self.delta_wip_max, "be positive", lambda v: v > 0),
+            param_error(
+                "epsilon", self.epsilon, "be non-negative and finite",
+                lambda v: 0 <= v <= sys.float_info.max,
+            ),
+            None if self.p_neighborhood_radius is None else param_error(
+                "p_neighborhood_radius", self.p_neighborhood_radius,
+                "be positive when set", lambda v: v > 0,
+            ),
+            param_error("mc_samples", self.mc_samples, "be non-negative", lambda v: v >= 0, integer=True),
+            param_error(
+                "mc_alpha", self.mc_alpha, "be positive and finite",
+                lambda v: 0 < v <= sys.float_info.max,
+            ),
+        ]
+        problems = [p for p in problems if p is not None]
         if problems:
             raise ValidationErrors(problems)
 
@@ -279,7 +287,7 @@ def probe_wip_extremes(
     base point raises as wip() would; an unstable probe makes both values
     infinite (the fluctuation is unbounded there), reported as data.
     """
-    p = np.asarray(p, dtype=float) if not isinstance(p, queueing.WltpVector) else p.array
+    p = np.asarray(p, dtype=float)
     dim = p.size
     lower = np.full(dim, CLIP_ETA)
     upper = np.full(dim, 1.0 - CLIP_ETA)
@@ -324,7 +332,7 @@ def check_constraints(
     delta_wip_max), wip_hard_cap (max W over the nominal point and all
     fluctuation probes vs u).
     """
-    p = np.asarray(p_nominal, dtype=float) if not isinstance(p_nominal, queueing.WltpVector) else p_nominal.array
+    p = np.asarray(p_nominal, dtype=float)
     checks = []
 
     total = fleet.total
@@ -401,9 +409,13 @@ class FleetCandidateSpace:
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for lo, hi in self.bounds:
-            if lo < 0 or hi < lo:
-                raise ValidationErrors([f"bad fleet candidate range ({lo}, {hi})"])
+        problems = [
+            f"range {i} is ({lo}, {hi}); need 0 <= min <= max"
+            for i, (lo, hi) in enumerate(self.bounds)
+            if not 0 <= lo <= hi
+        ]
+        if problems:
+            raise ValidationErrors(problems)
 
     @property
     def count(self) -> int:
@@ -416,11 +428,6 @@ class FleetCandidateSpace:
         ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
         for counts in itertools.product(*ranges):
             yield FleetConfig(counts=counts)
-
-    def contains(self, fleet: FleetConfig) -> bool:
-        if len(fleet.counts) != len(self.bounds):
-            return False
-        return all(lo <= c <= hi for c, (lo, hi) in zip(fleet.counts, self.bounds))
 
 
 @dataclass(frozen=True)

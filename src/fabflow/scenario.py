@@ -9,7 +9,18 @@ planning side (`fleet_candidates`, `limits`), the scheduling side (`tasks`,
 (reference deltas, grid definitions; reported but never used as test
 targets by library code).
 
-Loading validates everything it can and reports every failure at once.
+`resolve_scenario_raw` is the one reader: it decodes the JSON of a file or
+of a bundled fixture.  `scenario_from_dict` then walks the sections in
+order and reports every problem at once, each under a `where` prefix such
+as `network.edges[3]`.  The parser itself checks only the JSON shape and
+the leaf types, the file-format rules (known kinds, the edge-number bound,
+unique routing cells, vehicles, distances and tasks) and the references
+between sections.  Every value rule of an entity lives with its type: the
+constructors and the `*_errors` rule functions of `netflow` (nodes, edges),
+`queueing` (stations, routing cells, fleets, transfer probabilities),
+`robust_planner` (candidate ranges, limits) and `scheduler` (tasks,
+vehicles, search parameters).
+
 Serialization is canonical: stable key order, explicit parameter defaults,
 so the SHA-256 `inputs_digest` changes exactly when a semantically
 meaningful field changes.
@@ -21,7 +32,7 @@ import hashlib
 import io
 import json
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -29,19 +40,21 @@ from pathlib import Path
 from typing import Any
 
 from .errors import (
-    InvalidRouting,
     IoError,
     ParseError,
+    ScenarioValidationError,
     SchemaVersionUnsupported,
     ValidationErrors,
 )
-from .netflow import Edge, NodeKind
+from .netflow import Edge, NodeKind, edge_errors, node_errors
 from .queueing import (
     FleetConfig,
     StationKind,
     StationProfile,
+    binding_errors,
     parse_routing_expr,
     routing_expr_to_str,
+    station_errors,
     wltp_errors,
 )
 from .robust_planner import FleetCandidateSpace, PlannerLimits
@@ -118,68 +131,121 @@ class Scenario:
 
 # --- parsing helpers ---------------------------------------------------------
 
-class _Collector:
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def add(self, message: str):
-        self.problems.append(message)
-
-
-def _req(raw: Mapping, key: str, kind, errs: _Collector, where: str):
-    value = raw.get(key)
-    if value is None:
-        errs.add(f"{where}: missing required field '{key}'")
-        return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        errs.add(f"{where}: field '{key}' has wrong type")
-        return None
-    if kind is float and not _finite(value):
-        errs.add(f"{where}: field '{key}' must be finite")
-        return None
-    return value
+_FLOAT_MAX = sys.float_info.max
 
 
 def _finite(value) -> bool:
-    """False for NaN, +-Infinity and ints too large for a float."""
-    return abs(value) <= sys.float_info.max
+    """A number that is not a bool, NaN, +-Infinity or an int too large for a float."""
+    return (
+        isinstance(value, (int, float))
+        and value is not True
+        and value is not False
+        and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    )
 
 
-def _opt_number(raw: Mapping, key: str, errs: _Collector, where: str):
-    """Optional numeric field as a float: 0.0 when absent or null, None
-    (with the problem collected) when it is not a finite number."""
+def _req(raw: Mapping, key: str, kind, errs: list[str], where: str, default=None):
+    """Field `key` of `raw`: a str or an int (never a bool), or for kind
+    float any finite number, returned as a float.  Absent or null gives
+    `default`, and without a default the field is required.  A wrong value
+    is reported and gives None."""
     value = raw.get(key)
     if value is None:
-        return 0.0
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
-        errs.add(f"{where}: field '{key}' must be a finite number")
-        return None
-    return float(value)
+        if default is None:
+            errs.append(f"{where}: missing required field '{key}'")
+        return default
+    if kind is float:
+        if _finite(value):
+            return float(value)
+        errs.append(f"{where}: field '{key}' must be a finite number")
+    elif isinstance(value, kind) and value is not True and value is not False:
+        return value
+    else:
+        errs.append(f"{where}: field '{key}' has wrong type")
+    return None
 
 
-def _objects(raw, errs: _Collector, where: str) -> list[tuple[int, Mapping]]:
+def _report(errs: list[str], where: str, problems: list[str]) -> bool:
+    """Report every problem under `where`; whether there was any."""
+    if problems:
+        errs.extend(f"{where}: {p}" for p in problems)
+    return bool(problems)
+
+
+def _build(errs: list[str], where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), or None with the constructor's problems
+    reported under `where`."""
+    try:
+        return cls(*args, **kwargs)
+    except ValidationErrors as exc:
+        _report(errs, where, exc.errors)
+    except (ScenarioValidationError, TypeError, ValueError) as exc:
+        errs.append(f"{where}: {exc}")
+    return None
+
+
+def _new(key, seen: set, errs: list[str], where: str, label: str) -> bool:
+    """Whether `key` is declared for the first time in its section; a repeat
+    is reported as `label` declared twice."""
+    if key in seen:
+        shown = key if isinstance(key, str) else "->".join(key)
+        errs.append(f"{where}: {label} declared twice: {shown}")
+        return False
+    seen.add(key)
+    return True
+
+
+def _objects(raw, errs: list[str], where: str) -> list[tuple[int, Mapping]]:
     """(index, entry) for every object in a list section; a section that is
     not a list, and entries that are not objects, are reported and skipped."""
     if not isinstance(raw, list):
-        errs.add(f"{where}: must be a list")
+        errs.append(f"{where}: must be a list")
         return []
     out = []
     for i, entry in enumerate(raw):
-        if isinstance(entry, Mapping):
+        if isinstance(entry, (dict, Mapping)):  # dict first: the ABC check is slow
             out.append((i, entry))
         else:
-            errs.add(f"{where}[{i}]: must be an object")
+            errs.append(f"{where}[{i}]: must be an object")
     return out
 
 
-def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
+def _fields(cls, raw, errs: list[str], where: str):
+    """cls(**raw) for an object whose keys are fields of the dataclass cls,
+    or None with its problems reported under `where`."""
     if not isinstance(raw, Mapping):
-        errs.add("network: must be an object with nodes and edges")
+        errs.append(f"{where}: must be an object")
         return None
-    nodes: list[tuple[str, NodeKind]] = []
-    seen_nodes: set[str] = set()
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        errs.append(f"{where}: unknown fields {sorted(unknown)}")
+        return None
+    return _build(errs, where, cls, **raw)
+
+
+def _numbers(raw, errs: list[str], where: str, integral: bool = False):
+    """A list of finite numbers (ints when `integral`), or None with the
+    first problem reported."""
+    if not isinstance(raw, list):
+        errs.append(f"{where}: must be a list")
+        return None
+    for i, v in enumerate(raw):
+        if not _finite(v):
+            errs.append(f"{where}[{i}]: must be a finite number")
+            return None
+        if integral and int(v) != v:
+            errs.append(f"{where}[{i}]: must be an integer")
+            return None
+    return [int(v) if integral else float(v) for v in raw]
+
+
+# --- sections ----------------------------------------------------------------
+
+def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
+    if not isinstance(raw, Mapping):
+        errs.append("network: must be an object with nodes and edges")
+        return None
+    nodes: dict[str, NodeKind] = {}
     for i, nd in _objects(raw.get("nodes", []), errs, "network.nodes"):
         where = f"network.nodes[{i}]"
         nid = _req(nd, "id", str, errs, where)
@@ -187,113 +253,187 @@ def _parse_network(raw, errs: _Collector) -> NetworkSection | None:
         if nid is None or kind is None:
             continue
         if kind not in _NODE_KINDS:
-            errs.add(f"{where}: unknown node kind '{kind}'")
-            continue
-        if nid in seen_nodes:
-            errs.add(f"{where}: node id declared twice: {nid}")
-            continue
-        seen_nodes.add(nid)
-        nodes.append((nid, _NODE_KINDS[kind]))
+            errs.append(f"{where}: unknown node kind '{kind}'")
+        elif not _report(errs, where, node_errors(nid, nodes)):
+            nodes[nid] = _NODE_KINDS[kind]
     edges: list[Edge] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    pairs: set[tuple[str, str]] = set()
+    # few costs recur on many edges, and a Fraction costs more to build
+    # than the rest of an edge's checks
+    per_kg: dict[int, Fraction] = {}
     for i, ed in _objects(raw.get("edges", []), errs, "network.edges"):
         where = f"network.edges[{i}]"
         frm = _req(ed, "from", str, errs, where)
         to = _req(ed, "to", str, errs, where)
         cap = _req(ed, "capacity_kg", int, errs, where)
-        if frm is None or to is None or cap is None:
+        # unlike the optional floats, a null cost is no default
+        cost = _req(ed, "cost_milli_per_kg", int, errs, where) if "cost_milli_per_kg" in ed else 0
+        transit = _req(ed, "transit_time_h", float, errs, where, default=0.0)
+        if frm is None or to is None or cap is None or cost is None or transit is None:
             continue
-        cost_milli = ed.get("cost_milli_per_kg", 0)
-        # every problem of this edge is collected, each message formatted
-        # only when its check fails; any problem drops the edge
-        found = len(errs.problems)
-        if frm not in seen_nodes:
-            errs.add(f"{where}: unknown node '{frm}'")
-        if to not in seen_nodes:
-            errs.add(f"{where}: unknown node '{to}'")
-        if frm == to:
-            errs.add(f"{where}: self loop on '{frm}'")
-        if cap < 0:
-            errs.add(f"{where}: capacity must be non-negative")
-        if cap > _MAX_EDGE_INT:
-            errs.add(f"{where}: capacity_kg must be at most 2**53 - 1")
-        if not isinstance(cost_milli, int) or isinstance(cost_milli, bool) or cost_milli < 0:
-            errs.add(f"{where}: cost_milli_per_kg must be a non-negative integer")
-        elif cost_milli > _MAX_EDGE_INT:
-            errs.add(f"{where}: cost_milli_per_kg must be at most 2**53 - 1")
-        transit = _opt_number(ed, "transit_time_h", errs, where)
-        if transit is not None and transit < 0:
-            errs.add(f"{where}: transit_time_h must be non-negative")
-        if (frm, to) in seen_pairs:
-            errs.add(f"{where}: parallel edge {frm}->{to}")
-        if len(errs.problems) > found:
-            continue
-        seen_pairs.add((frm, to))
-        edges.append(
-            Edge(
-                tail=frm,
-                head=to,
-                capacity_kg=cap,
-                cost_per_kg=Fraction(cost_milli, 1000),
-                transit_time_h=transit,
-            )
-        )
-    return NetworkSection(nodes=tuple(nodes), edges=tuple(edges))
+        if cost not in per_kg:
+            per_kg[cost] = Fraction(cost, 1000)
+        edge = Edge(frm, to, cap, per_kg[cost], transit)
+        problems = edge_errors(edge, nodes, pairs)
+        if cap > _MAX_EDGE_INT or cost > _MAX_EDGE_INT:
+            problems += [
+                f"{name} must be at most 2**53 - 1"
+                for name, value in (("capacity_kg", cap), ("cost_milli_per_kg", cost))
+                if value > _MAX_EDGE_INT
+            ]
+        if problems:
+            _report(errs, where, problems)
+        else:
+            edges.append(edge)
+        pairs.add((frm, to))
+    return NetworkSection(nodes=tuple(nodes.items()), edges=tuple(edges))
 
 
-def _parse_stations(raw, errs: _Collector):
+def _parse_stations(raw, errs: list[str]) -> tuple[StationProfile, ...]:
     stations = []
-    seen: set[str] = set()
+    ids: set[str] = set()
     for i, st in _objects(raw, errs, "stations"):
         where = f"stations[{i}]"
         sid = _req(st, "id", str, errs, where)
         kind = _req(st, "kind", str, errs, where)
         mu = _req(st, "mu_base", float, errs, where)
-        if sid is None or kind is None or mu is None:
+        gamma = _req(st, "gamma", float, errs, where, default=0.0)
+        if None in (sid, kind, mu, gamma):
             continue
         if kind not in ("process", "transport"):
-            errs.add(f"{where}: unknown station kind '{kind}'")
+            errs.append(f"{where}: unknown station kind '{kind}'")
             continue
-        if sid in seen:
-            errs.add(f"{where}: station id declared twice: {sid}")
+        if _report(errs, where, station_errors(sid, ids)):
             continue
-        seen.add(sid)
-        vt = st.get("vehicle_type")
-        if kind == "transport" and vt is None:
-            errs.add(f"{where}: transport station needs vehicle_type")
-            continue
-        gamma = _opt_number(st, "gamma", errs, where)
-        if gamma is None:
-            continue
-        try:
-            stations.append(
-                StationProfile(
-                    station_id=sid,
-                    kind=StationKind(kind),
-                    mu_base=float(mu),
-                    gamma=gamma,
-                    vehicle_type=vt,
-                )
-            )
-        except InvalidRouting as exc:
-            errs.add(f"{where}: {exc}")
+        ids.add(sid)
+        station = _build(
+            errs, where, StationProfile, sid, StationKind(kind), mu, gamma, st.get("vehicle_type")
+        )
+        if station is not None:
+            stations.append(station)
     return tuple(stations)
 
 
-def _parse_scalar_list(raw, errs: _Collector, where: str, integral: bool = False):
-    out = []
-    if not isinstance(raw, list):
-        errs.add(f"{where}: must be a list")
+def _check_vehicle_types(stations, n_types: int | None, errs: list[str]):
+    """Each transport station binds a vehicle type of the declared fleet."""
+    for st in stations:
+        if st.kind != StationKind.TRANSPORT:
+            continue
+        vt = st.vehicle_type
+        if isinstance(vt, bool) or not isinstance(vt, int):
+            errs.append(f"station {st.station_id}: vehicle_type must be an integer")
+        elif n_types is None:
+            errs.append(
+                f"station {st.station_id}: transport station declared but the "
+                "scenario has no nominal_fleet or fleet_candidates section"
+            )
+        elif not 0 <= vt < n_types:
+            errs.append(
+                f"station {st.station_id}: vehicle_type {vt} "
+                f"outside the {n_types} declared fleet types"
+            )
+
+
+def _parse_candidates(raw, errs: list[str]) -> FleetCandidateSpace | None:
+    bounds = []
+    for i, b in _objects(raw, errs, "fleet_candidates"):
+        where = f"fleet_candidates[{i}]"
+        bounds.append((_req(b, "min", int, errs, where), _req(b, "max", int, errs, where)))
+    if not bounds or len(bounds) != len(raw) or any(None in b for b in bounds):
         return None
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-            errs.add(f"{where}[{i}]: must be a finite number")
-            return None
-        if integral and int(v) != v:
-            errs.add(f"{where}[{i}]: must be an integer")
-            return None
-        out.append(int(v) if integral else float(v))
-    return out
+    return _build(errs, "fleet_candidates", FleetCandidateSpace, tuple(bounds))
+
+
+def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str, str, str], ...]:
+    station_ids = None if stations is None else {s.station_id for s in stations}
+    dim = None if nominal_p is None else len(nominal_p)
+    routing = []
+    cells: set[tuple[str, str]] = set()
+    for i, cell in _objects(raw, errs, "routing"):
+        where = f"routing[{i}]"
+        frm = _req(cell, "from", str, errs, where)
+        to = _req(cell, "to", str, errs, where)
+        expr = _req(cell, "value", str, errs, where)
+        if None in (frm, to, expr) or not _new((frm, to), cells, errs, where, "routing cell"):
+            continue
+        factors = _build(errs, where, parse_routing_expr, expr)
+        if factors is not None and not _report(
+            errs, where, binding_errors(frm, to, factors, station_ids, dim)
+        ):
+            routing.append((frm, to, routing_expr_to_str(factors)))
+    return tuple(routing)
+
+
+def _parse_vehicles(raw, errs: list[str]) -> tuple[VehicleSpec, ...]:
+    vehicles = []
+    ids: set[str] = set()
+    for i, vd in _objects(raw, errs, "vehicles"):
+        where = f"vehicles[{i}]"
+        vid = _req(vd, "vehicle_id", str, errs, where)
+        speed = _req(vd, "speed", float, errs, where)
+        extras = {
+            key: _req(vd, key, float, errs, where, default=0.0)
+            for key in ("load_time_h", "unload_time_h", "cost_rate")
+        }
+        if None in (vid, speed, *extras.values()) or not _new(vid, ids, errs, where, "vehicle id"):
+            continue
+        vehicle = _build(errs, where, VehicleSpec, vehicle_id=vid, speed=speed, **extras)
+        if vehicle is not None:
+            vehicles.append(vehicle)
+    return tuple(vehicles)
+
+
+def _parse_distances(raw, errs: list[str]) -> dict[tuple[str, str], float]:
+    distances: dict[tuple[str, str], float] = {}
+    pairs: set[tuple[str, str]] = set()
+    for i, dd in _objects(raw, errs, "distances"):
+        where = f"distances[{i}]"
+        frm = _req(dd, "from", str, errs, where)
+        to = _req(dd, "to", str, errs, where)
+        dist = _req(dd, "distance", float, errs, where)
+        if None in (frm, to, dist):
+            continue
+        if frm == to:
+            errs.append(f"{where}: distance from a node to itself")
+        elif dist < 0:
+            errs.append(f"{where}: distance must be non-negative")
+        elif _new((frm, to), pairs, errs, where, "distance"):
+            distances[(frm, to)] = dist
+    return distances
+
+
+def _parse_tasks(raw, errs: list[str], network, distances) -> tuple[TransportTask, ...]:
+    node_ids = None if network is None else dict(network.nodes)
+    tasks = []
+    ids: set[str] = set()
+    for i, td in _objects(raw, errs, "tasks"):
+        where = f"tasks[{i}]"
+        tid = _req(td, "task_id", str, errs, where)
+        ttype = _req(td, "task_type", str, errs, where)
+        origin = _req(td, "origin", str, errs, where)
+        dest = _req(td, "destination", str, errs, where)
+        mass = _req(td, "lot_mass_kg", float, errs, where)
+        baseline = _req(td, "baseline_duration_h", float, errs, where, default=0.0)
+        if None in (tid, ttype, origin, dest, mass, baseline) or not _new(
+            tid, ids, errs, where, "task id"
+        ):
+            continue
+        try:
+            task_type = TaskType(ttype)
+        except ValueError:
+            errs.append(f"{where}: unknown task type '{ttype}'")
+            continue
+        if node_ids is not None:
+            if origin not in node_ids:
+                errs.append(f"{where}: origin '{origin}' is not a network node")
+            if dest not in node_ids:
+                errs.append(f"{where}: destination '{dest}' is not a network node")
+        if distances and (origin, dest) not in distances:
+            errs.append(f"{where}: no distance entry for {origin}->{dest}")
+        task = _build(errs, where, TransportTask, tid, task_type, origin, dest, mass, baseline)
+        if task is not None:
+            tasks.append(task)
+    return tuple(tasks)
 
 
 _PARAM_FIELDS = {
@@ -303,37 +443,22 @@ _PARAM_FIELDS = {
 }
 
 
-def _parse_params(raw, errs: _Collector) -> MetaheuristicParams:
+def _parse_params(raw, errs: list[str]) -> MetaheuristicParams:
     if raw is None:
         return MetaheuristicParams()
     if not isinstance(raw, Mapping):
-        errs.add("metaheuristic_params: must be an object")
+        errs.append("metaheuristic_params: must be an object")
         return MetaheuristicParams()
-    kwargs = {}
+    groups = {}
     for key, cls in _PARAM_FIELDS.items():
-        sub = raw.get(key)
-        if sub is None:
-            kwargs[key] = cls()
-            continue
-        if not isinstance(sub, Mapping):
-            errs.add(f"metaheuristic_params.{key}: must be an object")
-            kwargs[key] = cls()
-            continue
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(sub) - allowed
-        if unknown:
-            errs.add(f"metaheuristic_params.{key}: unknown fields {sorted(unknown)}")
-            kwargs[key] = cls()
-            continue
-        try:
-            kwargs[key] = cls(**sub)
-        except (TypeError, ValueError) as exc:
-            errs.add(f"metaheuristic_params.{key}: {exc}")
-            kwargs[key] = cls()
+        if raw.get(key) is not None:
+            params = _fields(cls, raw[key], errs, f"metaheuristic_params.{key}")
+            if params is not None:
+                groups[key] = params
     unknown_groups = set(raw) - set(_PARAM_FIELDS)
     if unknown_groups:
-        errs.add(f"metaheuristic_params: unknown groups {sorted(unknown_groups)}")
-    return MetaheuristicParams(**kwargs)
+        errs.append(f"metaheuristic_params: unknown groups {sorted(unknown_groups)}")
+    return MetaheuristicParams(**groups)
 
 
 def scenario_from_dict(raw: Mapping) -> Scenario:
@@ -348,239 +473,60 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
         raise SchemaVersionUnsupported(
             f"schema_version {version} unsupported (this build reads {SCHEMA_VERSION})"
         )
-    errs = _Collector()
+    errs: list[str] = []
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
-        errs.add(f"unknown top-level sections: {sorted(unknown)}")
+        errs.append(f"unknown top-level sections: {sorted(unknown)}")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
-        errs.add("scenario needs a non-empty string 'name'")
+        errs.append("scenario needs a non-empty string 'name'")
         name = ""
-    description = raw.get("description", "")
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, Mapping):
-        errs.add("metadata: must be an object")
+        errs.append("metadata: must be an object")
         metadata = {}
 
     network = _parse_network(raw["network"], errs) if "network" in raw else None
-
     stations = _parse_stations(raw["stations"], errs) if "stations" in raw else None
-
     nominal_p = None
     if "nominal_p" in raw:
-        values = _parse_scalar_list(raw["nominal_p"], errs, "nominal_p")
+        values = _numbers(raw["nominal_p"], errs, "nominal_p")
         if values is not None:
-            for problem in wltp_errors(values):
-                errs.add(f"nominal_p: {problem}")
+            _report(errs, "nominal_p", wltp_errors(values))
             nominal_p = tuple(values)
-
     nominal_fleet = None
     if "nominal_fleet" in raw:
-        counts = _parse_scalar_list(raw["nominal_fleet"], errs, "nominal_fleet", integral=True)
+        counts = _numbers(raw["nominal_fleet"], errs, "nominal_fleet", integral=True)
         if counts is not None:
-            if any(c < 0 for c in counts):
-                errs.add("nominal_fleet: counts must be non-negative")
-            else:
-                nominal_fleet = FleetConfig(counts=tuple(counts))
-
+            nominal_fleet = _build(errs, "nominal_fleet", FleetConfig, tuple(counts))
     fleet_candidates = None
     if "fleet_candidates" in raw:
-        bounds = []
-        ok = True
-        for i, b in _objects(raw["fleet_candidates"], errs, "fleet_candidates"):
-            where = f"fleet_candidates[{i}]"
-            lo = _req(b, "min", int, errs, where)
-            hi = _req(b, "max", int, errs, where)
-            if lo is None or hi is None:
-                ok = False
-                continue
-            if lo < 0 or hi < lo:
-                errs.add(f"{where}: need 0 <= min <= max")
-                ok = False
-                continue
-            bounds.append((lo, hi))
-        if ok and bounds:
-            fleet_candidates = FleetCandidateSpace(bounds=tuple(bounds))
-
-    n_types = None
-    if fleet_candidates is not None:
-        n_types = len(fleet_candidates.bounds)
-    elif nominal_fleet is not None:
-        n_types = len(nominal_fleet.counts)
+        fleet_candidates = _parse_candidates(raw["fleet_candidates"], errs)
     if stations:
-        for st in stations:
-            if st.kind == StationKind.TRANSPORT:
-                if not isinstance(st.vehicle_type, int):
-                    errs.add(f"station {st.station_id}: vehicle_type must be an integer")
-                elif n_types is not None and not (0 <= st.vehicle_type < n_types):
-                    errs.add(
-                        f"station {st.station_id}: vehicle_type {st.vehicle_type} "
-                        f"outside the {n_types} declared fleet types"
-                    )
-                elif n_types is None:
-                    errs.add(
-                        f"station {st.station_id}: transport station declared but the "
-                        "scenario has no nominal_fleet or fleet_candidates section"
-                    )
-        if nominal_p is None and "nominal_p" not in raw:
-            errs.add("stations declared but nominal_p missing")
-
-    routing: list[tuple[str, str, str]] = []
-    if "routing" in raw:
-        station_ids = {s.station_id for s in stations} if stations else set()
-        seen_cells: set[tuple[str, str]] = set()
-        for i, cell in _objects(raw["routing"], errs, "routing"):
-            where = f"routing[{i}]"
-            frm = _req(cell, "from", str, errs, where)
-            to = _req(cell, "to", str, errs, where)
-            expr = _req(cell, "value", str, errs, where)
-            if frm is None or to is None or expr is None:
-                continue
-            if stations is not None and frm not in station_ids:
-                errs.add(f"{where}: unknown station '{frm}'")
-                continue
-            if stations is not None and to not in station_ids:
-                errs.add(f"{where}: unknown station '{to}'")
-                continue
-            if (frm, to) in seen_cells:
-                errs.add(f"{where}: routing cell {frm}->{to} declared twice")
-                continue
-            try:
-                factors = parse_routing_expr(expr)
-            except InvalidRouting as exc:
-                errs.add(f"{where}: {exc}")
-                continue
-            if nominal_p is not None:
-                for kind, value in factors:
-                    if kind in ("p", "comp") and not (0 <= value < len(nominal_p)):
-                        errs.add(f"{where}: p index {value} outside nominal_p")
-            seen_cells.add((frm, to))
-            routing.append((frm, to, routing_expr_to_str(factors)))
-
-    limits = None
-    if "limits" in raw:
-        lr = raw["limits"]
-        if not isinstance(lr, Mapping):
-            errs.add("limits: must be an object")
-        elif unknown_l := set(lr) - set(PlannerLimits.__dataclass_fields__):
-            errs.add(f"limits: unknown fields {sorted(unknown_l)}")
+        if fleet_candidates is not None:
+            n_types = len(fleet_candidates.bounds)
         else:
-            try:
-                limits = PlannerLimits(**lr)
-            except ValidationErrors as exc:
-                for problem in exc.errors:
-                    errs.add(f"limits: {problem}")
-            except TypeError as exc:
-                errs.add(f"limits: {exc}")
-
-    vehicles = None
-    if "vehicles" in raw:
-        vehicles = []
-        seen_v: set[str] = set()
-        for i, vd in _objects(raw["vehicles"], errs, "vehicles"):
-            where = f"vehicles[{i}]"
-            vid = _req(vd, "vehicle_id", str, errs, where)
-            speed = _req(vd, "speed", float, errs, where)
-            if vid is None or speed is None:
-                continue
-            if vid in seen_v:
-                errs.add(f"{where}: vehicle id declared twice: {vid}")
-                continue
-            seen_v.add(vid)
-            extras = {
-                key: _opt_number(vd, key, errs, where)
-                for key in ("load_time_h", "unload_time_h", "cost_rate")
-            }
-            if None in extras.values():
-                continue
-            try:
-                vehicles.append(VehicleSpec(vehicle_id=vid, speed=float(speed), **extras))
-            except ValidationErrors as exc:
-                for problem in exc.errors:
-                    errs.add(f"{where}: {problem}")
-        vehicles = tuple(vehicles)
-
-    distances: dict[tuple[str, str], float] = {}
-    if "distances" in raw:
-        for i, dd in _objects(raw["distances"], errs, "distances"):
-            where = f"distances[{i}]"
-            frm = _req(dd, "from", str, errs, where)
-            to = _req(dd, "to", str, errs, where)
-            dist = _req(dd, "distance", float, errs, where)
-            if frm is None or to is None or dist is None:
-                continue
-            if frm == to:
-                errs.add(f"{where}: distance from a node to itself")
-                continue
-            if dist < 0:
-                errs.add(f"{where}: distance must be non-negative")
-                continue
-            if (frm, to) in distances:
-                errs.add(f"{where}: distance {frm}->{to} declared twice")
-                continue
-            distances[(frm, to)] = float(dist)
-
-    tasks = None
-    if "tasks" in raw:
-        tasks = []
-        seen_t: set[str] = set()
-        node_ids = {nid for nid, _ in network.nodes} if network else None
-        for i, td in _objects(raw["tasks"], errs, "tasks"):
-            where = f"tasks[{i}]"
-            tid = _req(td, "task_id", str, errs, where)
-            ttype = _req(td, "task_type", str, errs, where)
-            origin = _req(td, "origin", str, errs, where)
-            dest = _req(td, "destination", str, errs, where)
-            mass = _req(td, "lot_mass_kg", float, errs, where)
-            if None in (tid, ttype, origin, dest, mass):
-                continue
-            if tid in seen_t:
-                errs.add(f"{where}: task id declared twice: {tid}")
-                continue
-            try:
-                task_type = TaskType(ttype)
-            except ValueError:
-                errs.add(f"{where}: unknown task type '{ttype}'")
-                continue
-            if node_ids is not None:
-                if origin not in node_ids:
-                    errs.add(f"{where}: origin '{origin}' is not a network node")
-                if dest not in node_ids:
-                    errs.add(f"{where}: destination '{dest}' is not a network node")
-            if distances and (origin, dest) not in distances:
-                errs.add(f"{where}: no distance entry for {origin}->{dest}")
-            seen_t.add(tid)
-            baseline = _opt_number(td, "baseline_duration_h", errs, where)
-            if baseline is None:
-                continue
-            try:
-                tasks.append(
-                    TransportTask(
-                        task_id=tid,
-                        task_type=task_type,
-                        origin=origin,
-                        destination=dest,
-                        lot_mass_kg=float(mass),
-                        baseline_duration_h=baseline,
-                    )
-                )
-            except ValidationErrors as exc:
-                for problem in exc.errors:
-                    errs.add(f"{where}: {problem}")
-        tasks = tuple(tasks)
-
+            n_types = None if nominal_fleet is None else len(nominal_fleet.counts)
+        _check_vehicle_types(stations, n_types, errs)
+        if "nominal_p" not in raw:
+            errs.append("stations declared but nominal_p missing")
+    routing = _parse_routing(raw["routing"], errs, stations, nominal_p) if "routing" in raw else ()
+    limits = _fields(PlannerLimits, raw["limits"], errs, "limits") if "limits" in raw else None
+    vehicles = _parse_vehicles(raw["vehicles"], errs) if "vehicles" in raw else None
+    distances = _parse_distances(raw["distances"], errs) if "distances" in raw else {}
+    tasks = _parse_tasks(raw["tasks"], errs, network, distances) if "tasks" in raw else None
     metaheuristic = _parse_params(raw.get("metaheuristic_params"), errs)
 
-    if errs.problems:
-        raise ValidationErrors(errs.problems)
+    if errs:
+        raise ValidationErrors(errs)
     return Scenario(
         schema_version=version,
         name=name,
-        description=description,
+        description=raw.get("description", ""),
         metadata=dict(metadata),
         network=network,
         stations=stations,
-        routing=tuple(routing),
+        routing=routing,
         nominal_p=nominal_p,
         nominal_fleet=nominal_fleet,
         fleet_candidates=fleet_candidates,
@@ -590,22 +536,6 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
         distances=distances,
         metaheuristic=metaheuristic,
     )
-
-
-def load_scenario_text(text: str) -> Scenario:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read scenario file {path}: {exc}") from exc
-    return load_scenario_text(text)
 
 
 # --- canonical serialization -------------------------------------------------
@@ -724,37 +654,32 @@ def fixture_catalog() -> list[str]:
     return sorted(names)
 
 
-def load_fixture(name: str) -> Scenario:
-    entry = _fixture_root() / f"{name}.json"
-    try:
-        text = entry.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise IoError(f"no bundled fixture named '{name}'") from exc
-    return load_scenario_text(text)
-
-
 def resolve_scenario_raw(ref: str) -> dict:
-    """Raw (unvalidated) scenario dict from a file path or fixture name."""
-    path = Path(ref)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read scenario file {path}: {exc}") from exc
-    elif ref in fixture_catalog():
-        text = (_fixture_root() / f"{ref}.json").read_text(encoding="utf-8")
-    else:
-        raise IoError(f"scenario '{ref}' is neither a readable file nor a bundled fixture")
+    """The decoded JSON document of the scenario file `ref`, or of the bundled
+    fixture of that name when no such file exists; the one reader of
+    scenario documents.  Raises IoError when neither can be read and
+    ParseError when the text is not UTF-8 JSON."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        text = Path(ref).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        if ref not in fixture_catalog():
+            raise IoError(
+                f"scenario '{ref}' is neither a readable file nor a bundled fixture"
+            ) from None
+        text = (_fixture_root() / f"{ref}.json").read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise IoError(f"cannot read scenario file {ref}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
-    return raw
 
 
-def resolve_scenario(ref: str) -> Scenario:
-    """Treat `ref` as a file path when one exists, else as a fixture name."""
-    return scenario_from_dict(resolve_scenario_raw(ref))
+def load_fixture(name: str) -> Scenario:
+    """The bundled scenario `name`, validated; a file of that name wins."""
+    return scenario_from_dict(resolve_scenario_raw(name))
 
 
 # --- report bundles ----------------------------------------------------------

@@ -28,7 +28,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySeeds, MissingDistance, OverloadedVehicleRound, ValidationErrors
+from .errors import (
+    EmptySeeds,
+    MissingDistance,
+    OverloadedVehicleRound,
+    ValidationErrors,
+    param_error,
+)
 
 
 class TaskType(Enum):
@@ -240,14 +246,10 @@ def _crowding_distance(F: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> None:
-    """ValueError unless `value` is a number (an int when `integer`; never a
-    bool) for which ok(value) holds; `domain` completes "<name> must ...".
-    A finite domain's bound is sys.float_info.max, not inf, so that an int
-    too large for a float fails it."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'} (got {value!r})")
-    if not ok(value):
-        raise ValueError(f"{name} must {domain} (got {value!r})")
+    """ValueError with the problem errors.param_error finds, if any."""
+    problem = param_error(name, value, domain, ok, integer)
+    if problem is not None:
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True)

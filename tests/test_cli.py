@@ -344,6 +344,21 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
         ),
         ("fig9_baseline", "network.edges.0.transit_time_h=Infinity", "network.edges[0]: field 'transit_time_h'"),
         ("fig9_baseline", "network.edges.0.transit_time_h=true", "network.edges[0]: field 'transit_time_h'"),
+        pytest.param(
+            "queueing_reference",
+            f"stations.0.mu_base=1{'0' * 400}",
+            "stations[0]: field 'mu_base'",
+            id="mu_base=10**400",
+        ),
+        ("queueing_reference", "routing.0.value=p:x", "routing[0]: unparseable routing factor: 'p:x'"),
+        ("queueing_reference", "routing.0.value=const:x", "routing[0]: unparseable routing factor: 'const:x'"),
+        ("planner_small", "stations.1.vehicle_type=true", "station T2: vehicle_type must be an integer"),
+        pytest.param(
+            "planner_small",
+            f"limits.c_max=1{'0' * 5000}",
+            "limits: c_max must be an integer",
+            id="c_max=5001 digits",
+        ),
     ],
 )
 def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
@@ -352,6 +367,34 @@ def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert err.startswith(where)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c_max", "1.5"),
+        ("c_max", "true"),
+        ("w_star", "x"),
+        ("w_star", "true"),
+        ("delta_wip_max", "[]"),
+        ("epsilon", "true"),
+        ("epsilon", "Infinity"),
+        ("p_neighborhood_radius", "true"),
+        ("mc_samples", "1.5"),
+        ("mc_samples", "true"),
+        ("mc_alpha", "true"),
+        ("mc_alpha", "Infinity"),
+    ],
+)
+def test_limits_outside_their_domain_exit_1(capsys, field, value):
+    # integers are ints and numbers are never bools; the caps may be inf,
+    # epsilon and mc_alpha feed the probes and the draw, so they are finite
+    code, out, err = run_cli(
+        capsys, "wip", "--scenario", "planner_small", "--set", f"limits.{field}={value}"
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(f"limits: {field} must be")
 
 
 def test_edge_numbers_at_the_bound_print_finite_costs(capsys, tmp_path):

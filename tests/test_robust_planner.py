@@ -410,8 +410,9 @@ def test_candidate_space_enumeration():
     assert space.count == 25
     fleets = list(space)
     assert fleets[0].counts == (1, 1) and fleets[-1].counts == (5, 5)
-    assert space.contains(FleetConfig((3, 4)))
-    assert not space.contains(FleetConfig((0, 4)))
-    assert not space.contains(FleetConfig((1, 1, 1)))
-    with pytest.raises(ValidationErrors):
-        FleetCandidateSpace(((2, 1),))
+    with pytest.raises(ValidationErrors) as exc:
+        FleetCandidateSpace(((2, 1), (0, 3), (-1, 0)))
+    assert exc.value.errors == [
+        "range 0 is (2, 1); need 0 <= min <= max",
+        "range 2 is (-1, 0); need 0 <= min <= max",
+    ]

@@ -14,9 +14,6 @@ from fabflow.scenario import (
     fixture_catalog,
     flow_csv_artifact,
     load_fixture,
-    load_scenario,
-    load_scenario_text,
-    resolve_scenario,
     resolve_scenario_raw,
     scenario_digest,
     scenario_from_dict,
@@ -63,10 +60,12 @@ def test_product_routing_expression_survives_round_trip():
 
 # --- digests -----------------------------------------------------------------
 
-def test_digest_ignores_formatting_and_key_order():
+def test_digest_ignores_formatting_and_key_order(tmp_path):
     raw = resolve_scenario_raw("fig9_baseline")
     reference = scenario_digest(scenario_from_dict(raw))
-    spaced = load_scenario_text(json.dumps(raw, indent=4))
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(raw, indent=4), encoding="utf-8")
+    spaced = scenario_from_dict(resolve_scenario_raw(str(path)))
     assert scenario_digest(spaced) == reference
     reordered = scenario_from_dict(dict(reversed(list(raw.items()))))
     assert scenario_digest(reordered) == reference
@@ -98,9 +97,13 @@ def test_schema_version_rejections():
         scenario_from_dict({"schema_version": 99, "bogus_section": 1})
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        load_scenario_text("{not json")
+def test_parse_errors(tmp_path):
+    # not JSON, not UTF-8, nested too deep, an int too long for the JSON reader
+    for content in (b"{not json", b"\xff\xfe x", b"[" * 100_000 + b"]" * 100_000, b"1" * 5000):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            resolve_scenario_raw(str(path))
     with pytest.raises(ParseError):
         scenario_from_dict([1, 2, 3])
 
@@ -204,9 +207,13 @@ def test_minimal_document_omits_empty_sections():
 
 # --- loading and resolving ---------------------------------------------------
 
-def test_load_scenario_missing_file():
+def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(IoError):
-        load_scenario("/nonexistent/scenario.json")
+        resolve_scenario_raw(str(tmp_path / "missing.json"))
+    with pytest.raises(IoError):
+        resolve_scenario_raw(str(tmp_path))  # a directory
+    with pytest.raises(IoError):
+        resolve_scenario_raw("a" * 5000)  # a name too long for the file system
 
 
 def test_load_fixture_unknown_name():
@@ -214,15 +221,19 @@ def test_load_fixture_unknown_name():
         load_fixture("no_such_fixture")
 
 
-def test_resolve_prefers_path_then_fixture(tmp_path):
+def test_resolve_prefers_path_then_fixture(tmp_path, monkeypatch):
     raw = resolve_scenario_raw("fig9_baseline")
     raw["name"] = "custom_copy"
     path = tmp_path / "copy.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    assert resolve_scenario(str(path)).name == "custom_copy"
-    assert resolve_scenario("fig9_baseline").name == "fig9_baseline"
+    assert load_fixture(str(path)).name == "custom_copy"
+    assert load_fixture("fig9_baseline").name == "fig9_baseline"
     with pytest.raises(IoError, match="neither a readable file nor a bundled fixture"):
-        resolve_scenario("definitely_not_here")
+        resolve_scenario_raw("definitely_not_here")
+    # a file named like a fixture wins over the fixture
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig9_baseline").write_text(json.dumps(raw), encoding="utf-8")
+    assert load_fixture("fig9_baseline").name == "custom_copy"
 
 
 # --- report emission ---------------------------------------------------------
