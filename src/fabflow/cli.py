@@ -15,6 +15,7 @@ every section the scenario supports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -404,10 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by the later ones
+    in the process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        pairs = _run(parser.parse_args(argv))
+        pairs = _run(_parser().parse_args(argv))
     except ScenarioValidationError as exc:
         print(f"error={exc.code}")
         print(str(exc), file=sys.stderr)

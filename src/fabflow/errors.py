@@ -45,6 +45,15 @@ class ValidationErrors(ScenarioValidationError):
         super().__init__("; ".join(self.errors))
 
 
+def shown(value, limit: int = 80) -> str:
+    """repr(value) for a problem message: cut to `limit` characters, with the
+    full length noted, so that the message stays short whatever the input."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def param_error(name: str, value, domain: str, ok, integer: bool = False) -> str | None:
     """The problem with a numeric parameter, or None when `value` is a number
     (an int when `integer`; never a bool) for which ok(value) holds.
@@ -53,9 +62,9 @@ def param_error(name: str, value, domain: str, ok, integer: bool = False) -> str
     sys.float_info.max, not inf, so that an int too large for a float fails it.
     """
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        return f"{name} must be {'an integer' if integer else 'a number'} (got {value!r})"
+        return f"{name} must be {'an integer' if integer else 'a number'} (got {shown(value)})"
     if not ok(value):
-        return f"{name} must {domain} (got {value!r})"
+        return f"{name} must {domain} (got {shown(value)})"
     return None
 
 

@@ -9,10 +9,11 @@ is rho / (1 - rho).
 
 One batched pass, `_solve`, computes all of this for a batch of p rows:
 the routing matrices (and, when asked, their derivatives), one linear solve
-for the arrival rates, the service rates, the utilizations and a per-row
-stability mask.  `wip`, `wip_totals_batch`, `traffic_equations` and the
-derivatives only read it; an unstable row raises NonOpenNetwork, else
-ZeroVehicles, else UnstableStation for its first offending station.
+for the arrival rates, the utilizations under one fleet's service rates or
+under service rates per row, and a per-row stability mask.  `wip`,
+`wip_totals_batch`, `traffic_equations` and the derivatives only read it;
+an unstable row raises NonOpenNetwork, else ZeroVehicles, else
+UnstableStation for its first offending station.
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
@@ -277,12 +278,12 @@ class _Pass(NamedTuple):
     dR: np.ndarray | None        # their free-coordinate derivatives (order >= 1)
     d2R: np.ndarray | None       # and second derivatives (order 2)
     lam: np.ndarray              # arrival rates (N, k); NaN rows are not open
-    mu: np.ndarray | None        # service rates (k,); None without a fleet
+    mu: np.ndarray | None        # service rates (N, k); None without them
     rho: np.ndarray | None       # utilizations (N, k)
     stable: np.ndarray | None    # (N,) every station at rho <= 1 - STABILITY_MARGIN
 
 
-def _solve(model: RoutingModel, P, fleet: FleetConfig | None, order: int = 0) -> _Pass:
+def _solve(model: RoutingModel, P, mu: np.ndarray | None, order: int = 0) -> _Pass:
     """The one WIP pass over a batch of p rows.
 
     Solves lambda = gamma + R(p)^T lambda for every row at once.  A row is
@@ -290,7 +291,9 @@ def _solve(model: RoutingModel, P, fleet: FleetConfig | None, order: int = 0) ->
     1, or the solution is negative or leaves too large a residual.  Then
     rho = lambda / mu, except that a zero-vehicle station reads 0 when idle
     and inf under traffic; NaN fails the stability test, so a row that is
-    not open is never stable.  Without a fleet only the traffic is solved.
+    not open is never stable.  `mu` holds the service rates, (k,) for one
+    fleet or (N, k) for a fleet per row; without them only the traffic is
+    solved.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     R, dR, d2R = _routing(model, P, order)
@@ -309,9 +312,9 @@ def _solve(model: RoutingModel, P, fleet: FleetConfig | None, order: int = 0) ->
         good = (residual <= TRAFFIC_RESIDUAL_TOL) & (sol > -1e-9).all(axis=1)
         lam[np.flatnonzero(ok)[good]] = sol[good]
     lam = np.maximum(lam, 0.0)
-    if fleet is None:
+    if mu is None:
         return _Pass(R, dR, d2R, lam, None, None, None)
-    mu = service_rates(model, fleet)
+    mu = np.broadcast_to(mu, lam.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = lam / mu
     rho = np.where((mu <= 0.0) & (lam <= _ARRIVAL_EPS), 0.0, rho)
@@ -322,10 +325,10 @@ def _solve(model: RoutingModel, P, fleet: FleetConfig | None, order: int = 0) ->
 def _raise_unstable(model: RoutingModel, s: _Pass, row: int):
     """Raise the error of an unstable row: NonOpenNetwork, else ZeroVehicles,
     else UnstableStation, each for the first station it applies to."""
-    lam, rho = s.lam[row], s.rho[row]
+    lam, mu, rho = s.lam[row], s.mu[row], s.rho[row]
     if np.isnan(lam).any():
         raise NonOpenNetwork(_NOT_OPEN)
-    zero = np.flatnonzero((s.mu <= 0.0) & (lam > _ARRIVAL_EPS))
+    zero = np.flatnonzero((mu <= 0.0) & (lam > _ARRIVAL_EPS))
     if zero.size:
         raise ZeroVehicles(model.station_ids[zero[0]])
     i = np.flatnonzero(rho > 1.0 - STABILITY_MARGIN)[0]
@@ -366,7 +369,7 @@ def wip_totals_batch(
     The workhorse behind the planner's searches; one call means one batched
     linear solve.
     """
-    s = _solve(model, P, fleet)
+    s = _solve(model, P, service_rates(model, fleet))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         totals = (s.rho / (1.0 - s.rho)).sum(axis=1)
     return np.where(s.stable, totals, np.nan), s.stable
@@ -374,7 +377,7 @@ def wip_totals_batch(
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
-    s = _solve(model, p, fleet)
+    s = _solve(model, p, service_rates(model, fleet))
     if not s.stable[0]:
         _raise_unstable(model, s, 0)
     rho = s.rho[0]
@@ -387,46 +390,54 @@ def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     )
 
 
-def _wip_derivatives(model: RoutingModel, P, fleet: FleetConfig, hessian: bool = False):
-    """Exact free-coordinate WIP gradients (N, n) and, if asked, Hessians (N, n, n).
+def _wip_derivatives(
+    model: RoutingModel, P, mu: np.ndarray, hessian: bool = False, raise_unstable: bool = True
+):
+    """Exact free-coordinate WIP gradients (M, n), Hessians (M, n, n) if asked
+    (else None), and the (N,) stability mask of the p rows; M counts the
+    stable rows, in order.  `mu` is as for _solve.
 
     The adjoint of the traffic equations, after one batched solve for lam:
       w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b;
     differentiating once more, d_i lam = (I - R^T)^-1 d_iR^T lam and
     d_i w = (I - R)^-1 (d_iR w + 2 mu / (mu - lam)^3 d_i lam).
-    An unstable row raises the error a direct wip() call there raises; a
-    service rate too large for c or its slope in floating point raises
-    ValidationErrors.
+    An unstable row raises the error a direct wip() call there raises,
+    unless `raise_unstable` is off; then it is only left out.  A service
+    rate too large for c or its slope in floating point raises
+    ValidationErrors for the first such row and station.
     """
-    s = _solve(model, P, fleet, order=2 if hessian else 1)
-    if not s.stable.all():
-        _raise_unstable(model, s, int(np.argmin(s.stable)))
-    lam, mu, dR = s.lam, s.mu, s.dR
-    A = np.eye(lam.shape[1]) - s.R
+    s = _solve(model, P, mu, order=2 if hessian else 1)
+    stable, R, dR, d2R, lam, mu = s.stable, s.R, s.dR, s.d2R, s.lam, s.mu
+    if not stable.all():
+        if raise_unstable:
+            _raise_unstable(model, s, int(np.argmin(stable)))
+        R, dR, lam, mu = R[stable], dR[stable], lam[stable], mu[stable]
+        d2R = d2R[stable] if hessian else None
+    A = np.eye(lam.shape[1]) - R
     gap = np.where(mu > 0.0, mu - lam, 1.0)  # stable zero-vehicle stations see no traffic
     with np.errstate(over="ignore", invalid="ignore"):
         c, dc_dlam = mu / gap**2, 2.0 * mu / gap**3
-    finite = (np.isfinite(c) & np.isfinite(dc_dlam)).all(axis=0)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    bad = ~(np.isfinite(c) & np.isfinite(dc_dlam))
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
         raise ValidationErrors([
-            f"stations[{i}]: service rate {float(mu[i])!r} of station "
+            f"stations[{i}]: service rate {float(mu[row, i])!r} of station "
             f"{model.station_ids[i]} is too large for the WIP derivatives"
         ])
     w = np.linalg.solve(A, c[:, :, None])[:, :, 0]
     grads = np.einsum("njab,na,nb->nj", dR, lam, w)
     if not hessian:
-        return grads, None
+        return grads, None, stable
     rhs = np.einsum("niab,na->nib", dR, lam)[..., None]
     dlam = np.linalg.solve(np.swapaxes(A, 1, 2)[:, None], rhs)[..., 0]
     rhs = (np.einsum("niab,nb->nia", dR, w) + dc_dlam[:, None, :] * dlam)[..., None]
     dw = np.linalg.solve(A[:, None], rhs)[..., 0]
     hess = (
-        np.einsum("nijab,na,nb->nij", s.d2R, lam, w)
+        np.einsum("nijab,na,nb->nij", d2R, lam, w)
         + np.einsum("njab,nia,nb->nij", dR, dlam, w)
         + np.einsum("njab,na,nib->nij", dR, lam, dw)
     )
-    return grads, hess
+    return grads, hess, stable
 
 
 def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:
@@ -435,12 +446,12 @@ def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:
     Exact, by the adjoint of the traffic equations; an unstable p raises the
     same error a direct wip() call there would.
     """
-    return _wip_derivatives(model, p, fleet)[0][0]
+    return _wip_derivatives(model, p, service_rates(model, fleet))[0][0]
 
 
 def wip_hessian(model: RoutingModel, p, fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
     """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
-    grads, hess = _wip_derivatives(model, p, fleet, hessian=True)
+    grads, hess, _ = _wip_derivatives(model, p, service_rates(model, fleet), hessian=True)
     return grads[0], hess[0]
 
 
@@ -459,11 +470,16 @@ def steepest_feasible_direction(
     return tangent / norm, norm
 
 
-def projected_gradient(g: np.ndarray) -> tuple[np.ndarray, float]:
+def projected_gradient(g: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Free-coordinate gradient g embedded as (0, g_1..g_n) and projected onto
-    the sum-zero subspace, with that projection's norm (phi)."""
-    tangent = simplex.project_sum_zero(np.concatenate([[0.0], g]))
-    return tangent, float(np.linalg.norm(tangent))
+    the sum-zero subspace, with that projection's norm (phi).  For rows of
+    gradients (N, n) the tangents are (N, n + 1) and the norms (N,); each
+    row has the bits of its own one-row call."""
+    g = np.asarray(g, dtype=float)
+    tangent = simplex.project_sum_zero(np.concatenate([np.zeros(g.shape[:-1] + (1,)), g], axis=-1))
+    # a stacked 1 x 1 product sums like the one-row dot product; norm(axis=1) does not
+    norm = np.sqrt((tangent[..., None, :] @ tangent[..., :, None])[..., 0, 0])
+    return tangent, float(norm) if g.ndim == 1 else norm
 
 
 # --- monotonicity audit ------------------------------------------------------
@@ -528,7 +544,7 @@ def gradient_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Free-coordinate gradients at every grid point, one batched solve."""
     pts = np.vstack([np.asarray(p, dtype=float) for p in grid])
-    return pts, _wip_derivatives(model, pts, fleet)[0]
+    return pts, _wip_derivatives(model, pts, service_rates(model, fleet))[0]
 
 
 def check_monotonicity(

@@ -3,10 +3,18 @@
 The lower level searches the clipped probability simplex for the transfer
 point and tangent direction along which total WIP grows fastest; for a fixed
 point the best direction is closed-form (the projected gradient), so the
-search ascends the projected-gradient norm from several deterministic
+search ascends the projected-gradient norm phi from several deterministic
 low-discrepancy starts.  The upper level scans fleet configurations and
 keeps the feasible one whose worst case is smallest, tie-breaking toward
 fewer vehicles and then lexicographically smaller counts.
+
+Every (fleet, start) pair is one row of a single lockstep ascent: each step
+is one batched Hessian pass over the rows that just moved, one row-wise
+projection of the backtracking candidates and one batched phi pass over
+them.  Each row keeps its own step, line search and stopping tests, so it
+follows exactly the path it would follow alone; plan_fleet ascends the
+candidates that pass their constraint checks together, in groups that keep
+one Hessian batch under a fixed number of elements.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -42,6 +50,10 @@ ASCENT_MAX_ITERS = 500
 DELTA_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 100_000
 _MC_SEED = 7654321
+# elements of the largest array of one lockstep pass, the second routing
+# derivatives (rows, n, n, k, k), 8 MB of floats; plan_fleet ascends its
+# candidates in groups that stay under it, though never less than one
+_HESSIAN_BATCH_ELEMENTS = 1_000_000
 
 _STABILITY_ERRORS = (UnstableStation, ZeroVehicles, NonOpenNetwork)
 
@@ -159,36 +171,24 @@ class ConstraintReport:
         return out
 
 
-class _PhiTracker:
-    """Evaluates the projected-gradient norm and remembers the best point."""
-
-    def __init__(self, model, fleet):
-        self.model = model
-        self.fleet = fleet
-        self.best_p = None
-        self.best_v = -math.inf
-        self.evaluations = 0
-
-    def __call__(self, p: np.ndarray) -> float | None:
-        self.evaluations += 1
-        try:
-            v = queueing.projected_gradient(queueing.wip_gradient(self.model, p, self.fleet))[1]
-        except _STABILITY_ERRORS:
-            return None
-        if v > self.best_v:
-            self.best_v = v
-            self.best_p = np.array(p)
-        return v
+def _phi(model, P: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi, the projected-gradient norm, at each row of P under the service
+    rates of its row, and the stability mask; an unstable row reads -inf."""
+    grads, _, stable = queueing._wip_derivatives(model, P, mu, raise_unstable=False)
+    v = np.full(len(P), -np.inf)
+    v[stable] = queueing.projected_gradient(grads)[1]
+    return v, stable
 
 
-def _phi_gradient(model, fleet, p: np.ndarray) -> np.ndarray:
-    """Exact free-coordinate gradient of phi at a stable p: with t = Pi[0; g]
-    the projected gradient and H the WIP Hessian, grad phi = H^T t[1:] / phi."""
-    g, hess = queueing.wip_hessian(model, p, fleet)
-    tangent, v = queueing.projected_gradient(g)
-    if v == 0.0:
-        return np.zeros_like(g)
-    return hess.T @ tangent[1:] / v
+def _phi_gradient(grads: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Exact free-coordinate gradients of phi from rows of stable WIP
+    gradients (N, n) and Hessians (N, n, n): with t = Pi[0; g] the projected
+    gradient, grad phi = H^T t[1:] / phi, and 0 where phi = 0."""
+    tangent, v = queueing.projected_gradient(grads)
+    # stacked products: each row has the bits of its one-row hess.T @ t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.swapaxes(hess, 1, 2) @ tangent[:, 1:, None])[..., 0] / v[:, None]
+    return np.where(v[:, None] == 0.0, 0.0, out)
 
 
 def _search_bounds(dim: int, limits: PlannerLimits, p_nominal) -> tuple[np.ndarray, np.ndarray]:
@@ -223,54 +223,98 @@ def worst_case_direction(
     """Maximize the WIP directional derivative over the clipped simplex.
 
     Projected gradient ascent with backtracking line search from `starts`
-    deterministic Halton starts (plus the nominal point when given).  Start
-    points where no station is stable are skipped; if every start is
-    unstable the fleet admits no stable operating point and NoStablePoint
-    is raised.
+    deterministic Halton starts (plus the nominal point when given), all
+    advancing together as rows of one lockstep ascent, the one-fleet case of
+    plan_fleet's.  Start points where no station is stable are skipped; if
+    every start is unstable the fleet admits no stable operating point and
+    NoStablePoint is raised.
     """
+    (wc,) = _worst_cases(model, [fleet], limits, p_nominal, starts, max_iters)
+    if wc is None:
+        raise NoStablePoint("no stable transfer point found for this fleet")
+    return wc
+
+
+def _worst_cases(
+    model: RoutingModel,
+    fleets: Sequence[FleetConfig],
+    limits: PlannerLimits,
+    p_nominal,
+    starts: int = ASCENT_STARTS,
+    max_iters: int = ASCENT_MAX_ITERS,
+) -> list[WorstCase | None]:
+    """The worst case of each fleet, None where no start is stable.
+
+    Every (fleet, start) pair is a row, in fleet order and then start order.
+    A row at a new point gets its ascent direction from the Hessian pass; a
+    row with a direction tries the step alpha along it (projected back into
+    the box) in the phi pass, moves when phi rises by more than 1e-12 and
+    doubles its next step (at most 0.5), or halves alpha and tries again.
+    A row stops after max_iters directions, at a direction shorter than
+    1e-10, or when alpha falls to 1e-12.  Its best point is the first strict
+    maximum over all its evaluations, rejected candidates included; a
+    fleet's worst case is its best row, the earliest on ties.
+    """
+    if not fleets:
+        return []
     dim = model.wltp_dim
     lower, upper = _search_bounds(dim, limits, p_nominal)
-    phi = _PhiTracker(model, fleet)
-    start_pts = [
-        simplex.project_capped_simplex(row, lower, upper)
-        for row in simplex.halton_simplex(starts, dim)
-    ]
+    pts = simplex.halton_simplex(starts, dim)
     if p_nominal is not None:
-        start_pts.insert(
-            0, simplex.project_capped_simplex(np.asarray(p_nominal, dtype=float), lower, upper)
-        )
-    for p0 in start_pts:
-        v = phi(p0)
-        if v is None:
+        pts = np.vstack([np.asarray(p_nominal, dtype=float), pts])
+    if not len(pts):
+        return [None] * len(fleets)
+    per = len(pts)
+    P = np.tile(simplex.project_capped_simplex(pts, lower, upper), (len(fleets), 1))
+    mu = np.repeat([queueing.service_rates(model, f) for f in fleets], per, axis=0)
+    v, turning = _phi(model, P, mu)
+    best_v, best_p = v.copy(), P.copy()
+    step = np.full(len(P), 0.1)
+    alpha = np.zeros(len(P))
+    direction = np.zeros_like(P)
+    iters = np.zeros(len(P), dtype=int)
+    searching = np.zeros(len(P), dtype=bool)
+    while turning.any() or searching.any():
+        turn = np.flatnonzero(turning & (iters < max_iters))
+        turning[:] = False
+        if turn.size:
+            grads, hess, _ = queueing._wip_derivatives(model, P[turn], mu[turn], hessian=True)
+            d, gnorm = queueing.projected_gradient(_phi_gradient(grads, hess))
+            keep = ~(gnorm < 1e-10)
+            turn = turn[keep]
+            direction[turn] = d[keep] / gnorm[keep, None]
+            alpha[turn] = step[turn]
+            iters[turn] += 1
+            searching[turn] = alpha[turn] > 1e-12
+        look = np.flatnonzero(searching)
+        if not look.size:
             continue
-        p = p0
-        step = 0.1
-        for _ in range(max_iters):
-            grad = _phi_gradient(model, fleet, p)
-            direction, gnorm = queueing.projected_gradient(grad)
-            if gnorm < 1e-10:
-                break
-            direction /= gnorm
-            alpha, moved = step, False
-            while alpha > 1e-12:
-                cand = simplex.project_capped_simplex(p + alpha * direction, lower, upper)
-                vc = phi(cand)
-                if vc is not None and vc > v + 1e-12:
-                    p, v = cand, vc
-                    step = min(alpha * 2.0, 0.5)
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                break
-    if phi.best_p is None:
-        raise NoStablePoint("no stable transfer point found for this fleet")
-    x_star, v_star = queueing.steepest_feasible_direction(model, phi.best_p, fleet)
-    return WorstCase(
-        p_star=tuple(float(x) for x in phi.best_p),
-        x_star=tuple(float(x) for x in x_star),
-        v_star=float(v_star),
-    )
+        cand = simplex.project_capped_simplex(
+            P[look] + alpha[look, None] * direction[look], lower, upper
+        )
+        vc, _ = _phi(model, cand, mu[look])
+        better = vc > best_v[look]
+        best_v[look[better]], best_p[look[better]] = vc[better], cand[better]
+        up = vc > v[look] + 1e-12
+        moved, failed = look[up], look[~up]
+        P[moved], v[moved] = cand[up], vc[up]
+        step[moved] = np.minimum(alpha[moved] * 2.0, 0.5)
+        searching[moved], turning[moved] = False, True
+        alpha[failed] *= 0.5
+        searching[failed] = alpha[failed] > 1e-12
+    out = []
+    for f, fleet in enumerate(fleets):
+        row = f * per + int(np.argmax(best_v[f * per:(f + 1) * per]))
+        if best_v[row] == -np.inf:
+            out.append(None)
+            continue
+        x_star, v_star = queueing.steepest_feasible_direction(model, best_p[row], fleet)
+        out.append(WorstCase(
+            p_star=tuple(float(x) for x in best_p[row]),
+            x_star=tuple(float(x) for x in x_star),
+            v_star=float(v_star),
+        ))
+    return out
 
 
 def probe_wip_extremes(
@@ -292,9 +336,7 @@ def probe_wip_extremes(
     lower = np.full(dim, CLIP_ETA)
     upper = np.full(dim, 1.0 - CLIP_ETA)
     dirs = simplex.unit_directions(directions, dim)
-    probes = np.vstack(
-        [simplex.project_capped_simplex(p + epsilon * d, lower, upper) for d in dirs]
-    )
+    probes = simplex.project_capped_simplex(p + epsilon * dirs, lower, upper)
     batch = np.vstack([p[None, :], probes])
     totals, stable = queueing.wip_totals_batch(model, batch, fleet)
     if not stable[0]:
@@ -502,25 +544,28 @@ def _order_key(v_star: float, fleet: FleetConfig):
     return (v_star, fleet.total, fleet.counts)
 
 
-def _evaluate_candidate(model, fleet, limits, p_nominal) -> tuple[CandidateOutcome, WorstCase | None, ConstraintReport]:
-    report = check_constraints(model, p_nominal, fleet, limits)
-    passed = {c.key: c.passed for c in report.checks}
-    nominal = report["nominal_wip"].measured
-    nominal_val = nominal if math.isfinite(nominal) else None
-    if not report.all_passed:
-        outcome = CandidateOutcome(
-            fleet, False, report.failed_keys, None, nominal_val, passed
-        )
-        return outcome, None, report
-    try:
-        wc = worst_case_direction(model, fleet, limits, p_nominal)
-    except NoStablePoint:
-        outcome = CandidateOutcome(
-            fleet, False, ("no_stable_point",), None, nominal_val, passed
-        )
-        return outcome, None, report
-    outcome = CandidateOutcome(fleet, True, (), wc.v_star, nominal_val, passed)
-    return outcome, wc, report
+def _evaluate_group(
+    model, fleets, limits, p_nominal
+) -> list[tuple[CandidateOutcome, WorstCase | None, ConstraintReport]]:
+    """(outcome, worst case or None, constraint report) of each fleet, in
+    order: every fleet's constraints are checked first, then the fleets that
+    pass them are ascended in one lockstep."""
+    reports = [check_constraints(model, p_nominal, fleet, limits) for fleet in fleets]
+    passing = [fleet for fleet, report in zip(fleets, reports) if report.all_passed]
+    worst = iter(_worst_cases(model, passing, limits, p_nominal))
+    out = []
+    for fleet, report in zip(fleets, reports):
+        wc = next(worst) if report.all_passed else None
+        passed = {c.key: c.passed for c in report.checks}
+        nominal = report["nominal_wip"].measured
+        nominal_val = nominal if math.isfinite(nominal) else None
+        if wc is not None:
+            outcome = CandidateOutcome(fleet, True, (), wc.v_star, nominal_val, passed)
+        else:
+            reasons = report.failed_keys if not report.all_passed else ("no_stable_point",)
+            outcome = CandidateOutcome(fleet, False, reasons, None, nominal_val, passed)
+        out.append((outcome, wc, report))
+    return out
 
 
 def plan_fleet(
@@ -533,24 +578,30 @@ def plan_fleet(
     """Pick the feasible fleet with the smallest worst-case WIP growth rate.
 
     `candidates` is a FleetCandidateSpace or any iterable of FleetConfig.
-    Spaces up to `exhaustive_limit` configurations are enumerated outright;
-    larger spaces fall back to coordinate descent over vehicle counts from
-    the largest config that fits under c_max, accepting only moves that
-    improve the (v_star, total, counts) ordering.  The search mode used is
-    recorded on the result.
+    Spaces up to `exhaustive_limit` configurations are enumerated outright,
+    in groups of consecutive candidates: a group's constraint checks run
+    first, then one lockstep ascent of its passing candidates.  Larger
+    spaces fall back to coordinate descent over vehicle counts from the
+    largest config that fits under c_max, accepting only moves that improve
+    the (v_star, total, counts) ordering.  The search mode used is recorded
+    on the result.
     """
     if isinstance(candidates, FleetCandidateSpace) and candidates.count > exhaustive_limit:
         return _plan_descent(model, candidates, limits, p_nominal)
+    rows = ASCENT_STARTS + (p_nominal is not None)
+    n, k = model.wltp_dim - 1, len(model.stations)
+    group = max(1, _HESSIAN_BATCH_ELEMENTS // max(1, rows * n * n * k * k))
     examined: list[CandidateOutcome] = []
     best = None  # (key, outcome, wc, report)
-    for fleet in candidates:
-        outcome, wc, report = _evaluate_candidate(model, fleet, limits, p_nominal)
-        examined.append(outcome)
-        if wc is None:
-            continue
-        key = _order_key(wc.v_star, fleet)
-        if best is None or key < best[0]:
-            best = (key, outcome, wc, report)
+    fleets = iter(candidates)
+    while chunk := list(itertools.islice(fleets, group)):
+        for outcome, wc, report in _evaluate_group(model, chunk, limits, p_nominal):
+            examined.append(outcome)
+            if wc is None:
+                continue
+            key = _order_key(wc.v_star, outcome.fleet)
+            if best is None or key < best[0]:
+                best = (key, outcome, wc, report)
     if best is None:
         raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
     _, outcome, wc, report = best
@@ -583,7 +634,7 @@ def _plan_descent(model, space, limits, p_nominal) -> PlanResult:
 
     def evaluate(fleet: FleetConfig):
         if fleet.counts not in cache:
-            result = _evaluate_candidate(model, fleet, limits, p_nominal)
+            (result,) = _evaluate_group(model, [fleet], limits, p_nominal)
             cache[fleet.counts] = result
             examined.append(result[0])
         return cache[fleet.counts]

@@ -45,6 +45,7 @@ from .errors import (
     ScenarioValidationError,
     SchemaVersionUnsupported,
     ValidationErrors,
+    shown,
 )
 from .netflow import Edge, NodeKind, edge_errors, node_errors
 from .queueing import (
@@ -664,13 +665,15 @@ def resolve_scenario_raw(ref: str) -> dict:
     except FileNotFoundError:
         if ref not in fixture_catalog():
             raise IoError(
-                f"scenario '{ref}' is neither a readable file nor a bundled fixture"
+                f"scenario {shown(ref)} is neither a readable file nor a bundled fixture"
             ) from None
         text = (_fixture_root() / f"{ref}.json").read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
     except (OSError, ValueError) as exc:
-        raise IoError(f"cannot read scenario file {ref}: {exc}") from exc
+        # an OSError's own text repeats the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise IoError(f"cannot read scenario file {shown(ref)}: {reason}") from exc
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

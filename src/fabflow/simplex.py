@@ -14,9 +14,10 @@ _DIRECTION_SEED = 20260823
 
 
 def project_sum_zero(v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the tangent space {x : sum(x) = 0}."""
+    """Orthogonal projection onto the tangent space {x : sum(x) = 0}, of one
+    vector or of each row of a matrix."""
     v = np.asarray(v, dtype=float)
-    return v - v.mean()
+    return v - v.mean(axis=-1, keepdims=True)
 
 
 def _radical_inverse(index: int, base: int) -> float:
@@ -68,23 +69,40 @@ def halton_simplex(count: int, dim: int) -> np.ndarray:
 def project_capped_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {p : sum(p) = 1, lower <= p <= upper}.
 
+    `v` is one point (d,) or one point per row (N, d); `lower` and `upper`
+    broadcast against it, and each row has the bits of its own one-row call.
     The projection is clip(v - tau, lower, upper) for the dual shift tau
     solving s(tau) = 1, where s(tau) = sum(clip(v - tau, lower, upper)) is
     non-increasing and piecewise linear with kinks at v - upper and v - lower.
     Evaluating s at the sorted kinks brackets s = 1, and linear interpolation
     between the bracketing kinks gives tau exactly (Kiwiel, Math. Program.
-    2008).  Requires sum(lower) <= 1 <= sum(upper).
+    2008).  Requires sum(lower) <= 1 <= sum(upper) in every row.
     """
     v = np.asarray(v, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
-    if lower.sum() > 1.0 + 1e-12 or upper.sum() < 1.0 - 1e-12:
+    if (lower.sum(axis=-1) > 1.0 + 1e-12).any() or (upper.sum(axis=-1) < 1.0 - 1e-12).any():
         raise ValueError("capped simplex is empty for these bounds")
-    kinks = np.unique(np.concatenate([v - upper, v - lower]))
-    sums = np.clip(v - kinks[:, None], lower, upper).sum(axis=1)
-    # reversed, s rises through the kinks and is linear between them, so
-    # interpolating it at 1 is exact; outside the kinks it clamps to a bound
-    tau = np.interp(1.0, sums[::-1], kinks[::-1])
+    kinks = np.sort(np.concatenate([v - upper, v - lower], axis=-1), axis=-1)
+    sums = np.clip(v[..., None, :] - kinks[..., :, None], lower[..., None, :], upper[..., None, :]).sum(axis=-1)
+    # s falls through the ascending kinks, exactly so in floating point (each
+    # term is monotone and the summation order is fixed); tau is np.interp(1,
+    # s reversed, kinks reversed): the kink where s first reaches 1 (lo) and
+    # the one before it (hi) bracket it, and outside the kinks it clamps to
+    # the first or last one.  Repeated kinks change neither bracket.
+    above = (sums > 1.0).sum(axis=-1, keepdims=True)
+    last = kinks.shape[-1] - 1
+    k_lo, s_lo = (np.take_along_axis(a, np.minimum(above, last), axis=-1) for a in (kinks, sums))
+    k_hi, s_hi = (np.take_along_axis(a, np.maximum(above - 1, 0), axis=-1) for a in (kinks, sums))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = (k_hi - k_lo) / (s_hi - s_lo)
+        tau = slope * (1.0 - s_lo) + k_lo
+        # np.interp's fallback when that is NaN: from the other end, then the flat value
+        back = slope * (1.0 - s_hi) + k_hi
+    back = np.where(np.isnan(back) & (k_lo == k_hi), k_lo, back)
+    tau = np.where(np.isnan(tau), back, tau)
+    tau = np.where((s_lo == 1.0) | (above == 0), k_lo, tau)
+    tau = np.where(above > last, kinks[..., -1:], tau)
     return np.clip(v - tau, lower, upper)
 
 

@@ -4,18 +4,26 @@ Everything here trades speed for obviousness: plain loops, scalar calls,
 exhaustive enumeration.  The real package must agree with these.
 """
 import itertools
+import math
 
 import numpy as np
 
+from fabflow import simplex
+from fabflow.errors import NonOpenNetwork, NoStablePoint, UnstableStation, ZeroVehicles
 from fabflow.queueing import (
     FleetConfig,
     RoutingModel,
     StationKind,
     StationProfile,
     gradient_grid,
+    projected_gradient,
+    steepest_feasible_direction,
     traffic_equations,
     wip,
+    wip_gradient,
+    wip_hessian,
 )
+from fabflow.robust_planner import ASCENT_MAX_ITERS, ASCENT_STARTS, WorstCase, _search_bounds
 from fabflow.scheduler import Assignment, evaluate_schedule
 
 
@@ -214,3 +222,89 @@ def clipped_simplex_lattice(dim, eta, m):
         np.array([eta + a * span / m for a in combo])
         for combo in integer_compositions(m, dim)
     ]
+
+
+def interp_projection(v, lower, upper):
+    """Capped-simplex projection of one point the direct way: s(tau) at the
+    distinct sorted kinks, and tau = np.interp(1, s reversed, kinks reversed)."""
+    kinks = np.unique(np.concatenate([v - upper, v - lower]))
+    sums = np.clip(v - kinks[:, None], lower, upper).sum(axis=1)
+    tau = np.interp(1.0, sums[::-1], kinks[::-1])
+    return np.clip(v - tau, lower, upper)
+
+
+class _PhiTracker:
+    """Evaluates the projected-gradient norm and remembers the best point."""
+
+    def __init__(self, model, fleet):
+        self.model = model
+        self.fleet = fleet
+        self.best_p = None
+        self.best_v = -math.inf
+
+    def __call__(self, p):
+        try:
+            v = projected_gradient(wip_gradient(self.model, p, self.fleet))[1]
+        except (UnstableStation, ZeroVehicles, NonOpenNetwork):
+            return None
+        if v > self.best_v:
+            self.best_v = v
+            self.best_p = np.array(p)
+        return v
+
+
+def sequential_worst_case(
+    model, fleet, limits, p_nominal=None, starts=ASCENT_STARTS, max_iters=ASCENT_MAX_ITERS
+):
+    """The worst-case ascent one start at a time, on one-row calls.
+
+    Each start runs projected gradient ascent on phi with a backtracking line
+    search to the end before the next one begins; the phi gradient is
+    H^T t[1:] / phi from the one-row Hessian.  The lockstep ascent must give
+    the same WorstCase bit for bit.
+    """
+    dim = model.wltp_dim
+    lower, upper = _search_bounds(dim, limits, p_nominal)
+    phi = _PhiTracker(model, fleet)
+    start_pts = [
+        simplex.project_capped_simplex(row, lower, upper)
+        for row in simplex.halton_simplex(starts, dim)
+    ]
+    if p_nominal is not None:
+        start_pts.insert(
+            0, simplex.project_capped_simplex(np.asarray(p_nominal, dtype=float), lower, upper)
+        )
+    for p0 in start_pts:
+        v = phi(p0)
+        if v is None:
+            continue
+        p = p0
+        step = 0.1
+        for _ in range(max_iters):
+            g, hess = wip_hessian(model, p, fleet)
+            tangent, norm = projected_gradient(g)
+            grad = np.zeros_like(g) if norm == 0.0 else hess.T @ tangent[1:] / norm
+            direction, gnorm = projected_gradient(grad)
+            if gnorm < 1e-10:
+                break
+            direction /= gnorm
+            alpha, moved = step, False
+            while alpha > 1e-12:
+                cand = simplex.project_capped_simplex(p + alpha * direction, lower, upper)
+                vc = phi(cand)
+                if vc is not None and vc > v + 1e-12:
+                    p, v = cand, vc
+                    step = min(alpha * 2.0, 0.5)
+                    moved = True
+                    break
+                alpha *= 0.5
+            if not moved:
+                break
+    if phi.best_p is None:
+        raise NoStablePoint("no stable transfer point found for this fleet")
+    x_star, v_star = steepest_feasible_direction(model, phi.best_p, fleet)
+    return WorstCase(
+        p_star=tuple(float(x) for x in phi.best_p),
+        x_star=tuple(float(x) for x in x_star),
+        v_star=float(v_star),
+    )

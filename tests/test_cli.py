@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fabflow import cli
 from fabflow.cli import main
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 from fabflow.scheduler import AcoParams, GaParams, SaParams
@@ -623,3 +624,54 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("fixtures=")
+
+
+def test_parser_is_reused_and_keeps_no_state(capsys):
+    calls = [
+        ("wip", "--scenario", "queueing_reference", "--set", "nominal_fleet.0=2", "--set", "metadata.note=x"),
+        ("wip", "--scenario", "queueing_reference"),
+        ("maxflow", "--scenario", "fig9_baseline", "--seed", "7"),
+        ("maxflow", "--scenario", "fig9_baseline"),
+        ("mincost", "--scenario", "fig9_baseline", "--demand", "10000", "--set", "metadata.note=y"),
+        ("wip", "--scenario", "queueing_reference", "--set", "stations=5"),
+        ("fixtures",),
+        ("wip", "--bogus"),
+        ("wip", "--scenario", "queueing_reference"),
+    ]
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert reused[1] == reused[-1]
+    parser = cli._parser()
+    assert parser is cli._parser()
+    assert parser.parse_args(["wip", "--scenario", "x", "--set", "a=1"]).set == ["a=1"]
+    assert parser.parse_args(["wip", "--scenario", "x"]).set is None
+    assert parser.parse_args(["wip", "--scenario", "x", "--set", "b=2"]).set == ["b=2"]
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fabflow.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "--scenario", "planner_small", "--set", "limits.c_max=" + "9" * 5001),
+        ("plan", "--scenario", "a" * 3000),
+    ],
+    ids=["long_value", "long_path"],
+)
+def test_problem_messages_echo_bounded_values(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out.startswith("error=")
+    assert len(err) < 300
+    assert "characters)" in err

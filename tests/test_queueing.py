@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
+from fabflow import queueing
 from fabflow.errors import (
     InvalidRouting,
     NonOpenNetwork,
@@ -20,6 +21,7 @@ from fabflow.queueing import (
     check_monotonicity,
     grid_from_axes,
     parse_routing_expr,
+    projected_gradient,
     routing_expr_to_str,
     service_rates,
     steepest_feasible_direction,
@@ -280,6 +282,54 @@ def test_wip_kernel_contract_on_mixed_rows():
             assert outcome(wip_gradient, model, p, fleet) == out
         if out and out[0] is NonOpenNetwork:
             assert outcome(traffic_equations, model, p) == out
+
+
+def test_mixed_fleet_batch_matches_one_row_calls():
+    model, P, _ = mixed_batch()
+    fleets = [FleetConfig((3, 0)), FleetConfig((3, 2)), FleetConfig((1, 1)), FleetConfig((0, 0)), FleetConfig((6, 1))]
+    rows = [fleets[i % len(fleets)] for i in range(len(P))]
+    mu = np.array([service_rates(model, f) for f in rows])
+    s = queueing._solve(model, P, mu)
+    grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
+    first, _, stable_first = queueing._wip_derivatives(model, P, mu, raise_unstable=False)
+    np.testing.assert_array_equal(stable, stable_first)
+    np.testing.assert_array_equal(first, grads)
+    assert len(grads) == stable.sum()
+    stable_rows = iter(range(len(grads)))
+    kinds = set()
+    for p, fleet, ok, lam, rho in zip(P, rows, stable, s.lam, s.rho):
+        one = queueing._solve(model, p, service_rates(model, fleet))
+        np.testing.assert_array_equal(lam, one.lam[0])
+        np.testing.assert_array_equal(rho, one.rho[0])
+        out = outcome(wip_gradient, model, p, fleet)
+        kinds.add(out[0] if out else None)
+        assert ok == (out is None)
+        if ok:
+            r = next(stable_rows)
+            g, h = wip_hessian(model, p, fleet)
+            np.testing.assert_array_equal(grads[r], g)
+            np.testing.assert_array_equal(hess[r], h)
+        else:
+            assert out == outcome(wip, model, p, fleet)
+    assert kinds == {None, UnstableStation, ZeroVehicles, NonOpenNetwork}
+    # raising instead, the batch raises the error of its first unstable row
+    first_bad = int(np.argmin(stable))
+    assert outcome(queueing._wip_derivatives, model, P, mu) == outcome(
+        wip_gradient, model, P[first_bad], rows[first_bad]
+    )
+
+
+def test_rowwise_projected_gradient_matches_one_row_calls():
+    rng = np.random.default_rng(12)
+    model, P, fleet = mixed_batch()
+    sets = [queueing._wip_derivatives(model, P, service_rates(model, fleet), raise_unstable=False)[0]]
+    sets += [rng.normal(size=(50, n)) * rng.choice([1e-6, 1.0, 1e6], size=(50, 1)) for n in range(1, 15)]
+    for G in sets:
+        tangents, norms = projected_gradient(G)
+        for g, t, v in zip(G, tangents, norms):
+            t1, v1 = projected_gradient(g)
+            np.testing.assert_array_equal(t, t1)
+            assert v == v1 and isinstance(v1, float)
 
 
 # --- gradients ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from fabflow import simplex
+from fabflow import robust_planner, simplex
 from fabflow.errors import NoFeasibleFleet, NoStablePoint, ValidationErrors
 from fabflow.queueing import (
     FleetConfig,
@@ -18,6 +18,7 @@ from fabflow.queueing import (
     build_routing_model,
     steepest_feasible_direction,
     wip,
+    wip_hessian,
     wip_totals_batch,
 )
 from fabflow.robust_planner import (
@@ -25,6 +26,7 @@ from fabflow.robust_planner import (
     FleetCandidateSpace,
     PlannerLimits,
     _phi_gradient,
+    _worst_cases,
     check_constraints,
     delta_wip,
     plan_fleet,
@@ -128,6 +130,32 @@ def test_capped_projection_stays_feasible_and_is_closest():
         shift = v - p
         at_lower, at_upper = p <= lower + 1e-12, p >= upper - 1e-12
         assert shift[~at_upper].max(initial=-np.inf) <= shift[~at_lower].min(initial=np.inf) + 1e-9
+
+
+def test_rowwise_projection_matches_one_row_calls():
+    rng = np.random.default_rng(8)
+    for dim in range(2, 15):
+        nominal = rng.dirichlet(np.ones(dim))
+        pinned = np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
+        pinned[0][0] = pinned[1][0] = nominal[0]  # one coordinate fixed: its two kinks coincide
+        boxes = [
+            (np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)),
+            (np.maximum(CLIP_ETA, nominal - 0.05), np.minimum(1.0 - CLIP_ETA, nominal + 0.05)),
+            pinned,
+        ]
+        rows = np.vstack([
+            nominal + rng.normal(size=(40, dim)) * rng.choice([1e-3, 0.1, 3.0], size=(40, 1)),
+            np.round(rng.normal(size=(20, dim)), 1),              # tied coordinates
+            np.repeat(rng.normal(size=(10, 1)), dim, axis=1),     # all tied: every kink repeated
+            10.0 * rng.choice([-1.0, 1.0], size=(10, dim)),       # rows clamped to the box
+        ])
+        for lower, upper in boxes:
+            if lower.sum() > 1.0 or upper.sum() < 1.0:
+                continue
+            batch = simplex.project_capped_simplex(rows, lower, upper)
+            for v, got in zip(rows, batch):
+                np.testing.assert_array_equal(got, simplex.project_capped_simplex(v, lower, upper))
+                np.testing.assert_array_equal(got, support.interp_projection(v, lower, upper))
 
 
 def test_halton_extends_past_twelve_dimensions():
@@ -239,9 +267,70 @@ def test_phi_gradient_matches_scalar_oracle():
     model, p_nom, fleet = hub()
     cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]), np.array([0.55, 0.15, 0.3]))]
     for model, p, fleet in cases:
-        exact = _phi_gradient(model, fleet, p)
+        g, hess = wip_hessian(model, p, fleet)
+        exact = _phi_gradient(g[None], hess[None])[0]
         slow = support.central_phi_gradient(model, p, fleet)
         np.testing.assert_allclose(exact, slow, rtol=1e-4, atol=1e-6)
+
+
+# --- lockstep ascent against the sequential oracle ---------------------------
+
+def oracle(model, fleet, limits, p_nominal, **effort):
+    try:
+        return support.sequential_worst_case(model, fleet, limits, p_nominal, **effort)
+    except NoStablePoint:
+        return None
+
+
+def test_lockstep_matches_oracle_on_every_feasible_candidate():
+    model, p, limits = small()
+    space = load_fixture("planner_small").fleet_candidates
+    fleets = [f for f in space if check_constraints(model, p, f, limits).all_passed]
+    assert len(fleets) == 15
+    assert _worst_cases(model, fleets, limits, p) == [oracle(model, f, limits, p) for f in fleets]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 14])
+def test_lockstep_matches_oracle_on_hubs(dim):
+    model, p_nom, fleet = wide_hub(dim)
+    limits = PlannerLimits(c_max=4, w_star=math.inf, u=math.inf, delta_wip_max=math.inf)
+    effort = {"starts": 3, "max_iters": 8} if dim == 14 else {"starts": 6, "max_iters": 40}
+    # one vehicle is unstable everywhere, two are stable only where p_0 is large
+    fleets = [fleet, FleetConfig((1,)), FleetConfig((2,))]
+    for nominal in (p_nom, None):
+        got = _worst_cases(model, fleets, limits, nominal, **effort)
+        assert got == [oracle(model, f, limits, nominal, **effort) for f in fleets]
+        assert got[0] is not None and got[1] is None
+
+
+def test_lockstep_matches_oracle_on_boxes_unstable_starts_and_short_runs():
+    model, p, limits = small()
+    near = dataclasses.replace(limits, p_neighborhood_radius=0.05)
+    assert _worst_cases(model, [FleetConfig((1, 3))], near, p) == [oracle(model, FleetConfig((1, 3)), near, p)]
+    hub_model, hub_p, _ = hub()
+    lower, upper = np.full(3, CLIP_ETA), np.full(3, 1.0 - CLIP_ETA)
+    starts = simplex.project_capped_simplex(simplex.halton_simplex(16, 3), lower, upper)
+    stable = wip_totals_batch(hub_model, starts, FleetConfig((2,)))[1]
+    assert stable.any() and not stable.all()
+    fleets = [FleetConfig((2,)), FleetConfig((1,)), FleetConfig((3,))]
+    for nominal in (hub_p, None):
+        got = _worst_cases(hub_model, fleets, limits, nominal, max_iters=40)
+        assert got == [oracle(hub_model, f, limits, nominal, max_iters=40) for f in fleets]
+        assert got[0] is not None and got[1] is None
+    for max_iters in (0, 1):
+        fleets = [FleetConfig((1, 2)), FleetConfig((1, 5))]
+        got = _worst_cases(model, fleets, limits, p, max_iters=max_iters)
+        assert got == [oracle(model, f, limits, p, max_iters=max_iters) for f in fleets]
+
+
+@pytest.mark.parametrize("groups_of", [1, 4])
+def test_plan_is_the_same_in_smaller_groups(monkeypatch, groups_of):
+    model, p, limits = small()
+    space = load_fixture("planner_small").fleet_candidates
+    whole = plan_fleet(model, space, limits, p)
+    per_candidate = (robust_planner.ASCENT_STARTS + 1) * (model.wltp_dim - 1) ** 2 * len(model.stations) ** 2
+    monkeypatch.setattr(robust_planner, "_HESSIAN_BATCH_ELEMENTS", groups_of * per_candidate)
+    assert plan_fleet(model, space, limits, p) == whole
 
 
 # --- fluctuation probes ------------------------------------------------------
