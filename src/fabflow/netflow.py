@@ -127,9 +127,9 @@ def make_network(
     source: str,
     sink: str,
 ) -> FlowNetwork:
-    """Validated constructor used by tests and by build_network: raises
-    DuplicateNode, NoOriginOrDestination, or ValidationErrors listing every
-    edge problem."""
+    """Validated constructor for networks that did not come through the
+    scenario reader: raises DuplicateNode, NoOriginOrDestination, or
+    ValidationErrors listing every edge problem."""
     node_map: dict[str, NodeKind] = {}
     for node_id, kind in nodes:
         problems = node_errors(node_id, node_map)
@@ -154,31 +154,35 @@ def build_network(scenario) -> FlowNetwork:
     Production nodes act as origins, destination nodes as sinks.  With more
     than one origin (or destination) a synthetic super source (super sink) is
     attached by zero-cost edges whose capacity exceeds any possible flow
-    (sum of all finite capacities plus one).
+    (sum of all finite capacities plus one).  The scenario reader has checked
+    the declared nodes and edges, so they are not checked again; a declared
+    node that takes a synthetic terminal's id raises DuplicateNode.
     """
     section = getattr(scenario, "network", None)
     if section is None:
         raise NoOriginOrDestination("scenario has no network section")
-    declared = list(section.nodes)
+    nodes = dict(section.nodes)
     edges = list(section.edges)
-    origins = [nid for nid, kind in declared if kind == NodeKind.PRODUCTION]
-    dests = [nid for nid, kind in declared if kind == NodeKind.DESTINATION]
+    origins = [nid for nid, kind in section.nodes if kind == NodeKind.PRODUCTION]
+    dests = [nid for nid, kind in section.nodes if kind == NodeKind.DESTINATION]
     if not origins or not dests:
         raise NoOriginOrDestination("scenario declares no origin or no destination node")
     unlimited = sum(e.capacity_kg for e in edges) + 1
-    if len(origins) == 1:
-        source = origins[0]
-    else:
+    source, sink, synthetic = origins[0], dests[0], []
+    if len(origins) > 1:
         source = SOURCE_ID
-        declared.append((SOURCE_ID, NodeKind.SOURCE))
+        synthetic.append((SOURCE_ID, NodeKind.SOURCE))
         edges.extend(Edge(SOURCE_ID, nid, unlimited) for nid in origins)
-    if len(dests) == 1:
-        sink = dests[0]
-    else:
+    if len(dests) > 1:
         sink = SINK_ID
-        declared.append((SINK_ID, NodeKind.SINK))
+        synthetic.append((SINK_ID, NodeKind.SINK))
         edges.extend(Edge(nid, SINK_ID, unlimited) for nid in dests)
-    return make_network(declared, edges, source, sink)
+    for node_id, kind in synthetic:
+        problems = node_errors(node_id, nodes)
+        if problems:
+            raise DuplicateNode(problems[0])
+        nodes[node_id] = kind
+    return FlowNetwork(nodes=nodes, edges=tuple(edges), source=source, sink=sink)
 
 
 # --- residual graph machinery ----------------------------------------------

@@ -9,11 +9,13 @@ is rho / (1 - rho).
 
 One batched pass, `_solve`, computes all of this for a batch of p rows:
 the routing matrices (and, when asked, their derivatives), one linear solve
-for the arrival rates, the utilizations under one fleet's service rates or
-under service rates per row, and a per-row stability mask.  `wip`,
+for the arrival rates, then the utilizations under one fleet's service
+rates or under service rates per row, and a per-row stability mask.  `wip`,
 `wip_totals_batch`, `traffic_equations` and the derivatives only read it;
 an unstable row raises NonOpenNetwork, else ZeroVehicles, else
-UnstableStation for its first offending station.
+UnstableStation for its first offending station.  The arrival rates depend
+on p alone, so the planner solves them once and reads each fleet's
+utilizations from them by the same rule, `_utilization`.
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
@@ -288,12 +290,10 @@ def _solve(model: RoutingModel, P, mu: np.ndarray | None, order: int = 0) -> _Pa
 
     Solves lambda = gamma + R(p)^T lambda for every row at once.  A row is
     not open (NaN arrival rates) when the spectral radius of R is at or above
-    1, or the solution is negative or leaves too large a residual.  Then
-    rho = lambda / mu, except that a zero-vehicle station reads 0 when idle
-    and inf under traffic; NaN fails the stability test, so a row that is
-    not open is never stable.  `mu` holds the service rates, (k,) for one
-    fleet or (N, k) for a fleet per row; without them only the traffic is
-    solved.
+    1, or the solution is negative or leaves too large a residual.  Then the
+    utilizations and the stability mask follow by _utilization.  `mu` holds
+    the service rates, (k,) for one fleet or (N, k) for a fleet per row;
+    without them only the traffic is solved.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     R, dR, d2R = _routing(model, P, order)
@@ -314,25 +314,43 @@ def _solve(model: RoutingModel, P, mu: np.ndarray | None, order: int = 0) -> _Pa
     lam = np.maximum(lam, 0.0)
     if mu is None:
         return _Pass(R, dR, d2R, lam, None, None, None)
+    return _Pass(R, dR, d2R, lam, *_utilization(lam, mu))
+
+
+def _utilization(lam: np.ndarray, mu: np.ndarray):
+    """The utilization rule: service rates broadcast to the (N, k) arrival
+    rates, rho = lambda / mu, except that a zero-vehicle station reads 0 when
+    idle and inf under traffic, and the (N,) mask of rows whose every station
+    sits at rho <= 1 - STABILITY_MARGIN; NaN arrival rates fail it."""
     mu = np.broadcast_to(mu, lam.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = lam / mu
     rho = np.where((mu <= 0.0) & (lam <= _ARRIVAL_EPS), 0.0, rho)
     rho = np.where((mu <= 0.0) & (lam > _ARRIVAL_EPS), np.inf, rho)
-    return _Pass(R, dR, d2R, lam, mu, rho, (rho <= 1.0 - STABILITY_MARGIN).all(axis=1))
+    return mu, rho, (rho <= 1.0 - STABILITY_MARGIN).all(axis=1)
 
 
-def _raise_unstable(model: RoutingModel, s: _Pass, row: int):
-    """Raise the error of an unstable row: NonOpenNetwork, else ZeroVehicles,
-    else UnstableStation, each for the first station it applies to."""
-    lam, mu, rho = s.lam[row], s.mu[row], s.rho[row]
+def _instability(model: RoutingModel, lam: np.ndarray, mu: np.ndarray) -> Exception:
+    """The error of an unstable row, given its arrival and service rates:
+    NonOpenNetwork, else ZeroVehicles, else UnstableStation, each for the
+    first station it applies to."""
     if np.isnan(lam).any():
-        raise NonOpenNetwork(_NOT_OPEN)
+        return NonOpenNetwork(_NOT_OPEN)
     zero = np.flatnonzero((mu <= 0.0) & (lam > _ARRIVAL_EPS))
     if zero.size:
-        raise ZeroVehicles(model.station_ids[zero[0]])
+        return ZeroVehicles(model.station_ids[zero[0]])
+    rho = _utilization(lam[None], mu)[1][0]
     i = np.flatnonzero(rho > 1.0 - STABILITY_MARGIN)[0]
-    raise UnstableStation(model.station_ids[i], rho[i])
+    return UnstableStation(model.station_ids[i], rho[i])
+
+
+def _wip_totals(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total WIP of each row of arrival rates under the service rates mu (as
+    for _utilization), NaN where the row is unstable, and the stability mask."""
+    _, rho, stable = _utilization(lam, mu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        totals = (rho / (1.0 - rho)).sum(axis=1)
+    return np.where(stable, totals, np.nan), stable
 
 
 def traffic_equations(model: RoutingModel, p) -> np.ndarray:
@@ -366,20 +384,18 @@ def wip_totals_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total WIP for each p row; unstable (or non-open) rows give NaN.
 
-    The workhorse behind the planner's searches; one call means one batched
-    linear solve.
+    One call means one batched linear solve.  The planner reads the same
+    totals by _wip_totals from arrival rates it shares among its fleets.
     """
-    s = _solve(model, P, service_rates(model, fleet))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        totals = (s.rho / (1.0 - s.rho)).sum(axis=1)
-    return np.where(s.stable, totals, np.nan), s.stable
+    mu = service_rates(model, fleet)
+    return _wip_totals(_solve(model, P, None).lam, mu)
 
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
     s = _solve(model, p, service_rates(model, fleet))
     if not s.stable[0]:
-        _raise_unstable(model, s, 0)
+        raise _instability(model, s.lam[0], s.mu[0])
     rho = s.rho[0]
     per = rho / (1.0 - rho)
     return WipReport(
@@ -410,7 +426,8 @@ def _wip_derivatives(
     stable, R, dR, d2R, lam, mu = s.stable, s.R, s.dR, s.d2R, s.lam, s.mu
     if not stable.all():
         if raise_unstable:
-            _raise_unstable(model, s, int(np.argmin(stable)))
+            row = int(np.argmin(stable))
+            raise _instability(model, lam[row], mu[row])
         R, dR, lam, mu = R[stable], dR[stable], lam[stable], mu[stable]
         d2R = d2R[stable] if hessian else None
     A = np.eye(lam.shape[1]) - R

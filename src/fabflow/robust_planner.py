@@ -8,13 +8,19 @@ low-discrepancy starts.  The upper level scans fleet configurations and
 keeps the feasible one whose worst case is smallest, tie-breaking toward
 fewer vehicles and then lexicographically smaller counts.
 
-Every (fleet, start) pair is one row of a single lockstep ascent: each step
-is one batched Hessian pass over the rows that just moved, one row-wise
-projection of the backtracking candidates and one batched phi pass over
-them.  Each row keeps its own step, line search and stopping tests, so it
-follows exactly the path it would follow alone; plan_fleet ascends the
-candidates that pass their constraint checks together, in groups that keep
-one Hessian batch under a fixed number of elements.
+Both levels work on groups of fleets.  Every (fleet, start) pair is one row
+of a single lockstep ascent: each step is one batched Hessian pass over the
+rows that just moved, one row-wise projection of the backtracking
+candidates and one batched phi pass over them.  Each row keeps its own
+step, line search and stopping tests, so it follows exactly the path it
+would follow alone.  The constraint checks of a plan share one traffic
+solve: arrival rates depend on the transfer vector alone, so they are
+solved once at the nominal point, the fluctuation probes and the Monte
+Carlo draws, and each fleet reads its utilizations from them.  The
+exhaustive scan and the coordinate descent evaluate candidates through one
+group step: the checks, then one lockstep ascent of the candidates that
+pass, in groups that keep one Hessian batch under a fixed number of
+elements.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -24,24 +30,17 @@ transfer vector, as data only.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import queueing, simplex
-from .errors import (
-    NoFeasibleFleet,
-    NonOpenNetwork,
-    NoStablePoint,
-    UnstableStation,
-    ValidationErrors,
-    ZeroVehicles,
-    param_error,
-)
+from .errors import NoFeasibleFleet, NoStablePoint, ValidationErrors, param_error
 from .queueing import FleetConfig, RoutingModel
 
 CLIP_ETA = 1e-3          # probes stay in [eta, 1 - eta]
@@ -54,8 +53,10 @@ _MC_SEED = 7654321
 # derivatives (rows, n, n, k, k), 8 MB of floats; plan_fleet ascends its
 # candidates in groups that stay under it, though never less than one
 _HESSIAN_BATCH_ELEMENTS = 1_000_000
-
-_STABILITY_ERRORS = (UnstableStation, ZeroVehicles, NonOpenNetwork)
+# largest limits.mc_samples; the draws are solved once per plan, in one
+# batch of mc_samples routing matrices (k, k): `plan` on planner_small (k = 3)
+# at this cap takes ~1.5 s and ~100 MB
+MC_SAMPLES_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,11 @@ class PlannerLimits:
 
     c_max caps the total vehicle count; w_star caps nominal WIP; u is the
     hard WIP cap applied to every probed transfer point; delta_wip_max caps
-    the WIP fluctuation radius measured by delta_wip at scale epsilon.
-    p_neighborhood_radius optionally restricts the adversarial search to a
-    box around the nominal transfer vector.  mc_samples > 0 turns on the
-    Monte Carlo exceedance report (alpha scales the Dirichlet concentration).
+    the WIP fluctuation radius, the largest WIP change over the fluctuation
+    probes at scale epsilon.  p_neighborhood_radius optionally restricts the
+    adversarial search to a box around the nominal transfer vector.
+    mc_samples > 0 (at most MC_SAMPLES_MAX) turns on the Monte Carlo
+    exceedance report (alpha scales the Dirichlet concentration).
     """
 
     c_max: int
@@ -97,7 +99,10 @@ class PlannerLimits:
                 "p_neighborhood_radius", self.p_neighborhood_radius,
                 "be positive when set", lambda v: v > 0,
             ),
-            param_error("mc_samples", self.mc_samples, "be non-negative", lambda v: v >= 0, integer=True),
+            param_error(
+                "mc_samples", self.mc_samples, f"be non-negative and at most {MC_SAMPLES_MAX}",
+                lambda v: 0 <= v <= MC_SAMPLES_MAX, integer=True,
+            ),
             param_error(
                 "mc_alpha", self.mc_alpha, "be positive and finite",
                 lambda v: 0 < v <= sys.float_info.max,
@@ -317,47 +322,86 @@ def _worst_cases(
     return out
 
 
-def probe_wip_extremes(
-    model: RoutingModel,
-    p,
-    fleet: FleetConfig,
-    epsilon: float,
-    directions: int = DELTA_DIRECTIONS,
-) -> tuple[float, float]:
-    """(max |W(probe) - W(p)|, max W over p and probes).
+class _ConstraintChecks:
+    """The constraint checks of one plan, shared by all of its fleets.
 
-    Probes sit at p + epsilon*x for a fixed deterministic set of sum-zero
-    unit directions, clamped into the clipped simplex.  Instability at the
-    base point raises as wip() would; an unstable probe makes both values
-    infinite (the fluctuation is unbounded there), reported as data.
+    The transfer-vector checks do not depend on the fleet, and neither do the
+    arrival rates: a fleet enters only through its service rates.  So the
+    traffic at the nominal point, at the DELTA_DIRECTIONS fluctuation probes
+    around it and at the Monte Carlo draws is solved once per plan, each set
+    the first time a check needs it (in the order a single check meets them:
+    the probes only for a fleet whose nominal point is stable), and every
+    fleet reads its utilizations from those arrival rates.
     """
-    p = np.asarray(p, dtype=float)
-    dim = p.size
-    lower = np.full(dim, CLIP_ETA)
-    upper = np.full(dim, 1.0 - CLIP_ETA)
-    dirs = simplex.unit_directions(directions, dim)
-    probes = simplex.project_capped_simplex(p + epsilon * dirs, lower, upper)
-    batch = np.vstack([p[None, :], probes])
-    totals, stable = queueing.wip_totals_batch(model, batch, fleet)
-    if not stable[0]:
-        queueing.wip(model, p, fleet)  # raises with the precise station
-    if not stable[1:].all():
-        return math.inf, math.inf
-    base = totals[0]
-    delta = float(np.abs(totals[1:] - base).max()) if len(totals) > 1 else 0.0
-    return delta, float(totals.max())
 
+    def __init__(self, model: RoutingModel, p_nominal, limits: PlannerLimits):
+        self.model, self.p_nominal, self.limits = model, p_nominal, limits
+        self.p = p = np.asarray(p_nominal, dtype=float)
+        psum = float(p.sum())
+        margin = float(min(p.min(), 1.0 - p.max()))
+        self.wltp = (
+            ConstraintCheck("wltp_sum", abs(psum - 1.0) <= queueing.WLTP_SUM_TOL, psum, 1.0),
+            ConstraintCheck(
+                "wltp_open_interval", margin > 0.0, margin, 0.0,
+                detail="smallest distance of any probability from {0, 1}",
+            ),
+        )
 
-def delta_wip(
-    model: RoutingModel,
-    p,
-    fleet: FleetConfig,
-    epsilon: float,
-    directions: int = DELTA_DIRECTIONS,
-) -> float:
-    """Worst observed WIP change when p moves by epsilon along probe directions."""
-    delta, _ = probe_wip_extremes(model, p, fleet, epsilon, directions)
-    return delta
+    def _traffic(self, P) -> np.ndarray:
+        return queueing._solve(self.model, P, None).lam
+
+    @functools.cached_property
+    def nominal(self) -> np.ndarray:
+        return self._traffic(self.p)
+
+    @functools.cached_property
+    def probes(self) -> np.ndarray:
+        # p + epsilon*x for fixed sum-zero unit directions x, clamped into
+        # the clipped simplex
+        dim = self.p.size
+        dirs = simplex.unit_directions(DELTA_DIRECTIONS, dim)
+        return self._traffic(simplex.project_capped_simplex(
+            self.p + self.limits.epsilon * dirs, np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
+        ))
+
+    @functools.cached_property
+    def draws(self) -> np.ndarray:
+        rng = np.random.default_rng(_MC_SEED)
+        alpha = np.maximum(self.limits.mc_alpha * self.p, 1e-9)
+        return self._traffic(rng.dirichlet(alpha, size=self.limits.mc_samples))
+
+    def report(self, fleet: FleetConfig) -> ConstraintReport:
+        limits, model = self.limits, self.model
+        mu = queueing.service_rates(model, fleet)
+        totals, stable = queueing._wip_totals(self.nominal, mu)
+        if stable[0]:
+            nominal, nominal_detail = float(totals[0]), ""
+            probes, probes_stable = queueing._wip_totals(self.probes, mu)
+            if probes_stable.all():
+                fluct = float(np.abs(probes - nominal).max())
+                wmax = max(nominal, float(probes.max()))
+            else:
+                # the fluctuation is unbounded at an unstable probe
+                fluct = wmax = math.inf
+            fluct_detail = ""
+        else:
+            nominal = fluct = wmax = math.inf
+            nominal_detail = queueing._instability(model, self.nominal[0], mu).code
+            fluct_detail = "nominal point unstable"
+        mc_exceedance = None
+        if limits.mc_samples > 0:
+            totals, stable = queueing._wip_totals(self.draws, mu)
+            mc_exceedance = float((~stable | (totals > limits.u)).mean())
+        checks = (
+            ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
+            *self.wltp,
+            ConstraintCheck("nominal_wip", nominal <= limits.w_star, nominal, limits.w_star, nominal_detail),
+            ConstraintCheck(
+                "wip_fluctuation", fluct <= limits.delta_wip_max, fluct, limits.delta_wip_max, fluct_detail
+            ),
+            ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
+        )
+        return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
 
 
 def check_constraints(
@@ -368,80 +412,17 @@ def check_constraints(
 ) -> ConstraintReport:
     """Evaluate every planning constraint; failures are data, not errors.
 
-    Keys: fleet_total (sum of counts vs c_max), nominal_wip (W at the
-    nominal point vs w_star), wltp_sum and wltp_open_interval (validity of
-    the nominal transfer vector), wip_fluctuation (delta_wip vs
-    delta_wip_max), wip_hard_cap (max W over the nominal point and all
-    fluctuation probes vs u).
+    Keys: fleet_total (sum of counts vs c_max), wltp_sum and
+    wltp_open_interval (validity of the nominal transfer vector),
+    nominal_wip (W at the nominal point vs w_star), wip_fluctuation (the
+    largest |W(probe) - W(p)| over the fluctuation probes at scale epsilon
+    vs delta_wip_max) and wip_hard_cap (max W over the nominal point and the
+    probes vs u).  An unstable nominal point reads inf with the error code
+    as detail; an unstable probe makes both probe values inf.  With
+    mc_samples > 0 the report carries the Monte Carlo exceedance frequency.
+    The one-fleet case of plan_fleet's shared checks.
     """
-    p = np.asarray(p_nominal, dtype=float)
-    checks = []
-
-    total = fleet.total
-    checks.append(
-        ConstraintCheck("fleet_total", total <= limits.c_max, float(total), float(limits.c_max))
-    )
-
-    psum = float(p.sum())
-    checks.append(
-        ConstraintCheck(
-            "wltp_sum",
-            abs(psum - 1.0) <= queueing.WLTP_SUM_TOL,
-            psum,
-            1.0,
-        )
-    )
-    margin = float(min(p.min(), 1.0 - p.max()))
-    checks.append(
-        ConstraintCheck(
-            "wltp_open_interval",
-            margin > 0.0,
-            margin,
-            0.0,
-            detail="smallest distance of any probability from {0, 1}",
-        )
-    )
-
-    try:
-        nominal = queueing.wip(model, p, fleet).total_wip
-        nominal_detail = ""
-    except _STABILITY_ERRORS as exc:
-        nominal = math.inf
-        nominal_detail = exc.code
-    checks.append(
-        ConstraintCheck(
-            "nominal_wip", nominal <= limits.w_star, nominal, limits.w_star, nominal_detail
-        )
-    )
-
-    if math.isfinite(nominal):
-        fluct, wmax = probe_wip_extremes(model, p, fleet, limits.epsilon)
-        fluct_detail = ""
-    else:
-        fluct, wmax = math.inf, math.inf
-        fluct_detail = "nominal point unstable"
-    checks.append(
-        ConstraintCheck(
-            "wip_fluctuation",
-            fluct <= limits.delta_wip_max,
-            fluct,
-            limits.delta_wip_max,
-            fluct_detail,
-        )
-    )
-    checks.append(
-        ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail)
-    )
-
-    mc_exceedance = None
-    if limits.mc_samples > 0:
-        rng = np.random.default_rng(_MC_SEED)
-        draws = rng.dirichlet(np.maximum(limits.mc_alpha * p, 1e-9), size=limits.mc_samples)
-        totals, stable = queueing.wip_totals_batch(model, draws, fleet)
-        exceed = (~stable) | (np.where(stable, totals, np.inf) > limits.u)
-        mc_exceedance = float(exceed.mean())
-
-    return ConstraintReport(checks=tuple(checks), mc_exceedance=mc_exceedance)
+    return _ConstraintChecks(model, p_nominal, limits).report(fleet)
 
 
 @dataclass(frozen=True)
@@ -539,33 +520,38 @@ class PlanResult:
         return header, rows
 
 
-def _order_key(v_star: float, fleet: FleetConfig):
-    # primary objective, then fewer vehicles, then lexicographic counts
-    return (v_star, fleet.total, fleet.counts)
+def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
+    """Yield (order key, outcome, worst case, constraint report) of each
+    fleet, in order; an infeasible fleet has neither key nor worst case.
 
-
-def _evaluate_group(
-    model, fleets, limits, p_nominal
-) -> list[tuple[CandidateOutcome, WorstCase | None, ConstraintReport]]:
-    """(outcome, worst case or None, constraint report) of each fleet, in
-    order: every fleet's constraints are checked first, then the fleets that
-    pass them are ascended in one lockstep."""
-    reports = [check_constraints(model, p_nominal, fleet, limits) for fleet in fleets]
-    passing = [fleet for fleet, report in zip(fleets, reports) if report.all_passed]
-    worst = iter(_worst_cases(model, passing, limits, p_nominal))
-    out = []
-    for fleet, report in zip(fleets, reports):
-        wc = next(worst) if report.all_passed else None
-        passed = {c.key: c.passed for c in report.checks}
-        nominal = report["nominal_wip"].measured
-        nominal_val = nominal if math.isfinite(nominal) else None
-        if wc is not None:
-            outcome = CandidateOutcome(fleet, True, (), wc.v_star, nominal_val, passed)
-        else:
-            reasons = report.failed_keys if not report.all_passed else ("no_stable_point",)
-            outcome = CandidateOutcome(fleet, False, reasons, None, nominal_val, passed)
-        out.append((outcome, wc, report))
-    return out
+    Consecutive fleets form groups, each as large as keeps one Hessian batch
+    of its ascent under _HESSIAN_BATCH_ELEMENTS (at least one fleet): a
+    group's constraints are checked first, then the fleets that pass them
+    are ascended in one lockstep.  The key orders by v_star, then fewer
+    vehicles, then lexicographically smaller counts.
+    """
+    model, limits, p_nominal = checks.model, checks.limits, checks.p_nominal
+    rows = ASCENT_STARTS + (p_nominal is not None)
+    n, k = model.wltp_dim - 1, len(model.stations)
+    size = max(1, _HESSIAN_BATCH_ELEMENTS // max(1, rows * n * n * k * k))
+    fleets = iter(fleets)
+    while group := list(itertools.islice(fleets, size)):
+        reports = [checks.report(fleet) for fleet in group]
+        passing = [fleet for fleet, report in zip(group, reports) if report.all_passed]
+        worst = iter(_worst_cases(model, passing, limits, p_nominal))
+        for fleet, report in zip(group, reports):
+            wc = next(worst) if report.all_passed else None
+            key = None if wc is None else (wc.v_star, fleet.total, fleet.counts)
+            nominal = report["nominal_wip"].measured
+            outcome = CandidateOutcome(
+                fleet,
+                wc is not None,
+                report.failed_keys or (() if wc is not None else ("no_stable_point",)),
+                None if wc is None else wc.v_star,
+                nominal if math.isfinite(nominal) else None,
+                {c.key: c.passed for c in report.checks},
+            )
+            yield key, outcome, wc, report
 
 
 def plan_fleet(
@@ -573,44 +559,41 @@ def plan_fleet(
     candidates,
     limits: PlannerLimits,
     p_nominal,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> PlanResult:
     """Pick the feasible fleet with the smallest worst-case WIP growth rate.
 
     `candidates` is a FleetCandidateSpace or any iterable of FleetConfig.
-    Spaces up to `exhaustive_limit` configurations are enumerated outright,
-    in groups of consecutive candidates: a group's constraint checks run
-    first, then one lockstep ascent of its passing candidates.  Larger
-    spaces fall back to coordinate descent over vehicle counts from the
-    largest config that fits under c_max, accepting only moves that improve
-    the (v_star, total, counts) ordering.  The search mode used is recorded
-    on the result.
+    Spaces up to EXHAUSTIVE_LIMIT configurations are enumerated outright;
+    larger spaces fall back to coordinate descent over vehicle counts from
+    the largest config that fits under c_max, accepting only moves that
+    improve the (v_star, total, counts) ordering.  Both searches evaluate
+    fleets through one group step: every fleet's constraints are read from
+    the plan's one shared traffic solve, then the fleets that pass them are
+    ascended together.  The search mode used is recorded on the result.
     """
-    if isinstance(candidates, FleetCandidateSpace) and candidates.count > exhaustive_limit:
-        return _plan_descent(model, candidates, limits, p_nominal)
-    rows = ASCENT_STARTS + (p_nominal is not None)
-    n, k = model.wltp_dim - 1, len(model.stations)
-    group = max(1, _HESSIAN_BATCH_ELEMENTS // max(1, rows * n * n * k * k))
+    checks = _ConstraintChecks(model, p_nominal, limits)
     examined: list[CandidateOutcome] = []
-    best = None  # (key, outcome, wc, report)
-    fleets = iter(candidates)
-    while chunk := list(itertools.islice(fleets, group)):
-        for outcome, wc, report in _evaluate_group(model, chunk, limits, p_nominal):
-            examined.append(outcome)
-            if wc is None:
-                continue
-            key = _order_key(wc.v_star, outcome.fleet)
-            if best is None or key < best[0]:
-                best = (key, outcome, wc, report)
-    if best is None:
-        raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
+
+    def evaluate(fleets):
+        for result in _evaluate(checks, fleets):
+            examined.append(result[1])
+            yield result
+
+    if isinstance(candidates, FleetCandidateSpace) and candidates.count > EXHAUSTIVE_LIMIT:
+        mode, best = "coordinate_descent", _descend(candidates, limits.c_max, evaluate)
+    else:
+        mode = "exhaustive"
+        feasible = (r for r in evaluate(candidates) if r[0] is not None)
+        best = min(feasible, key=lambda r: r[0], default=None)
+        if best is None:
+            raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
     _, outcome, wc, report = best
     return PlanResult(
         c_star=outcome.fleet,
         worst_case=wc,
         constraints=report,
         nominal_wip=report["nominal_wip"].measured,
-        search_mode="exhaustive",
+        search_mode=mode,
         examined=tuple(examined),
     )
 
@@ -628,59 +611,42 @@ def _largest_start(space: FleetCandidateSpace, c_max: int) -> FleetConfig:
     return FleetConfig(counts=tuple(counts))
 
 
-def _plan_descent(model, space, limits, p_nominal) -> PlanResult:
-    examined: list[CandidateOutcome] = []
+def _descend(space: FleetCandidateSpace, c_max: int, evaluate):
+    """Coordinate descent; the best (key, outcome, worst case, report).
+
+    From the largest start, walk breadth-first to the first feasible
+    config, one fleet at a time; then ask the incumbent's neighbours that
+    are not yet evaluated as one group, move to the best of them that beats
+    it, and repeat until none does.
+    """
     cache: dict[tuple, tuple] = {}
 
-    def evaluate(fleet: FleetConfig):
-        if fleet.counts not in cache:
-            (result,) = _evaluate_group(model, [fleet], limits, p_nominal)
+    def ask(fleets):
+        new = [fleet for fleet in fleets if fleet.counts not in cache]
+        for fleet, result in zip(new, list(evaluate(new))):
             cache[fleet.counts] = result
-            examined.append(result[0])
-        return cache[fleet.counts]
+        return [cache[fleet.counts] for fleet in fleets]
 
-    current = _largest_start(space, limits.c_max)
-    outcome, wc, report = evaluate(current)
+    current = _largest_start(space, c_max)
+    (best,) = ask([current])
     frontier = [current]
-    # walk to a feasible config first if the start is not
-    visited = {current.counts}
-    while wc is None and frontier:
-        base = frontier.pop(0)
-        for neigh in _neighbors(base, space, limits.c_max):
-            if neigh.counts in visited:
+    while best[0] is None and frontier:
+        for neigh in _neighbors(frontier.pop(0), space, c_max):
+            if neigh.counts in cache:
                 continue
-            visited.add(neigh.counts)
-            outcome, wc, report = evaluate(neigh)
-            if wc is not None:
-                current = neigh
+            (best,) = ask([neigh])
+            if best[0] is not None:
                 break
             frontier.append(neigh)
-        if wc is not None:
-            break
-    if wc is None:
+    if best[0] is None:
         raise NoFeasibleFleet("coordinate descent found no feasible fleet")
-    best = (_order_key(wc.v_star, current), outcome, wc, report)
     improved = True
     while improved:
         improved = False
-        for neigh in _neighbors(best[1].fleet, space, limits.c_max):
-            outcome, wc_n, report_n = evaluate(neigh)
-            if wc_n is None:
-                continue
-            key = _order_key(wc_n.v_star, neigh)
-            if key < best[0]:
-                best = (key, outcome, wc_n, report_n)
-                improved = True
-        # restart the scan from the new incumbent
-    _, outcome, wc, report = best
-    return PlanResult(
-        c_star=outcome.fleet,
-        worst_case=wc,
-        constraints=report,
-        nominal_wip=report["nominal_wip"].measured,
-        search_mode="coordinate_descent",
-        examined=tuple(examined),
-    )
+        for result in ask(list(_neighbors(best[1].fleet, space, c_max))):
+            if result[0] is not None and result[0] < best[0]:
+                best, improved = result, True
+    return best
 
 
 def _neighbors(fleet: FleetConfig, space: FleetCandidateSpace, c_max: int):

@@ -503,6 +503,13 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     fleet_candidates = None
     if "fleet_candidates" in raw:
         fleet_candidates = _parse_candidates(raw["fleet_candidates"], errs)
+    if nominal_fleet is not None and fleet_candidates is not None:
+        n_counts, n_types = len(nominal_fleet.counts), len(fleet_candidates.bounds)
+        if n_counts != n_types:
+            errs.append(
+                f"nominal_fleet: must hold one count for each of the {n_types} vehicle "
+                f"types of fleet_candidates (got {n_counts})"
+            )
     if stations:
         if fleet_candidates is not None:
             n_types = len(fleet_candidates.bounds)

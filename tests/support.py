@@ -11,6 +11,7 @@ import numpy as np
 from fabflow import simplex
 from fabflow.errors import NonOpenNetwork, NoStablePoint, UnstableStation, ZeroVehicles
 from fabflow.queueing import (
+    WLTP_SUM_TOL,
     FleetConfig,
     RoutingModel,
     StationKind,
@@ -22,8 +23,19 @@ from fabflow.queueing import (
     wip,
     wip_gradient,
     wip_hessian,
+    wip_totals_batch,
 )
-from fabflow.robust_planner import ASCENT_MAX_ITERS, ASCENT_STARTS, WorstCase, _search_bounds
+from fabflow.robust_planner import (
+    _MC_SEED,
+    ASCENT_MAX_ITERS,
+    ASCENT_STARTS,
+    CLIP_ETA,
+    DELTA_DIRECTIONS,
+    ConstraintCheck,
+    ConstraintReport,
+    WorstCase,
+    _search_bounds,
+)
 from fabflow.scheduler import Assignment, evaluate_schedule
 
 
@@ -308,3 +320,53 @@ def sequential_worst_case(
         x_star=tuple(float(x) for x in x_star),
         v_star=float(v_star),
     )
+
+
+def per_fleet_constraints(model, p_nominal, fleet, limits):
+    """The constraint report of one fleet, solved for that fleet alone.
+
+    wip() at the nominal point (its error code when it raises), then, when
+    that is stable, one wip_totals_batch over the nominal point and its
+    DELTA_DIRECTIONS fluctuation probes, then one over the Monte Carlo
+    draws.  The planner reads every fleet from one shared traffic solve and
+    must give the same report.
+    """
+    p = np.asarray(p_nominal, dtype=float)
+    psum = float(p.sum())
+    margin = float(min(p.min(), 1.0 - p.max()))
+    try:
+        nominal, detail = wip(model, p, fleet).total_wip, ""
+    except (UnstableStation, ZeroVehicles, NonOpenNetwork) as exc:
+        nominal, detail = math.inf, exc.code
+    fluct = wmax = math.inf
+    fluct_detail = "nominal point unstable" if detail else ""
+    if not detail:
+        dim = p.size
+        dirs = simplex.unit_directions(DELTA_DIRECTIONS, dim)
+        probes = simplex.project_capped_simplex(
+            p + limits.epsilon * dirs, np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
+        )
+        totals, stable = wip_totals_batch(model, np.vstack([p[None, :], probes]), fleet)
+        if stable.all():
+            fluct = float(np.abs(totals[1:] - totals[0]).max())
+            wmax = float(totals.max())
+    mc_exceedance = None
+    if limits.mc_samples > 0:
+        rng = np.random.default_rng(_MC_SEED)
+        draws = rng.dirichlet(np.maximum(limits.mc_alpha * p, 1e-9), size=limits.mc_samples)
+        totals, stable = wip_totals_batch(model, draws, fleet)
+        mc_exceedance = float(((~stable) | (np.where(stable, totals, np.inf) > limits.u)).mean())
+    checks = (
+        ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
+        ConstraintCheck("wltp_sum", abs(psum - 1.0) <= WLTP_SUM_TOL, psum, 1.0),
+        ConstraintCheck(
+            "wltp_open_interval", margin > 0.0, margin, 0.0,
+            detail="smallest distance of any probability from {0, 1}",
+        ),
+        ConstraintCheck("nominal_wip", nominal <= limits.w_star, nominal, limits.w_star, detail),
+        ConstraintCheck(
+            "wip_fluctuation", fluct <= limits.delta_wip_max, fluct, limits.delta_wip_max, fluct_detail
+        ),
+        ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
+    )
+    return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)

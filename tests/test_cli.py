@@ -5,12 +5,14 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fabflow import cli
 from fabflow.cli import main
+from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 from fabflow.scheduler import AcoParams, GaParams, SaParams
 
@@ -398,6 +400,42 @@ def test_limits_outside_their_domain_exit_1(capsys, field, value):
     assert err.startswith(f"limits: {field} must be")
 
 
+def test_mc_samples_above_the_cap_exit_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "plan", "--scenario", "planner_small", "--set", "limits.mc_samples=1000000000000"
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(f"limits: mc_samples must be non-negative and at most {MC_SAMPLES_MAX}")
+    PlannerLimits(c_max=1, w_star=1.0, u=1.0, delta_wip_max=1.0, mc_samples=MC_SAMPLES_MAX)
+
+
+@pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])
+def test_nominal_fleet_needs_one_count_per_candidate_type(capsys, counts):
+    code, out, err = run_cli(
+        capsys, "wip", "--scenario", "planner_small", "--set", f"nominal_fleet={counts}"
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert "nominal_fleet: must hold one count for each of the 2 vehicle types" in err
+
+
+@pytest.mark.parametrize("terminal", ["__src__", "__snk__"])
+def test_declared_node_with_a_synthetic_terminal_id_exits_1(capsys, tmp_path, terminal):
+    # fig9_baseline has three origins and two destinations, so both
+    # synthetic terminals are added
+    raw = resolve_scenario_raw("fig9_baseline")
+    raw["network"]["nodes"].append({"id": terminal, "kind": "logistics"})
+    path = tmp_path / "terminal.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "maxflow", "--scenario", str(path))
+    assert code == 1
+    assert out.strip() == "error=duplicate_node"
+    assert err.strip() == f"node id declared twice: {terminal}"
+
+
 def test_edge_numbers_at_the_bound_print_finite_costs(capsys, tmp_path):
     at_bound = [
         "--set", f"network.edges.0.capacity_kg={2 ** 53 - 1}",
@@ -506,7 +544,7 @@ def test_aco_weights_out_of_float_range_exit_1(capsys, field):
     assert "pheromone weights" in err
 
 
-HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench")
+HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench", "planner_small")
 HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, float("nan"))
 
 
@@ -539,6 +577,24 @@ def test_hostile_leaf_ends_in_an_exit_code(capsys, leaf, value):
     fixture, path = leaf
     code, out, _ = run_cli(
         capsys, "report", "--scenario", fixture, "--set", f"{path}={json.dumps(value)}"
+    )
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out.startswith("error=") and out.count("\n") == 1
+
+
+PLANNER_LEAVES = [
+    path for path in LEAVES["planner_small"]
+    if path.split(".")[0] in ("limits", "fleet_candidates", "nominal_fleet")
+]
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
+@pytest.mark.parametrize("path", PLANNER_LEAVES)
+def test_hostile_planner_leaf_ends_in_an_exit_code(capsys, path, value):
+    # every planner leaf, not a sample of them: report runs plan on them
+    code, out, _ = run_cli(
+        capsys, "report", "--scenario", "planner_small", "--set", f"{path}={json.dumps(value)}"
     )
     assert code in (0, 1, 2)
     if code != 0:

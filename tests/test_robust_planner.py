@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from fabflow import robust_planner, simplex
+from fabflow import queueing, robust_planner, simplex
 from fabflow.errors import NoFeasibleFleet, NoStablePoint, ValidationErrors
 from fabflow.queueing import (
     FleetConfig,
@@ -23,14 +23,13 @@ from fabflow.queueing import (
 )
 from fabflow.robust_planner import (
     CLIP_ETA,
+    DELTA_DIRECTIONS,
     FleetCandidateSpace,
     PlannerLimits,
     _phi_gradient,
     _worst_cases,
     check_constraints,
-    delta_wip,
     plan_fleet,
-    probe_wip_extremes,
     worst_case_direction,
 )
 from fabflow.scenario import load_fixture
@@ -335,20 +334,28 @@ def test_plan_is_the_same_in_smaller_groups(monkeypatch, groups_of):
 
 # --- fluctuation probes ------------------------------------------------------
 
+def fluctuation(model, p, fleet, epsilon):
+    """(wip_fluctuation, wip_hard_cap) as check_constraints measures them at
+    probe scale epsilon."""
+    limits = PlannerLimits(c_max=9, w_star=math.inf, u=math.inf, delta_wip_max=math.inf, epsilon=epsilon)
+    report = check_constraints(model, p, fleet, limits)
+    return report["wip_fluctuation"].measured, report["wip_hard_cap"].measured
+
+
 def test_delta_wip_tracks_gradient_norm():
     model, p, fleet = hub()
     v = phi(model, p, fleet)
     eps = 1e-3
-    d1 = delta_wip(model, p, fleet, eps)
+    d1 = fluctuation(model, p, fleet, eps)[0]
     assert d1 == pytest.approx(eps * v, rel=0.1)
-    d2 = delta_wip(model, p, fleet, 2 * eps)
+    d2 = fluctuation(model, p, fleet, 2 * eps)[0]
     assert d2 == pytest.approx(2 * d1, rel=0.05)
 
 
 def test_fixed_directions_cover_random_directions():
     model, p, fleet = hub()
     eps = 0.05
-    fixed = delta_wip(model, p, fleet, eps)
+    fixed = fluctuation(model, p, fleet, eps)[0]
     rng = np.random.default_rng(123)
     raw = rng.standard_normal((10_000, 3))
     raw -= raw.mean(axis=1, keepdims=True)
@@ -366,15 +373,8 @@ def test_unstable_probe_reports_infinite_fluctuation():
     p = np.array([0.43, 0.285, 0.285])
     fleet = FleetConfig((2,))
     assert wip(model, p, fleet).total_wip < math.inf
-    d, wmax = probe_wip_extremes(model, p, fleet, epsilon=0.05)
+    d, wmax = fluctuation(model, p, fleet, 0.05)
     assert d == math.inf and wmax == math.inf
-
-
-def test_more_directions_never_reduce_fluctuation():
-    model, p, fleet = hub()
-    d4 = delta_wip(model, p, fleet, 0.01, directions=4)
-    d64 = delta_wip(model, p, fleet, 0.01, directions=64)
-    assert d64 >= d4 - 1e-15
 
 
 # --- constraint audit --------------------------------------------------------
@@ -436,6 +436,83 @@ def test_mc_exceedance_is_deterministic():
     assert check_constraints(model, p, fleet, easy).mc_exceedance == 0.0
 
 
+# the limit sets the shared checks are compared with the per-fleet oracle under
+LIMIT_CHANGES = {
+    "fixture": {},
+    "mc": {"mc_samples": 300},
+    "mc_loose_cap": {"mc_samples": 300, "u": 1e9},
+    "wide_probes": {"epsilon": 0.2},
+    "tight_caps": {"w_star": 5.0, "u": 6.0, "delta_wip_max": 1e-6},
+}
+
+
+@pytest.mark.parametrize("changes", LIMIT_CHANGES.values(), ids=LIMIT_CHANGES.keys())
+def test_shared_checks_match_per_fleet_oracle(changes):
+    model, p, limits = small()
+    limits = dataclasses.replace(limits, **changes)
+    checks = robust_planner._ConstraintChecks(model, p, limits)
+    details = set()
+    for fleet in load_fixture("planner_small").fleet_candidates:
+        want = support.per_fleet_constraints(model, p, fleet, limits)
+        got = checks.report(fleet)
+        assert got == want and repr(got) == repr(want), fleet
+        assert check_constraints(model, p, fleet, limits) == want
+        details.add(got["nominal_wip"].detail)
+    # zero-vehicle and stable nominal points are both among them
+    assert details == {"zero_vehicles", ""}
+
+
+def test_shared_checks_match_oracle_at_unstable_points():
+    model, p, _ = hub()
+    limits = PlannerLimits(c_max=9, w_star=50.0, u=100.0, delta_wip_max=10.0, mc_samples=300)
+    cases = [
+        (p, FleetConfig((1,)), limits, "unstable_station"),
+        (p, FleetConfig((0,)), limits, "zero_vehicles"),
+        # stable nominal point whose probes cross into instability
+        (np.array([0.43, 0.285, 0.285]), FleetConfig((2,)), dataclasses.replace(limits, epsilon=0.05), ""),
+    ]
+    for p, fleet, limits, detail in cases:
+        want = support.per_fleet_constraints(model, p, fleet, limits)
+        got = check_constraints(model, p, fleet, limits)
+        assert got == want and repr(got) == repr(want)
+        assert got["nominal_wip"].detail == detail
+        assert got["wip_hard_cap"].measured == math.inf
+
+
+def counted_traffic_solves(monkeypatch):
+    """Record the number of rows of every traffic-only queueing._solve call."""
+    rows, solve = [], queueing._solve
+
+    def counting(model, P, mu, order=0):
+        if mu is None:
+            rows.append(np.atleast_2d(P).shape[0])
+        return solve(model, P, mu, order)
+
+    monkeypatch.setattr(queueing, "_solve", counting)
+    return rows
+
+
+@pytest.mark.parametrize("limit", [robust_planner.EXHAUSTIVE_LIMIT, 0], ids=["exhaustive", "descent"])
+def test_plan_solves_the_shared_traffic_once(monkeypatch, limit):
+    model, p, limits = small()
+    space = load_fixture("planner_small").fleet_candidates
+    monkeypatch.setattr(robust_planner, "EXHAUSTIVE_LIMIT", limit)
+    rows = counted_traffic_solves(monkeypatch)
+    plan_fleet(model, space, dataclasses.replace(limits, mc_samples=300), p)
+    # the nominal point, then the Monte Carlo draws for the first fleet, which
+    # has no vehicle of type 0 (or 1), and the fluctuation probes for the
+    # first fleet whose nominal point is stable
+    assert rows == [1, 300, DELTA_DIRECTIONS]
+
+
+def test_probes_are_solved_only_for_a_stable_nominal_point(monkeypatch):
+    model, p, limits = small()
+    rows = counted_traffic_solves(monkeypatch)
+    with pytest.raises(NoFeasibleFleet):
+        plan_fleet(model, [FleetConfig((0, 0)), FleetConfig((0, 3))], limits, p)
+    assert rows == [1]
+
+
 # --- fleet scan --------------------------------------------------------------
 
 def test_plan_matches_lattice_oracle_on_subrange():
@@ -456,16 +533,39 @@ def test_plan_matches_lattice_oracle_on_subrange():
     assert rows[-1][0] == "1:5" and rows[-1][1] == "true"
 
 
-def test_plan_descent_matches_exhaustive():
+def test_plan_descent_matches_exhaustive(monkeypatch):
     model, p, limits = small()
     space = FleetCandidateSpace(((1, 1), (2, 5)))
     full = plan_fleet(model, space, limits, p)
-    walked = plan_fleet(model, space, limits, p, exhaustive_limit=0)
+    monkeypatch.setattr(robust_planner, "EXHAUSTIVE_LIMIT", 0)
+    walked = plan_fleet(model, space, limits, p)
     assert full.search_mode == "exhaustive"
     assert walked.search_mode == "coordinate_descent"
     assert walked.c_star == full.c_star
     assert walked.worst_case.v_star == full.worst_case.v_star
     assert len(walked.examined) <= len(full.examined)
+
+
+def test_descent_examines_the_pinned_sequence():
+    model, p, limits = small()
+    result = plan_fleet(model, FleetCandidateSpace(((0, 6), (0, 100_000))), limits, p)
+    assert result.search_mode == "coordinate_descent"
+    assert result.c_star.counts == (1, 5)
+    # the feasibility walk, breadth-first from the largest start to the first
+    # feasible config, then each incumbent's unevaluated neighbours in order
+    assert [o.fleet.counts for o in result.examined] == [
+        (6, 0), (5, 0), (4, 0), (5, 1),
+        (4, 1),
+        (3, 1), (4, 2),
+        (3, 2),
+        (2, 2), (3, 3),
+        (2, 3),
+        (1, 3), (2, 4),
+        (1, 4),
+        (0, 4), (1, 5),
+        (0, 5),
+    ]
+    assert [o.feasible for o in result.examined] == [False] * 3 + [True] * 11 + [False, True, False]
 
 
 def test_worst_case_shrinks_as_fleet_grows():
