@@ -33,7 +33,7 @@ import io
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -220,6 +220,13 @@ def _fields(cls, raw, errs: list[str], where: str):
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         errs.append(f"{where}: unknown fields {sorted(unknown)}")
+        return None
+    missing = [
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+    ]
+    if missing:
+        errs.append(f"{where}: missing required fields {missing}")
         return None
     return _build(errs, where, cls, **raw)
 

@@ -7,14 +7,20 @@ and unload handling).  Objectives: total cost (busy time times cost rate,
 summed over vehicles), makespan (latest completion), and productivity
 (tasks per hour of makespan, 0 at makespan 0).
 
-All three searches score assignments with one kernel, `_objectives`, which
-gives (cost, makespan) for one chromosome or a whole batch.  The GA is an
-elitist non-dominated-sorting algorithm over the task-to-vehicle vector that
-searches (cost, makespan): productivity is a decreasing function of makespan,
-so it adds nothing to dominance and is derived only when an ObjectiveVector
-is built.  SA and ACO optimize an equal-weight scalarization of cost and
-makespan after min-max normalization over a seeded sample of random
-assignments.  All three are deterministic given the seed.
+Assignments are scored by one kernel, `_objectives`, which gives
+(cost, makespan) for one chromosome or a whole batch.  SA moves one or two
+tasks at a time, so it scores a move by delta evaluation: it re-sums only
+the two vehicles the move touches and reduces the per-task cost vector,
+with the kernel's own arithmetic, so each score has the kernel's bits (see
+`sa_optimize`).
+
+The GA is an elitist non-dominated-sorting algorithm over the
+task-to-vehicle vector that searches (cost, makespan): productivity is a
+decreasing function of makespan, so it adds nothing to dominance and is
+derived only when an ObjectiveVector is built.  SA and ACO optimize an
+equal-weight scalarization of cost and makespan after min-max normalization
+over a seeded sample of random assignments.  All three are deterministic
+given the seed.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .errors import (
     OverloadedVehicleRound,
     ValidationErrors,
     param_error,
+    shown,
 )
 
 
@@ -387,6 +394,12 @@ def _as_result(inst, a, T, C, bounds) -> ScalarResult:
     )
 
 
+# most moves one SA run may plan: the default plans 36,000 and t_initial=1e308
+# about 2.8 million; at ~15 us a move (shared 2-core Xeon), the cap is about
+# 2.5 minutes of search
+SA_MOVES_MAX = 10_000_000
+
+
 @dataclass(frozen=True)
 class SaParams:
     t_initial: float = 10.0
@@ -401,6 +414,34 @@ class SaParams:
         _check_param("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
         _check_param("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True)
         _check_param("t_min", self.t_min, "be positive", lambda v: v > 0.0)
+        moves = self.planned_moves
+        if moves > SA_MOVES_MAX:
+            raise ValueError(
+                f"t_initial, cooling, t_min and iters_per_temp plan {shown(moves)} moves, "
+                f"more than SA_MOVES_MAX = {SA_MOVES_MAX}"
+            )
+
+    @property
+    def planned_moves(self) -> int:
+        """iters_per_temp moves at each temperature above t_min, counted in
+        closed form: t_initial * cooling**k > t_min for k below
+        ln(t_initial / t_min) / -ln(cooling).  The search's repeated products
+        round, so its count may differ from this one by a temperature."""
+        if self.t_initial <= self.t_min:
+            return 0
+        ratio = math.log(self.t_initial) - math.log(self.t_min)
+        return math.ceil(ratio / -math.log(self.cooling)) * self.iters_per_temp
+
+
+def _swap_pair(rng, n: int) -> tuple[int, int]:
+    """rng.choice(n, size=2, replace=False) for n >= 2, drawn the way NumPy's
+    Generator draws it (Floyd's algorithm, then a shuffle of the pair), so the
+    stream stays in step without the cost of a choice() call."""
+    a = int(rng.integers(0, n - 1))
+    b = int(rng.integers(0, n))
+    if b == a:
+        b = n - 1
+    return (b, a) if rng.integers(0, 2) == 0 else (a, b)
 
 
 def sa_optimize(
@@ -410,6 +451,16 @@ def sa_optimize(
 
     A move either hands one task to a different vehicle or exchanges the
     vehicles of two tasks (pure exchanges alone cannot rebalance loads).
+
+    A move is scored by delta evaluation with the kernel's own arithmetic,
+    so every score, and so every accept decision, has the bits a full
+    `_objectives` re-score would give.  Only the busy times of the two
+    vehicles a move touches are re-summed, in task order as the kernel adds
+    them (its zeros leave a non-negative sum unchanged); the cost is
+    `np.add.reduce` of the per-task cost vector the kernel reduces, never a
+    running total; the makespan is the largest busy time.  A rejected move
+    puts the touched entries back.  A move that changes no vehicle's task
+    set keeps the current score.
     """
     params = params or SaParams()
     if not inst.tasks:
@@ -418,27 +469,52 @@ def sa_optimize(
     T, C = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     bounds = _sample_bounds(rng, T, C)
-    current = rng.integers(0, n_veh, size=n_tasks)
-    cur_score = bounds.score(*_objectives(current, T, C))
+    start = rng.integers(0, n_veh, size=n_tasks)
+    cur_score = bounds.score(*_objectives(start, T, C))
+    current = start.tolist()
     best, best_score = current.copy(), cur_score
+    task_cost = C[np.arange(n_tasks), start]
+    time_cols, cost_rows = T.T.tolist(), C.tolist()
+
+    def busy_time(v: int) -> float:
+        # an explicit loop: builtin sum() compensates from Python 3.12 on
+        total, col = 0.0, time_cols[v]
+        for t, u in enumerate(current):
+            if u == v:
+                total += col[t]
+        return total
+
+    busy = [busy_time(v) for v in range(n_veh)]
     t = params.t_initial
     while t > params.t_min:
         for _ in range(params.iters_per_temp):
-            cand = current.copy()
             if n_tasks >= 2 and n_veh >= 2 and rng.random() < 0.5:
-                i, j = rng.choice(n_tasks, size=2, replace=False)
-                cand[i], cand[j] = cand[j], cand[i]
+                i, j = _swap_pair(rng, n_tasks)
+                vi, vj = current[i], current[j]
             else:
-                i = rng.integers(0, n_tasks)
-                cand[i] = (cand[i] + 1 + rng.integers(0, max(n_veh - 1, 1))) % n_veh
-            cand_score = bounds.score(*_objectives(cand, T, C))
+                i = j = int(rng.integers(0, n_tasks))
+                vi = current[i]
+                vj = (vi + 1 + int(rng.integers(0, max(n_veh - 1, 1)))) % n_veh
+            if vi == vj:
+                continue  # the same assignment, so the same score: delta 0, accepted
+            # task i moves vi -> vj and, in a swap, task j moves vj -> vi; j is
+            # written first, so a one-task move (j == i) ends with task i on vj
+            current[j], current[i] = vi, vj
+            task_cost[j], task_cost[i] = cost_rows[j][vi], cost_rows[i][vj]
+            kept = busy[vi], busy[vj]
+            busy[vi], busy[vj] = busy_time(vi), busy_time(vj)
+            cand_score = bounds.score(np.add.reduce(task_cost), max(busy))
             delta = cand_score - cur_score
             if delta <= 0 or rng.random() < math.exp(-delta / t):
-                current, cur_score = cand, cand_score
+                cur_score = cand_score
                 if cur_score < best_score:
                     best, best_score = current.copy(), cur_score
+            else:
+                current[j], current[i] = vj, vi
+                task_cost[j], task_cost[i] = cost_rows[j][vj], cost_rows[i][vi]
+                busy[vi], busy[vj] = kept
         t *= params.cooling
-    return _as_result(inst, best, T, C, bounds)
+    return _as_result(inst, np.array(best), T, C, bounds)
 
 
 @dataclass(frozen=True)
@@ -465,10 +541,19 @@ class AcoParams:
 def aco_optimize(
     inst: SchedulingInstance, params: AcoParams | None = None, seed: int = 42
 ) -> ScalarResult:
-    """Ant system over the task-vehicle pairing matrix.
+    """Ant system over the task-vehicle pairing matrix, with the pheromone
+    bounds of MAX-MIN Ant System (Stützle & Hoos, FGCS 2000).
 
-    Heuristic desirability is 1/task_time; every ant deposits pheromone in
-    proportion to the quality of its scalarized assignment.
+    Heuristic desirability is 1/task_time.  Every ant deposits
+    deposit / (0.01 + score) on the cells of its assignment, a score below
+    the sampled lower bound counting as 0, so each gain is positive and at
+    most 100 * deposit.  After each update tau is clipped to
+    [tau_min, tau_max].  tau_max = ants * gain(best score so far) /
+    evaporation is the level a cell settles at when every ant deposits the
+    best gain on it in every iteration; tau_min = tau_max * (1 - p_dec) /
+    ((n_veh - 1) * p_dec), with p_dec = 0.05 ** (1 / n_tasks), is MAX-MIN's
+    floor for a 5% chance of rebuilding the best assignment once the
+    pheromone has converged, so no vehicle's choice dies out.
     """
     params = params or AcoParams()
     if not inst.tasks:
@@ -480,14 +565,20 @@ def aco_optimize(
     with np.errstate(divide="ignore"):
         heuristic = np.where(T > 0, 1.0 / T, 1e6)
     tau = np.full((n_tasks, n_veh), params.pheromone_init, dtype=float)
+    p_dec = 0.05 ** (1.0 / n_tasks)
+    floor_share = (1.0 - p_dec) / (max(n_veh - 1, 1) * p_dec)
     best, best_score = None, math.inf
+
+    def gain(score):
+        return params.deposit / (0.01 + np.maximum(score, 0.0))
+
     for _ in range(params.iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             weights_all = (tau**params.alpha) * (heuristic**params.beta)
             row_sums = weights_all.sum(axis=1, keepdims=True)
-        # an inf or NaN weight leaves its row sum non-finite; a row may sum below
-        # zero, because a score under the sampled lower bound deposits negatively
-        if not (np.isfinite(row_sums) & (row_sums != 0.0)).all():
+        # an inf or NaN weight leaves its row sum non-finite; an underflow to
+        # zero leaves nothing to sample from
+        if not (np.isfinite(row_sums) & (row_sums > 0.0)).all():
             raise ValidationErrors([
                 "metaheuristic_params.aco: alpha, beta, pheromone_init and deposit drive "
                 "the pheromone weights out of floating-point range"
@@ -499,13 +590,15 @@ def aco_optimize(
         ants = np.minimum((u > cum[None, :, :]).sum(axis=2), n_veh - 1)
         # score() is a scalar 0.0 when both sample spans are empty
         scores = np.broadcast_to(bounds.score(*_objectives(ants, T, C)), params.ants)
-        tau *= 1.0 - params.evaporation
-        # unbuffered, so a cell that several ants chose gets every gain, in ant order
-        with np.errstate(all="ignore"):  # an overflow here shows in the next weights
-            np.add.at(tau, (np.arange(n_tasks), ants), (params.deposit / (0.01 + scores))[:, None])
         it_best = int(np.argmin(scores))
         if scores[it_best] < best_score:
             best, best_score = ants[it_best].copy(), float(scores[it_best])
+        tau *= 1.0 - params.evaporation
+        with np.errstate(all="ignore"):  # an overflow here shows in the next weights
+            # unbuffered, so a cell that several ants chose gets every gain, in ant order
+            np.add.at(tau, (np.arange(n_tasks), ants), gain(scores)[:, None])
+            tau_max = params.ants * gain(best_score) / params.evaporation
+            np.clip(tau, tau_max * floor_share, tau_max, out=tau)
     return _as_result(inst, best, T, C, bounds)
 
 

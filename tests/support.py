@@ -9,7 +9,13 @@ import math
 import numpy as np
 
 from fabflow import simplex
-from fabflow.errors import NonOpenNetwork, NoStablePoint, UnstableStation, ZeroVehicles
+from fabflow.errors import (
+    NonOpenNetwork,
+    NoStablePoint,
+    UnstableStation,
+    ValidationErrors,
+    ZeroVehicles,
+)
 from fabflow.queueing import (
     WLTP_SUM_TOL,
     FleetConfig,
@@ -36,7 +42,15 @@ from fabflow.robust_planner import (
     WorstCase,
     _search_bounds,
 )
-from fabflow.scheduler import Assignment, evaluate_schedule
+from fabflow.scheduler import (
+    Assignment,
+    SaParams,
+    _as_result,
+    _objectives,
+    _sample_bounds,
+    _time_matrices,
+    evaluate_schedule,
+)
 
 
 def brute_force_min_cut(net) -> int:
@@ -102,6 +116,40 @@ def brute_force_best_scalar(inst, bounds):
         obj = evaluate_schedule(inst, Assignment(mapping))
         best = min(best, bounds.score(obj.total_cost, obj.makespan_h))
     return best
+
+
+def full_rescore_sa(inst, params=None, seed=42):
+    """Simulated annealing that copies the chromosome and re-scores it whole
+    through `_objectives` for every move, drawing swap pairs with
+    `rng.choice`: the loop `sa_optimize` replaced with delta evaluation."""
+    params = params or SaParams()
+    if not inst.tasks:
+        raise ValidationErrors(["cannot optimize an empty task list"])
+    rng = np.random.default_rng(seed)
+    T, C = _time_matrices(inst)
+    n_tasks, n_veh = T.shape
+    bounds = _sample_bounds(rng, T, C)
+    current = rng.integers(0, n_veh, size=n_tasks)
+    cur_score = bounds.score(*_objectives(current, T, C))
+    best, best_score = current.copy(), cur_score
+    t = params.t_initial
+    while t > params.t_min:
+        for _ in range(params.iters_per_temp):
+            cand = current.copy()
+            if n_tasks >= 2 and n_veh >= 2 and rng.random() < 0.5:
+                i, j = rng.choice(n_tasks, size=2, replace=False)
+                cand[i], cand[j] = cand[j], cand[i]
+            else:
+                i = rng.integers(0, n_tasks)
+                cand[i] = (cand[i] + 1 + rng.integers(0, max(n_veh - 1, 1))) % n_veh
+            cand_score = bounds.score(*_objectives(cand, T, C))
+            delta = cand_score - cur_score
+            if delta <= 0 or rng.random() < math.exp(-delta / t):
+                current, cur_score = cand, cand_score
+                if cur_score < best_score:
+                    best, best_score = current.copy(), cur_score
+        t *= params.cooling
+    return _as_result(inst, best, T, C, bounds)
 
 
 def three_point_gradient(model, p, fleet, h=1e-4):

@@ -14,7 +14,7 @@ from fabflow import cli
 from fabflow.cli import main
 from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
-from fabflow.scheduler import AcoParams, GaParams, SaParams
+from fabflow.scheduler import SA_MOVES_MAX, AcoParams, GaParams, SaParams
 
 SHRUNK_GA = (
     "--set",
@@ -410,6 +410,34 @@ def test_mc_samples_above_the_cap_exit_1_at_once(capsys):
     assert out.strip() == "error=validation_errors"
     assert err.startswith(f"limits: mc_samples must be non-negative and at most {MC_SAMPLES_MAX}")
     PlannerLimits(c_max=1, w_star=1.0, u=1.0, delta_wip_max=1.0, mc_samples=MC_SAMPLES_MAX)
+
+
+def test_limits_without_their_required_fields_name_them(capsys):
+    # queueing_reference has no limits section, so the override creates one
+    code, out, err = run_cli(
+        capsys, "wip", "--scenario", "queueing_reference", "--set", "limits.mc_samples=5"
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == "limits: missing required fields ['c_max', 'w_star', 'u', 'delta_wip_max']"
+
+
+def test_sa_moves_above_the_cap_exit_1_at_once(capsys):
+    # 1.8e10 planned moves: the search would run for days
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", "sa",
+        "--set", "metaheuristic_params.sa.cooling=0.9999999",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(
+        "metaheuristic_params.sa: t_initial, cooling, t_min and iters_per_temp plan 18420680000 moves, "
+        f"more than SA_MOVES_MAX = {SA_MOVES_MAX}"
+    )
+    assert SaParams().planned_moves == 36_000
+    assert SaParams(t_initial=1e308).planned_moves < SA_MOVES_MAX
 
 
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])

@@ -22,6 +22,7 @@ from fabflow.scheduler import (
     TransportTask,
     VehicleSpec,
     _nondominated_sort,
+    _swap_pair,
     aco_optimize,
     baseline_assignment,
     benchmark,
@@ -31,7 +32,7 @@ from fabflow.scheduler import (
     task_time_h,
 )
 from fabflow.scenario import load_fixture
-from support import brute_force_best_scalar, brute_force_front, dominance_ranks
+from support import brute_force_best_scalar, brute_force_front, dominance_ranks, full_rescore_sa
 
 V_SLOW = VehicleSpec("V1", speed=30.0, load_time_h=0.25, unload_time_h=0.25, cost_rate=60.0)
 V_FAST = VehicleSpec("V2", speed=60.0, load_time_h=0.2, unload_time_h=0.2, cost_rate=70.0)
@@ -242,6 +243,77 @@ def test_sa_is_reproducible_per_seed():
     assert sa_optimize(inst, fast, seed=9).assignment.mapping == sa_optimize(
         inst, fast, seed=9
     ).assignment.mapping
+
+
+@pytest.mark.parametrize("task_type", list(TaskType), ids=lambda tt: tt.value)
+def test_sa_equals_full_rescore_on_table1(task_type):
+    inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(task_type)
+    for seed in range(1, 6):
+        got, want = sa_optimize(inst, seed=seed), full_rescore_sa(inst, seed=seed)
+        assert got == want and repr(got) == repr(want)
+
+
+# a09's shrunk search: t_initial=1.0, iters_per_temp=20
+SHRUNK_SA = SaParams(t_initial=1.0, iters_per_temp=20)
+
+
+def small_sa_instances():
+    """Edge cases of the move step: one or two tasks, one vehicle, and many
+    tasks on few vehicles, where most swaps stay within one vehicle."""
+    tradeoff = tradeoff_instance()
+    same_leg = tuple(task(f"t{i}") for i in range(9))
+    return {
+        "one_task": SchedulingInstance(tradeoff.tasks[:1], tradeoff.vehicles, tradeoff.distances),
+        "two_tasks": SchedulingInstance(tradeoff.tasks[:2], tradeoff.vehicles, tradeoff.distances),
+        "one_vehicle": SchedulingInstance(tradeoff.tasks, (V_SLOW,), tradeoff.distances),
+        "one_task_one_vehicle": SchedulingInstance(tradeoff.tasks[:1], (V_FAST,), tradeoff.distances),
+        "two_tasks_one_vehicle": SchedulingInstance(tradeoff.tasks[:2], (V_FAST,), tradeoff.distances),
+        "same_leg_two_vehicles": SchedulingInstance(same_leg, (V_SLOW, V_FAST), DIST),
+        "tradeoff": tradeoff,
+    }
+
+
+@pytest.mark.parametrize("name", list(small_sa_instances()))
+def test_sa_equals_full_rescore_on_edge_cases(name):
+    inst = small_sa_instances()[name]
+    for seed in range(1, 5):
+        got, want = sa_optimize(inst, SHRUNK_SA, seed), full_rescore_sa(inst, SHRUNK_SA, seed)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_swap_pair_draws_what_choice_draws():
+    # the NumPy Generator's own Floyd draw; a NumPy upgrade that changes it fails here
+    for n in [*range(2, 70), 1000, 9999, 10000, 10001, 50000]:
+        for seed in range(15):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert _swap_pair(ours, n) == tuple(ref.choice(n, size=2, replace=False).tolist())
+                assert ours.random() == ref.random()
+                assert ours.integers(0, n) == ref.integers(0, n)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_sa_planned_moves_count_the_search():
+    for t_initial, cooling, t_min in [(10.0, 0.95, 1e-3), (1.0, 0.95, 1e-3), (5.0, 0.9, 1e-3), (1e308, 0.95, 1e-3), (1e-3, 0.5, 1.0)]:
+        params = SaParams(t_initial=t_initial, cooling=cooling, t_min=t_min, iters_per_temp=7)
+        temperatures, t = 0, t_initial
+        while t > t_min:
+            temperatures, t = temperatures + 1, t * cooling
+        assert params.planned_moves == 7 * temperatures
+
+
+@pytest.mark.parametrize("task_type, seed", [(TaskType.PROCESSING, 4), (TaskType.TESTING, 5)])
+def test_aco_deposits_stay_positive_below_the_sampled_bounds(task_type, seed):
+    # ants here score below the sampled lower bound; a deposit that turned
+    # negative would drive a weight row's sum to zero or below, which
+    # aco_optimize rejects
+    inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(task_type)
+    result = aco_optimize(inst, seed=seed)
+    assert result.scalar_score < 0.0
+    again = evaluate_schedule(inst, result.assignment)
+    assert (result.objectives.total_cost, result.objectives.makespan_h) == pytest.approx(
+        (again.total_cost, again.makespan_h), rel=1e-12
+    )
 
 
 def test_aco_is_reproducible_per_seed():
