@@ -104,7 +104,7 @@ def station_errors(station_id: str, declared: Container[str]) -> list[str]:
     return [f"station id declared twice: {station_id}"] if station_id in declared else []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetConfig:
     """Vehicle counts per type."""
 

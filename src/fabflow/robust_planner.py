@@ -4,9 +4,16 @@ The lower level searches the clipped probability simplex for the transfer
 point and tangent direction along which total WIP grows fastest; for a fixed
 point the best direction is closed-form (the projected gradient), so the
 search ascends the projected-gradient norm phi from several deterministic
-low-discrepancy starts.  The upper level scans fleet configurations and
-keeps the feasible one whose worst case is smallest, tie-breaking toward
-fewer vehicles and then lexicographically smaller counts.
+low-discrepancy starts.  Each start is projected gradient ascent on the
+search box (Bertsekas, SIAM J. Control Optim. 20, 1982; Calamai & More,
+Math. Programming 39, 1987): the phi gradient projected onto the tangent
+cone of the box tells whether the point is a KKT point, where the start
+stops, and how far to reach; the step then follows the projection arc of
+the phi gradient, so one step can run along a face to a vertex, and
+backtracks fourfold until phi rises enough.  The upper level scans fleet
+configurations and keeps the feasible one whose worst case is smallest,
+tie-breaking toward fewer vehicles and then lexicographically smaller
+counts.
 
 Both levels work on groups of fleets.  Every (fleet, start) pair is one row
 of a single lockstep ascent: each step is one batched Hessian pass over the
@@ -16,11 +23,11 @@ step, line search and stopping tests, so it follows exactly the path it
 would follow alone.  The constraint checks of a plan share one traffic
 solve: arrival rates depend on the transfer vector alone, so they are
 solved once at the nominal point, the fluctuation probes and the Monte
-Carlo draws, and each fleet reads its utilizations from them.  The
-exhaustive scan and the coordinate descent evaluate candidates through one
-group step: the checks, then one lockstep ascent of the candidates that
-pass, in groups that keep one Hessian batch under a fixed number of
-elements.
+Carlo draws (in fixed-size chunks), and each fleet reads its utilizations
+from them.  The exhaustive scan and the coordinate descent evaluate
+candidates through one group step: the checks, then one lockstep ascent of
+the candidates that pass, in groups that keep one Hessian batch under a
+fixed number of elements.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -53,10 +60,13 @@ _MC_SEED = 7654321
 # derivatives (rows, n, n, k, k), 8 MB of floats; plan_fleet ascends its
 # candidates in groups that stay under it, though never less than one
 _HESSIAN_BATCH_ELEMENTS = 1_000_000
-# largest limits.mc_samples; the draws are solved once per plan, in one
-# batch of mc_samples routing matrices (k, k): `plan` on planner_small (k = 3)
-# at this cap takes ~1.5 s and ~100 MB
+# largest limits.mc_samples; the draws are solved once per plan: `plan` on
+# planner_small (k = 3) at this cap takes ~1.5 s
 MC_SAMPLES_MAX = 200_000
+# elements of the routing matrices (rows, k, k) of one chunk of Monte Carlo
+# draws, 8 MB of floats; a plan solves its draws chunk by chunk and keeps
+# only their (mc_samples, k) arrival rates
+_MC_CHUNK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ class PlannerLimits:
             raise ValidationErrors(problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorstCase:
     """Adversarial transfer point, unit direction, and WIP growth rate."""
 
@@ -129,7 +139,7 @@ class WorstCase:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintCheck:
     key: str
     passed: bool
@@ -227,17 +237,66 @@ def worst_case_direction(
 ) -> WorstCase:
     """Maximize the WIP directional derivative over the clipped simplex.
 
-    Projected gradient ascent with backtracking line search from `starts`
-    deterministic Halton starts (plus the nominal point when given), all
-    advancing together as rows of one lockstep ascent, the one-fleet case of
-    plan_fleet's.  Start points where no station is stable are skipped; if
-    every start is unstable the fleet admits no stable operating point and
-    NoStablePoint is raised.
+    Projected gradient ascent on phi from `starts` deterministic Halton
+    starts (plus the nominal point when given), all advancing together as
+    rows of one lockstep ascent, the one-fleet case of plan_fleet's.  Each
+    step moves along the projection arc of the phi gradient, its length set
+    by the gradient's tangent-cone projection, and a start stops at a KKT
+    point of phi on the search box.  Start points where no station is
+    stable are skipped; if every start is unstable the fleet admits no
+    stable operating point and NoStablePoint is raised.
     """
     (wc,) = _worst_cases(model, [fleet], limits, p_nominal, starts, max_iters)
     if wc is None:
         raise NoStablePoint("no stable transfer point found for this fleet")
     return wc
+
+
+def _tangent_cone(G: np.ndarray, P: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Projection of each sum-zero row of G onto the tangent cone of the
+    capped simplex at the matching row of P, the sum-zero directions that
+    do not leave the box.
+
+    The projection is G - nu on the coordinates it keeps and 0 on the rest,
+    where a coordinate held at a bound is dropped while G - nu points out of
+    the box there.  Starting from nu = 0, each pass re-decides the drops at
+    the current nu and re-centres nu on the mean of the kept coordinates,
+    until the drops repeat (Newton's method on the sum of the projection as
+    a function of nu).  Passes are capped at one per coordinate.  Each row
+    has the bits of its one-row call.
+    """
+    at_lower, at_upper = P <= lower, P >= upper
+    kept = np.ones(G.shape, dtype=bool)
+    nu = np.zeros((len(G), 1))
+    for _ in range(G.shape[1]):
+        now = ~((at_lower & (G < nu)) | (at_upper & (G > nu)))
+        if (now == kept).all():
+            break
+        kept = now
+        # a row with every coordinate dropped keeps nothing and reads 0
+        count = np.maximum(kept.sum(axis=1, keepdims=True), 1)
+        nu = np.where(kept, G, 0.0).sum(axis=1, keepdims=True) / count
+    return np.where(kept, G - nu, 0.0)
+
+
+def _onto_face(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Rows of X, projections of far points, with their sums restored to 1.
+
+    The projection of a point far outside the box misses sum 1 by up to
+    that point's ulps (1e-10 at |p + t G| ~ 1e6).  Its coordinates strictly
+    inside the box take up the difference in equal shares, so the ones at a
+    bound stay exactly there and the tangent cone sees them; a share that
+    would cross a bound is clipped.
+    """
+    inside = (X > lower) & (X < upper)
+    count = np.maximum(inside.sum(axis=1, keepdims=True), 1)
+    share = (1.0 - X.sum(axis=1, keepdims=True)) / count
+    return np.clip(np.where(inside, X + share, X), lower, upper)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a stacked 1 x 1 product sums like the one-row dot product
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _worst_cases(
@@ -251,14 +310,20 @@ def _worst_cases(
     """The worst case of each fleet, None where no start is stable.
 
     Every (fleet, start) pair is a row, in fleet order and then start order.
-    A row at a new point gets its ascent direction from the Hessian pass; a
-    row with a direction tries the step alpha along it (projected back into
-    the box) in the phi pass, moves when phi rises by more than 1e-12 and
-    doubles its next step (at most 0.5), or halves alpha and tries again.
-    A row stops after max_iters directions, at a direction shorter than
-    1e-10, or when alpha falls to 1e-12.  Its best point is the first strict
-    maximum over all its evaluations, rejected candidates included; a
-    fleet's worst case is its best row, the earliest on ties.
+    A row at a new point p gets G, the centred phi gradient, from the
+    Hessian pass, and d, G's projection onto the tangent cone of the box at
+    p (_tangent_cone).  It stops there when |d| < 1e-10, a KKT point of phi
+    on the box (Calamai & More, Math. Programming 39, 1987), or when G is
+    not finite.  Otherwise it searches along the projection arc,
+    project(p + t G) from t = 1/|d|, so that one step can cross the box
+    along the face the cone allows (Bertsekas, SIAM J. Control Optim. 20,
+    1982).  The phi pass accepts a candidate when phi rises, and by at
+    least 1e-4 G.(cand - p); the row then takes its next direction.
+    Otherwise t shrinks fourfold.  A row whose trial point p + t G rounds
+    to p cannot rise and stops, and a row stops after max_iters directions.
+    Its best point is the first strict maximum over all its evaluations,
+    rejected candidates included; a fleet's worst case is its best row, the
+    earliest on ties.
     """
     if not fleets:
         return []
@@ -274,9 +339,8 @@ def _worst_cases(
     mu = np.repeat([queueing.service_rates(model, f) for f in fleets], per, axis=0)
     v, turning = _phi(model, P, mu)
     best_v, best_p = v.copy(), P.copy()
-    step = np.full(len(P), 0.1)
-    alpha = np.zeros(len(P))
-    direction = np.zeros_like(P)
+    G = np.zeros_like(P)
+    t = np.zeros(len(P))
     iters = np.zeros(len(P), dtype=int)
     searching = np.zeros(len(P), dtype=bool)
     while turning.any() or searching.any():
@@ -284,29 +348,32 @@ def _worst_cases(
         turning[:] = False
         if turn.size:
             grads, hess, _ = queueing._wip_derivatives(model, P[turn], mu[turn], hessian=True)
-            d, gnorm = queueing.projected_gradient(_phi_gradient(grads, hess))
-            keep = ~(gnorm < 1e-10)
+            g = queueing.projected_gradient(_phi_gradient(grads, hess))[0]
+            d = _tangent_cone(g, P[turn], lower, upper)
+            dnorm = np.sqrt(_row_dot(d, d))
+            # only a finite G makes a shrinking step round to p at last
+            keep = (dnorm >= 1e-10) & np.isfinite(g).all(axis=1)
             turn = turn[keep]
-            direction[turn] = d[keep] / gnorm[keep, None]
-            alpha[turn] = step[turn]
+            G[turn], t[turn] = g[keep], 1.0 / dnorm[keep]
             iters[turn] += 1
-            searching[turn] = alpha[turn] > 1e-12
+            searching[turn] = True
         look = np.flatnonzero(searching)
+        trial = P[look] + t[look, None] * G[look]
+        moves = ~(trial == P[look]).all(axis=1)
+        searching[look[~moves]] = False
+        look, trial = look[moves], trial[moves]
         if not look.size:
             continue
-        cand = simplex.project_capped_simplex(
-            P[look] + alpha[look, None] * direction[look], lower, upper
-        )
+        cand = _onto_face(simplex.project_capped_simplex(trial, lower, upper), lower, upper)
         vc, _ = _phi(model, cand, mu[look])
         better = vc > best_v[look]
         best_v[look[better]], best_p[look[better]] = vc[better], cand[better]
-        up = vc > v[look] + 1e-12
-        moved, failed = look[up], look[~up]
+        rise = _row_dot(G[look], cand - P[look])
+        up = (vc > v[look]) & (vc >= v[look] + 1e-4 * rise)
+        moved = look[up]
         P[moved], v[moved] = cand[up], vc[up]
-        step[moved] = np.minimum(alpha[moved] * 2.0, 0.5)
         searching[moved], turning[moved] = False, True
-        alpha[failed] *= 0.5
-        searching[failed] = alpha[failed] > 1e-12
+        t[look[~up]] *= 0.25
     out = []
     for f, fleet in enumerate(fleets):
         row = f * per + int(np.argmax(best_v[f * per:(f + 1) * per]))
@@ -366,9 +433,17 @@ class _ConstraintChecks:
 
     @functools.cached_property
     def draws(self) -> np.ndarray:
+        # chunks of rng.dirichlet continue one stream, so they draw the rows
+        # of one call, and each row's solve is its own: the chunk size moves
+        # no bit
         rng = np.random.default_rng(_MC_SEED)
         alpha = np.maximum(self.limits.mc_alpha * self.p, 1e-9)
-        return self._traffic(rng.dirichlet(alpha, size=self.limits.mc_samples))
+        n, k = self.limits.mc_samples, len(self.model.stations)
+        rows = max(1, _MC_CHUNK_ELEMENTS // (k * k))
+        return np.concatenate([
+            self._traffic(rng.dirichlet(alpha, size=min(rows, n - start)))
+            for start in range(0, n, rows)
+        ])
 
     def report(self, fleet: FleetConfig) -> ConstraintReport:
         limits, model = self.limits, self.model
@@ -427,7 +502,13 @@ def check_constraints(
 
 @dataclass(frozen=True)
 class FleetCandidateSpace:
-    """Per-type inclusive (min, max) vehicle-count ranges."""
+    """Per-type inclusive (min, max) vehicle-count ranges.
+
+    Iteration yields the fleets in product order.  The first one builds
+    them all and keeps them, so the examined outcomes of every plan over
+    this space share one set of FleetConfig objects; plan_fleet iterates
+    only spaces of at most EXHAUSTIVE_LIMIT fleets.
+    """
 
     bounds: tuple[tuple[int, int], ...]
 
@@ -447,20 +528,26 @@ class FleetCandidateSpace:
             out *= hi - lo + 1
         return out
 
-    def __iter__(self):
+    @functools.cached_property
+    def _fleets(self) -> tuple[FleetConfig, ...]:
         ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
-        for counts in itertools.product(*ranges):
-            yield FleetConfig(counts=counts)
+        return tuple(FleetConfig(counts=counts) for counts in itertools.product(*ranges))
+
+    def __iter__(self):
+        return iter(self._fleets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateOutcome:
+    """One examined fleet; `reasons` names every constraint check it
+    failed, or no_stable_point when it passed them all but no start was
+    stable."""
+
     fleet: FleetConfig
     feasible: bool
     reasons: tuple[str, ...]
     v_star: float | None
     nominal_wip: float | None
-    check_passed: dict
 
     def to_dict(self) -> dict:
         return {
@@ -515,7 +602,7 @@ class PlanResult:
                     "" if o.v_star is None else repr(o.v_star),
                     "" if o.nominal_wip is None else repr(o.nominal_wip),
                 )
-                + tuple("true" if o.check_passed.get(k, False) else "false" for k in keys)
+                + tuple("false" if k in o.reasons else "true" for k in keys)
             )
         return header, rows
 
@@ -549,7 +636,6 @@ def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
                 report.failed_keys or (() if wc is not None else ("no_stable_point",)),
                 None if wc is None else wc.v_star,
                 nominal if math.isfinite(nominal) else None,
-                {c.key: c.passed for c in report.checks},
             )
             yield key, outcome, wc, report
 

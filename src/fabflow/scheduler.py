@@ -259,6 +259,12 @@ def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> No
         raise ValueError(problem)
 
 
+# most schedule evaluations one GA run may plan: the default plans 20,100; at
+# 13-18 us an evaluation (20 tasks, 4 vehicles, shared 2-core Xeon), the cap
+# is at most about 20 s of search per task type
+GA_EVALUATIONS_MAX = 1_000_000
+
+
 @dataclass(frozen=True)
 class GaParams:
     population: int = 100
@@ -273,6 +279,18 @@ class GaParams:
         _check_param("crossover_rate", self.crossover_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
         if self.mutation_rate is not None:
             _check_param("mutation_rate", self.mutation_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        evaluations = self.planned_evaluations
+        if evaluations > GA_EVALUATIONS_MAX:
+            raise ValueError(
+                f"population and generations plan {shown(evaluations)} evaluations, "
+                f"more than GA_EVALUATIONS_MAX = {GA_EVALUATIONS_MAX}"
+            )
+
+    @property
+    def planned_evaluations(self) -> int:
+        """Schedules the search scores: the initial population, then one
+        brood of children per generation."""
+        return self.population * (self.generations + 1)
 
 
 def _front_to_pareto(inst, pop, F) -> ParetoSet:
@@ -517,6 +535,12 @@ def sa_optimize(
     return _as_result(inst, np.array(best), T, C, bounds)
 
 
+# most ant solutions one ACO run may plan: the default plans 2,000; at 4-13 us
+# an ant (20 tasks, 4 vehicles, shared 2-core Xeon), the cap is at most about
+# 15 s of search per task type
+ACO_SOLUTIONS_MAX = 1_000_000
+
+
 @dataclass(frozen=True)
 class AcoParams:
     ants: int = 20
@@ -536,6 +560,17 @@ class AcoParams:
             _check_param(name, getattr(self, name), "be non-negative and finite", lambda v: 0.0 <= v <= sys.float_info.max)
         for name in ("pheromone_init", "deposit"):
             _check_param(name, getattr(self, name), "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
+        solutions = self.planned_solutions
+        if solutions > ACO_SOLUTIONS_MAX:
+            raise ValueError(
+                f"ants and iterations plan {shown(solutions)} ant solutions, "
+                f"more than ACO_SOLUTIONS_MAX = {ACO_SOLUTIONS_MAX}"
+            )
+
+    @property
+    def planned_solutions(self) -> int:
+        """Assignments the ants build: every ant in every iteration."""
+        return self.ants * self.iterations
 
 
 def aco_optimize(

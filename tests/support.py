@@ -284,6 +284,23 @@ def clipped_simplex_lattice(dim, eta, m):
     ]
 
 
+def box_vertices(lower, upper):
+    """Vertices of {p : sum(p) = 1, lower <= p <= upper}: every coordinate
+    but one at a bound, and the one left between its bounds."""
+    dim = len(lower)
+    out = []
+    for j in range(dim):
+        others = [i for i in range(dim) if i != j]
+        for at_upper in itertools.product((False, True), repeat=dim - 1):
+            p = np.empty(dim)
+            for i, up in zip(others, at_upper):
+                p[i] = upper[i] if up else lower[i]
+            p[j] = 1.0 - p[others].sum()
+            if lower[j] <= p[j] <= upper[j] and not any((p == q).all() for q in out):
+                out.append(p)
+    return out
+
+
 def interp_projection(v, lower, upper):
     """Capped-simplex projection of one point the direct way: s(tau) at the
     distinct sorted kinks, and tau = np.interp(1, s reversed, kinks reversed)."""
@@ -313,15 +330,37 @@ class _PhiTracker:
         return v
 
 
+def tangent_cone_direction(G, p, lower, upper):
+    """G projected onto the tangent cone of the capped simplex at p, for one
+    point: coordinates held at a bound drop out while G - nu points out of
+    the box there, nu being the mean of G over the coordinates kept; the
+    drops are re-decided from nu = 0 until they repeat, at most once per
+    coordinate."""
+    at_lower, at_upper = p <= lower, p >= upper
+    kept = np.ones(len(G), dtype=bool)
+    nu = 0.0
+    for _ in range(len(G)):
+        now = ~((at_lower & (G < nu)) | (at_upper & (G > nu)))
+        if (now == kept).all():
+            break
+        kept = now
+        nu = np.where(kept, G, 0.0).sum() / max(int(kept.sum()), 1)
+    return np.where(kept, G - nu, 0.0)
+
+
 def sequential_worst_case(
     model, fleet, limits, p_nominal=None, starts=ASCENT_STARTS, max_iters=ASCENT_MAX_ITERS
 ):
     """The worst-case ascent one start at a time, on one-row calls.
 
-    Each start runs projected gradient ascent on phi with a backtracking line
-    search to the end before the next one begins; the phi gradient is
-    H^T t[1:] / phi from the one-row Hessian.  The lockstep ascent must give
-    the same WorstCase bit for bit.
+    Each start runs to the end before the next one begins.  At p, G is the
+    centred phi gradient H^T t[1:] / phi from the one-row Hessian and d its
+    tangent-cone projection; the start stops when |d| < 1e-10 or G is not
+    finite.  Otherwise it tries project(p + t G), its sum restored to 1 on
+    the coordinates inside the box, from t = 1/|d|; it accepts when phi
+    rises, and by at least 1e-4 G.(cand - p), shrinks t fourfold when not,
+    and stops when p + t G rounds to p.  The lockstep ascent must give the
+    same WorstCase bit for bit.
     """
     dim = model.wltp_dim
     lower, upper = _search_bounds(dim, limits, p_nominal)
@@ -339,25 +378,27 @@ def sequential_worst_case(
         if v is None:
             continue
         p = p0
-        step = 0.1
         for _ in range(max_iters):
             g, hess = wip_hessian(model, p, fleet)
             tangent, norm = projected_gradient(g)
             grad = np.zeros_like(g) if norm == 0.0 else hess.T @ tangent[1:] / norm
-            direction, gnorm = projected_gradient(grad)
-            if gnorm < 1e-10:
+            G, _ = projected_gradient(grad)
+            d = tangent_cone_direction(G, p, lower, upper)
+            dnorm = math.sqrt(d @ d)
+            if not (dnorm >= 1e-10 and np.isfinite(G).all()):
                 break
-            direction /= gnorm
-            alpha, moved = step, False
-            while alpha > 1e-12:
-                cand = simplex.project_capped_simplex(p + alpha * direction, lower, upper)
+            t, moved = 1.0 / dnorm, False
+            while not (p + t * G == p).all():
+                cand = simplex.project_capped_simplex(p + t * G, lower, upper)
+                # the coordinates inside the box take up the projection's miss of sum 1
+                inside = (cand > lower) & (cand < upper)
+                share = (1.0 - cand.sum()) / max(int(inside.sum()), 1)
+                cand = np.clip(np.where(inside, cand + share, cand), lower, upper)
                 vc = phi(cand)
-                if vc is not None and vc > v + 1e-12:
-                    p, v = cand, vc
-                    step = min(alpha * 2.0, 0.5)
-                    moved = True
+                if vc is not None and vc > v and vc >= v + 1e-4 * (G @ (cand - p)):
+                    p, v, moved = cand, vc, True
                     break
-                alpha *= 0.5
+                t *= 0.25
             if not moved:
                 break
     if phi.best_p is None:

@@ -14,7 +14,14 @@ from fabflow import cli
 from fabflow.cli import main
 from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
-from fabflow.scheduler import SA_MOVES_MAX, AcoParams, GaParams, SaParams
+from fabflow.scheduler import (
+    ACO_SOLUTIONS_MAX,
+    GA_EVALUATIONS_MAX,
+    SA_MOVES_MAX,
+    AcoParams,
+    GaParams,
+    SaParams,
+)
 
 SHRUNK_GA = (
     "--set",
@@ -438,6 +445,33 @@ def test_sa_moves_above_the_cap_exit_1_at_once(capsys):
     )
     assert SaParams().planned_moves == 36_000
     assert SaParams(t_initial=1e308).planned_moves < SA_MOVES_MAX
+
+
+@pytest.mark.parametrize("method, setting, message", [
+    (
+        "ga", "ga.generations=1000000000",
+        f"metaheuristic_params.ga: population and generations plan 100000000100 evaluations, "
+        f"more than GA_EVALUATIONS_MAX = {GA_EVALUATIONS_MAX}",
+    ),
+    (
+        "aco", "aco.iterations=1000000000",
+        f"metaheuristic_params.aco: ants and iterations plan 20000000000 ant solutions, "
+        f"more than ACO_SOLUTIONS_MAX = {ACO_SOLUTIONS_MAX}",
+    ),
+])
+def test_ga_and_aco_work_above_the_cap_exit_1_at_once(capsys, method, setting, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", method,
+        "--set", f"metaheuristic_params.{setting}",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(message)
+    # table1_bench runs on the defaults, far below both caps
+    assert GaParams().planned_evaluations == 20_100 < GA_EVALUATIONS_MAX // 40
+    assert AcoParams().planned_solutions == 2_000 < ACO_SOLUTIONS_MAX // 400
 
 
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])

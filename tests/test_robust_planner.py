@@ -229,6 +229,28 @@ def test_worst_case_dominates_random_probes():
         assert phi(model, p, fleet) <= wc.v_star + 1e-9
 
 
+@pytest.mark.parametrize("case", ["wide_hub_4", "wide_hub_5", "wide_hub_6", "queueing_reference"])
+def test_worst_case_dominates_box_vertices_and_samples(case):
+    # these models peak at a vertex of the search box, which an ascent that
+    # crawls along a face never reaches; three vehicles keep the hub busy
+    if case == "queueing_reference":
+        model, p_nom, fleet = hub()
+    else:
+        model, p_nom, _ = wide_hub(int(case.rsplit("_", 1)[1]))
+        fleet = FleetConfig((3,))
+    limits = PlannerLimits(c_max=fleet.total, w_star=math.inf, u=math.inf, delta_wip_max=math.inf)
+    wc = worst_case_direction(model, fleet, limits, p_nom)
+    dim = len(p_nom)
+    lower, upper = np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
+    rng = np.random.default_rng(20261018)
+    sample = simplex.project_capped_simplex(rng.dirichlet(np.full(dim, 0.5), size=500), lower, upper)
+    for p in [*support.box_vertices(lower, upper), *sample]:
+        assert phi(model, p, fleet) <= wc.v_star + 1e-9
+    # the steps that reach the vertex project points far outside the box,
+    # and p_star still sums to 1
+    assert abs(sum(wc.p_star) - 1.0) <= 1e-15
+
+
 def test_worst_case_is_deterministic():
     model, p_nom, limits = small()
     a = worst_case_direction(model, FleetConfig((1, 5)), limits, p_nom)
@@ -477,6 +499,23 @@ def test_shared_checks_match_oracle_at_unstable_points():
         assert got == want and repr(got) == repr(want)
         assert got["nominal_wip"].detail == detail
         assert got["wip_hard_cap"].measured == math.inf
+
+
+@pytest.mark.parametrize("chunk", [1, 99, 5000])
+def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
+    model, p, limits = small()
+    # a cap near the median WIP of the draws, so that the exceedance is neither 0 nor 1
+    limits = dataclasses.replace(limits, mc_samples=5000, w_star=5.0, u=5.07)
+    fleet = FleetConfig((1, 5))
+    # the oracle draws and solves all 5000 rows in one batch
+    want = support.per_fleet_constraints(model, p, fleet, limits).mc_exceedance
+    assert 0.2 < want < 0.8
+    rng = np.random.default_rng(robust_planner._MC_SEED)
+    lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000), None).lam
+    monkeypatch.setattr(robust_planner, "_MC_CHUNK_ELEMENTS", chunk * len(model.stations) ** 2)
+    checks = robust_planner._ConstraintChecks(model, p, limits)
+    assert checks.report(fleet).mc_exceedance == want
+    assert np.array_equal(checks.draws, lam)
 
 
 def counted_traffic_solves(monkeypatch):

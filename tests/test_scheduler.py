@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabflow import scheduler
 from fabflow.errors import (
     EmptySeeds,
     MissingDistance,
@@ -300,6 +301,26 @@ def test_sa_planned_moves_count_the_search():
         while t > t_min:
             temperatures, t = temperatures + 1, t * cooling
         assert params.planned_moves == 7 * temperatures
+
+
+def test_ga_and_aco_planned_work_counts_the_search(monkeypatch):
+    inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(TaskType.SHIPPING)
+    scored = []
+    objectives = scheduler._objectives
+
+    def counted(pop, T, C):
+        scored.append(len(np.atleast_2d(pop)))
+        return objectives(pop, T, C)
+
+    monkeypatch.setattr(scheduler, "_objectives", counted)
+    ga = GaParams(population=6, generations=4)
+    ga_optimize(inst, ga, seed=1)
+    assert sum(scored) == ga.planned_evaluations == 30
+    scored.clear()
+    aco = AcoParams(ants=3, iterations=5)
+    aco_optimize(inst, aco, seed=1)
+    # besides the ants: the 100 samples of the score bounds and the best found
+    assert sum(scored) == aco.planned_solutions + 100 + 1
 
 
 @pytest.mark.parametrize("task_type, seed", [(TaskType.PROCESSING, 4), (TaskType.TESTING, 5)])
