@@ -493,13 +493,20 @@ def sa_optimize(
     best, best_score = current.copy(), cur_score
     task_cost = C[np.arange(n_tasks), start]
     time_cols, cost_rows = T.T.tolist(), C.tolist()
+    # each vehicle's task indices, kept sorted so its busy time adds in task order
+    held: list[list[int]] = [[] for _ in range(n_veh)]
+    for ti, v in enumerate(current):
+        held[v].append(ti)
+
+    def move(ti: int, src: int, dst: int) -> None:
+        held[src].remove(ti)
+        bisect.insort(held[dst], ti)
 
     def busy_time(v: int) -> float:
         # an explicit loop: builtin sum() compensates from Python 3.12 on
         total, col = 0.0, time_cols[v]
-        for t, u in enumerate(current):
-            if u == v:
-                total += col[t]
+        for ti in held[v]:
+            total += col[ti]
         return total
 
     busy = [busy_time(v) for v in range(n_veh)]
@@ -519,6 +526,9 @@ def sa_optimize(
             # written first, so a one-task move (j == i) ends with task i on vj
             current[j], current[i] = vi, vj
             task_cost[j], task_cost[i] = cost_rows[j][vi], cost_rows[i][vj]
+            move(i, vi, vj)
+            if j != i:
+                move(j, vj, vi)
             kept = busy[vi], busy[vj]
             busy[vi], busy[vj] = busy_time(vi), busy_time(vj)
             cand_score = bounds.score(np.add.reduce(task_cost), max(busy))
@@ -530,6 +540,9 @@ def sa_optimize(
             else:
                 current[j], current[i] = vj, vi
                 task_cost[j], task_cost[i] = cost_rows[j][vj], cost_rows[i][vi]
+                move(i, vj, vi)
+                if j != i:
+                    move(j, vi, vj)
                 busy[vi], busy[vj] = kept
         t *= params.cooling
     return _as_result(inst, np.array(best), T, C, bounds)
