@@ -20,7 +20,13 @@ decreasing function of makespan, so it adds nothing to dominance and is
 derived only when an ObjectiveVector is built.  SA and ACO optimize an
 equal-weight scalarization of cost and makespan after min-max normalization
 over a seeded sample of random assignments.  All three are deterministic
-given the seed.
+given a non-negative seed.
+
+The searches draw their random numbers in blocks, not one scalar call at a
+time: SA draws each temperature's moves as arrays (their order is in
+`sa_optimize`), and each GA generation draws its tournaments, one crossover
+flag per consecutive pair of parents, one gene mask per pair and its
+mutations as whole arrays.
 """
 from __future__ import annotations
 
@@ -252,6 +258,13 @@ def _crowding_distance(F: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The search's generator; NumPy seeds only non-negative integers."""
+    if seed < 0:
+        raise ValidationErrors([f"seed {seed} is negative; seeds must be non-negative integers"])
+    return np.random.default_rng(seed)
+
+
 def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> None:
     """ValueError with the problem errors.param_error finds, if any."""
     problem = param_error(name, value, domain, ok, integer)
@@ -260,8 +273,8 @@ def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> No
 
 
 # most schedule evaluations one GA run may plan: the default plans 20,100; at
-# 13-18 us an evaluation (20 tasks, 4 vehicles, shared 2-core Xeon), the cap
-# is at most about 20 s of search per task type
+# 3-6 us an evaluation (table1_bench types of 2-20 tasks, 4 vehicles, shared
+# 2-core Xeon), the cap is about 4-6 s of search per task type
 GA_EVALUATIONS_MAX = 1_000_000
 
 
@@ -318,12 +331,13 @@ def ga_optimize(
     params = params or GaParams()
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     T, C = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     pmut = params.mutation_rate if params.mutation_rate is not None else 1.0 / n_tasks
     pop = rng.integers(0, n_veh, size=(params.population, n_tasks))
     F = np.column_stack(_objectives(pop, T, C))
+    pairs = params.population // 2
     for _ in range(params.generations):
         ranks = _nondominated_sort(F)
         crowd = np.empty(len(pop))
@@ -335,14 +349,14 @@ def ga_optimize(
         a, b = picks
         better = (ranks[a] < ranks[b]) | ((ranks[a] == ranks[b]) & (crowd[a] >= crowd[b]))
         parents = pop[np.where(better, a, b)]
-        # uniform crossover on consecutive pairs
+        # uniform crossover on consecutive pairs: a pair that does not cross
+        # keeps its genes, and an odd population's last member is copied
+        crossed = rng.random((pairs, 1)) < params.crossover_rate
+        keep = ~crossed | (rng.random((pairs, n_tasks)) < 0.5)
         children = parents.copy()
-        for i in range(0, params.population - 1, 2):
-            if rng.random() < params.crossover_rate:
-                mask = rng.random(n_tasks) < 0.5
-                c1 = np.where(mask, parents[i], parents[i + 1])
-                c2 = np.where(mask, parents[i + 1], parents[i])
-                children[i], children[i + 1] = c1, c2
+        firsts, seconds = parents[0 : 2 * pairs : 2], parents[1::2]
+        children[0 : 2 * pairs : 2] = np.where(keep, firsts, seconds)
+        children[1::2] = np.where(keep, seconds, firsts)
         mut = rng.random(children.shape) < pmut
         children[mut] = rng.integers(0, n_veh, size=int(mut.sum()))
         Fc = np.column_stack(_objectives(children, T, C))
@@ -413,8 +427,8 @@ def _as_result(inst, a, T, C, bounds) -> ScalarResult:
 
 
 # most moves one SA run may plan: the default plans 36,000 and t_initial=1e308
-# about 2.8 million; at ~15 us a move (shared 2-core Xeon), the cap is about
-# 2.5 minutes of search
+# about 2.8 million; at ~4 us a move (table1_bench types of 2-20 tasks, shared
+# 2-core Xeon), the cap is about 40 s of search
 SA_MOVES_MAX = 10_000_000
 
 
@@ -451,17 +465,6 @@ class SaParams:
         return math.ceil(ratio / -math.log(self.cooling)) * self.iters_per_temp
 
 
-def _swap_pair(rng, n: int) -> tuple[int, int]:
-    """rng.choice(n, size=2, replace=False) for n >= 2, drawn the way NumPy's
-    Generator draws it (Floyd's algorithm, then a shuffle of the pair), so the
-    stream stays in step without the cost of a choice() call."""
-    a = int(rng.integers(0, n - 1))
-    b = int(rng.integers(0, n))
-    if b == a:
-        b = n - 1
-    return (b, a) if rng.integers(0, 2) == 0 else (a, b)
-
-
 def sa_optimize(
     inst: SchedulingInstance, params: SaParams | None = None, seed: int = 42
 ) -> ScalarResult:
@@ -470,20 +473,35 @@ def sa_optimize(
     A move either hands one task to a different vehicle or exchanges the
     vehicles of two tasks (pure exchanges alone cannot rebalance loads).
 
+    At each temperature the search draws its m = iters_per_temp moves as
+    arrays, in this order:
+
+    1. m move-kind uniforms, a swap below 0.5, drawn only when a swap is
+       possible (at least two tasks and two vehicles);
+    2. m first tasks i from integers(0, n_tasks);
+    3. only when a swap is possible, m second tasks from
+       integers(0, n_tasks - 1), mapped to j + (j >= i) so that j != i;
+    4. m vehicle offsets k from integers(0, n_vehicles - 1) (all 0 with one
+       vehicle): a one-task move hands task i from vehicle v to
+       (v + 1 + k) % n_vehicles;
+    5. m acceptance uniforms u: a move that raises the score by delta > 0
+       is kept when u < exp(-delta / t).
+
     A move is scored by delta evaluation with the kernel's own arithmetic,
     so every score, and so every accept decision, has the bits a full
-    `_objectives` re-score would give.  Only the busy times of the two
-    vehicles a move touches are re-summed, in task order as the kernel adds
-    them (its zeros leave a non-negative sum unchanged); the cost is
-    `np.add.reduce` of the per-task cost vector the kernel reduces, never a
-    running total; the makespan is the largest busy time.  A rejected move
-    puts the touched entries back.  A move that changes no vehicle's task
-    set keeps the current score.
+    `_objectives` re-score would give.  Each vehicle keeps the sorted
+    indices of its tasks, and only the busy times of the two vehicles a
+    move touches are re-summed, in task order as the kernel adds them (its
+    zeros leave a non-negative sum unchanged); the cost is `np.add.reduce`
+    of the per-task cost vector the kernel reduces, never a running total;
+    the makespan is the largest busy time.  A rejected move puts the
+    touched entries back.  A move that changes no vehicle's task set keeps
+    the current score.
     """
     params = params or SaParams()
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     T, C = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     bounds = _sample_bounds(rng, T, C)
@@ -510,16 +528,25 @@ def sa_optimize(
         return total
 
     busy = [busy_time(v) for v in range(n_veh)]
+    m = params.iters_per_temp
+    swappable = n_tasks >= 2 and n_veh >= 2
     t = params.t_initial
     while t > params.t_min:
-        for _ in range(params.iters_per_temp):
-            if n_tasks >= 2 and n_veh >= 2 and rng.random() < 0.5:
-                i, j = _swap_pair(rng, n_tasks)
-                vi, vj = current[i], current[j]
+        swaps = (rng.random(m) < 0.5).tolist() if swappable else [False] * m
+        firsts = rng.integers(0, n_tasks, m)
+        if swappable:
+            seconds = rng.integers(0, n_tasks - 1, m)
+            seconds += seconds >= firsts
+        else:
+            seconds = firsts
+        offsets = rng.integers(0, max(n_veh - 1, 1), m).tolist()
+        draws = zip(swaps, firsts.tolist(), seconds.tolist(), offsets, rng.random(m).tolist())
+        for swap, i, j, k, u in draws:
+            vi = current[i]
+            if swap:
+                vj = current[j]
             else:
-                i = j = int(rng.integers(0, n_tasks))
-                vi = current[i]
-                vj = (vi + 1 + int(rng.integers(0, max(n_veh - 1, 1)))) % n_veh
+                j, vj = i, (vi + 1 + k) % n_veh
             if vi == vj:
                 continue  # the same assignment, so the same score: delta 0, accepted
             # task i moves vi -> vj and, in a swap, task j moves vj -> vi; j is
@@ -533,7 +560,7 @@ def sa_optimize(
             busy[vi], busy[vj] = busy_time(vi), busy_time(vj)
             cand_score = bounds.score(np.add.reduce(task_cost), max(busy))
             delta = cand_score - cur_score
-            if delta <= 0 or rng.random() < math.exp(-delta / t):
+            if delta <= 0 or u < math.exp(-delta / t):
                 cur_score = cand_score
                 if cur_score < best_score:
                     best, best_score = current.copy(), cur_score
@@ -606,7 +633,7 @@ def aco_optimize(
     params = params or AcoParams()
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     T, C = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     bounds = _sample_bounds(rng, T, C)
@@ -745,6 +772,8 @@ def benchmark(
     seeds = list(seeds)
     if not seeds:
         raise EmptySeeds("benchmark needs at least one seed")
+    for seed in seeds:
+        _seeded_rng(seed)  # a bad seed fails before any search runs
     inst = SchedulingInstance.from_scenario(scenario)
     rows = []
     present = [tt for tt in TaskType if any(t.task_type == tt for t in inst.tasks)]

@@ -75,8 +75,12 @@ def project_capped_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) 
     solving s(tau) = 1, where s(tau) = sum(clip(v - tau, lower, upper)) is
     non-increasing and piecewise linear with kinks at v - upper and v - lower.
     Evaluating s at the sorted kinks brackets s = 1, and linear interpolation
-    between the bracketing kinks gives tau exactly (Kiwiel, Math. Program.
-    2008).  Requires sum(lower) <= 1 <= sum(upper) in every row.
+    between the bracketing kinks gives tau (Kiwiel, Math. Program. 2008).
+    In floating point x = v - tau cancels for a point far outside the box,
+    so the result's sum can miss 1 by up to about an ulp of |v| (1e-11 to
+    1e-10 at |v| ~ 1e6); `robust_planner._onto_face` restores the sum of
+    the ascent's candidates.
+    Requires sum(lower) <= 1 <= sum(upper) in every row.
     """
     v = np.asarray(v, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)

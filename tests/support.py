@@ -120,8 +120,11 @@ def brute_force_best_scalar(inst, bounds):
 
 def full_rescore_sa(inst, params=None, seed=42):
     """Simulated annealing that copies the chromosome and re-scores it whole
-    through `_objectives` for every move, drawing swap pairs with
-    `rng.choice`: the loop `sa_optimize` replaced with delta evaluation."""
+    through `_objectives` for every move: the loop `sa_optimize` replaced
+    with delta evaluation.  It draws each temperature's moves as the
+    `sa_optimize` docstring lists them: move kinds (when a swap is
+    possible), first tasks, second tasks (when a swap is possible), vehicle
+    offsets, acceptance uniforms."""
     params = params or SaParams()
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
@@ -132,19 +135,26 @@ def full_rescore_sa(inst, params=None, seed=42):
     current = rng.integers(0, n_veh, size=n_tasks)
     cur_score = bounds.score(*_objectives(current, T, C))
     best, best_score = current.copy(), cur_score
+    m = params.iters_per_temp
+    can_swap = n_tasks >= 2 and n_veh >= 2
     t = params.t_initial
     while t > params.t_min:
-        for _ in range(params.iters_per_temp):
+        kind = rng.random(m) if can_swap else None
+        first = rng.integers(0, n_tasks, m)
+        second = rng.integers(0, n_tasks - 1, m) if can_swap else None
+        offset = rng.integers(0, max(n_veh - 1, 1), m)
+        accept = rng.random(m)
+        for k in range(m):
             cand = current.copy()
-            if n_tasks >= 2 and n_veh >= 2 and rng.random() < 0.5:
-                i, j = rng.choice(n_tasks, size=2, replace=False)
+            i = first[k]
+            if can_swap and kind[k] < 0.5:
+                j = second[k] if second[k] < i else second[k] + 1
                 cand[i], cand[j] = cand[j], cand[i]
             else:
-                i = rng.integers(0, n_tasks)
-                cand[i] = (cand[i] + 1 + rng.integers(0, max(n_veh - 1, 1))) % n_veh
+                cand[i] = (cand[i] + 1 + offset[k]) % n_veh
             cand_score = bounds.score(*_objectives(cand, T, C))
             delta = cand_score - cur_score
-            if delta <= 0 or rng.random() < math.exp(-delta / t):
+            if delta <= 0 or accept[k] < math.exp(-delta / t):
                 current, cur_score = cand, cand_score
                 if cur_score < best_score:
                     best, best_score = current.copy(), cur_score

@@ -474,6 +474,25 @@ def test_ga_and_aco_work_above_the_cap_exit_1_at_once(capsys, method, setting, m
     assert AcoParams().planned_solutions == 2_000 < ACO_SOLUTIONS_MAX // 400
 
 
+@pytest.mark.parametrize("method", ["ga", "sa", "aco"])
+def test_negative_schedule_seed_exits_1(capsys, method):
+    code, out, err = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", method, "--seed", "-5"
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == "seed -5 is negative; seeds must be non-negative integers"
+
+
+def test_negative_bench_seed_exits_1_before_any_search(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bench", "--scenario", "table1_bench", "--seeds", "1,-2")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == "seed -2 is negative; seeds must be non-negative integers"
+
+
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])
 def test_nominal_fleet_needs_one_count_per_candidate_type(capsys, counts):
     code, out, err = run_cli(

@@ -23,7 +23,6 @@ from fabflow.scheduler import (
     TransportTask,
     VehicleSpec,
     _nondominated_sort,
-    _swap_pair,
     aco_optimize,
     baseline_assignment,
     benchmark,
@@ -149,6 +148,20 @@ def test_ga_is_reproducible_per_seed():
     a = ga_optimize(inst, params, seed=7)
     b = ga_optimize(inst, params, seed=7)
     assert a.to_csv_rows() == b.to_csv_rows()
+
+
+@pytest.mark.parametrize("population", [6, 7])
+def test_ga_without_crossover_or_mutation_keeps_initial_chromosomes(population):
+    inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(TaskType.SHIPPING)
+    n_tasks, n_veh = len(inst.tasks), len(inst.vehicles)
+    veh_index = {v.vehicle_id: i for i, v in enumerate(inst.vehicles)}
+    params = GaParams(population=population, generations=12, crossover_rate=0.0, mutation_rate=0.0)
+    for seed in range(1, 6):
+        initial = np.random.default_rng(seed).integers(0, n_veh, (population, n_tasks))
+        rows = {tuple(row) for row in initial.tolist()}
+        for assignment, _ in ga_optimize(inst, params, seed).members:
+            chromosome = tuple(veh_index[assignment.mapping[t.task_id]] for t in inst.tasks)
+            assert chromosome in rows
 
 
 def test_pareto_front_members_are_mutually_nondominated():
@@ -282,18 +295,6 @@ def test_sa_equals_full_rescore_on_edge_cases(name):
         assert got == want and repr(got) == repr(want)
 
 
-def test_swap_pair_draws_what_choice_draws():
-    # the NumPy Generator's own Floyd draw; a NumPy upgrade that changes it fails here
-    for n in [*range(2, 70), 1000, 9999, 10000, 10001, 50000]:
-        for seed in range(15):
-            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(10):
-                assert _swap_pair(ours, n) == tuple(ref.choice(n, size=2, replace=False).tolist())
-                assert ours.random() == ref.random()
-                assert ours.integers(0, n) == ref.integers(0, n)
-            assert ours.bit_generator.state == ref.bit_generator.state
-
-
 def test_sa_planned_moves_count_the_search():
     for t_initial, cooling, t_min in [(10.0, 0.95, 1e-3), (1.0, 0.95, 1e-3), (5.0, 0.9, 1e-3), (1e308, 0.95, 1e-3), (1e-3, 0.5, 1.0)]:
         params = SaParams(t_initial=t_initial, cooling=cooling, t_min=t_min, iters_per_temp=7)
@@ -313,10 +314,11 @@ def test_ga_and_aco_planned_work_counts_the_search(monkeypatch):
         return objectives(pop, T, C)
 
     monkeypatch.setattr(scheduler, "_objectives", counted)
-    ga = GaParams(population=6, generations=4)
-    ga_optimize(inst, ga, seed=1)
-    assert sum(scored) == ga.planned_evaluations == 30
-    scored.clear()
+    # an odd population leaves its last member unpaired in every crossover
+    for ga, planned in [(GaParams(population=6, generations=4), 30), (GaParams(population=7, generations=4), 35)]:
+        ga_optimize(inst, ga, seed=1)
+        assert sum(scored) == ga.planned_evaluations == planned
+        scored.clear()
     aco = AcoParams(ants=3, iterations=5)
     aco_optimize(inst, aco, seed=1)
     # besides the ants: the 100 samples of the score bounds and the best found
