@@ -338,8 +338,8 @@ def ga_optimize(
     pop = rng.integers(0, n_veh, size=(params.population, n_tasks))
     F = np.column_stack(_objectives(pop, T, C))
     pairs = params.population // 2
+    ranks = _nondominated_sort(F)
     for _ in range(params.generations):
-        ranks = _nondominated_sort(F)
         crowd = np.empty(len(pop))
         for r in np.unique(ranks):
             idx = np.flatnonzero(ranks == r)
@@ -374,8 +374,9 @@ def ga_optimize(
                 order = np.argsort(-dist, kind="stable")
                 chosen.extend(idx[order[: params.population - len(chosen)]].tolist())
                 break
-        pop = merged[chosen]
-        F = Fm[chosen]
+        # the kept rows are whole fronts and part of the next, so every kept
+        # row's dominators are kept and its rank in the new population is unchanged
+        pop, F, ranks = merged[chosen], Fm[chosen], ranks_m[chosen]
     return _front_to_pareto(inst, pop, F)
 
 
@@ -505,8 +506,12 @@ def sa_optimize(
     T, C = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     bounds = _sample_bounds(rng, T, C)
+    # a move is scored as ScalarBounds.score scores, with its spans computed once
+    cost_lo, mk_lo = bounds.cost_lo, bounds.makespan_lo
+    cost_span, mk_span = bounds.cost_hi - cost_lo, bounds.makespan_hi - mk_lo
+    cost_spread, mk_spread = cost_span > 0, mk_span > 0
     start = rng.integers(0, n_veh, size=n_tasks)
-    cur_score = bounds.score(*_objectives(start, T, C))
+    cur_score = float(bounds.score(*_objectives(start, T, C)))
     current = start.tolist()
     best, best_score = current.copy(), cur_score
     task_cost = C[np.arange(n_tasks), start]
@@ -516,10 +521,6 @@ def sa_optimize(
     for ti, v in enumerate(current):
         held[v].append(ti)
 
-    def move(ti: int, src: int, dst: int) -> None:
-        held[src].remove(ti)
-        bisect.insort(held[dst], ti)
-
     def busy_time(v: int) -> float:
         # an explicit loop: builtin sum() compensates from Python 3.12 on
         total, col = 0.0, time_cols[v]
@@ -528,6 +529,7 @@ def sa_optimize(
         return total
 
     busy = [busy_time(v) for v in range(n_veh)]
+    insort, exp, add_reduce = bisect.insort, math.exp, np.add.reduce
     m = params.iters_per_temp
     swappable = n_tasks >= 2 and n_veh >= 2
     t = params.t_initial
@@ -553,24 +555,39 @@ def sa_optimize(
             # written first, so a one-task move (j == i) ends with task i on vj
             current[j], current[i] = vi, vj
             task_cost[j], task_cost[i] = cost_rows[j][vi], cost_rows[i][vj]
-            move(i, vi, vj)
+            src, dst = held[vi], held[vj]
+            src.remove(i)
+            insort(dst, i)
             if j != i:
-                move(j, vj, vi)
-            kept = busy[vi], busy[vj]
-            busy[vi], busy[vj] = busy_time(vi), busy_time(vj)
-            cand_score = bounds.score(np.add.reduce(task_cost), max(busy))
+                dst.remove(j)
+                insort(src, j)
+            kept_i, kept_j = busy[vi], busy[vj]
+            total, col = 0.0, time_cols[vi]
+            for ti in src:
+                total += col[ti]
+            busy[vi] = total
+            total, col = 0.0, time_cols[vj]
+            for ti in dst:
+                total += col[ti]
+            busy[vj] = total
+            cost, makespan = float(add_reduce(task_cost)), max(busy)
+            nc = (cost - cost_lo) / cost_span if cost_spread else 0.0
+            nm = (makespan - mk_lo) / mk_span if mk_spread else 0.0
+            cand_score = 0.5 * nc + 0.5 * nm
             delta = cand_score - cur_score
-            if delta <= 0 or u < math.exp(-delta / t):
+            if delta <= 0 or u < exp(-delta / t):
                 cur_score = cand_score
                 if cur_score < best_score:
                     best, best_score = current.copy(), cur_score
             else:
                 current[j], current[i] = vj, vi
                 task_cost[j], task_cost[i] = cost_rows[j][vj], cost_rows[i][vi]
-                move(i, vj, vi)
+                dst.remove(i)
+                insort(src, i)
                 if j != i:
-                    move(j, vi, vj)
-                busy[vi], busy[vj] = kept
+                    src.remove(j)
+                    insort(dst, j)
+                busy[vi], busy[vj] = kept_i, kept_j
         t *= params.cooling
     return _as_result(inst, np.array(best), T, C, bounds)
 
