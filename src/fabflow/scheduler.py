@@ -7,12 +7,20 @@ and unload handling).  Objectives: total cost (busy time times cost rate,
 summed over vehicles), makespan (latest completion), and productivity
 (tasks per hour of makespan, 0 at makespan 0).
 
-Assignments are scored by one kernel, `_objectives`, which gives
-(cost, makespan) for one chromosome or a whole batch.  SA moves one or two
-tasks at a time, so it scores a move by delta evaluation: it re-sums only
-the two vehicles the move touches and reduces the per-task cost vector,
-with the kernel's own arithmetic, so each score has the kernel's bits (see
-`sa_optimize`).
+A schedule is scored from its per-vehicle busy times alone: the makespan is
+the largest, and the cost adds busy time times cost rate vehicle by vehicle,
+left to right (`_busy_cost`).  One kernel, `_objectives`, gives (cost,
+makespan) for one chromosome or a whole batch, and `evaluate_schedule` adds
+the same way, so every search reports the objectives it would give.  SA
+moves one or two tasks at a time, so it scores a move by delta evaluation:
+it re-sums only the two vehicles the move touches and adds the cost over its
+busy times with the kernel's own arithmetic, so each score has the kernel's
+bits (see `sa_optimize`).
+
+Cost rates must be non-negative, and an instance is rejected when its
+worst-case busy time (every task on its slowest vehicle) or that time at the
+largest cost rate is not a finite float: every busy time, cost and score a
+search computes stays below those bounds, up to rounding.
 
 The GA is an elitist non-dominated-sorting algorithm over the
 task-to-vehicle vector that searches (cost, makespan): productivity is a
@@ -89,6 +97,8 @@ class VehicleSpec:
             raise ValidationErrors(
                 [f"vehicle {self.vehicle_id}: handling times must be non-negative"]
             )
+        if not self.cost_rate >= 0:
+            raise ValidationErrors([f"vehicle {self.vehicle_id}: cost_rate must be non-negative"])
 
 
 @dataclass(frozen=True)
@@ -139,11 +149,13 @@ class SchedulingInstance:
     def from_scenario(cls, scenario) -> "SchedulingInstance":
         if not scenario.tasks or not scenario.vehicles:
             raise ValidationErrors(["scenario has no tasks or no vehicles"])
-        return cls(
+        inst = cls(
             tasks=tuple(scenario.tasks),
             vehicles=tuple(scenario.vehicles),
             distances=dict(scenario.distances),
         )
+        _time_matrices(inst)  # rejects an instance whose worst case overflows
+        return inst
 
     def restricted_to(self, task_type: TaskType) -> "SchedulingInstance":
         subset = tuple(t for t in self.tasks if t.task_type == task_type)
@@ -158,13 +170,35 @@ def task_time_h(task: TransportTask, vehicle: VehicleSpec, distances) -> float:
 
 
 def _time_matrices(inst: SchedulingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """T[t, v] = hours for task t on vehicle v; C[t, v] = cost of that pairing."""
+    """T[t, v] = hours for task t on vehicle v, and the vehicles' cost rates.
+
+    Raises ValidationErrors when the worst-case busy time, sum over tasks of
+    max over vehicles of T[t, v], or that time at the largest rate is not
+    finite: every busy time, makespan and cost is at most one of these.
+    """
     T = np.empty((len(inst.tasks), len(inst.vehicles)))
     for ti, task in enumerate(inst.tasks):
         for vi, veh in enumerate(inst.vehicles):
             T[ti, vi] = task_time_h(task, veh, inst.distances)
     rates = np.array([v.cost_rate for v in inst.vehicles])
-    return T, T * rates
+    if T.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            hours = float(np.add.reduce(np.maximum.reduce(T, axis=1)))
+            vehicle_hours = np.add.reduce(T, axis=0)
+        if not math.isfinite(hours):
+            veh = inst.vehicles[int(np.argmax(vehicle_hours))]
+            raise ValidationErrors([
+                f"vehicle {veh.vehicle_id}: speed {veh.speed!r}, load_time_h {veh.load_time_h!r} "
+                f"and unload_time_h {veh.unload_time_h!r} give {len(T)} tasks a worst-case "
+                "busy time that is not a finite number of hours"
+            ])
+        if not math.isfinite(hours * float(rates.max())):
+            veh = inst.vehicles[int(np.argmax(rates))]
+            raise ValidationErrors([
+                f"vehicle {veh.vehicle_id}: cost_rate {veh.cost_rate!r} times the worst-case "
+                f"busy time of {hours!r} h is not a finite cost"
+            ])
+    return T, rates
 
 
 def evaluate_schedule(inst: SchedulingInstance, assignment: Assignment) -> ObjectiveVector:
@@ -203,7 +237,7 @@ def evaluate_schedule(inst: SchedulingInstance, assignment: Assignment) -> Objec
         vi = vehicle_index[vid]
         busy[vi] += task_time_h(task, inst.vehicles[vi], inst.distances)
     rates = np.array([v.cost_rate for v in inst.vehicles])
-    return _objective_vector(len(inst.tasks), busy @ rates, busy.max())
+    return _objective_vector(len(inst.tasks), _busy_cost(busy, rates), busy.max())
 
 
 def _objective_vector(n_tasks: int, cost, makespan) -> ObjectiveVector:
@@ -211,14 +245,23 @@ def _objective_vector(n_tasks: int, cost, makespan) -> ObjectiveVector:
     return ObjectiveVector(float(cost), makespan, n_tasks / makespan if makespan > 0 else 0.0)
 
 
-def _objectives(pop: np.ndarray, T: np.ndarray, C: np.ndarray):
+def _busy_cost(busy, rates):
+    """Sum over vehicles of busy time times cost rate, for the last axis of
+    `busy`: explicit column adds, left to right, so no NumPy summation order
+    enters the cost."""
+    cost = busy[..., 0] * rates[0]
+    for v in range(1, len(rates)):
+        cost = cost + busy[..., v] * rates[v]
+    return cost
+
+
+def _objectives(pop: np.ndarray, T: np.ndarray, rates: np.ndarray):
     """(cost, makespan) of one chromosome (n_tasks,) or per row of a batch
-    (m, n_tasks).  Busy time adds task times in task order and cost sums one
-    chromosome's row, so a row scores the same alone or in a batch."""
-    rows = np.arange(T.shape[0])
+    (m, n_tasks), from the busy times alone.  Busy time adds task times in
+    task order, so a row scores the same alone or in a batch."""
     # ufunc reductions skip the .sum/.max wrappers, a real share of a one-row call
     busy = np.add.reduce(np.where(pop[..., None] == np.arange(T.shape[1]), T, 0.0), axis=-2)
-    return np.add.reduce(C[rows, pop], axis=-1), np.maximum.reduce(busy, axis=-1)
+    return _busy_cost(busy, rates), np.maximum.reduce(busy, axis=-1)
 
 
 def _nondominated_sort(F: np.ndarray) -> np.ndarray:
@@ -273,8 +316,9 @@ def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> No
 
 
 # most schedule evaluations one GA run may plan: the default plans 20,100; at
-# 3-6 us an evaluation (table1_bench types of 2-20 tasks, 4 vehicles, shared
-# 2-core Xeon), the cap is about 4-6 s of search per task type
+# 4.6-7.3 us an evaluation at the cap (table1_bench type C, 4 vehicles,
+# populations 1,000 and 100, shared 2-core Xeon), the cap is about 5-7 s of
+# search per task type
 GA_EVALUATIONS_MAX = 1_000_000
 
 
@@ -332,11 +376,11 @@ def ga_optimize(
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
     rng = _seeded_rng(seed)
-    T, C = _time_matrices(inst)
+    T, rates = _time_matrices(inst)
     n_tasks, n_veh = T.shape
     pmut = params.mutation_rate if params.mutation_rate is not None else 1.0 / n_tasks
     pop = rng.integers(0, n_veh, size=(params.population, n_tasks))
-    F = np.column_stack(_objectives(pop, T, C))
+    F = np.column_stack(_objectives(pop, T, rates))
     pairs = params.population // 2
     ranks = _nondominated_sort(F)
     for _ in range(params.generations):
@@ -359,7 +403,7 @@ def ga_optimize(
         children[1::2] = np.where(keep, seconds, firsts)
         mut = rng.random(children.shape) < pmut
         children[mut] = rng.integers(0, n_veh, size=int(mut.sum()))
-        Fc = np.column_stack(_objectives(children, T, C))
+        Fc = np.column_stack(_objectives(children, T, rates))
         # elitist environmental selection on the merged population
         merged = np.vstack([pop, children])
         Fm = np.vstack([F, Fc])
@@ -403,9 +447,13 @@ class ScalarResult:
     bounds: ScalarBounds
 
 
-def _sample_bounds(rng, T, C, samples: int = 100) -> ScalarBounds:
+# random assignments SA and ACO score for their normalization bounds
+BOUND_SAMPLES = 100
+
+
+def _sample_bounds(rng, T, rates) -> ScalarBounds:
     n_tasks, n_veh = T.shape
-    cost, mk = _objectives(rng.integers(0, n_veh, size=(samples, n_tasks)), T, C)
+    cost, mk = _objectives(rng.integers(0, n_veh, size=(BOUND_SAMPLES, n_tasks)), T, rates)
     return ScalarBounds(
         cost_lo=float(cost.min()),
         cost_hi=float(cost.max()),
@@ -414,8 +462,8 @@ def _sample_bounds(rng, T, C, samples: int = 100) -> ScalarBounds:
     )
 
 
-def _as_result(inst, a, T, C, bounds) -> ScalarResult:
-    obj = _objective_vector(len(a), *_objectives(a, T, C))
+def _as_result(inst, a, T, rates, bounds) -> ScalarResult:
+    obj = _objective_vector(len(a), *_objectives(a, T, rates))
     mapping = {
         inst.tasks[t].task_id: inst.vehicles[a[t]].vehicle_id for t in range(len(a))
     }
@@ -428,8 +476,8 @@ def _as_result(inst, a, T, C, bounds) -> ScalarResult:
 
 
 # most moves one SA run may plan: the default plans 36,000 and t_initial=1e308
-# about 2.8 million; at ~4 us a move (table1_bench types of 2-20 tasks, shared
-# 2-core Xeon), the cap is about 40 s of search
+# about 2.8 million; at 2.6-2.9 us a move (t_initial=1e308 on table1_bench
+# types A and C, shared 2-core Xeon), the cap is about 30 s of search
 SA_MOVES_MAX = 10_000_000
 
 
@@ -489,33 +537,34 @@ def sa_optimize(
        is kept when u < exp(-delta / t).
 
     A move is scored by delta evaluation with the kernel's own arithmetic,
-    so every score, and so every accept decision, has the bits a full
-    `_objectives` re-score would give.  Each vehicle keeps the sorted
-    indices of its tasks, and only the busy times of the two vehicles a
-    move touches are re-summed, in task order as the kernel adds them (its
-    zeros leave a non-negative sum unchanged); the cost is `np.add.reduce`
-    of the per-task cost vector the kernel reduces, never a running total;
-    the makespan is the largest busy time.  A rejected move puts the
-    touched entries back.  A move that changes no vehicle's task set keeps
-    the current score.
+    on Python floats, so every score, and so every accept decision, has the
+    bits a full `_objectives` re-score would give.  Each vehicle keeps the
+    sorted indices of its tasks, and only the busy times of the two vehicles
+    a move touches are re-summed, in task order as the kernel adds them (its
+    zeros leave a non-negative sum unchanged).  The cost is then added over
+    all busy times, busy time times cost rate from the first vehicle to the
+    last as `_busy_cost` adds them, never as a running total; the makespan
+    is the largest busy time.  A rejected move puts the touched entries
+    back.  A move that changes no vehicle's task set keeps the current
+    score.
     """
     params = params or SaParams()
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
     rng = _seeded_rng(seed)
-    T, C = _time_matrices(inst)
+    T, rates = _time_matrices(inst)
     n_tasks, n_veh = T.shape
-    bounds = _sample_bounds(rng, T, C)
+    bounds = _sample_bounds(rng, T, rates)
     # a move is scored as ScalarBounds.score scores, with its spans computed once
     cost_lo, mk_lo = bounds.cost_lo, bounds.makespan_lo
     cost_span, mk_span = bounds.cost_hi - cost_lo, bounds.makespan_hi - mk_lo
     cost_spread, mk_spread = cost_span > 0, mk_span > 0
     start = rng.integers(0, n_veh, size=n_tasks)
-    cur_score = float(bounds.score(*_objectives(start, T, C)))
+    cur_score = float(bounds.score(*_objectives(start, T, rates)))
     current = start.tolist()
     best, best_score = current.copy(), cur_score
-    task_cost = C[np.arange(n_tasks), start]
-    time_cols, cost_rows = T.T.tolist(), C.tolist()
+    time_cols, rate_of = T.T.tolist(), rates.tolist()
+    rate0, later = rate_of[0], range(1, n_veh)
     # each vehicle's task indices, kept sorted so its busy time adds in task order
     held: list[list[int]] = [[] for _ in range(n_veh)]
     for ti, v in enumerate(current):
@@ -529,7 +578,7 @@ def sa_optimize(
         return total
 
     busy = [busy_time(v) for v in range(n_veh)]
-    insort, exp, add_reduce = bisect.insort, math.exp, np.add.reduce
+    insort, exp = bisect.insort, math.exp
     m = params.iters_per_temp
     swappable = n_tasks >= 2 and n_veh >= 2
     t = params.t_initial
@@ -554,7 +603,6 @@ def sa_optimize(
             # task i moves vi -> vj and, in a swap, task j moves vj -> vi; j is
             # written first, so a one-task move (j == i) ends with task i on vj
             current[j], current[i] = vi, vj
-            task_cost[j], task_cost[i] = cost_rows[j][vi], cost_rows[i][vj]
             src, dst = held[vi], held[vj]
             src.remove(i)
             insort(dst, i)
@@ -570,9 +618,11 @@ def sa_optimize(
             for ti in dst:
                 total += col[ti]
             busy[vj] = total
-            cost, makespan = float(add_reduce(task_cost)), max(busy)
+            cost = busy[0] * rate0
+            for v in later:
+                cost += busy[v] * rate_of[v]
             nc = (cost - cost_lo) / cost_span if cost_spread else 0.0
-            nm = (makespan - mk_lo) / mk_span if mk_spread else 0.0
+            nm = (max(busy) - mk_lo) / mk_span if mk_spread else 0.0
             cand_score = 0.5 * nc + 0.5 * nm
             delta = cand_score - cur_score
             if delta <= 0 or u < exp(-delta / t):
@@ -581,7 +631,6 @@ def sa_optimize(
                     best, best_score = current.copy(), cur_score
             else:
                 current[j], current[i] = vj, vi
-                task_cost[j], task_cost[i] = cost_rows[j][vj], cost_rows[i][vi]
                 dst.remove(i)
                 insort(src, i)
                 if j != i:
@@ -589,7 +638,7 @@ def sa_optimize(
                     insort(dst, j)
                 busy[vi], busy[vj] = kept_i, kept_j
         t *= params.cooling
-    return _as_result(inst, np.array(best), T, C, bounds)
+    return _as_result(inst, np.array(best), T, rates, bounds)
 
 
 # most ant solutions one ACO run may plan: the default plans 2,000; at 4-13 us
@@ -651,9 +700,9 @@ def aco_optimize(
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
     rng = _seeded_rng(seed)
-    T, C = _time_matrices(inst)
+    T, rates = _time_matrices(inst)
     n_tasks, n_veh = T.shape
-    bounds = _sample_bounds(rng, T, C)
+    bounds = _sample_bounds(rng, T, rates)
     with np.errstate(divide="ignore"):
         heuristic = np.where(T > 0, 1.0 / T, 1e6)
     tau = np.full((n_tasks, n_veh), params.pheromone_init, dtype=float)
@@ -681,7 +730,7 @@ def aco_optimize(
         u = rng.random((params.ants, n_tasks, 1))
         ants = np.minimum((u > cum[None, :, :]).sum(axis=2), n_veh - 1)
         # score() is a scalar 0.0 when both sample spans are empty
-        scores = np.broadcast_to(bounds.score(*_objectives(ants, T, C)), params.ants)
+        scores = np.broadcast_to(bounds.score(*_objectives(ants, T, rates)), params.ants)
         it_best = int(np.argmin(scores))
         if scores[it_best] < best_score:
             best, best_score = ants[it_best].copy(), float(scores[it_best])
@@ -691,7 +740,7 @@ def aco_optimize(
             np.add.at(tau, (np.arange(n_tasks), ants), gain(scores)[:, None])
             tau_max = params.ants * gain(best_score) / params.evaporation
             np.clip(tau, tau_max * floor_share, tau_max, out=tau)
-    return _as_result(inst, best, T, C, bounds)
+    return _as_result(inst, best, T, rates, bounds)
 
 
 # --- benchmark ---------------------------------------------------------------
@@ -771,6 +820,14 @@ def _best_cost(front: ParetoSet) -> float:
     return min(obj.total_cost for obj in front.objectives)
 
 
+# most work one benchmark may plan, in scored schedules and SA moves summed
+# over seeds and task types: the default 10 seeds on table1_bench plan
+# 2,915,000 and perfbench's 2 seeds 583,000; at ~4.3 us a unit (a seed of
+# table1_bench takes 1.1-1.5 s for 291,500, shared 2-core Xeon), the cap is
+# about 2 minutes of search
+BENCH_WORK_MAX = 30_000_000
+
+
 def benchmark(
     scenario,
     seeds: Sequence[int],
@@ -785,15 +842,36 @@ def benchmark(
     vehicle dispatch. GA's "after" takes the per-seed front extremes (best
     makespan, best cost); SA and ACO report their single scalar-best
     solution. All after columns are medians across seeds.
+
+    Before any search the planned work is counted: seeds times task types
+    times what one GA, SA and ACO run plans (GA evaluations, SA moves, ant
+    solutions, and the BOUND_SAMPLES schedules SA and ACO each score for
+    their bounds).  Above BENCH_WORK_MAX the benchmark is refused.
     """
     seeds = list(seeds)
     if not seeds:
         raise EmptySeeds("benchmark needs at least one seed")
+    inst = SchedulingInstance.from_scenario(scenario)
+    present = [tt for tt in TaskType if any(t.task_type == tt for t in inst.tasks)]
+    ga_params, sa_params, aco_params = ga_params or GaParams(), sa_params or SaParams(), aco_params or AcoParams()
+    per_type = (
+        ga_params.planned_evaluations
+        + sa_params.planned_moves
+        + aco_params.planned_solutions
+        + 2 * BOUND_SAMPLES
+    )
+    work = len(seeds) * len(present) * per_type
+    if work > BENCH_WORK_MAX:
+        raise ValidationErrors([
+            f"--seeds lists {len(seeds)} seeds; with {len(present)} task types and "
+            f"{per_type} units of work per type and seed (ga population * (generations + 1), "
+            "sa moves from t_initial, cooling, t_min and iters_per_temp, aco ants * iterations, "
+            f"{2 * BOUND_SAMPLES} bound samples) that plans {work} units, "
+            f"more than BENCH_WORK_MAX = {BENCH_WORK_MAX}"
+        ])
     for seed in seeds:
         _seeded_rng(seed)  # a bad seed fails before any search runs
-    inst = SchedulingInstance.from_scenario(scenario)
     rows = []
-    present = [tt for tt in TaskType if any(t.task_type == tt for t in inst.tasks)]
     for tt in present:
         sub = inst.restricted_to(tt)
         base = evaluate_schedule(sub, baseline_assignment(sub))

@@ -129,11 +129,11 @@ def full_rescore_sa(inst, params=None, seed=42):
     if not inst.tasks:
         raise ValidationErrors(["cannot optimize an empty task list"])
     rng = np.random.default_rng(seed)
-    T, C = _time_matrices(inst)
+    T, rates = _time_matrices(inst)
     n_tasks, n_veh = T.shape
-    bounds = _sample_bounds(rng, T, C)
+    bounds = _sample_bounds(rng, T, rates)
     current = rng.integers(0, n_veh, size=n_tasks)
-    cur_score = bounds.score(*_objectives(current, T, C))
+    cur_score = bounds.score(*_objectives(current, T, rates))
     best, best_score = current.copy(), cur_score
     m = params.iters_per_temp
     can_swap = n_tasks >= 2 and n_veh >= 2
@@ -152,14 +152,14 @@ def full_rescore_sa(inst, params=None, seed=42):
                 cand[i], cand[j] = cand[j], cand[i]
             else:
                 cand[i] = (cand[i] + 1 + offset[k]) % n_veh
-            cand_score = bounds.score(*_objectives(cand, T, C))
+            cand_score = bounds.score(*_objectives(cand, T, rates))
             delta = cand_score - cur_score
             if delta <= 0 or accept[k] < math.exp(-delta / t):
                 current, cur_score = cand, cand_score
                 if cur_score < best_score:
                     best, best_score = current.copy(), cur_score
         t *= params.cooling
-    return _as_result(inst, best, T, C, bounds)
+    return _as_result(inst, best, T, rates, bounds)
 
 
 def three_point_gradient(model, p, fleet, h=1e-4):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,7 @@ from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 from fabflow.scheduler import (
     ACO_SOLUTIONS_MAX,
+    BENCH_WORK_MAX,
     GA_EVALUATIONS_MAX,
     SA_MOVES_MAX,
     AcoParams,
@@ -491,6 +493,48 @@ def test_negative_bench_seed_exits_1_before_any_search(capsys):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert err.strip() == "seed -2 is negative; seeds must be non-negative integers"
+
+
+OVERFLOW_PROBES = {
+    "cost_rate": (("vehicles.1.cost_rate=1e308",), "vehicle V2: cost_rate 1e+308 times the worst-case busy time"),
+    "negative_cost_rate": (
+        ("vehicles.1.cost_rate=1e308", "vehicles.0.cost_rate=-1e308"),
+        "vehicles[0]: vehicle V1: cost_rate must be non-negative",
+    ),
+    "speed": (("vehicles.1.speed=1e-307",), "vehicle V2: speed 1e-307, load_time_h 0.2 and unload_time_h 0.2"),
+}
+
+
+@pytest.mark.parametrize("command", [("schedule", "--method", m) for m in ("ga", "sa", "aco")] + [("bench",)], ids=" ".join)
+@pytest.mark.parametrize("probe", list(OVERFLOW_PROBES))
+def test_vehicles_whose_objectives_overflow_exit_1(capsys, command, probe):
+    # each probe gave inf or nan objectives with exit 0 before it was rejected
+    overrides, problem = OVERFLOW_PROBES[probe]
+    argv = [*command, "--scenario", "table1_bench"]
+    for spec in overrides:
+        argv += ["--set", spec]
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(problem)
+
+
+def test_bench_seeds_above_the_work_cap_exit_1_before_any_search(capsys):
+    seeds = ",".join(str(s) for s in range(1, 1001))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bench", "--scenario", "table1_bench", "--seeds", seeds)
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith("--seeds lists 1000 seeds; with 5 task types and 58300 units of work per type and seed")
+    for name in ("population", "generations", "t_initial", "cooling", "t_min", "iters_per_temp", "ants", "iterations"):
+        assert name in err
+    assert f"plans {1000 * 5 * 58300} units, more than BENCH_WORK_MAX = {BENCH_WORK_MAX}" in err
 
 
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])

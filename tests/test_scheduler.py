@@ -1,5 +1,7 @@
 """Scheduler tests: exact evaluation, GA front vs enumeration, SA/ACO quality, benchmark."""
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +132,27 @@ def test_spec_validation():
         VehicleSpec("V", speed=0.0, load_time_h=0.1, unload_time_h=0.1, cost_rate=10.0)
     with pytest.raises(ValidationErrors):
         VehicleSpec("V", speed=10.0, load_time_h=-0.1, unload_time_h=0.1, cost_rate=10.0)
+    for rate in (-1e-300, -1e308, float("nan")):
+        with pytest.raises(ValidationErrors, match="vehicle V: cost_rate must be non-negative"):
+            VehicleSpec("V", speed=10.0, load_time_h=0.1, unload_time_h=0.1, cost_rate=rate)
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("speed", 1e-307, "speed 1e-307, load_time_h 0.2 and unload_time_h 0.2 give 3 tasks a worst-case busy time"),
+        ("load_time_h", 1e308, "speed 60.0, load_time_h 1e+308 and unload_time_h 0.2 give 3 tasks a worst-case busy time"),
+        ("cost_rate", 1e308, "cost_rate 1e+308 times the worst-case busy time of"),
+    ],
+)
+def test_instance_whose_worst_case_overflows_is_rejected(field, value, problem):
+    # every search would report inf or nan objectives on these vehicles
+    fast = dataclasses.replace(V_FAST, **{field: value})
+    inst = small_instance()
+    inst = SchedulingInstance(inst.tasks, (V_SLOW, fast), inst.distances)
+    for run in (ga_optimize, sa_optimize, aco_optimize):
+        with pytest.raises(ValidationErrors, match=re.escape(f"vehicle V2: {problem}")):
+            run(inst, seed=1)
 
 
 # --- GA ----------------------------------------------------------------------
@@ -182,6 +205,22 @@ def test_pareto_front_members_are_mutually_nondominated():
     header, rows = front.to_csv_rows()
     assert header == ("assignment", "total_cost", "makespan_h", "productivity")
     assert len(rows) == len(objs)
+
+
+def test_ranks_carry_over_to_the_kept_rows():
+    # elitist selection keeps whole fronts and part of the next one, so a
+    # kept row keeps its rank: what ga_optimize relies on to sort once a
+    # generation
+    rng = np.random.default_rng(2024)
+    for trial in range(500):
+        n = int(rng.integers(2, 40))
+        Fm = rng.integers(0, 4 + trial % 5, size=(n, 2)).astype(float)
+        ranks_m = _nondominated_sort(Fm)
+        cut = int(rng.integers(0, ranks_m.max() + 1)) if trial % 4 else 0
+        cut_front = np.flatnonzero(ranks_m == cut)
+        part = rng.permutation(cut_front)[: int(rng.integers(1, len(cut_front) + 1))]
+        chosen = np.concatenate([np.flatnonzero(ranks_m < cut), part])
+        assert ranks_m[chosen].tolist() == _nondominated_sort(Fm[chosen]).tolist() == dominance_ranks(Fm[chosen])
 
 
 def test_nondominated_sort_matches_peeling():
@@ -309,9 +348,9 @@ def test_ga_and_aco_planned_work_counts_the_search(monkeypatch):
     scored = []
     objectives = scheduler._objectives
 
-    def counted(pop, T, C):
+    def counted(pop, T, rates):
         scored.append(len(np.atleast_2d(pop)))
-        return objectives(pop, T, C)
+        return objectives(pop, T, rates)
 
     monkeypatch.setattr(scheduler, "_objectives", counted)
     # an odd population leaves its last member unpaired in every crossover
@@ -333,10 +372,19 @@ def test_aco_deposits_stay_positive_below_the_sampled_bounds(task_type, seed):
     inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(task_type)
     result = aco_optimize(inst, seed=seed)
     assert result.scalar_score < 0.0
-    again = evaluate_schedule(inst, result.assignment)
-    assert (result.objectives.total_cost, result.objectives.makespan_h) == pytest.approx(
-        (again.total_cost, again.makespan_h), rel=1e-12
-    )
+    assert result.objectives == evaluate_schedule(inst, result.assignment)
+
+
+@pytest.mark.parametrize("task_type", list(TaskType), ids=lambda tt: tt.value)
+def test_every_search_reports_what_evaluate_schedule_gives(task_type):
+    # one cost definition: the searches and evaluate_schedule add busy time
+    # times cost rate in the same order, so their objectives are equal, not close
+    inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(task_type)
+    for seed in range(1, 4):
+        for assignment, obj in ga_optimize(inst, seed=seed).members:
+            assert obj == evaluate_schedule(inst, assignment)
+        for result in (sa_optimize(inst, seed=seed), aco_optimize(inst, seed=seed)):
+            assert result.objectives == evaluate_schedule(inst, result.assignment)
 
 
 def test_aco_is_reproducible_per_seed():
@@ -366,6 +414,34 @@ def test_benchmark_before_columns_are_exact():
     assert agg_after < agg_before and cost_after < cost_before
     header, rows = table.to_csv_rows()
     assert header[0] == "method" and len(rows) == 15
+
+
+def test_default_bench_plans_far_below_the_work_cap():
+    per_type = (
+        GaParams().planned_evaluations
+        + SaParams().planned_moves
+        + AcoParams().planned_solutions
+        + 2 * scheduler.BOUND_SAMPLES
+    )
+    # the CLI's default ten seeds over the five task types of table1_bench,
+    # with ten times that to spare
+    assert 10 * 5 * per_type * 10 <= scheduler.BENCH_WORK_MAX
+
+
+def test_benchmark_refuses_work_above_the_cap_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    for name in ("ga_optimize", "sa_optimize", "aco_optimize"):
+        monkeypatch.setattr(scheduler, name, no_search)
+    sc = load_fixture("table1_bench")
+    small = (GaParams(population=2, generations=0), SaParams(t_initial=1e-3), AcoParams(ants=1, iterations=1))
+    per_type = 2 + 0 + 1 + 2 * scheduler.BOUND_SAMPLES
+    fits = scheduler.BENCH_WORK_MAX // (5 * per_type)
+    with pytest.raises(ValidationErrors, match=f"plans {(fits + 1) * 5 * per_type} units"):
+        benchmark(sc, range(fits + 1), *small)
+    with pytest.raises(AssertionError, match="searched"):
+        benchmark(sc, range(fits), *small)
 
 
 def test_benchmark_requires_seeds():
