@@ -6,11 +6,26 @@ InfeasibleError means the input parsed fine but the model has no answer
 (unstable station, no feasible fleet, demand above capacity) and maps to
 exit code 2.  Every leaf class carries a short machine-readable ``code``
 that the CLI echoes as ``error=<code>``.
+
+Every error pickles to the same class, message and fields, so an error
+raised in a worker process reaches the caller as it was raised.
 """
 
 
 class FabflowError(Exception):
     code = "error"
+
+    def __reduce__(self):
+        # Exception pickles as type(self)(*self.args), which a leaf whose
+        # __init__ formats its message from its own fields cannot take; rebuild
+        # from the message and the fields without calling __init__ instead
+        return _unpickled, (type(self), self.args, self.__dict__)
+
+
+def _unpickled(cls, args, fields):
+    exc = cls.__new__(cls, *args)  # BaseException.__new__ keeps args as the message
+    exc.__dict__.update(fields)
+    return exc
 
 
 class ScenarioValidationError(FabflowError):

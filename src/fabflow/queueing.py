@@ -26,6 +26,7 @@ and the adjoint of the traffic equations carries that to total WIP.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -40,6 +41,7 @@ from .errors import (
     UnstableStation,
     ValidationErrors,
     ZeroVehicles,
+    shown,
 )
 
 STABILITY_MARGIN = 1e-6        # station is stable when rho <= 1 - this
@@ -654,13 +656,22 @@ def check_monotonicity(
     )
 
 
+# most points a monotonicity grid may enumerate, counted before any point is
+# dropped: the fixtures' grids have 400 points.  An audited point costs more
+# as the dimension grows: ~40 us at dims 3-4, 0.2 ms at dim 6 and 4.4 ms at
+# dim 14 (8,192 points in 36 s; shared 2-core Xeon), so the cap is about
+# 0.4 s of audit at dim 3 and 45 s at dim 14
+GRID_POINTS_MAX = 10_000
+
+
 def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.ndarray]:
     """Grid from explicit per-coordinate value lists (free coords 1..n in order).
 
     This is what scenario metadata carries; p_0 absorbs the remainder and
     points leaving the open simplex are dropped.  Raises ValidationErrors
     unless free_axes is a list of at most dim - 1 lists of numbers that
-    leaves at least one point.
+    leaves at least one point, or when the product of the axis lengths is
+    above GRID_POINTS_MAX (counted before anything is enumerated).
     """
     where = "metadata.monotonicity_grid.free_axes"
     if not (
@@ -673,6 +684,13 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
         )
     ):
         raise ValidationErrors([f"{where}: must be a list of at most {dim - 1} lists of numbers"])
+    lengths = [len(axis) for axis in free_axes]
+    count = math.prod(lengths)
+    if count > GRID_POINTS_MAX:
+        raise ValidationErrors([
+            f"{where}: the axis lengths {shown(lengths)} give "
+            f"{count} grid points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
+        ])
     points = []
     for combo in itertools.product(*free_axes):
         p = np.zeros(dim)

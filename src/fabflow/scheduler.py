@@ -35,13 +35,23 @@ time: SA draws each temperature's moves as arrays (their order is in
 `sa_optimize`), and each GA generation draws its tournaments, one crossover
 flag per consecutive pair of parents, one gene mask per pair and its
 mutations as whole arrays.
+
+`benchmark` runs GA, SA and ACO once per (task type, seed) pair; each pair
+is an independent job.  With the `fork` start method, at least two usable
+CPUs and at least two jobs, the jobs run on a pool of forked worker
+processes that lives for one call; otherwise they run in process.  Results
+are read in job order, so the table does not depend on the worker count,
+and the first failing job in that order raises its own exception.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import os
 import statistics
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -272,17 +282,27 @@ def _nondominated_sort(F: np.ndarray) -> np.ndarray:
     these keys increase front by front, and a front dominates a row exactly
     when its key is smaller.  Bisection therefore finds the row's front, and
     an equal key, a duplicate, joins that front (Jensen, IEEE TEC 2003).
+    Duplicates sit next to each other in that order and leave the keys as
+    they were, so one bisection per distinct key ranks all of its rows.
     """
-    keys = list(zip(F[:, 1].tolist(), F[:, 0].tolist()))
-    ranks = np.empty(len(F), dtype=int)
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    S = F[order]
+    differs = S[1:] != S[:-1]
+    first = np.empty(len(S), dtype=bool)  # the first row of each distinct key
+    first[:1] = True
+    np.logical_or(differs[:, 0], differs[:, 1], out=first[1:])
+    keys = S[first]
+    key_ranks = []
     tails: list[tuple[float, float]] = []
-    for i in np.lexsort((F[:, 1], F[:, 0])).tolist():
-        r = bisect.bisect_left(tails, keys[i])
+    for key in zip(keys[:, 1].tolist(), keys[:, 0].tolist()):
+        r = bisect.bisect_left(tails, key)
         if r == len(tails):
-            tails.append(keys[i])
+            tails.append(key)
         else:
-            tails[r] = keys[i]
-        ranks[i] = r
+            tails[r] = key
+        key_ranks.append(r)
+    ranks = np.empty(len(F), dtype=int)
+    ranks[order] = np.array(key_ranks, dtype=int)[np.cumsum(first) - 1]
     return ranks
 
 
@@ -824,7 +844,8 @@ def _best_cost(front: ParetoSet) -> float:
 # over seeds and task types: the default 10 seeds on table1_bench plan
 # 2,915,000 and perfbench's 2 seeds 583,000; at ~4.3 us a unit (a seed of
 # table1_bench takes 1.1-1.5 s for 291,500, shared 2-core Xeon), the cap is
-# about 2 minutes of search
+# about 2 minutes of search in process; two workers ran the default 10 seeds
+# in 6.3 s against 10.5 s in process, so about 75 s there
 BENCH_WORK_MAX = 30_000_000
 
 
@@ -847,6 +868,17 @@ def benchmark(
     times what one GA, SA and ACO run plans (GA evaluations, SA moves, ant
     solutions, and the BOUND_SAMPLES schedules SA and ACO each score for
     their bounds).  Above BENCH_WORK_MAX the benchmark is refused.
+
+    Each (task type, seed) pair is one job.  When the platform offers the
+    `fork` start method, at least two CPUs are usable (`os.sched_getaffinity`,
+    else `os.cpu_count`) and there are at least two jobs, the jobs run on a
+    pool of min(CPUs, jobs) forked workers, started and shut down within
+    this call, so no worker outlives it, whether it returns or raises;
+    otherwise they run in process, one after the other.  Either way the
+    results are read in job order (task types in TaskType order, then seeds
+    as given), so the table, and every byte written from it, is the same
+    for any worker count, and when jobs fail, the first failing job in that
+    order raises its own exception, as it would in process.
     """
     seeds = list(seeds)
     if not seeds:
@@ -871,31 +903,103 @@ def benchmark(
         ])
     for seed in seeds:
         _seeded_rng(seed)  # a bad seed fails before any search runs
+    subs = [inst.restricted_to(tt) for tt in present]
+    bases = [evaluate_schedule(sub, baseline_assignment(sub)) for sub in subs]
+    jobs = [(ti, seed) for ti in range(len(subs)) for seed in seeds]
+    results = _run_jobs(jobs, (subs, ga_params, sa_params, aco_params))
     rows = []
-    for tt in present:
-        sub = inst.restricted_to(tt)
-        base = evaluate_schedule(sub, baseline_assignment(sub))
-        hours: dict[str, list[float]] = {"ga": [], "sa": [], "aco": []}
-        costs: dict[str, list[float]] = {"ga": [], "sa": [], "aco": []}
-        for seed in seeds:
-            front = ga_optimize(sub, ga_params, seed)
-            hours["ga"].append(_best_makespan(front))
-            costs["ga"].append(_best_cost(front))
-            for method, run in (("sa", sa_optimize), ("aco", aco_optimize)):
-                params = sa_params if method == "sa" else aco_params
-                result = run(sub, params, seed)
-                hours[method].append(result.objectives.makespan_h)
-                costs[method].append(result.objectives.total_cost)
-        for method in ("ga", "sa", "aco"):
+    for ti, (tt, base) in enumerate(zip(present, bases)):
+        per_seed = results[ti * len(seeds) : (ti + 1) * len(seeds)]
+        for method, found in zip(("ga", "sa", "aco"), zip(*per_seed)):
+            hours, costs = zip(*found)
             rows.append(
                 BenchmarkRow(
                     method=method,
                     task_type=tt.value,
                     before_hours=base.makespan_h,
-                    after_hours=float(statistics.median(hours[method])),
+                    after_hours=float(statistics.median(hours)),
                     before_cost=base.total_cost,
-                    after_cost=float(statistics.median(costs[method])),
+                    after_cost=float(statistics.median(costs)),
                     seed_count=len(seeds),
                 )
             )
     return BenchmarkTable(rows=tuple(rows))
+
+
+# one job's (makespan, cost) per method: the GA front's best makespan and
+# best cost, then SA's and ACO's result
+_JobResult = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+
+
+def _bench_job(context, ti: int, seed: int) -> _JobResult:
+    """GA, SA and ACO with `seed` on sub-instance `ti` of context =
+    (sub-instances, GA, SA and ACO params)."""
+    subs, ga_params, sa_params, aco_params = context
+    sub = subs[ti]
+    front = ga_optimize(sub, ga_params, seed)
+    sa = sa_optimize(sub, sa_params, seed).objectives
+    aco = aco_optimize(sub, aco_params, seed).objectives
+    return (
+        (_best_makespan(front), _best_cost(front)),
+        (sa.makespan_h, sa.total_cost),
+        (aco.makespan_h, aco.total_cost),
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list[tuple[int, int]], context) -> list[_JobResult]:
+    """_bench_job(context, *job) for every job, in job order: on forked
+    workers when `benchmark` says so, else in process."""
+    workers = min(_usable_cpus(), len(jobs))
+    if workers >= 2:
+        # imported here, not with the module: a cold import costs 13-30 ms,
+        # a real share of a short command's start-up
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(jobs, context, workers, multiprocessing.get_context("fork"))
+    return [_bench_job(context, *job) for job in jobs]
+
+
+# a pool worker's benchmark context, set once when the worker starts
+_worker_context = None
+
+
+def _enter_worker(context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _worker_job(ti: int, seed: int) -> _JobResult:
+    return _bench_job(_worker_context, ti, seed)
+
+
+def _run_forked(jobs, context, workers: int, fork) -> list[_JobResult]:
+    """The jobs' results on a pool of `workers` forked processes.
+
+    fork, not spawn: a worker inherits `context` and the imported package,
+    so a job sends two ints and returns six floats.  The executor forks its
+    workers before it starts its own threads.  At most two jobs per worker
+    wait at a time, so a long job list is never queued whole, and results
+    are read in job order; after the first failure the jobs not yet started
+    are cancelled, and the pool is shut down before this returns or raises.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_enter_worker, initargs=(context,))
+    try:
+        waiting = iter(jobs)
+        running = deque(pool.submit(_worker_job, *job) for job in itertools.islice(waiting, 2 * workers))
+        results = []
+        while running:
+            results.append(running.popleft().result())
+            running.extend(pool.submit(_worker_job, *job) for job in itertools.islice(waiting, 1))
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

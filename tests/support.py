@@ -3,6 +3,7 @@
 Everything here trades speed for obviousness: plain loops, scalar calls,
 exhaustive enumeration.  The real package must agree with these.
 """
+import bisect
 import itertools
 import math
 
@@ -86,6 +87,22 @@ def brute_force_front(inst):
         if not dominated:
             front.add((round(c, 9), round(m, 9)))
     return front
+
+
+def row_by_row_nondominated_sort(F):
+    """scheduler._nondominated_sort as it bisected once per row, duplicates
+    included: the reference for the sort that bisects once per distinct key."""
+    keys = list(zip(F[:, 1].tolist(), F[:, 0].tolist()))
+    ranks = np.empty(len(F), dtype=int)
+    tails = []
+    for i in np.lexsort((F[:, 1], F[:, 0])).tolist():
+        r = bisect.bisect_left(tails, keys[i])
+        if r == len(tails):
+            tails.append(keys[i])
+        else:
+            tails[r] = keys[i]
+        ranks[i] = r
+    return ranks
 
 
 def dominance_ranks(F):

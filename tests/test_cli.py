@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fabflow import cli
 from fabflow.cli import main
+from fabflow.queueing import GRID_POINTS_MAX
 from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 from fabflow.scheduler import (
@@ -537,6 +539,45 @@ def test_bench_seeds_above_the_work_cap_exit_1_before_any_search(capsys):
     assert f"plans {1000 * 5 * 58300} units, more than BENCH_WORK_MAX = {BENCH_WORK_MAX}" in err
 
 
+def hub_scenario(dim, free_axes):
+    """A hub-and-arms line with `dim` transfer probabilities, stable everywhere."""
+    stations = [
+        {"id": "IN", "kind": "process", "mu_base": 3.0, "gamma": 1.0},
+        {"id": "T", "kind": "transport", "mu_base": 0.8, "gamma": 0.0, "vehicle_type": 0},
+        {"id": "OUT", "kind": "process", "mu_base": 4.0, "gamma": 0.0},
+    ]
+    routing = [{"from": "IN", "to": "T", "value": "const:1.0"}, {"from": "T", "to": "OUT", "value": "p:0"}]
+    for i in range(1, dim):
+        stations.append({"id": f"A{i}", "kind": "process", "mu_base": 20.0, "gamma": 0.0})
+        routing += [
+            {"from": "T", "to": f"A{i}", "value": f"p:{i}"},
+            {"from": f"A{i}", "to": "T", "value": "const:0.5"},
+            {"from": f"A{i}", "to": "OUT", "value": "const:0.5"},
+        ]
+    return {
+        "schema_version": 1,
+        "name": f"hub_{dim}",
+        "metadata": {"monotonicity_grid": {"free_axes": free_axes}},
+        "stations": stations,
+        "routing": routing,
+        "nominal_p": [1.0 / dim] * dim,
+        "nominal_fleet": [3],
+    }
+
+
+def test_grid_above_the_point_cap_exits_1_before_enumerating(capsys, tmp_path):
+    # 13 axes of 5 values: 5**13, about 1.2e9 points
+    path = tmp_path / "hub_14.json"
+    path.write_text(json.dumps(hub_scenario(14, [[0.01, 0.02, 0.03, 0.04, 0.05]] * 13)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(f"{FREE_AXES}: the axis lengths [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5] give {5**13} grid points")
+    assert f"more than GRID_POINTS_MAX = {GRID_POINTS_MAX}" in err
+
+
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])
 def test_nominal_fleet_needs_one_count_per_candidate_type(capsys, counts):
     code, out, err = run_cli(
@@ -667,6 +708,23 @@ def test_aco_weights_out_of_float_range_exit_1(capsys, field):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert "pheromone weights" in err
+
+
+def test_bench_job_error_exits_1_and_leaves_no_worker(capsys):
+    # the weights overflow inside the first ACO run of each job
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "bench", "--scenario", "table1_bench", "--seeds", "1,2",
+        "--set", "metaheuristic_params.aco.alpha=1e308",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == (
+        "metaheuristic_params.aco: alpha, beta, pheromone_init and deposit drive "
+        "the pheromone weights out of floating-point range"
+    )
+    assert multiprocessing.active_children() == []
 
 
 HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench", "planner_small")

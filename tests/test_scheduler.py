@@ -1,7 +1,9 @@
 """Scheduler tests: exact evaluation, GA front vs enumeration, SA/ACO quality, benchmark."""
 import dataclasses
 import itertools
+import multiprocessing
 import re
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +36,13 @@ from fabflow.scheduler import (
     task_time_h,
 )
 from fabflow.scenario import load_fixture
-from support import brute_force_best_scalar, brute_force_front, dominance_ranks, full_rescore_sa
+from support import (
+    brute_force_best_scalar,
+    brute_force_front,
+    dominance_ranks,
+    full_rescore_sa,
+    row_by_row_nondominated_sort,
+)
 
 V_SLOW = VehicleSpec("V1", speed=30.0, load_time_h=0.25, unload_time_h=0.25, cost_rate=60.0)
 V_FAST = VehicleSpec("V2", speed=60.0, load_time_h=0.2, unload_time_h=0.2, cost_rate=70.0)
@@ -230,6 +238,18 @@ def test_nondominated_sort_matches_peeling():
         # small integers give many ties and duplicate rows
         F = rng.integers(0, 5, size=(n, 2)).astype(float) if trial % 2 else rng.random((n, 2))
         assert _nondominated_sort(F).tolist() == dominance_ranks(F)
+
+
+# few distinct values, so rows tie on a coordinate and repeat whole; -0.0
+# equals 0.0 as a key
+TIED_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 3.25, 1e308])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(TIED_VALUES, TIED_VALUES), max_size=200))
+def test_nondominated_sort_bisects_once_per_key_with_the_ranks_of_once_per_row(rows):
+    F = np.array(rows, dtype=float).reshape(-1, 2)
+    assert _nondominated_sort(F).tolist() == row_by_row_nondominated_sort(F).tolist()
 
 
 def test_zero_makespan_assignment_leads_every_search():
@@ -442,6 +462,68 @@ def test_benchmark_refuses_work_above_the_cap_before_any_search(monkeypatch):
         benchmark(sc, range(fits + 1), *small)
     with pytest.raises(AssertionError, match="searched"):
         benchmark(sc, range(fits), *small)
+
+
+# sizes that keep a benchmark job to a few milliseconds
+SMALL_SEARCH = (GaParams(population=10, generations=5), SaParams(t_initial=1.0, iters_per_temp=20), AcoParams(ants=5, iterations=10))
+
+
+def spy_on_pools(monkeypatch):
+    """The worker counts of the pools benchmark() starts from now on."""
+    started = []
+    run_forked = scheduler._run_forked
+
+    def spy(jobs, context, workers, fork):
+        started.append(workers)
+        return run_forked(jobs, context, workers, fork)
+
+    monkeypatch.setattr(scheduler, "_run_forked", spy)
+    return started
+
+
+def test_benchmark_gives_the_same_table_on_workers_and_in_process(monkeypatch):
+    sc = load_fixture("table1_bench")
+    started = spy_on_pools(monkeypatch)
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 3)
+    pooled = benchmark(sc, (1, 2, 3), *SMALL_SEARCH)
+    assert started == [3]
+    assert multiprocessing.active_children() == []
+    # one CPU, then no fork: both run in process
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 1)
+    assert repr(benchmark(sc, (1, 2, 3), *SMALL_SEARCH)) == repr(pooled)
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert repr(benchmark(sc, (1, 2, 3), *SMALL_SEARCH)) == repr(pooled)
+    assert started == [3]
+
+
+def test_benchmark_runs_a_single_job_in_process(monkeypatch):
+    sc = load_fixture("table1_bench")
+    shipping = dataclasses.replace(sc, tasks=tuple(t for t in sc.tasks if t.task_type is TaskType.SHIPPING))
+    started = spy_on_pools(monkeypatch)
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 2)
+    table = benchmark(shipping, (4,), *SMALL_SEARCH)
+    assert started == []
+    assert repr(table.rows) == repr(tuple(r for r in benchmark(sc, (4,), *SMALL_SEARCH).rows if r.task_type == "D"))
+
+
+def test_benchmark_raises_the_first_failure_in_job_order(monkeypatch):
+    # job (A, 1) fails last on the clock and first in job order
+    def failing_aco(sub, params, seed):
+        task_type = sub.tasks[0].task_type.value
+        if task_type == "A" and seed == 1:
+            time.sleep(0.5)
+        raise ValidationErrors([f"type {task_type}", f"seed {seed}"])
+
+    monkeypatch.setattr(scheduler, "aco_optimize", failing_aco)
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 2)
+    started = spy_on_pools(monkeypatch)
+    sc = load_fixture("table1_bench")
+    with pytest.raises(ValidationErrors) as caught:
+        benchmark(sc, (1, 2), *SMALL_SEARCH)
+    assert started == [2]
+    assert str(caught.value) == "type A; seed 1" and caught.value.errors == ["type A", "seed 1"]
+    assert multiprocessing.active_children() == []
 
 
 def test_benchmark_requires_seeds():
