@@ -569,88 +569,80 @@ def gradient_grid(
 def check_monotonicity(
     model: RoutingModel, grid: Sequence, fleet: FleetConfig
 ) -> MonotonicityReport:
-    """Audit the three gradient claims on an explicit grid of p points."""
+    """Audit the three gradient claims on an explicit grid of p points.
+
+    A claim passes exactly when it has no violation.  The points of a line
+    of claim (i, j) share every free coordinate except p_j, rounded to 10
+    decimals, so the grid is grouped once per j and each grouping serves
+    the p0_decreasing lines of every i != j and the pi_increasing line of
+    i = j.
+    """
     pts, grads = gradient_grid(model, grid, fleet)
     n = pts.shape[1] - 1
-    claim_passed = {
-        CLAIM_GRADIENT_POSITIVE: True,
-        CLAIM_P0_DECREASING: True,
-        CLAIM_PI_INCREASING: True,
-    }
-    line_records = []
-    violations = []
-
-    positive_bad = []
-    for idx in range(len(pts)):
-        for i in range(n):
-            if not grads[idx, i] > 0.0:
-                positive_bad.append(f"{_fmt_point(pts[idx])}:dW/dp{i + 1}={grads[idx, i]:.3e}")
-                claim_passed[CLAIM_GRADIENT_POSITIVE] = False
-                violations.append(
-                    MonotonicityViolation(
-                        CLAIM_GRADIENT_POSITIVE, i + 1, "pointwise",
-                        tuple(pts[idx]), tuple(pts[idx]),
-                        float(grads[idx, i]), float(grads[idx, i]),
-                    )
-                )
-    line_records.append(
-        (
-            CLAIM_GRADIENT_POSITIVE,
-            f"all_points[n={len(pts)}]",
-            not positive_bad,
-            ";".join(positive_bad[:4]),
+    violations = [
+        MonotonicityViolation(
+            CLAIM_GRADIENT_POSITIVE, int(i) + 1, "pointwise",
+            tuple(pts[idx]), tuple(pts[idx]),
+            float(grads[idx, i]), float(grads[idx, i]),
         )
-    )
-
-    def _key(values) -> tuple:
-        return tuple(round(float(v), 10) for v in values)
-
-    # (claim, target i, traded j, sort axis).  p0_decreasing holds p_i and
-    # every other free coordinate except one compensator j, so p_0 trades off
-    # against p_j; pi_increasing varies only p_i (p_0 compensates).
-    lines = [
-        (CLAIM_P0_DECREASING, i, j, 0)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if j != i
+        for idx, i in zip(*np.nonzero(~(grads > 0.0)))
     ]
-    lines += [(CLAIM_PI_INCREASING, i, i, i) for i in range(1, n + 1)]
-    for claim, i, j, axis in lines:
-        groups: dict = {}
-        for idx in range(len(pts)):
-            key = _key(pts[idx][m] for m in range(1, n + 1) if m != j)
-            groups.setdefault(key, []).append(idx)
-        for key, members in sorted(groups.items()):
-            if len(members) < 2:
-                continue
-            members.sort(key=lambda m: pts[m][axis])
-            if claim == CLAIM_P0_DECREASING:
-                label = f"dW/dp{i} along p0 (p{i}={key[0] if n == 2 else key}, trade p{j})"
-            else:
-                label = f"dW/dp{i} along p{i} (fixed={key})"
-            ok, detail = True, ""
-            for a, b in zip(members, members[1:]):
-                if claim == CLAIM_P0_DECREASING:
-                    broken = grads[b, i - 1] > grads[a, i - 1] + _LINE_TOL
-                else:
-                    broken = grads[b, i - 1] < grads[a, i - 1] - _LINE_TOL
-                if broken:
-                    ok = False
-                    claim_passed[claim] = False
-                    detail = f"{_fmt_point(pts[a])}->{_fmt_point(pts[b])}"
-                    violations.append(
-                        MonotonicityViolation(
-                            claim, i, label,
-                            tuple(pts[a]), tuple(pts[b]),
-                            float(grads[a, i - 1]), float(grads[b, i - 1]),
-                        )
-                    )
-                    break
-            line_records.append((claim, label, ok, detail))
+    line_records = [(
+        CLAIM_GRADIENT_POSITIVE, f"all_points[n={len(pts)}]", not violations,
+        ";".join(f"{_fmt_point(v.p_a)}:dW/dp{v.coordinate}={v.value_a:.3e}" for v in violations[:4]),
+    )]
 
+    rows = pts.tolist()
+    free = [tuple(round(v, 10) for v in row[1:]) for row in rows]
+    # lines_of[j - 1]: (held coordinates, their text, members by p_0, members by p_j)
+    lines_of = []
+    for j in range(1, n + 1):
+        groups: dict = {}
+        for idx, key in enumerate(free):
+            groups.setdefault(key[: j - 1] + key[j:], []).append(idx)
+        lines_of.append([
+            (
+                key,
+                str(key),
+                sorted(members, key=lambda m: rows[m][0]),
+                sorted(members, key=lambda m: rows[m][j]),
+            )
+            for key, members in sorted(groups.items())
+            if len(members) > 1
+        ])
+
+    # p0_decreasing holds p_i and every other free coordinate except one
+    # compensator j, so p_0 trades off against p_j; pi_increasing varies
+    # only p_i (p_0 compensates)
+    lines = [(CLAIM_P0_DECREASING, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    lines += [(CLAIM_PI_INCREASING, i, i) for i in range(1, n + 1)]
+    columns = grads.T.tolist()
+    for claim, i, j in lines:
+        g = columns[i - 1]
+        for key, text, by_p0, by_pj in lines_of[j - 1]:
+            if claim == CLAIM_P0_DECREASING:
+                label = f"dW/dp{i} along p0 (p{i}={key[0] if n == 2 else text}, trade p{j})"
+                pairs = ((a, b) for a, b in zip(by_p0, by_p0[1:]) if g[b] > g[a] + _LINE_TOL)
+            else:
+                label = f"dW/dp{i} along p{i} (fixed={text})"
+                pairs = ((a, b) for a, b in zip(by_pj, by_pj[1:]) if g[b] < g[a] - _LINE_TOL)
+            pair = next(pairs, None)
+            if pair is None:
+                line_records.append((claim, label, True, ""))
+                continue
+            a, b = pair
+            line_records.append((claim, label, False, f"{_fmt_point(pts[a])}->{_fmt_point(pts[b])}"))
+            violations.append(
+                MonotonicityViolation(claim, i, label, tuple(pts[a]), tuple(pts[b]), g[a], g[b])
+            )
+
+    failed = {v.claim for v in violations}
     return MonotonicityReport(
         grid_points=len(pts),
-        claim_passed=claim_passed,
+        claim_passed={
+            claim: claim not in failed
+            for claim in (CLAIM_GRADIENT_POSITIVE, CLAIM_P0_DECREASING, CLAIM_PI_INCREASING)
+        },
         line_records=tuple(line_records),
         violations=tuple(violations),
     )
@@ -658,20 +650,24 @@ def check_monotonicity(
 
 # most points a monotonicity grid may enumerate, counted before any point is
 # dropped: the fixtures' grids have 400 points.  An audited point costs more
-# as the dimension grows: ~40 us at dims 3-4, 0.2 ms at dim 6 and 4.4 ms at
-# dim 14 (8,192 points in 36 s; shared 2-core Xeon), so the cap is about
-# 0.4 s of audit at dim 3 and 45 s at dim 14
+# as the dimension grows, since each point lies on about n^2 / (values per
+# axis) lines: ~20-30 us at dims 3-4, 45 us at dim 6, 0.1 ms at dim 8 and
+# 0.4 ms at dim 14 (8,192 points in 2.8-3.3 s; shared 2-core Xeon), so the
+# cap is about 0.3 s of audit at dim 3 and 4 s at dim 14
 GRID_POINTS_MAX = 10_000
 
 
 def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.ndarray]:
     """Grid from explicit per-coordinate value lists (free coords 1..n in order).
 
-    This is what scenario metadata carries; p_0 absorbs the remainder and
-    points leaving the open simplex are dropped.  Raises ValidationErrors
-    unless free_axes is a list of at most dim - 1 lists of numbers that
-    leaves at least one point, or when the product of the axis lengths is
-    above GRID_POINTS_MAX (counted before anything is enumerated).
+    This is what scenario metadata carries; p_0 absorbs the remainder and a
+    coordinate without an axis is 0.  A point is kept only when every
+    coordinate, p_0 included, lies strictly inside (0, 1), the rule
+    wltp_errors applies to a nominal p; so a free_axes shorter than dim - 1
+    keeps no point.  Raises ValidationErrors unless free_axes is a list of
+    at most dim - 1 lists of numbers that leaves at least one point, or
+    when the product of the axis lengths is above GRID_POINTS_MAX (counted
+    before anything is enumerated).
     """
     where = "metadata.monotonicity_grid.free_axes"
     if not (
@@ -696,7 +692,7 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
         p = np.zeros(dim)
         p[1 : 1 + len(combo)] = combo
         p[0] = 1.0 - float(np.sum(combo))
-        if 0.0 < p[0] < 1.0:
+        if ((0.0 < p) & (p < 1.0)).all():
             points.append(p)
     if not points:
         raise ValidationErrors([f"{where}: no grid point lies inside the open simplex"])

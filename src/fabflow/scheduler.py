@@ -810,9 +810,6 @@ class BenchmarkTable:
                 return r
         raise KeyError((method, task_type))
 
-    def after_hours(self, method: str, task_type: str) -> float:
-        return self.row(method, task_type).after_hours
-
     def aggregate(self, method: str) -> tuple[float, float, float, float]:
         """(before_hours, after_hours, before_cost, after_cost) summed over types."""
         picked = [r for r in self.rows if r.method == method]

@@ -486,3 +486,38 @@ def per_fleet_constraints(model, p_nominal, fleet, limits):
         ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
     )
     return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
+
+
+def hub_scenario(dim, free_axes, arm_1="p:1", mu_base=None):
+    """Raw scenario of a hub-and-arms line with `dim` transfer probabilities.
+
+    Lots enter at IN, the vehicle-pooled hub T sends them to OUT with p_0
+    or to arm A_i with p_i, and each arm returns half to T.  With the
+    defaults every station is stable on the whole simplex.  `arm_1` is the
+    routing cell T -> A1 and `mu_base` maps station ids to service rates
+    that replace the defaults.
+    """
+    rates = {"IN": 3.0, "T": 0.8, "OUT": 4.0, **{f"A{i}": 20.0 for i in range(1, dim)}}
+    rates.update(mu_base or {})
+    stations = [
+        {"id": "IN", "kind": "process", "mu_base": rates["IN"], "gamma": 1.0},
+        {"id": "T", "kind": "transport", "mu_base": rates["T"], "gamma": 0.0, "vehicle_type": 0},
+        {"id": "OUT", "kind": "process", "mu_base": rates["OUT"], "gamma": 0.0},
+    ]
+    routing = [{"from": "IN", "to": "T", "value": "const:1.0"}, {"from": "T", "to": "OUT", "value": "p:0"}]
+    for i in range(1, dim):
+        stations.append({"id": f"A{i}", "kind": "process", "mu_base": rates[f"A{i}"], "gamma": 0.0})
+        routing += [
+            {"from": "T", "to": f"A{i}", "value": arm_1 if i == 1 else f"p:{i}"},
+            {"from": f"A{i}", "to": "T", "value": "const:0.5"},
+            {"from": f"A{i}", "to": "OUT", "value": "const:0.5"},
+        ]
+    return {
+        "schema_version": 1,
+        "name": f"hub_{dim}",
+        "metadata": {"monotonicity_grid": {"free_axes": free_axes}},
+        "stations": stations,
+        "routing": routing,
+        "nominal_p": [1.0 / dim] * dim,
+        "nominal_fleet": [3],
+    }

@@ -12,6 +12,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import support
 from fabflow import cli
 from fabflow.cli import main
 from fabflow.queueing import GRID_POINTS_MAX
@@ -336,6 +337,9 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
         ("queueing_reference", f"{FREE_AXES}=[[null]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.1],[0.1],[0.1],[0.1],[0.1]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.9],[0.9]]", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[-0.2],[0.5]]", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[0.5]]", FREE_AXES),
+        ("queueing_reference", f"{FREE_AXES}=[[0.0],[0.5]]", FREE_AXES),
         ("queueing_reference", "stations.0.gamma=NaN", "stations[0]: field 'gamma'"),
         ("queueing_reference", "stations.0.mu_base=NaN", "stations[0]: field 'mu_base'"),
         ("table1_bench", "vehicles.0.speed=Infinity", "vehicles[0]: field 'speed'"),
@@ -539,36 +543,10 @@ def test_bench_seeds_above_the_work_cap_exit_1_before_any_search(capsys):
     assert f"plans {1000 * 5 * 58300} units, more than BENCH_WORK_MAX = {BENCH_WORK_MAX}" in err
 
 
-def hub_scenario(dim, free_axes):
-    """A hub-and-arms line with `dim` transfer probabilities, stable everywhere."""
-    stations = [
-        {"id": "IN", "kind": "process", "mu_base": 3.0, "gamma": 1.0},
-        {"id": "T", "kind": "transport", "mu_base": 0.8, "gamma": 0.0, "vehicle_type": 0},
-        {"id": "OUT", "kind": "process", "mu_base": 4.0, "gamma": 0.0},
-    ]
-    routing = [{"from": "IN", "to": "T", "value": "const:1.0"}, {"from": "T", "to": "OUT", "value": "p:0"}]
-    for i in range(1, dim):
-        stations.append({"id": f"A{i}", "kind": "process", "mu_base": 20.0, "gamma": 0.0})
-        routing += [
-            {"from": "T", "to": f"A{i}", "value": f"p:{i}"},
-            {"from": f"A{i}", "to": "T", "value": "const:0.5"},
-            {"from": f"A{i}", "to": "OUT", "value": "const:0.5"},
-        ]
-    return {
-        "schema_version": 1,
-        "name": f"hub_{dim}",
-        "metadata": {"monotonicity_grid": {"free_axes": free_axes}},
-        "stations": stations,
-        "routing": routing,
-        "nominal_p": [1.0 / dim] * dim,
-        "nominal_fleet": [3],
-    }
-
-
 def test_grid_above_the_point_cap_exits_1_before_enumerating(capsys, tmp_path):
     # 13 axes of 5 values: 5**13, about 1.2e9 points
     path = tmp_path / "hub_14.json"
-    path.write_text(json.dumps(hub_scenario(14, [[0.01, 0.02, 0.03, 0.04, 0.05]] * 13)))
+    path.write_text(json.dumps(support.hub_scenario(14, [[0.01, 0.02, 0.03, 0.04, 0.05]] * 13)))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "report", "--scenario", str(path))
     assert time.perf_counter() - start < 5.0

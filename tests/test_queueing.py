@@ -1,4 +1,6 @@
 """Queueing model: closed-form networks, gradient fidelity, monotonicity audit."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,7 +34,7 @@ from fabflow.queueing import (
     wip_totals_batch,
     wltp_errors,
 )
-from fabflow.scenario import load_fixture
+from fabflow.scenario import load_fixture, scenario_from_dict
 
 
 def station(sid, mu, gamma=0.0):
@@ -446,6 +448,47 @@ def test_monotonicity_adversarial_fails_as_data():
     assert drop.p_a[0] < drop.p_b[0]
 
 
+def coupled_hub(dim):
+    """Hub whose arm A1 is fed with p_1 * (1 - p_2): the audit finds violations."""
+    raw = support.hub_scenario(
+        dim, [[0.05, 0.12, 0.2]] * (dim - 1), arm_1="p:1*1-p:2", mu_base={"A1": 1.0, "T": 2.0}
+    )
+    return scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "make, fleet, rows_sha256, violations_sha256",
+    [
+        pytest.param(
+            lambda: load_fixture("queueing_adversarial"), FleetConfig(()),
+            "58967ecf1a2d86689be53194d264b98da33fe205527e194994d1b4303c182637",
+            "50c5c5570e62b5c27d272948cb43419d7e259c6085cbcb2e0d726ffb46777c45",
+            id="adversarial",
+        ),
+        pytest.param(
+            lambda: coupled_hub(4), FleetConfig((3,)),
+            "6ce35d745223e5140210e825abdce91eaaffc89fd6caf0868c28d1f4cb2f890a",
+            "e583db0ba6bfc4be5b47057e79812c2757cb6fc3ed80e4c1fd72bd39530c32ba",
+            id="coupled_hub_4",
+        ),
+        pytest.param(
+            lambda: coupled_hub(5), FleetConfig((3,)),
+            "e1f29ca2c8e06adb6ba58bda06e420d79a66f2b63eb1d7cf005d76fbe52819c0",
+            "aed208746146b59ba4d17b75c02a734a6d407e99041b84c05750926f9c82c792",
+            id="coupled_hub_5",
+        ),
+    ],
+)
+def test_monotonicity_audit_output_is_pinned(make, fleet, rows_sha256, violations_sha256):
+    # every line record and violation, labels and witness points included
+    sc = make()
+    report = check_monotonicity(build_routing_model(sc), reference_grid(sc), fleet)
+    assert not report.passed("gradient_positive")
+    assert not report.passed("p0_decreasing")
+    assert hashlib.sha256(repr(report.to_csv_rows()).encode()).hexdigest() == rows_sha256
+    assert hashlib.sha256(repr(report.violations).encode()).hexdigest() == violations_sha256
+
+
 # --- grids -------------------------------------------------------------------
 
 def test_grid_from_axes_drops_points_outside_open_simplex():
@@ -454,6 +497,9 @@ def test_grid_from_axes_drops_points_outside_open_simplex():
     for p in pts:
         assert p.sum() == pytest.approx(1.0)
         assert 0.0 < p[0] < 1.0
+    # p_0 = 0.7 lies inside, but p_1 = -0.2 does not
+    pts = grid_from_axes([[-0.2, 0.3], [0.5]], dim=3)
+    assert [p.tolist() for p in pts] == [[1.0 - 0.8, 0.3, 0.5]]
 
 
 def test_wip_report_csv_shape():
