@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Container, Iterable, Mapping
+from typing import Container, Mapping
 
 from .errors import (
     DuplicateNode,
@@ -119,33 +119,6 @@ def edge_errors(
     if (tail, head) in earlier:
         out.append(f"parallel edge {tail}->{head}")
     return out
-
-
-def make_network(
-    nodes: Iterable[tuple[str, NodeKind]],
-    edges: Iterable[Edge],
-    source: str,
-    sink: str,
-) -> FlowNetwork:
-    """Validated constructor for networks that did not come through the
-    scenario reader: raises DuplicateNode, NoOriginOrDestination, or
-    ValidationErrors listing every edge problem."""
-    node_map: dict[str, NodeKind] = {}
-    for node_id, kind in nodes:
-        problems = node_errors(node_id, node_map)
-        if problems:
-            raise DuplicateNode(problems[0])
-        node_map[node_id] = kind
-    if source not in node_map or sink not in node_map:
-        raise NoOriginOrDestination("designated source or sink is not a declared node")
-    edges = tuple(edges)
-    problems, pairs = [], set()
-    for i, e in enumerate(edges):
-        problems += (f"edges[{i}]: {p}" for p in edge_errors(e, node_map, pairs))
-        pairs.add((e.tail, e.head))
-    if problems:
-        raise ValidationErrors(problems)
-    return FlowNetwork(nodes=node_map, edges=edges, source=source, sink=sink)
 
 
 def build_network(scenario) -> FlowNetwork:
@@ -338,13 +311,3 @@ def flow_cost(net: FlowNetwork, assignment: FlowAssignment) -> Fraction:
         (by_key[key] * kg for key, kg in assignment.flow.items()),
         Fraction(0),
     )
-
-
-def conservation_residuals(net: FlowNetwork, assignment: FlowAssignment) -> dict[str, int]:
-    """Net outflow minus inflow for every node: the flow value at the source,
-    minus it at the sink, zero elsewhere when the flow is conserved."""
-    net_out: dict[str, int] = {nid: 0 for nid in net.nodes}
-    for (tail, head), kg in assignment.flow.items():
-        net_out[tail] += kg
-        net_out[head] -= kg
-    return net_out

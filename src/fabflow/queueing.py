@@ -11,11 +11,11 @@ One batched pass, `_solve`, computes all of this for a batch of p rows:
 the routing matrices (and, when asked, their derivatives), one linear solve
 for the arrival rates, then the utilizations under one fleet's service
 rates or under service rates per row, and a per-row stability mask.  `wip`,
-`wip_totals_batch`, `traffic_equations` and the derivatives only read it;
-an unstable row raises NonOpenNetwork, else ZeroVehicles, else
-UnstableStation for its first offending station.  The arrival rates depend
-on p alone, so the planner solves them once and reads each fleet's
-utilizations from them by the same rule, `_utilization`.
+`wip_totals_batch` and the derivatives only read it; an unstable row
+raises NonOpenNetwork, else ZeroVehicles, else UnstableStation for its
+first offending station.  The arrival rates depend on p alone, so the
+planner solves them once and reads each fleet's utilizations from them by
+the same rule, `_utilization`.
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
@@ -355,14 +355,6 @@ def _wip_totals(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.where(stable, totals, np.nan), stable
 
 
-def traffic_equations(model: RoutingModel, p) -> np.ndarray:
-    """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    lam = _solve(model, p, None).lam[0]
-    if np.isnan(lam).any():
-        raise NonOpenNetwork(_NOT_OPEN)
-    return lam
-
-
 # --- WIP ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -466,12 +458,6 @@ def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:
     same error a direct wip() call there would.
     """
     return _wip_derivatives(model, p, service_rates(model, fleet))[0][0]
-
-
-def wip_hessian(model: RoutingModel, p, fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
-    grads, hess, _ = _wip_derivatives(model, p, service_rates(model, fleet), hessian=True)
-    return grads[0], hess[0]
 
 
 def steepest_feasible_direction(

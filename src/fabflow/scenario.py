@@ -582,7 +582,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                     "from": e.tail,
                     "to": e.head,
                     "capacity_kg": e.capacity_kg,
-                    "cost_milli_per_kg": int(e.cost_per_kg * 1000),
+                    # int(cost * 1000) for a non-negative cost, without a Fraction multiply
+                    "cost_milli_per_kg": e.cost_per_kg.numerator * 1000 // e.cost_per_kg.denominator,
                     "transit_time_h": e.transit_time_h,
                 }
                 for e in scenario.network.edges
@@ -767,9 +768,9 @@ def flow_csv_artifact(name: str, net, assignment) -> CsvArtifact:
     rows = []
     for e in net.edges:
         kg = assignment.flow.get((e.tail, e.head), 0)
-        rows.append(
-            (e.tail, e.head, str(e.capacity_kg), str(kg), str(float(e.cost_per_kg * kg)))
-        )
+        c = e.cost_per_kg
+        # int / int rounds correctly, so this is float(c * kg) without a Fraction
+        rows.append((e.tail, e.head, str(e.capacity_kg), str(kg), str(c.numerator * kg / c.denominator)))
     return CsvArtifact(
         name=name,
         header=("from", "to", "capacity_kg", "flow_kg", "cost"),

@@ -40,18 +40,17 @@ mutations as whole arrays.
 is an independent job.  With the `fork` start method, at least two usable
 CPUs and at least two jobs, the jobs run on a pool of forked worker
 processes that lives for one call; otherwise they run in process.  Results
-are read in job order, so the table does not depend on the worker count,
-and the first failing job in that order raises its own exception.
+are read in job order, so the table does not depend on the worker count.
+The first failing job in that order raises its own exception, and the
+workers are stopped at once: no other job runs on after it.
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import os
 import statistics
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -829,14 +828,6 @@ def baseline_assignment(inst: SchedulingInstance) -> Assignment:
     return Assignment(mapping={t.task_id: first for t in inst.tasks})
 
 
-def _best_makespan(front: ParetoSet) -> float:
-    return min(obj.makespan_h for obj in front.objectives)
-
-
-def _best_cost(front: ParetoSet) -> float:
-    return min(obj.total_cost for obj in front.objectives)
-
-
 # most work one benchmark may plan, in scored schedules and SA moves summed
 # over seeds and task types: the default 10 seeds on table1_bench plan
 # 2,915,000 and perfbench's 2 seeds 583,000; at ~4.3 us a unit (a seed of
@@ -869,13 +860,14 @@ def benchmark(
     Each (task type, seed) pair is one job.  When the platform offers the
     `fork` start method, at least two CPUs are usable (`os.sched_getaffinity`,
     else `os.cpu_count`) and there are at least two jobs, the jobs run on a
-    pool of min(CPUs, jobs) forked workers, started and shut down within
-    this call, so no worker outlives it, whether it returns or raises;
-    otherwise they run in process, one after the other.  Either way the
-    results are read in job order (task types in TaskType order, then seeds
-    as given), so the table, and every byte written from it, is the same
-    for any worker count, and when jobs fail, the first failing job in that
-    order raises its own exception, as it would in process.
+    pool of min(CPUs, jobs) forked workers, started and stopped within this
+    call, so no worker outlives it, whether it returns or raises; otherwise
+    they run in process, one after the other.  Either way the results are
+    read in job order (task types in TaskType order, then seeds as given),
+    so the table, and every byte written from it, is the same for any
+    worker count.  When jobs fail, the first failing job in that order
+    raises its own exception, as it would in process, and the workers are
+    stopped at once, so no job still running or queued goes on.
     """
     seeds = list(seeds)
     if not seeds:
@@ -934,10 +926,12 @@ def _bench_job(context, ti: int, seed: int) -> _JobResult:
     subs, ga_params, sa_params, aco_params = context
     sub = subs[ti]
     front = ga_optimize(sub, ga_params, seed)
+    _, fastest = front.best_by("makespan_h")
+    _, cheapest = front.best_by("total_cost")
     sa = sa_optimize(sub, sa_params, seed).objectives
     aco = aco_optimize(sub, aco_params, seed).objectives
     return (
-        (_best_makespan(front), _best_cost(front)),
+        (fastest.makespan_h, cheapest.total_cost),
         (sa.makespan_h, sa.total_cost),
         (aco.makespan_h, aco.total_cost),
     )
@@ -952,7 +946,15 @@ def _usable_cpus() -> int:
 
 def _run_jobs(jobs: list[tuple[int, int]], context) -> list[_JobResult]:
     """_bench_job(context, *job) for every job, in job order: on forked
-    workers when `benchmark` says so, else in process."""
+    workers when `benchmark` says so, else in process.
+
+    fork, not spawn: a worker inherits `context` and the imported package,
+    so a job sends two ints and returns six floats.  The pool forks its
+    workers before it starts its own threads.  `imap` yields the results in
+    job order and raises the first failing job's own exception; leaving the
+    `with` block then terminates and joins the workers, so no job runs on
+    after the first failure and no worker outlives this call.
+    """
     workers = min(_usable_cpus(), len(jobs))
     if workers >= 2:
         # imported here, not with the module: a cold import costs 13-30 ms,
@@ -960,7 +962,9 @@ def _run_jobs(jobs: list[tuple[int, int]], context) -> list[_JobResult]:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return _run_forked(jobs, context, workers, multiprocessing.get_context("fork"))
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(workers, initializer=_enter_worker, initargs=(context,)) as pool:
+                return list(pool.imap(_worker_job, jobs))
     return [_bench_job(context, *job) for job in jobs]
 
 
@@ -973,30 +977,5 @@ def _enter_worker(context) -> None:
     _worker_context = context
 
 
-def _worker_job(ti: int, seed: int) -> _JobResult:
-    return _bench_job(_worker_context, ti, seed)
-
-
-def _run_forked(jobs, context, workers: int, fork) -> list[_JobResult]:
-    """The jobs' results on a pool of `workers` forked processes.
-
-    fork, not spawn: a worker inherits `context` and the imported package,
-    so a job sends two ints and returns six floats.  The executor forks its
-    workers before it starts its own threads.  At most two jobs per worker
-    wait at a time, so a long job list is never queued whole, and results
-    are read in job order; after the first failure the jobs not yet started
-    are cancelled, and the pool is shut down before this returns or raises.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_enter_worker, initargs=(context,))
-    try:
-        waiting = iter(jobs)
-        running = deque(pool.submit(_worker_job, *job) for job in itertools.islice(waiting, 2 * workers))
-        results = []
-        while running:
-            results.append(running.popleft().result())
-            running.extend(pool.submit(_worker_job, *job) for job in itertools.islice(waiting, 1))
-        return results
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+def _worker_job(job: tuple[int, int]) -> _JobResult:
+    return _bench_job(_worker_context, *job)

@@ -1,7 +1,8 @@
 """Slow reference implementations shared by the unit and acceptance suites.
 
 Everything here trades speed for obviousness: plain loops, scalar calls,
-exhaustive enumeration.  The real package must agree with these.
+exhaustive enumeration.  The real package must agree with these.  The
+single-point and validating helpers that only tests call live here too.
 """
 import bisect
 import itertools
@@ -11,13 +12,17 @@ import numpy as np
 
 from fabflow import simplex
 from fabflow.errors import (
+    DuplicateNode,
     NonOpenNetwork,
+    NoOriginOrDestination,
     NoStablePoint,
     UnstableStation,
     ValidationErrors,
     ZeroVehicles,
 )
+from fabflow.netflow import FlowNetwork, edge_errors, node_errors
 from fabflow.queueing import (
+    _NOT_OPEN,
     WLTP_SUM_TOL,
     FleetConfig,
     RoutingModel,
@@ -25,11 +30,12 @@ from fabflow.queueing import (
     StationProfile,
     gradient_grid,
     projected_gradient,
+    _solve,
+    _wip_derivatives,
+    service_rates,
     steepest_feasible_direction,
-    traffic_equations,
     wip,
     wip_gradient,
-    wip_hessian,
     wip_totals_batch,
 )
 from fabflow.robust_planner import (
@@ -52,6 +58,53 @@ from fabflow.scheduler import (
     _time_matrices,
     evaluate_schedule,
 )
+
+
+def make_network(nodes, edges, source, sink):
+    """Validated FlowNetwork from (node id, NodeKind) pairs and Edges, for
+    networks that did not come through the scenario reader: raises
+    DuplicateNode, NoOriginOrDestination, or ValidationErrors listing every
+    edge problem."""
+    node_map = {}
+    for node_id, kind in nodes:
+        problems = node_errors(node_id, node_map)
+        if problems:
+            raise DuplicateNode(problems[0])
+        node_map[node_id] = kind
+    if source not in node_map or sink not in node_map:
+        raise NoOriginOrDestination("designated source or sink is not a declared node")
+    edges = tuple(edges)
+    problems, pairs = [], set()
+    for i, e in enumerate(edges):
+        problems += (f"edges[{i}]: {p}" for p in edge_errors(e, node_map, pairs))
+        pairs.add((e.tail, e.head))
+    if problems:
+        raise ValidationErrors(problems)
+    return FlowNetwork(nodes=node_map, edges=edges, source=source, sink=sink)
+
+
+def conservation_residuals(net, assignment) -> dict:
+    """Net outflow minus inflow for every node: the flow value at the source,
+    minus it at the sink, zero elsewhere when the flow is conserved."""
+    net_out = {nid: 0 for nid in net.nodes}
+    for (tail, head), kg in assignment.flow.items():
+        net_out[tail] += kg
+        net_out[head] -= kg
+    return net_out
+
+
+def traffic_equations(model, p) -> np.ndarray:
+    """Arrival rate per station for a single p; raises NonOpenNetwork."""
+    lam = _solve(model, p, None).lam[0]
+    if np.isnan(lam).any():
+        raise NonOpenNetwork(_NOT_OPEN)
+    return lam
+
+
+def wip_hessian(model, p, fleet):
+    """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
+    grads, hess, _ = _wip_derivatives(model, p, service_rates(model, fleet), hessian=True)
+    return grads[0], hess[0]
 
 
 def brute_force_min_cut(net) -> int:

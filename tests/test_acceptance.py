@@ -16,7 +16,7 @@ import numpy as np
 
 import support
 from fabflow.cli import main as cli_main
-from fabflow.netflow import Edge, NodeKind, build_network, make_network, max_flow, min_cut
+from fabflow.netflow import Edge, NodeKind, build_network, max_flow, min_cut
 from fabflow.queueing import (
     CLAIM_P0_DECREASING,
     FleetConfig,
@@ -62,7 +62,7 @@ def _random_small_net(rng):
     spec.setdefault((names[0], names[-1]), rng.randint(1, 6))
     nodes = [(nm, NodeKind.LOGISTICS) for nm in names]
     edges = [Edge(t, h, c) for (t, h), c in spec.items()]
-    return make_network(nodes, edges, names[0], names[-1])
+    return support.make_network(nodes, edges, names[0], names[-1])
 
 
 def test_a01_max_flow_equals_enumerated_min_cut(capsys):

@@ -879,6 +879,21 @@ def test_parser_is_not_built_at_import():
     assert proc.stdout.strip() == "0"
 
 
+def test_cli_import_loads_no_process_pool_module():
+    # `bench` imports multiprocessing only when it starts a pool
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, fabflow.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import brute_force_min_cut
+from support import brute_force_min_cut, conservation_residuals, make_network
 
 from fabflow import netflow
 from fabflow.cli import main
@@ -25,9 +25,7 @@ from fabflow.netflow import (
     FlowNetwork,
     NodeKind,
     build_network,
-    conservation_residuals,
     flow_cost,
-    make_network,
     max_flow,
     min_cost_flow,
     min_cut,

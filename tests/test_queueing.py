@@ -27,10 +27,8 @@ from fabflow.queueing import (
     routing_expr_to_str,
     service_rates,
     steepest_feasible_direction,
-    traffic_equations,
     wip,
     wip_gradient,
-    wip_hessian,
     wip_totals_batch,
     wltp_errors,
 )
@@ -115,7 +113,7 @@ P_ANY = (0.6, 0.4)  # routing below ignores p; any valid vector will do
 
 def test_single_station_closed_form():
     model = RoutingModel.from_bindings([station("S", 1.0, gamma=0.5)], [], wltp_dim=2)
-    assert traffic_equations(model, P_ANY) == pytest.approx([0.5])
+    assert support.traffic_equations(model, P_ANY) == pytest.approx([0.5])
     report = wip(model, P_ANY, FleetConfig(()))
     assert report.utilizations == pytest.approx([0.5])
     assert report.total_wip == pytest.approx(1.0)
@@ -127,7 +125,7 @@ def test_tandem_line_closed_form():
         [("A", "B", "const:1.0")],
         wltp_dim=2,
     )
-    assert traffic_equations(model, P_ANY) == pytest.approx([1.0, 1.0])
+    assert support.traffic_equations(model, P_ANY) == pytest.approx([1.0, 1.0])
     report = wip(model, P_ANY, FleetConfig(()))
     assert report.total_wip == pytest.approx(0.5 + 1.0 / 3.0)
 
@@ -137,13 +135,13 @@ def test_feedback_loop_doubles_arrivals():
     model = RoutingModel.from_bindings(
         [station("S", 4.0, gamma=1.0)], [("S", "S", "const:0.5")], wltp_dim=2
     )
-    assert traffic_equations(model, P_ANY) == pytest.approx([2.0])
+    assert support.traffic_equations(model, P_ANY) == pytest.approx([2.0])
 
 
 def test_hub_arrival_rate_matches_closed_form():
     model, _, _ = hub()
     for p in ([0.4, 0.35, 0.25], [0.1, 0.6, 0.3], [0.8, 0.1, 0.1]):
-        lam = traffic_equations(model, p)
+        lam = support.traffic_equations(model, p)
         by_id = dict(zip(model.station_ids, lam))
         assert by_id["T"] == pytest.approx(2.0 / (1.0 + p[0]), rel=1e-12)
         assert by_id["OUT"] == pytest.approx(1.0, rel=1e-12)
@@ -198,7 +196,7 @@ def test_non_open_network():
         [station("S", 2.0, gamma=1.0)], [("S", "S", "const:1.0")], wltp_dim=2
     )
     with pytest.raises(NonOpenNetwork):
-        traffic_equations(model, P_ANY)
+        support.traffic_equations(model, P_ANY)
 
 
 def test_routing_row_sum_above_one_rejected():
@@ -208,7 +206,7 @@ def test_routing_row_sum_above_one_rejected():
         wltp_dim=2,
     )
     with pytest.raises(InvalidRouting, match="sums to"):
-        traffic_equations(model, P_ANY)
+        support.traffic_equations(model, P_ANY)
 
 
 def test_binding_referencing_unknown_station():
@@ -283,7 +281,7 @@ def test_wip_kernel_contract_on_mixed_rows():
             assert np.isnan(total)
             assert outcome(wip_gradient, model, p, fleet) == out
         if out and out[0] is NonOpenNetwork:
-            assert outcome(traffic_equations, model, p) == out
+            assert outcome(support.traffic_equations, model, p) == out
 
 
 def test_mixed_fleet_batch_matches_one_row_calls():
@@ -308,7 +306,7 @@ def test_mixed_fleet_batch_matches_one_row_calls():
         assert ok == (out is None)
         if ok:
             r = next(stable_rows)
-            g, h = wip_hessian(model, p, fleet)
+            g, h = support.wip_hessian(model, p, fleet)
             np.testing.assert_array_equal(grads[r], g)
             np.testing.assert_array_equal(hess[r], h)
         else:
@@ -359,7 +357,7 @@ def test_hessian_is_symmetric_and_differentiates_the_gradient():
     cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]))]
     h = 1e-5
     for model, p, fleet in cases:
-        g, hess = wip_hessian(model, p, fleet)
+        g, hess = support.wip_hessian(model, p, fleet)
         np.testing.assert_array_equal(g, wip_gradient(model, p, fleet))
         np.testing.assert_allclose(hess, hess.T, rtol=1e-9, atol=1e-12)
         for j in range(1, p.size):

@@ -18,7 +18,6 @@ from fabflow.queueing import (
     build_routing_model,
     steepest_feasible_direction,
     wip,
-    wip_hessian,
     wip_totals_batch,
 )
 from fabflow.robust_planner import (
@@ -288,7 +287,7 @@ def test_phi_gradient_matches_scalar_oracle():
     model, p_nom, fleet = hub()
     cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]), np.array([0.55, 0.15, 0.3]))]
     for model, p, fleet in cases:
-        g, hess = wip_hessian(model, p, fleet)
+        g, hess = support.wip_hessian(model, p, fleet)
         exact = _phi_gradient(g[None], hess[None])[0]
         slow = support.central_phi_gradient(model, p, fleet)
         np.testing.assert_allclose(exact, slow, rtol=1e-4, atol=1e-6)

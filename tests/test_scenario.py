@@ -71,6 +71,22 @@ def test_digest_ignores_formatting_and_key_order(tmp_path):
     assert scenario_digest(reordered) == reference
 
 
+# every run id is derived from these: they must not move
+FIXTURE_DIGESTS = {
+    "fig10_optimized": "7b85359555bf139edbbfc0b6c4b3e911d62444a97a0e01a8d97b925e486e6d91",
+    "fig9_baseline": "41729e0a325379aef7c03b38e8735a6acb24af57fba466f2afdf4769520f1711",
+    "planner_small": "f3bd8b9523993e2685b9075e3c0fd9448911b22ba8249a20bc4e8692f1569f6d",
+    "queueing_adversarial": "2b07b961dad2321d43dcacb97da7eb06bdb0b29c8616c64a227fa745029f8bad",
+    "queueing_reference": "7347f40acbce2238cad9041ff76ced31c4dbe197b2c6562ffa79f291ca245c2b",
+    "table1_bench": "68d2049138d27a95fbf3bfa86b25a894bdabf83a392bb89b29ccd4ecdaf146d0",
+}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_fixture_digest_is_pinned(name):
+    assert scenario_digest(load_fixture(name)) == FIXTURE_DIGESTS[name]
+
+
 def test_digest_changes_on_semantic_edit():
     raw = resolve_scenario_raw("fig9_baseline")
     reference = scenario_digest(scenario_from_dict(raw))
@@ -286,3 +302,5 @@ def test_flow_csv_artifact_covers_every_edge():
     assert len(art.rows) == len(net.edges)
     total_out = sum(int(r[3]) for r in art.rows if r[0] == net.source)
     assert total_out == flow.value
+    costs = {(e.tail, e.head): e.cost_per_kg for e in net.edges}
+    assert [r[4] for r in art.rows] == [str(float(costs[r[0], r[1]] * int(r[3]))) for r in art.rows]

@@ -471,13 +471,14 @@ SMALL_SEARCH = (GaParams(population=10, generations=5), SaParams(t_initial=1.0, 
 def spy_on_pools(monkeypatch):
     """The worker counts of the pools benchmark() starts from now on."""
     started = []
-    run_forked = scheduler._run_forked
+    fork = multiprocessing.get_context("fork")
+    make_pool = fork.Pool
 
-    def spy(jobs, context, workers, fork):
+    def spy(workers, **kwargs):
         started.append(workers)
-        return run_forked(jobs, context, workers, fork)
+        return make_pool(workers, **kwargs)
 
-    monkeypatch.setattr(scheduler, "_run_forked", spy)
+    monkeypatch.setattr(fork, "Pool", spy)
     return started
 
 
@@ -523,6 +524,24 @@ def test_benchmark_raises_the_first_failure_in_job_order(monkeypatch):
         benchmark(sc, (1, 2), *SMALL_SEARCH)
     assert started == [2]
     assert str(caught.value) == "type A; seed 1" and caught.value.errors == ["type A", "seed 1"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_job_stops_the_jobs_already_handed_out(monkeypatch):
+    # every job but (A, 1) would run for 10 s after its GA and SA
+    def failing_aco(sub, params, seed):
+        task_type = sub.tasks[0].task_type.value
+        if task_type == "A" and seed == 1:
+            raise ValidationErrors([f"type {task_type}", f"seed {seed}"])
+        time.sleep(10.0)
+
+    monkeypatch.setattr(scheduler, "aco_optimize", failing_aco)
+    monkeypatch.setattr(scheduler, "_usable_cpus", lambda: 2)
+    sc = load_fixture("table1_bench")
+    start = time.perf_counter()
+    with pytest.raises(ValidationErrors, match="type A; seed 1"):
+        benchmark(sc, (1, 2), *SMALL_SEARCH)
+    assert time.perf_counter() - start < 5.0
     assert multiprocessing.active_children() == []
 
 
