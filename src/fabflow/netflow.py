@@ -16,8 +16,8 @@ Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Before the first path,
 every cost is multiplied by the lcm L of the cost denominators (L = 1000 for
 scenario files), so Dijkstra adds and compares Python ints.  Scaling by
 L > 0 is exact and keeps the order of every pair of keys, ties included, so
-the paths augmented are the ones the Fraction costs would choose; the cost
-of a flow is still read in Fractions by `flow_cost`.
+the paths augmented are the ones the Fraction costs would choose.
+`flow_cost` sums the same scaled ints and divides by L once, exactly.
 """
 from __future__ import annotations
 
@@ -185,11 +185,11 @@ def _build_residual(net: FlowNetwork, costs=None):
     return index, graph
 
 
-def _integer_costs(net: FlowNetwork) -> list[int]:
-    """Every edge cost times the lcm of the cost denominators, as an int."""
+def _integer_costs(net: FlowNetwork) -> tuple[list[int], int]:
+    """Every edge cost times the lcm of the cost denominators, as ints, and that lcm."""
     costs = [e.cost_per_kg for e in net.edges]
     scale = math.lcm(*(c.denominator for c in costs))
-    return [c.numerator * (scale // c.denominator) for c in costs]
+    return [c.numerator * (scale // c.denominator) for c in costs], scale
 
 
 def _extract_flow(net: FlowNetwork, graph, index) -> dict[tuple[str, str], int]:
@@ -271,7 +271,7 @@ def min_cost_flow(net: FlowNetwork, demand: int) -> FlowAssignment:
     """
     if demand < 0:
         raise ValidationErrors(["demand must be non-negative"])
-    index, graph = _build_residual(net, _integer_costs(net))
+    index, graph = _build_residual(net, _integer_costs(net)[0])
     s, t = index[net.source], index[net.sink]
     n = len(graph)
     potential = [0] * n
@@ -305,9 +305,7 @@ def min_cost_flow(net: FlowNetwork, demand: int) -> FlowAssignment:
 
 
 def flow_cost(net: FlowNetwork, assignment: FlowAssignment) -> Fraction:
-    """Total cost of an assignment, exact."""
-    by_key = {(e.tail, e.head): e.cost_per_kg for e in net.edges}
-    return sum(
-        (by_key[key] * kg for key, kg in assignment.flow.items()),
-        Fraction(0),
-    )
+    """Total cost of an assignment, exact: the scaled int costs summed, over their scale."""
+    costs, scale = _integer_costs(net)
+    by_key = {(e.tail, e.head): c for e, c in zip(net.edges, costs)}
+    return Fraction(sum(by_key[key] * kg for key, kg in assignment.flow.items()), scale)

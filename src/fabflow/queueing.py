@@ -641,6 +641,9 @@ def check_monotonicity(
 # 0.4 ms at dim 14 (8,192 points in 2.8-3.3 s; shared 2-core Xeon), so the
 # cap is about 0.3 s of audit at dim 3 and 4 s at dim 14
 GRID_POINTS_MAX = 10_000
+# most rows of monotonicity_lines.csv a grid may plan: the fixtures' grids
+# plan 81, and a dim-30 grid wrote 148,481 in about 1 s
+GRID_LINES_MAX = 500_000
 
 
 def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.ndarray]:
@@ -652,8 +655,9 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
     wltp_errors applies to a nominal p; so a free_axes shorter than dim - 1
     keeps no point.  Raises ValidationErrors unless free_axes is a list of
     at most dim - 1 lists of numbers that leaves at least one point, or
-    when the product of the axis lengths is above GRID_POINTS_MAX (counted
-    before anything is enumerated).
+    when the product of the axis lengths is above GRID_POINTS_MAX or the
+    line records of its audit above GRID_LINES_MAX (both counted before
+    anything is enumerated).
     """
     where = "metadata.monotonicity_grid.free_axes"
     if not (
@@ -672,6 +676,15 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
         raise ValidationErrors([
             f"{where}: the axis lengths {shown(lengths)} give "
             f"{count} grid points, more than GRID_POINTS_MAX = {GRID_POINTS_MAX}"
+        ])
+    # check_monotonicity's records: one for the pointwise claim, and each
+    # free coordinate groups the points into count / length lines for each
+    # of the dim - 1 claims along it
+    records = 1 + (dim - 1) * sum(count // length for length in lengths if length > 1)
+    if records > GRID_LINES_MAX:
+        raise ValidationErrors([
+            f"{where}: the axis lengths {shown(lengths)} plan {records} line records over "
+            f"{dim - 1} free coordinates, more than GRID_LINES_MAX = {GRID_LINES_MAX}"
         ])
     points = []
     for combo in itertools.product(*free_axes):

@@ -16,9 +16,10 @@ tie-breaking toward fewer vehicles and then lexicographically smaller
 counts.
 
 Both levels work on groups of fleets.  Every (fleet, start) pair is one row
-of a single lockstep ascent: each step is one batched Hessian pass over the
-rows that just moved, one row-wise projection of the backtracking
-candidates and one batched phi pass over them.  Each row keeps its own
+of a single lockstep ascent: each step is one row-wise projection of the
+backtracking candidates and one batched Hessian pass over them, which gives
+phi, the steepest direction and the phi gradient of every candidate at
+once, so each point is evaluated exactly once.  Each row keeps its own
 step, line search and stopping tests, so it follows exactly the path it
 would follow alone.  The constraint checks of a plan share one traffic
 solve: arrival rates depend on the transfer vector alone, so they are
@@ -41,7 +42,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -168,31 +169,25 @@ class ConstraintReport:
         raise KeyError(key)
 
     def to_dict(self) -> dict:
-        out = {
-            "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "key": c.key,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "limit": c.limit,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        out = {"all_passed": self.all_passed, "checks": [asdict(c) for c in self.checks]}
         if self.mc_exceedance is not None:
             out["mc_exceedance"] = self.mc_exceedance
         return out
 
 
-def _phi(model, P: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi, the projected-gradient norm, at each row of P under the service
-    rates of its row, and the stability mask; an unstable row reads -inf."""
-    grads, _, stable = queueing._wip_derivatives(model, P, mu, raise_unstable=False)
-    v = np.full(len(P), -np.inf)
-    v[stable] = queueing.projected_gradient(grads)[1]
-    return v, stable
+def _phi(model, P: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One batched Hessian pass at the rows of P under the service rates of
+    each row: phi, the projected-gradient norm, or -inf where the row is
+    unstable; the unit steepest direction, 0 where phi is 0; and G, the
+    centred phi gradient.  An unstable row reads 0 in the last two."""
+    grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
+    tangent, norm = queueing.projected_gradient(grads)
+    v, X, G = np.full(len(P), -np.inf), np.zeros_like(P), np.zeros_like(P)
+    v[stable], G[stable] = norm, queueing.projected_gradient(_phi_gradient(grads, hess))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the bits of steepest_feasible_direction's tangent / norm
+        X[stable] = np.where(norm[:, None] == 0.0, 0.0, tangent / norm[:, None])
+    return v, X, G
 
 
 def _phi_gradient(grads: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -279,21 +274,6 @@ def _tangent_cone(G: np.ndarray, P: np.ndarray, lower: np.ndarray, upper: np.nda
     return np.where(kept, G - nu, 0.0)
 
 
-def _onto_face(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Rows of X, projections of far points, with their sums restored to 1.
-
-    The projection of a point far outside the box misses sum 1 by up to
-    that point's ulps (1e-10 at |p + t G| ~ 1e6).  Its coordinates strictly
-    inside the box take up the difference in equal shares, so the ones at a
-    bound stay exactly there and the tangent cone sees them; a share that
-    would cross a bound is clipped.
-    """
-    inside = (X > lower) & (X < upper)
-    count = np.maximum(inside.sum(axis=1, keepdims=True), 1)
-    share = (1.0 - X.sum(axis=1, keepdims=True)) / count
-    return np.clip(np.where(inside, X + share, X), lower, upper)
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a stacked 1 x 1 product sums like the one-row dot product
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -310,20 +290,21 @@ def _worst_cases(
     """The worst case of each fleet, None where no start is stable.
 
     Every (fleet, start) pair is a row, in fleet order and then start order.
-    A row at a new point p gets G, the centred phi gradient, from the
-    Hessian pass, and d, G's projection onto the tangent cone of the box at
-    p (_tangent_cone).  It stops there when |d| < 1e-10, a KKT point of phi
-    on the box (Calamai & More, Math. Programming 39, 1987), or when G is
-    not finite.  Otherwise it searches along the projection arc,
-    project(p + t G) from t = 1/|d|, so that one step can cross the box
-    along the face the cone allows (Bertsekas, SIAM J. Control Optim. 20,
-    1982).  The phi pass accepts a candidate when phi rises, and by at
-    least 1e-4 G.(cand - p); the row then takes its next direction.
-    Otherwise t shrinks fourfold.  A row whose trial point p + t G rounds
+    Each point, start or candidate, is evaluated once, by one _phi pass per
+    step over every row that tries a point.  A row at a new point p turns:
+    it takes G, the centred phi gradient of that pass, and d, G's
+    projection onto the tangent cone of the box at p (_tangent_cone).  It
+    stops there when |d| < 1e-10, a KKT point of phi on the box (Calamai &
+    More, Math. Programming 39, 1987), or when G is not finite.  Otherwise
+    it searches along the projection arc, project(p + t G) from t = 1/|d|,
+    so that one step can cross the box along the face the cone allows
+    (Bertsekas, SIAM J. Control Optim. 20, 1982).  It accepts a candidate
+    when phi rises, and by at least 1e-4 G.(cand - p), and turns there;
+    otherwise t shrinks fourfold.  A row whose trial point p + t G rounds
     to p cannot rise and stops, and a row stops after max_iters directions.
     Its best point is the first strict maximum over all its evaluations,
     rejected candidates included; a fleet's worst case is its best row, the
-    earliest on ties.
+    earliest on ties, with the direction and phi its pass gave there.
     """
     if not fleets:
         return []
@@ -337,56 +318,44 @@ def _worst_cases(
     per = len(pts)
     P = np.tile(simplex.project_capped_simplex(pts, lower, upper), (len(fleets), 1))
     mu = np.repeat([queueing.service_rates(model, f) for f in fleets], per, axis=0)
-    v, turning = _phi(model, P, mu)
-    best_v, best_p = v.copy(), P.copy()
-    G = np.zeros_like(P)
+    v, X, G = _phi(model, P, mu)
+    best_v, best_p, best_x = v.copy(), P.copy(), X.copy()
+    # a row searches while its step t is positive
     t = np.zeros(len(P))
     iters = np.zeros(len(P), dtype=int)
-    searching = np.zeros(len(P), dtype=bool)
-    while turning.any() or searching.any():
-        turn = np.flatnonzero(turning & (iters < max_iters))
-        turning[:] = False
-        if turn.size:
-            grads, hess, _ = queueing._wip_derivatives(model, P[turn], mu[turn], hessian=True)
-            g = queueing.projected_gradient(_phi_gradient(grads, hess))[0]
-            d = _tangent_cone(g, P[turn], lower, upper)
-            dnorm = np.sqrt(_row_dot(d, d))
-            # only a finite G makes a shrinking step round to p at last
-            keep = (dnorm >= 1e-10) & np.isfinite(g).all(axis=1)
-            turn = turn[keep]
-            G[turn], t[turn] = g[keep], 1.0 / dnorm[keep]
-            iters[turn] += 1
-            searching[turn] = True
-        look = np.flatnonzero(searching)
+    turn = np.flatnonzero(v > -np.inf)
+    while True:
+        turn = turn[iters[turn] < max_iters]
+        d = _tangent_cone(G[turn], P[turn], lower, upper)
+        dnorm = np.sqrt(_row_dot(d, d))
+        # only a finite G makes a shrinking step round to p at last
+        keep = (dnorm >= 1e-10) & np.isfinite(G[turn]).all(axis=1)
+        t[turn[keep]] = 1.0 / dnorm[keep]
+        iters[turn[keep]] += 1
+        look = np.flatnonzero(t > 0.0)
         trial = P[look] + t[look, None] * G[look]
         moves = ~(trial == P[look]).all(axis=1)
-        searching[look[~moves]] = False
+        t[look[~moves]] = 0.0
         look, trial = look[moves], trial[moves]
         if not look.size:
-            continue
-        cand = _onto_face(simplex.project_capped_simplex(trial, lower, upper), lower, upper)
-        vc, _ = _phi(model, cand, mu[look])
+            break
+        cand = simplex.project_capped_simplex(trial, lower, upper)
+        vc, xc, gc = _phi(model, cand, mu[look])
         better = vc > best_v[look]
-        best_v[look[better]], best_p[look[better]] = vc[better], cand[better]
+        rows = look[better]
+        best_v[rows], best_p[rows], best_x[rows] = vc[better], cand[better], xc[better]
         rise = _row_dot(G[look], cand - P[look])
         up = (vc > v[look]) & (vc >= v[look] + 1e-4 * rise)
-        moved = look[up]
-        P[moved], v[moved] = cand[up], vc[up]
-        searching[moved], turning[moved] = False, True
-        t[look[~up]] *= 0.25
-    out = []
-    for f, fleet in enumerate(fleets):
-        row = f * per + int(np.argmax(best_v[f * per:(f + 1) * per]))
-        if best_v[row] == -np.inf:
-            out.append(None)
-            continue
-        x_star, v_star = queueing.steepest_feasible_direction(model, best_p[row], fleet)
-        out.append(WorstCase(
-            p_star=tuple(float(x) for x in best_p[row]),
-            x_star=tuple(float(x) for x in x_star),
-            v_star=float(v_star),
-        ))
-    return out
+        t[look] *= np.where(up, 0.0, 0.25)
+        turn = look[up]
+        P[turn], v[turn], G[turn] = cand[up], vc[up], gc[up]
+    # argmax keeps the earliest row of each fleet on ties
+    rows = best_v.reshape(len(fleets), per).argmax(axis=1) + np.arange(0, len(P), per)
+    return [
+        None if best_v[r] == -np.inf
+        else WorstCase(tuple(best_p[r].tolist()), tuple(best_x[r].tolist()), float(best_v[r]))
+        for r in rows
+    ]
 
 
 class _ConstraintChecks:

@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -722,13 +723,27 @@ class ReportBundle:
     artifacts: tuple
 
 
+def _finite_json(value):
+    """`value` with each non-finite float, in lists, tuples and dict values
+    at any depth, replaced by its JSON-compatible name as a string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def emit_report(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     """Write every artifact; emission is deterministic byte for byte.
 
     CSV artifacts are UTF-8, comma-separated, LF line endings, with a
     `# inputs_digest=<hex>` comment line above the header so each file
     records the inputs it came from; JSON artifacts carry run_id and
-    inputs_digest fields and are pretty-printed with sorted keys.
+    inputs_digest fields and are pretty-printed with sorted keys.  They are
+    strict JSON: a non-finite float is written as the string "Infinity",
+    "-Infinity" or "NaN".
     """
     out_dir = Path(out_dir)
     try:
@@ -752,11 +767,10 @@ def emit_report(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
                 doc = {
                     "run_id": bundle.run_id,
                     "inputs_digest": bundle.inputs_digest,
-                    "data": artifact.payload,
+                    "data": _finite_json(artifact.payload),
                 }
-                path.write_bytes(
-                    (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-                )
+                text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+                path.write_bytes((text + "\n").encode("utf-8"))
         except OSError as exc:
             raise IoError(f"cannot write artifact {path}: {exc}") from exc
         written.append(path)

@@ -77,9 +77,9 @@ def project_capped_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) 
     Evaluating s at the sorted kinks brackets s = 1, and linear interpolation
     between the bracketing kinks gives tau (Kiwiel, Math. Program. 2008).
     In floating point x = v - tau cancels for a point far outside the box,
-    so the result's sum can miss 1 by up to about an ulp of |v| (1e-11 to
-    1e-10 at |v| ~ 1e6); `robust_planner._onto_face` restores the sum of
-    the ascent's candidates.
+    so its sum can miss 1 by up to about an ulp of |v| (1e-10 at |v| ~ 1e6);
+    the coordinates strictly inside the box take up that miss in equal
+    shares, clipped at the bounds, so the ones at a bound stay exactly there.
     Requires sum(lower) <= 1 <= sum(upper) in every row.
     """
     v = np.asarray(v, dtype=float)
@@ -107,10 +107,13 @@ def project_capped_simplex(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) 
     tau = np.where(np.isnan(tau), back, tau)
     tau = np.where((s_lo == 1.0) | (above == 0), k_lo, tau)
     tau = np.where(above > last, kinks[..., -1:], tau)
-    return np.clip(v - tau, lower, upper)
+    x = np.clip(v - tau, lower, upper)
+    inside = (x > lower) & (x < upper)
+    share = (1.0 - x.sum(axis=-1, keepdims=True)) / np.maximum(inside.sum(axis=-1, keepdims=True), 1)
+    return np.clip(np.where(inside, x + share, x), lower, upper)
 
 
-def unit_directions(count: int, dim: int, seed: int = _DIRECTION_SEED) -> np.ndarray:
+def unit_directions(count: int, dim: int) -> np.ndarray:
     """`count` deterministic unit vectors in the sum-zero subspace of R^dim.
 
     Half the set is generated from seeded Gaussians, the other half is the
@@ -118,7 +121,7 @@ def unit_directions(count: int, dim: int, seed: int = _DIRECTION_SEED) -> np.nda
     """
     if dim < 2:
         return np.zeros((count, dim))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DIRECTION_SEED)
     half = (count + 1) // 2
     raw = rng.standard_normal((half, dim))
     raw -= raw.mean(axis=1, keepdims=True)

@@ -383,11 +383,18 @@ def box_vertices(lower, upper):
 
 def interp_projection(v, lower, upper):
     """Capped-simplex projection of one point the direct way: s(tau) at the
-    distinct sorted kinks, and tau = np.interp(1, s reversed, kinks reversed)."""
+    distinct sorted kinks, and tau = np.interp(1, s reversed, kinks reversed);
+    then the coordinates strictly inside the box share out what the clipped
+    point misses of sum 1, each share clipped at the bounds."""
     kinks = np.unique(np.concatenate([v - upper, v - lower]))
     sums = np.clip(v - kinks[:, None], lower, upper).sum(axis=1)
     tau = np.interp(1.0, sums[::-1], kinks[::-1])
-    return np.clip(v - tau, lower, upper)
+    p = np.clip(v - tau, lower, upper)
+    free = [i for i in range(len(p)) if lower[i] < p[i] < upper[i]]
+    share = (1.0 - p.sum()) / max(len(free), 1)
+    for i in free:
+        p[i] = min(max(p[i] + share, lower[i]), upper[i])
+    return p
 
 
 class _PhiTracker:
@@ -436,11 +443,10 @@ def sequential_worst_case(
     Each start runs to the end before the next one begins.  At p, G is the
     centred phi gradient H^T t[1:] / phi from the one-row Hessian and d its
     tangent-cone projection; the start stops when |d| < 1e-10 or G is not
-    finite.  Otherwise it tries project(p + t G), its sum restored to 1 on
-    the coordinates inside the box, from t = 1/|d|; it accepts when phi
-    rises, and by at least 1e-4 G.(cand - p), shrinks t fourfold when not,
-    and stops when p + t G rounds to p.  The lockstep ascent must give the
-    same WorstCase bit for bit.
+    finite.  Otherwise it tries project(p + t G) from t = 1/|d|; it accepts
+    when phi rises, and by at least 1e-4 G.(cand - p), shrinks t fourfold
+    when not, and stops when p + t G rounds to p.  The lockstep ascent must
+    give the same WorstCase bit for bit.
     """
     dim = model.wltp_dim
     lower, upper = _search_bounds(dim, limits, p_nominal)
@@ -470,10 +476,6 @@ def sequential_worst_case(
             t, moved = 1.0 / dnorm, False
             while not (p + t * G == p).all():
                 cand = simplex.project_capped_simplex(p + t * G, lower, upper)
-                # the coordinates inside the box take up the projection's miss of sum 1
-                inside = (cand > lower) & (cand < upper)
-                share = (1.0 - cand.sum()) / max(int(inside.sum()), 1)
-                cand = np.clip(np.where(inside, cand + share, cand), lower, upper)
                 vc = phi(cand)
                 if vc is not None and vc > v and vc >= v + 1e-4 * (G @ (cand - p)):
                     p, v, moved = cand, vc, True

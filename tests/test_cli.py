@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import support
 from fabflow import cli
 from fabflow.cli import main
-from fabflow.queueing import GRID_POINTS_MAX
+from fabflow.queueing import GRID_LINES_MAX, GRID_POINTS_MAX
 from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
 from fabflow.scenario import fixture_catalog, resolve_scenario_raw
 from fabflow.scheduler import (
@@ -556,6 +556,21 @@ def test_grid_above_the_point_cap_exits_1_before_enumerating(capsys, tmp_path):
     assert f"more than GRID_POINTS_MAX = {GRID_POINTS_MAX}" in err
 
 
+def test_grid_above_the_line_cap_exits_1_before_enumerating(capsys, tmp_path):
+    # 2**13 = 8,192 points, all inside the simplex, under GRID_POINTS_MAX; the
+    # audit would write 1 + 29 * 13 * 4,096 = 1,544,193 line records
+    path = tmp_path / "hub_30.json"
+    path.write_text(json.dumps(support.hub_scenario(30, [[0.01, 0.02]] * 13 + [[0.01]] * 16)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(f"{FREE_AXES}: the axis lengths [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, ")
+    assert "plan 1544193 line records over 29 free coordinates" in err
+    assert f"more than GRID_LINES_MAX = {GRID_LINES_MAX}" in err
+
+
 @pytest.mark.parametrize("counts", ["[1,5,7]", "[1]"])
 def test_nominal_fleet_needs_one_count_per_candidate_type(capsys, counts):
     code, out, err = run_cli(
@@ -813,6 +828,31 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path):
     first_line = (tmp_path / "a" / "maxflow_edges.csv").read_text(encoding="utf-8").splitlines()[0]
     assert first_line == f"# inputs_digest={doc['inputs_digest']}"
     assert len(doc["inputs_digest"]) == 64
+
+
+@pytest.mark.parametrize("argv, name, infinite", [
+    (
+        ("plan", "--scenario", "planner_small",
+         "--set", "limits.u=Infinity", "--set", "limits.delta_wip_max=Infinity"),
+        "plan_summary.json", 2,
+    ),
+    (
+        ("report", "--scenario", "queueing_reference", "--set", "metadata.reference_deltas.x=Infinity"),
+        "reference_deltas.json", 1,
+    ),
+])
+def test_json_artifacts_are_strict_json(capsys, tmp_path, argv, name, infinite):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for run in ("a", "b"):
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / run))
+        assert code == 0
+    for path in sorted((tmp_path / "a").glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        json.loads(text, parse_constant=reject)
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+    assert (tmp_path / "a" / name).read_text(encoding="utf-8").count('"Infinity"') == infinite
 
 
 def test_overrides_change_the_run_id(capsys):

@@ -172,6 +172,18 @@ def test_worst_case_runs_in_fourteen_dimensions():
     assert wc.v_star >= phi(model, p_nom, fleet)
 
 
+@pytest.mark.parametrize("dim", [3, 6, 14])
+def test_capped_projection_keeps_its_sum_far_from_the_box(dim):
+    # x = v - tau cancels for far points; the free coordinates take up the miss
+    rng = np.random.default_rng(dim)
+    lower, upper = np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
+    for scale in 10.0 ** np.arange(2, 13):
+        rows = scale * rng.normal(size=(50, dim))
+        got = simplex.project_capped_simplex(rows, lower, upper)
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-15
+        assert (got >= lower).all() and (got <= upper).all()
+
+
 def test_capped_projection_fixes_feasible_points():
     lower, upper = np.full(3, 0.001), np.full(3, 0.999)
     p = np.array([0.5, 0.3, 0.2])
@@ -248,6 +260,28 @@ def test_worst_case_dominates_box_vertices_and_samples(case):
     # the steps that reach the vertex project points far outside the box,
     # and p_star still sums to 1
     assert abs(sum(wc.p_star) - 1.0) <= 1e-15
+
+
+def test_ascent_evaluates_each_point_once(monkeypatch):
+    # the starts are projected, then each step projects its candidates; one
+    # derivative pass follows each projection, and none comes after the loop
+    events = []
+
+    def spy(module, name, event):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            events.append(event)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(simplex, "project_capped_simplex", "project")
+    spy(queueing, "_wip_derivatives", "derive")
+    model, p_nom, limits = small()
+    worst_case_direction(model, FleetConfig((1, 3)), limits, p_nom)
+    steps = len(events) // 2 - 1
+    assert steps > 1 and events == ["project", "derive"] * (steps + 1)
 
 
 def test_worst_case_is_deterministic():
