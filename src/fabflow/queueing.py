@@ -7,15 +7,15 @@ equations lambda = gamma + R(p)^T lambda, where the routing matrix R may
 depend on the transfer-probability vector p.  Steady-state WIP per station
 is rho / (1 - rho).
 
-One batched pass, `_solve`, computes all of this for a batch of p rows:
-the routing matrices (and, when asked, their derivatives), one linear solve
-for the arrival rates, then the utilizations under one fleet's service
-rates or under service rates per row, and a per-row stability mask.  `wip`,
-`wip_totals_batch` and the derivatives only read it; an unstable row
-raises NonOpenNetwork, else ZeroVehicles, else UnstableStation for its
-first offending station.  The arrival rates depend on p alone, so the
-planner solves them once and reads each fleet's utilizations from them by
-the same rule, `_utilization`.
+One batched pass, `_solve`, computes the routing matrices (and, when asked,
+their derivatives) for a batch of p rows and their arrival rates: one
+linear solve certifies which rows are open, a second solves the traffic
+equations on those rows.  `wip`, `wip_totals_batch` and the derivatives
+read the utilizations and a per-row stability mask from the arrival rates
+by one rule, `_utilization`; an unstable row raises NonOpenNetwork, else
+ZeroVehicles, else UnstableStation for its first offending station.  The
+arrival rates depend on p alone, so the planner solves them once and reads
+each fleet's utilizations from them by the same rule.
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .errors import (
 )
 
 STABILITY_MARGIN = 1e-6        # station is stable when rho <= 1 - this
-TRAFFIC_RESIDUAL_TOL = 1e-10
 WLTP_SUM_TOL = 1e-12
 _ARRIVAL_EPS = 1e-12           # arrivals below this count as "no traffic"
 
@@ -265,6 +264,10 @@ def _routing(model: RoutingModel, P: np.ndarray, order: int):
             dR[:, :, index[frm], index[to]] = grad
         if order == 2:
             d2R[:, :, :, index[frm], index[to]] = hess
+    if (R < 0.0).any():
+        row, a, b = np.argwhere(R < 0.0)[0]
+        ids = model.station_ids
+        raise InvalidRouting(f"routing cell {ids[a]}->{ids[b]} is {R[row, a, b]:.6g} < 0")
     row_sums = R.sum(axis=2)
     if (row_sums > 1.0 + 1e-9).any():
         bad = np.unravel_index(np.argmax(row_sums), row_sums.shape)
@@ -277,46 +280,39 @@ def _routing(model: RoutingModel, P: np.ndarray, order: int):
 _NOT_OPEN = "routing keeps lots circulating forever (spectral radius >= 1)"
 
 
-class _Pass(NamedTuple):
-    R: np.ndarray                # routing matrices (N, k, k)
-    dR: np.ndarray | None        # their free-coordinate derivatives (order >= 1)
-    d2R: np.ndarray | None       # and second derivatives (order 2)
-    lam: np.ndarray              # arrival rates (N, k); NaN rows are not open
-    mu: np.ndarray | None        # service rates (N, k); None without them
-    rho: np.ndarray | None       # utilizations (N, k)
-    stable: np.ndarray | None    # (N,) every station at rho <= 1 - STABILITY_MARGIN
+def _solve(model: RoutingModel, P, order: int = 0):
+    """The one WIP pass over a batch of p rows: R, dR and d2R as _routing
+    gives them for `order`, and the arrival rates (N, k) that solve
+    lambda = gamma + R(p)^T lambda, NaN on the rows that are not open.
 
-
-def _solve(model: RoutingModel, P, mu: np.ndarray | None, order: int = 0) -> _Pass:
-    """The one WIP pass over a batch of p rows.
-
-    Solves lambda = gamma + R(p)^T lambda for every row at once.  A row is
-    not open (NaN arrival rates) when the spectral radius of R is at or above
-    1, or the solution is negative or leaves too large a residual.  Then the
-    utilizations and the stability mask follow by _utilization.  `mu` holds
-    the service rates, (k,) for one fleet or (N, k) for a fleet per row;
-    without them only the traffic is solved.
+    A row is open when the spectral radius of R is below 1 - 1e-12, decided
+    exactly, whatever gamma and the service rates: R >= 0 with row sums at
+    most 1, so A = (1 - 1e-12) I - R^T is a Z-matrix, and it is a nonsingular
+    M-matrix exactly when A x = 1 has a positive solution (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6).
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     R, dR, d2R = _routing(model, P, order)
     gamma = np.asarray([s.gamma for s in model.stations])
-    k = gamma.size
-    lam = np.full((P.shape[0], k), np.nan)
-    ok = np.abs(np.linalg.eigvals(R)).max(axis=1) < 1.0 - 1e-12
-    if ok.any():
-        A = np.eye(k)[None, :, :] - np.swapaxes(R[ok], 1, 2)
-        rhs = np.broadcast_to(gamma[:, None], (int(ok.sum()), k, 1))
-        try:
-            sol = np.linalg.solve(A, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.shape[:2], np.nan)
-        residual = np.abs(sol - (gamma + np.einsum("nij,ni->nj", R[ok], sol))).max(axis=1)
-        good = (residual <= TRAFFIC_RESIDUAL_TOL) & (sol > -1e-9).all(axis=1)
-        lam[np.flatnonzero(ok)[good]] = sol[good]
-    lam = np.maximum(lam, 0.0)
-    if mu is None:
-        return _Pass(R, dR, d2R, lam, None, None, None)
-    return _Pass(R, dR, d2R, lam, *_utilization(lam, mu))
+    N, k = R.shape[:2]
+    Rt = np.swapaxes(R, 1, 2)
+    x = _rowwise_solve((1.0 - 1e-12) * np.eye(k) - Rt, np.ones((N, k, 1)))
+    ok = (x > 0.0).all(axis=(1, 2))
+    lam = np.full((N, k), np.nan)
+    rhs = np.broadcast_to(gamma[:, None], (int(ok.sum()), k, 1))
+    lam[ok] = _rowwise_solve(np.eye(k) - Rt[ok], rhs)[:, :, 0]
+    return R, dR, d2R, np.maximum(lam, 0.0)
+
+
+def _rowwise_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a batch, NaN for each system LAPACK finds singular
+    (one makes the batched call raise); each row has its one-row call's bits."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_rowwise_solve(a[None], c[None]) for a, c in zip(A, b)])
 
 
 def _utilization(lam: np.ndarray, mu: np.ndarray):
@@ -378,19 +374,22 @@ def wip_totals_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total WIP for each p row; unstable (or non-open) rows give NaN.
 
-    One call means one batched linear solve.  The planner reads the same
-    totals by _wip_totals from arrival rates it shares among its fleets.
+    One call means one batched certificate solve and one batched traffic
+    solve on its open rows.  The planner reads the same totals by
+    _wip_totals from arrival rates it shares among its fleets.
     """
     mu = service_rates(model, fleet)
-    return _wip_totals(_solve(model, P, None).lam, mu)
+    return _wip_totals(_solve(model, P)[3], mu)
 
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
-    s = _solve(model, p, service_rates(model, fleet))
-    if not s.stable[0]:
-        raise _instability(model, s.lam[0], s.mu[0])
-    rho = s.rho[0]
+    mu = service_rates(model, fleet)
+    lam = _solve(model, p)[3]
+    _, rho, stable = _utilization(lam, mu)
+    if not stable[0]:
+        raise _instability(model, lam[0], mu)
+    rho = rho[0]
     per = rho / (1.0 - rho)
     return WipReport(
         station_ids=model.station_ids,
@@ -405,7 +404,7 @@ def _wip_derivatives(
 ):
     """Exact free-coordinate WIP gradients (M, n), Hessians (M, n, n) if asked
     (else None), and the (N,) stability mask of the p rows; M counts the
-    stable rows, in order.  `mu` is as for _solve.
+    stable rows, in order.  `mu` is as for _utilization: (k,) or (N, k).
 
     The adjoint of the traffic equations, after one batched solve for lam:
       w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b;
@@ -416,8 +415,8 @@ def _wip_derivatives(
     rate too large for c or its slope in floating point raises
     ValidationErrors for the first such row and station.
     """
-    s = _solve(model, P, mu, order=2 if hessian else 1)
-    stable, R, dR, d2R, lam, mu = s.stable, s.R, s.dR, s.d2R, s.lam, s.mu
+    R, dR, d2R, lam = _solve(model, P, order=2 if hessian else 1)
+    mu, _, stable = _utilization(lam, mu)
     if not stable.all():
         if raise_unstable:
             row = int(np.argmin(stable))

@@ -183,18 +183,18 @@ def _phi(model, P: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
     tangent, norm = queueing.projected_gradient(grads)
     v, X, G = np.full(len(P), -np.inf), np.zeros_like(P), np.zeros_like(P)
-    v[stable], G[stable] = norm, queueing.projected_gradient(_phi_gradient(grads, hess))[0]
+    v[stable], G[stable] = norm, queueing.projected_gradient(_phi_gradient(tangent, norm, hess))[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         # the bits of steepest_feasible_direction's tangent / norm
         X[stable] = np.where(norm[:, None] == 0.0, 0.0, tangent / norm[:, None])
     return v, X, G
 
 
-def _phi_gradient(grads: np.ndarray, hess: np.ndarray) -> np.ndarray:
+def _phi_gradient(tangent: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """Exact free-coordinate gradients of phi from rows of stable WIP
-    gradients (N, n) and Hessians (N, n, n): with t = Pi[0; g] the projected
-    gradient, grad phi = H^T t[1:] / phi, and 0 where phi = 0."""
-    tangent, v = queueing.projected_gradient(grads)
+    gradients g, given by their projected gradients t = Pi[0; g] (N, n + 1)
+    and norms phi (N,) as queueing.projected_gradient gives them, and their
+    Hessians H (N, n, n): grad phi = H^T t[1:] / phi, and 0 where phi = 0."""
     # stacked products: each row has the bits of its one-row hess.T @ t
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (np.swapaxes(hess, 1, 2) @ tangent[:, 1:, None])[..., 0] / v[:, None]
@@ -384,7 +384,7 @@ class _ConstraintChecks:
         )
 
     def _traffic(self, P) -> np.ndarray:
-        return queueing._solve(self.model, P, None).lam
+        return queueing._solve(self.model, P)[3]
 
     @functools.cached_property
     def nominal(self) -> np.ndarray:

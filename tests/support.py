@@ -95,10 +95,23 @@ def conservation_residuals(net, assignment) -> dict:
 
 def traffic_equations(model, p) -> np.ndarray:
     """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    lam = _solve(model, p, None).lam[0]
+    lam = _solve(model, p)[3][0]
     if np.isnan(lam).any():
         raise NonOpenNetwork(_NOT_OPEN)
     return lam
+
+
+def spectral_radius(R) -> np.ndarray:
+    """Largest eigenvalue modulus of each routing matrix of a batch (N, k, k),
+    by a dense eigensolve."""
+    return np.abs(np.linalg.eigvals(R)).max(axis=1)
+
+
+def spectral_open(R) -> np.ndarray:
+    """The (N,) mask of open routing matrices by their eigenvalues: spectral
+    radius below 1 - 1e-12.  queueing._solve decides the same rule by an
+    M-matrix certificate instead."""
+    return spectral_radius(R) < 1.0 - 1e-12
 
 
 def wip_hessian(model, p, fleet):

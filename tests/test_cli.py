@@ -247,6 +247,43 @@ def test_unstable_fleet_exits_2(capsys):
     assert "unstable" in err
 
 
+def test_openness_does_not_depend_on_the_scale_of_gamma_and_mu(capsys):
+    # the routing ignores gamma and mu, so lambda / mu is the same at both scales
+    def total_wip(gamma, mu):
+        rates = [arg for i in range(5) for arg in ("--set", f"stations.{i}.mu_base={mu}")]
+        code, out, _ = run_cli(
+            capsys, "wip", "--scenario", "queueing_reference", "--set", f"stations.0.gamma={gamma}", *rates
+        )
+        assert code == 0
+        return pairs_of(out)["total_wip"]
+
+    assert total_wip("1e9", "1e12") == total_wip("1", "1e3") == "0.0033359399223892435"
+
+
+@pytest.mark.parametrize("command", ["wip", "report"])
+@pytest.mark.parametrize("dim", [3, 10, 30])
+@pytest.mark.parametrize(
+    "loop, error",
+    [
+        ("const:1.0", "non_open_network"),
+        ("const:0.999999999999", "non_open_network"),
+        ("const:0.9999999999985", "unstable_station"),
+    ],
+)
+def test_out_self_loop_at_the_open_margin_exits_2(capsys, tmp_path, command, dim, loop, error):
+    # open means a spectral radius below 1 - 1e-12 = 0.999999999999; just
+    # inside that margin the routing is open and OUT is overloaded
+    raw = support.hub_scenario(dim, [[0.01, 0.02]] * 2)
+    raw["routing"].append({"from": "OUT", "to": "OUT", "value": loop})
+    path = tmp_path / f"hub_{dim}.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, command, "--scenario", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.strip() == f"error={error}"
+
+
 def test_infeasible_demand_exits_2(capsys):
     code, out, _ = run_cli(
         capsys, "mincost", "--scenario", "fig9_baseline", "--demand", "20001"

@@ -209,6 +209,15 @@ def test_routing_row_sum_above_one_rejected():
         support.traffic_equations(model, P_ANY)
 
 
+def test_routing_negative_cell_rejected():
+    # p outside [0, 1] reaches the routing only through a library call
+    model = RoutingModel.from_bindings(
+        [station("A", 2.0, gamma=1.0), station("B", 2.0)], [("A", "B", "1-p:1")], wltp_dim=2
+    )
+    with pytest.raises(InvalidRouting, match="routing cell A->B is -0.5 < 0"):
+        support.traffic_equations(model, (-0.5, 1.5))
+
+
 def test_binding_referencing_unknown_station():
     with pytest.raises(InvalidRouting):
         RoutingModel.from_bindings([station("A", 1.0)], [("A", "Z", "const:0.1")], wltp_dim=2)
@@ -289,7 +298,8 @@ def test_mixed_fleet_batch_matches_one_row_calls():
     fleets = [FleetConfig((3, 0)), FleetConfig((3, 2)), FleetConfig((1, 1)), FleetConfig((0, 0)), FleetConfig((6, 1))]
     rows = [fleets[i % len(fleets)] for i in range(len(P))]
     mu = np.array([service_rates(model, f) for f in rows])
-    s = queueing._solve(model, P, mu)
+    lams = queueing._solve(model, P)[3]
+    _, rhos, _ = queueing._utilization(lams, mu)
     grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
     first, _, stable_first = queueing._wip_derivatives(model, P, mu, raise_unstable=False)
     np.testing.assert_array_equal(stable, stable_first)
@@ -297,10 +307,10 @@ def test_mixed_fleet_batch_matches_one_row_calls():
     assert len(grads) == stable.sum()
     stable_rows = iter(range(len(grads)))
     kinds = set()
-    for p, fleet, ok, lam, rho in zip(P, rows, stable, s.lam, s.rho):
-        one = queueing._solve(model, p, service_rates(model, fleet))
-        np.testing.assert_array_equal(lam, one.lam[0])
-        np.testing.assert_array_equal(rho, one.rho[0])
+    for p, fleet, ok, lam, rho in zip(P, rows, stable, lams, rhos):
+        one = queueing._solve(model, p)[3]
+        np.testing.assert_array_equal(lam, one[0])
+        np.testing.assert_array_equal(rho, queueing._utilization(one, service_rates(model, fleet))[1][0])
         out = outcome(wip_gradient, model, p, fleet)
         kinds.add(out[0] if out else None)
         assert ok == (out is None)
@@ -317,6 +327,68 @@ def test_mixed_fleet_batch_matches_one_row_calls():
     assert outcome(queueing._wip_derivatives, model, P, mu) == outcome(
         wip_gradient, model, P[first_bad], rows[first_bad]
     )
+
+
+def cell_model(gammas):
+    """Stations S0..S(k-1) whose routing cell a -> b is p_(a k + b): a p row
+    of a batch carries its own routing matrix, R = p.reshape(k, k)."""
+    k = len(gammas)
+    return RoutingModel.from_bindings(
+        [station(f"S{a}", 1.0, gamma=g) for a, g in enumerate(gammas)],
+        [(f"S{a}", f"S{b}", f"p:{a * k + b}") for a in range(k) for b in range(k)],
+        wltp_dim=k * k,
+    )
+
+
+def routing_draws(rng, n, k):
+    """n random routing matrices (n, k, k), non-negative with some cells 0 and
+    row sums at most 1 (often exactly 1), and the mask of those with a
+    closed class: stations S0..S(c-1) that lots never leave, so rho = 1.
+    Half the matrices are scaled by 1 - 10^-u, 1 <= u <= 8.5, which puts
+    those with a closed class just inside the margin."""
+    R = rng.random((n, k, k)) * (rng.random((n, k, k)) < 0.6)
+    target = np.where(rng.random((n, k, 1)) < 0.4, 1.0, rng.random((n, k, 1)))
+    sums = R.sum(axis=2, keepdims=True)
+    R = np.divide(R * target, sums, out=np.zeros_like(R), where=sums > 0.0)
+    closed = rng.random(n) < 0.35
+    for r in np.flatnonzero(closed):
+        c = int(rng.integers(1, k + 1))
+        block = R[r, :c, :c]
+        block[block.sum(axis=1) == 0.0, 0] = 1.0
+        R[r, :c, :c] = block / block.sum(axis=1, keepdims=True)
+        R[r, :c, c:] = 0.0
+    scaled = rng.random(n) < 0.5
+    R[scaled] *= 1.0 - 10.0 ** -rng.uniform(1.0, 8.5, (int(scaled.sum()), 1, 1))
+    return R, closed & ~scaled
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))
+def test_open_rows_follow_the_spectral_rule(seed, k, n):
+    rng = np.random.default_rng(seed)
+    R, closed = routing_draws(rng, n, k)
+    model = cell_model(rng.random(k) * (rng.random(k) < 0.7))
+    P = R.reshape(n, k * k)
+    lam = queueing._solve(model, P)[3]
+    not_open = np.isnan(lam).all(axis=1)
+    assert not np.isnan(lam[~not_open]).any()
+    # within rounding of the margin 1 - 1e-12 the two rules may part; a
+    # closed class sits at rho = 1 exactly
+    clear = closed | (np.abs(support.spectral_radius(R) - (1.0 - 1e-12)) >= 1e-9)
+    np.testing.assert_array_equal(not_open[clear], ~support.spectral_open(R)[clear])
+    assert not_open[closed].all()
+    for p, row in zip(P, lam):
+        np.testing.assert_array_equal(queueing._solve(model, p)[3][0], row)
+
+
+def test_a_singular_certificate_leaves_the_other_rows_alone():
+    # a self-loop of exactly 1 - 1e-12 makes (1 - 1e-12) I - R^T singular,
+    # and the batched solve raises for every row
+    model = RoutingModel.from_bindings([station("S", 2.0, gamma=1.0)], [("S", "S", "p:1")], wltp_dim=2)
+    P = np.array([[0.5, 0.5], [1e-12, 1.0 - 1e-12], [0.9, 0.1]])
+    lam = queueing._solve(model, P)[3]
+    assert lam[0, 0] == 2.0 and np.isnan(lam[1, 0])
+    for p, row in zip(P, lam):
+        np.testing.assert_array_equal(queueing._solve(model, p)[3][0], row)
 
 
 def test_rowwise_projected_gradient_matches_one_row_calls():
@@ -485,6 +557,21 @@ def test_monotonicity_audit_output_is_pinned(make, fleet, rows_sha256, violation
     assert not report.passed("p0_decreasing")
     assert hashlib.sha256(repr(report.to_csv_rows()).encode()).hexdigest() == rows_sha256
     assert hashlib.sha256(repr(report.violations).encode()).hexdigest() == violations_sha256
+
+
+@pytest.mark.parametrize(
+    "name, sha256",
+    [
+        ("queueing_reference", "a9c2c9c191f3f419a4d032cfd8cb4b350f8654860081e6eb3f21d7dc1c20f5eb"),
+        ("queueing_adversarial", "56c67827843675c23ec0b3ddb356ac86c82777a31c5a9c03a51827ed0b0087a5"),
+        ("planner_small", "a8d94a697561f6768606d2cfd0672c20e757b7fccf5e457b08147c65fd798b2b"),
+    ],
+)
+def test_wip_report_is_pinned(name, sha256):
+    # every utilization and WIP to the last bit
+    sc = load_fixture(name)
+    report = wip(build_routing_model(sc), sc.nominal_p, sc.nominal_fleet or FleetConfig(()))
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == sha256
 
 
 # --- grids -------------------------------------------------------------------

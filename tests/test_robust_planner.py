@@ -1,5 +1,6 @@
 """Planner tests: simplex geometry, adversarial search, constraint audit, fleet scan."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fabflow.queueing import (
     StationKind,
     StationProfile,
     build_routing_model,
+    projected_gradient,
     steepest_feasible_direction,
     wip,
     wip_totals_batch,
@@ -322,7 +324,7 @@ def test_phi_gradient_matches_scalar_oracle():
     cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]), np.array([0.55, 0.15, 0.3]))]
     for model, p, fleet in cases:
         g, hess = support.wip_hessian(model, p, fleet)
-        exact = _phi_gradient(g[None], hess[None])[0]
+        exact = _phi_gradient(*projected_gradient(g[None]), hess[None])[0]
         slow = support.central_phi_gradient(model, p, fleet)
         np.testing.assert_allclose(exact, slow, rtol=1e-4, atol=1e-6)
 
@@ -544,7 +546,7 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
     want = support.per_fleet_constraints(model, p, fleet, limits).mc_exceedance
     assert 0.2 < want < 0.8
     rng = np.random.default_rng(robust_planner._MC_SEED)
-    lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000), None).lam
+    lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[3]
     monkeypatch.setattr(robust_planner, "_MC_CHUNK_ELEMENTS", chunk * len(model.stations) ** 2)
     checks = robust_planner._ConstraintChecks(model, p, limits)
     assert checks.report(fleet).mc_exceedance == want
@@ -552,13 +554,13 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
 
 
 def counted_traffic_solves(monkeypatch):
-    """Record the number of rows of every traffic-only queueing._solve call."""
+    """Record the number of rows of every traffic-only (order 0) queueing._solve call."""
     rows, solve = [], queueing._solve
 
-    def counting(model, P, mu, order=0):
-        if mu is None:
+    def counting(model, P, order=0):
+        if order == 0:
             rows.append(np.atleast_2d(P).shape[0])
-        return solve(model, P, mu, order)
+        return solve(model, P, order)
 
     monkeypatch.setattr(queueing, "_solve", counting)
     return rows
@@ -677,3 +679,34 @@ def test_candidate_space_enumeration():
         "range 0 is (2, 1); need 0 <= min <= max",
         "range 2 is (-1, 0); need 0 <= min <= max",
     ]
+
+
+# --- pinned outputs ----------------------------------------------------------
+
+def sha256_of_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, sha256",
+    [
+        ("queueing_reference", "580c65618754ba01fd959ac43c738891a380ee7f30cbdaab0b6effe36777352b"),
+        ("queueing_adversarial", "b759a38cd212d61f4cfcc02c81807e207d32893ef4a77995231a6312ee3023c3"),
+        ("planner_small", "68ff4f03c1e7a4024b41368723adbea32ea116c7eab1c45f3feb7906b0e718dc"),
+    ],
+)
+def test_worst_case_is_pinned(name, sha256):
+    sc = load_fixture(name)
+    fleet = sc.nominal_fleet or FleetConfig(())
+    # the limits the worstcase command takes for a fixture without its own
+    limits = sc.limits or PlannerLimits(
+        c_max=max(fleet.total, 1), w_star=math.inf, u=math.inf, delta_wip_max=math.inf
+    )
+    wc = worst_case_direction(build_routing_model(sc), fleet, limits, sc.nominal_p)
+    assert sha256_of_repr(wc) == sha256
+
+
+def test_plan_is_pinned():
+    sc = load_fixture("planner_small")
+    result = plan_fleet(build_routing_model(sc), sc.fleet_candidates, sc.limits, sc.nominal_p)
+    assert sha256_of_repr(result.to_dict()) == "1d06b3128c497ec8b29bd39b1ec7892899824ae3dae93505e9f25e8697ee88d9"
