@@ -8,9 +8,11 @@ the same invocation produces byte-identical stdout and artifacts, keyed by
 a run id derived from the scenario digest, the subcommand, and the seed.
 
 Each analysis is one section function ``(scenario, args) -> (stdout pairs,
-artifacts)``.  A subcommand runs one section through ``_run``, which owns
-loading, validation, the digest, the run id and emission; ``report`` runs
-every section the scenario supports.
+artifacts)``.  A section's stdout pairs are named fields of the summary it
+writes as its ``*_summary.json`` artifact, formatted by ``_fmt``, so what a
+run prints and what it writes cannot disagree.  A subcommand runs one
+section through ``_run``, which owns loading, validation, the digest, the
+run id and emission; ``report`` runs every section the scenario supports.
 """
 from __future__ import annotations
 
@@ -85,17 +87,24 @@ def _run_id(digest: str, command: str, seed, extra: dict) -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
+def _printed(summary: dict, *keys: str) -> list[tuple[str, str]]:
+    """The stdout pairs of the named fields of a section's summary."""
+    return [(key, _fmt(summary[key])) for key in keys]
+
+
 def _parse_seeds(text: str) -> list[int]:
+    """The type of --seeds; argparse passes a ValidationErrors on as raised."""
     try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValidationErrors([f"--seeds must be a comma-separated integer list, got '{text}'"])
-    return seeds
 
 
 def _fleet_of(scenario) -> queueing.FleetConfig:
@@ -128,45 +137,34 @@ def maxflow(scenario, args):
         "cut_capacity_kg": fa.cut_capacity,
         "cut_source_side": sorted(fa.source_side),
     }
-    return (
-        [("value_kg", str(fa.value)), ("cut_capacity_kg", str(fa.cut_capacity))],
-        [
-            flow_csv_artifact("maxflow_edges.csv", net, fa),
-            JsonArtifact("maxflow_summary.json", summary),
-        ],
-    )
+    return _printed(summary, "value_kg", "cut_capacity_kg"), [
+        flow_csv_artifact("maxflow_edges.csv", net, fa),
+        JsonArtifact("maxflow_summary.json", summary),
+    ]
 
 
 def mincost(scenario, args):
     net = netflow.build_network(scenario)
     fa = netflow.min_cost_flow(net, args.demand)
-    cost = float(netflow.flow_cost(net, fa))
-    return (
-        [("demand_kg", str(args.demand)), ("cost", _fmt(cost))],
-        [
-            flow_csv_artifact("mincost_edges.csv", net, fa),
-            JsonArtifact("mincost_summary.json", {"demand_kg": args.demand, "cost": cost}),
-        ],
-    )
+    summary = {"demand_kg": args.demand, "cost": float(netflow.flow_cost(net, fa))}
+    return _printed(summary, "demand_kg", "cost"), [
+        flow_csv_artifact("mincost_edges.csv", net, fa),
+        JsonArtifact("mincost_summary.json", summary),
+    ]
 
 
 def wip(scenario, args):
     model = queueing.build_routing_model(scenario)
     report = queueing.wip(model, scenario.nominal_p, _fleet_of(scenario))
-    header, rows = report.to_csv_rows()
     stations = {
         sid: {"wip": w, "utilization": u}
         for sid, w, u in zip(report.station_ids, report.per_station_wip, report.utilizations)
     }
-    return (
-        [("total_wip", _fmt(report.total_wip))],
-        [
-            CsvArtifact("wip_stations.csv", header, tuple(rows)),
-            JsonArtifact(
-                "wip_summary.json", {"total_wip": report.total_wip, "stations": stations}
-            ),
-        ],
-    )
+    summary = {"total_wip": report.total_wip, "stations": stations}
+    return _printed(summary, "total_wip"), [
+        CsvArtifact("wip_stations.csv", *report.to_csv_rows()),
+        JsonArtifact("wip_summary.json", summary),
+    ]
 
 
 def monotonicity(scenario, args):
@@ -176,14 +174,13 @@ def monotonicity(scenario, args):
         scenario.metadata["monotonicity_grid"]["free_axes"], len(scenario.nominal_p)
     )
     audit = queueing.check_monotonicity(model, grid, _fleet_of(scenario))
-    header, rows = audit.to_csv_rows()
     summary = {
         "grid_points": audit.grid_points,
         "claims": dict(audit.claim_passed),
         "violations": len(audit.violations),
     }
     return [], [
-        CsvArtifact("monotonicity_lines.csv", header, tuple(rows)),
+        CsvArtifact("monotonicity_lines.csv", *audit.to_csv_rows()),
         JsonArtifact("monotonicity_summary.json", summary),
     ]
 
@@ -193,10 +190,8 @@ def worstcase(scenario, args):
     wc = robust_planner.worst_case_direction(
         model, _fleet_of(scenario), _limits_of(scenario), scenario.nominal_p
     )
-    return (
-        [("v_star", _fmt(wc.v_star)), ("p_star", ",".join(repr(x) for x in wc.p_star))],
-        [JsonArtifact("worstcase_summary.json", wc.to_dict())],
-    )
+    summary = wc.to_dict()
+    return _printed(summary, "v_star", "p_star"), [JsonArtifact("worstcase_summary.json", summary)]
 
 
 def plan(scenario, args):
@@ -208,19 +203,11 @@ def plan(scenario, args):
     result = robust_planner.plan_fleet(
         model, scenario.fleet_candidates, scenario.limits, scenario.nominal_p
     )
-    header, rows = result.to_csv_rows()
-    return (
-        [
-            ("c_star", ",".join(str(c) for c in result.c_star.counts)),
-            ("v_star", _fmt(result.worst_case.v_star)),
-            ("nominal_wip", _fmt(result.nominal_wip)),
-            ("search_mode", result.search_mode),
-        ],
-        [
-            CsvArtifact("plan_candidates.csv", header, tuple(rows)),
-            JsonArtifact("plan_summary.json", result.to_dict()),
-        ],
-    )
+    summary = result.to_dict()
+    return _printed(summary, "c_star", "v_star", "nominal_wip", "search_mode"), [
+        CsvArtifact("plan_candidates.csv", *result.to_csv_rows()),
+        JsonArtifact("plan_summary.json", summary),
+    ]
 
 
 def schedule(scenario, args):
@@ -228,7 +215,6 @@ def schedule(scenario, args):
     params = getattr(scenario.metaheuristic, args.method)
     if args.method == "ga":
         front = scheduler.ga_optimize(inst, params, args.seed)
-        header, rows = front.to_csv_rows()
         _, best_mk = front.best_by("makespan_h")
         _, best_cost = front.best_by("total_cost")
         summary = {
@@ -237,62 +223,40 @@ def schedule(scenario, args):
             "best_makespan_h": best_mk.makespan_h,
             "best_cost": best_cost.total_cost,
         }
-        return (
-            [
-                ("method", "ga"),
-                ("front_size", str(len(front.members))),
-                ("best_makespan_h", _fmt(best_mk.makespan_h)),
-                ("best_cost", _fmt(best_cost.total_cost)),
-            ],
-            [
-                CsvArtifact("schedule_front.csv", header, tuple(rows)),
-                JsonArtifact("schedule_summary.json", summary),
-            ],
-        )
+        return _printed(summary, *summary), [
+            CsvArtifact("schedule_front.csv", *front.to_csv_rows()),
+            JsonArtifact("schedule_summary.json", summary),
+        ]
     run = scheduler.sa_optimize if args.method == "sa" else scheduler.aco_optimize
     result = run(inst, params, args.seed)
     summary = {
         "method": args.method,
-        "scalar_score": result.scalar_score,
         "makespan_h": result.objectives.makespan_h,
         "total_cost": result.objectives.total_cost,
+        "scalar_score": result.scalar_score,
         "assignment": dict(sorted(result.assignment.mapping.items())),
     }
-    return (
-        [
-            ("method", args.method),
-            ("makespan_h", _fmt(result.objectives.makespan_h)),
-            ("total_cost", _fmt(result.objectives.total_cost)),
-            ("scalar_score", _fmt(result.scalar_score)),
-        ],
-        [JsonArtifact("schedule_summary.json", summary)],
-    )
+    # stdout shows every field but the assignment, which comes last
+    return _printed(summary, *list(summary)[:-1]), [
+        JsonArtifact("schedule_summary.json", summary)
+    ]
 
 
 def bench(scenario, args):
     mh = scenario.metaheuristic
-    table = scheduler.benchmark(scenario, _parse_seeds(args.seeds), mh.ga, mh.sa, mh.aco)
-    header, rows = table.to_csv_rows()
-    aggregates = {m: table.aggregate(m) for m in ("ga", "sa", "aco")}
-    summary = {
-        m: {"before_hours": a[0], "after_hours": a[1], "before_cost": a[2], "after_cost": a[3]}
-        for m, a in aggregates.items()
-    }
-    before_h, ga_h, before_c, ga_c = aggregates["ga"]
-    return (
-        [
-            ("before_hours", _fmt(before_h)),
-            ("ga_after_hours", _fmt(ga_h)),
-            ("sa_after_hours", _fmt(aggregates["sa"][1])),
-            ("aco_after_hours", _fmt(aggregates["aco"][1])),
-            ("before_cost", _fmt(before_c)),
-            ("ga_after_cost", _fmt(ga_c)),
-        ],
-        [
-            CsvArtifact("bench_table.csv", header, tuple(rows)),
-            JsonArtifact("bench_summary.json", summary),
-        ],
-    )
+    table = scheduler.benchmark(scenario, args.seeds, mh.ga, mh.sa, mh.aco)
+    columns = ("before_hours", "after_hours", "before_cost", "after_cost")
+    summary = {m: dict(zip(columns, table.aggregate(m))) for m in ("ga", "sa", "aco")}
+    ga = summary["ga"]
+    return [
+        ("before_hours", _fmt(ga["before_hours"])),
+        *((f"{m}_after_hours", _fmt(summary[m]["after_hours"])) for m in summary),
+        ("before_cost", _fmt(ga["before_cost"])),
+        ("ga_after_cost", _fmt(ga["after_cost"])),
+    ], [
+        CsvArtifact("bench_table.csv", *table.to_csv_rows()),
+        JsonArtifact("bench_summary.json", summary),
+    ]
 
 
 def _has_grid(scenario) -> bool:
@@ -347,7 +311,9 @@ _COMMANDS = {
 _OPTIONS = {
     "demand": {"type": int, "required": True, "help": "kg to ship"},
     "method": {"choices": ("ga", "sa", "aco"), "default": "ga"},
-    "seeds": {"default": DEFAULT_BENCH_SEEDS, "help": "comma-separated seed list"},
+    "seeds": {
+        "type": _parse_seeds, "default": DEFAULT_BENCH_SEEDS, "help": "comma-separated seed list"
+    },
 }
 
 
@@ -363,12 +329,7 @@ def _run(args) -> list[tuple[str, str]]:
     scenario = scenario_from_dict(raw)
     digest = scenario_digest(scenario)
     pairs, artifacts = section(scenario, args)
-    # the run id records --seeds as the parsed list the section ran
-    extra = {
-        name: _parse_seeds(args.seeds) if name == "seeds" else getattr(args, name)
-        for name in options
-    }
-    run_id = _run_id(digest, args.command, args.seed, extra)
+    run_id = _run_id(digest, args.command, args.seed, {o: getattr(args, o) for o in options})
     if args.out:
         emit_report(ReportBundle(run_id, digest, tuple(artifacts)), args.out)
     return [*pairs, ("run_id", run_id)]

@@ -144,10 +144,12 @@ def _parse_factor(token: str):
 
 
 def binding_errors(
-    frm: str, to: str, factors, stations: Container[str] | None, wltp_dim: int | None
+    frm: str, to: str, factors, stations: Container[str] | None, wltp_dim: int | None,
+    earlier: Container[tuple[str, str]],
 ) -> list[str]:
-    """Every rule a routing cell frm -> to breaks: both stations are known
-    and every p index lies in range.  A None context skips its check."""
+    """Every rule a routing cell frm -> to breaks, given the (from, to) pairs
+    of the cells before it: both stations are known, every p index lies in
+    range, and the pair is new.  A None context skips its check."""
     out = []
     if stations is not None:
         for sid in (frm, to):
@@ -157,6 +159,8 @@ def binding_errors(
         for kind, m in factors:
             if kind != "const" and not 0 <= m < wltp_dim:
                 out.append(f"p index {m} outside the {wltp_dim} transfer probabilities")
+    if (frm, to) in earlier:
+        out.append(f"routing cell declared twice: {frm}->{to}")
     return out
 
 
@@ -180,9 +184,10 @@ def routing_expr_to_str(factors: Iterable[tuple]) -> str:
 class RoutingModel:
     """Stations plus a p-dependent routing matrix.
 
-    Each binding (from, to, factors) sets one routing cell to a product of
-    factors linear in p.  Rows of the routing matrix must sum to at most 1;
-    the slack is the probability of leaving the network.
+    Each binding (from, to, factors) sets one routing cell, bound at most
+    once, to a product of factors linear in p.  Rows of the routing matrix
+    must sum to at most 1; the slack is the probability of leaving the
+    network.
     """
 
     stations: tuple[StationProfile, ...]
@@ -195,11 +200,13 @@ class RoutingModel:
         for s in self.stations:
             problems += station_errors(s.station_id, ids)
             ids.add(s.station_id)
+        cells: set[tuple[str, str]] = set()
         for frm, to, factors in self.bindings:
             problems += (
                 f"routing {frm}->{to}: {p}"
-                for p in binding_errors(frm, to, factors, ids, self.wltp_dim)
+                for p in binding_errors(frm, to, factors, ids, self.wltp_dim, cells)
             )
+            cells.add((frm, to))
         if problems:
             raise InvalidRouting("; ".join(problems))
 
@@ -277,7 +284,7 @@ def _routing(model: RoutingModel, P: np.ndarray, order: int):
     return R, dR, d2R
 
 
-_NOT_OPEN = "routing keeps lots circulating forever (spectral radius >= 1)"
+_NOT_OPEN = "routing keeps lots circulating forever (spectral radius >= 1 - 1e-12)"
 
 
 def _solve(model: RoutingModel, P, order: int = 0):

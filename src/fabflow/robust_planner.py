@@ -551,28 +551,19 @@ class PlanResult:
         }
 
     def to_csv_rows(self):
-        keys = (
-            "fleet_total",
-            "wltp_sum",
-            "wltp_open_interval",
-            "nominal_wip",
-            "wip_fluctuation",
-            "wip_hard_cap",
-        )
-        header = ("config", "feasible", "v_star", "nominal_wip") + tuple(
-            f"pass_{k}" for k in keys
-        )
-        rows = []
-        for o in self.examined:
-            rows.append(
-                (
-                    ":".join(str(c) for c in o.fleet.counts),
-                    "true" if o.feasible else "false",
-                    "" if o.v_star is None else repr(o.v_star),
-                    "" if o.nominal_wip is None else repr(o.nominal_wip),
-                )
-                + tuple("false" if k in o.reasons else "true" for k in keys)
+        """One row per examined fleet, with a pass_<key> column per constraint check."""
+        keys = [c.key for c in self.constraints.checks]
+        header = ("config", "feasible", "v_star", "nominal_wip", *(f"pass_{k}" for k in keys))
+        rows = [
+            (
+                ":".join(str(c) for c in o.fleet.counts),
+                "true" if o.feasible else "false",
+                "" if o.v_star is None else repr(o.v_star),
+                "" if o.nominal_wip is None else repr(o.nominal_wip),
+                *("false" if k in o.reasons else "true" for k in keys),
             )
+            for o in self.examined
+        ]
         return header, rows
 
 

@@ -33,7 +33,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from importlib import resources
@@ -363,13 +363,14 @@ def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str
         frm = _req(cell, "from", str, errs, where)
         to = _req(cell, "to", str, errs, where)
         expr = _req(cell, "value", str, errs, where)
-        if None in (frm, to, expr) or not _new((frm, to), cells, errs, where, "routing cell"):
+        if None in (frm, to, expr):
             continue
         factors = _build(errs, where, parse_routing_expr, expr)
         if factors is not None and not _report(
-            errs, where, binding_errors(frm, to, factors, station_ids, dim)
+            errs, where, binding_errors(frm, to, factors, station_ids, dim, cells)
         ):
             routing.append((frm, to, routing_expr_to_str(factors)))
+        cells.add((frm, to))
     return tuple(routing)
 
 
@@ -706,8 +707,8 @@ def load_fixture(name: str) -> Scenario:
 @dataclass(frozen=True)
 class CsvArtifact:
     name: str                      # file name, ends with .csv
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    header: Sequence[str]
+    rows: Sequence[Sequence]       # as a result's to_csv_rows gives them
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -327,11 +327,11 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_param(name: str, value, domain: str, ok, integer: bool = False) -> None:
-    """ValueError with the problem errors.param_error finds, if any."""
-    problem = param_error(name, value, domain, ok, integer)
-    if problem is not None:
-        raise ValueError(problem)
+def _raise_problems(*problems: str | None) -> None:
+    """ValidationErrors listing every problem errors.param_error found, if any."""
+    found = [p for p in problems if p is not None]
+    if found:
+        raise ValidationErrors(found)
 
 
 # most schedule evaluations one GA run may plan: the default plans 20,100; at
@@ -350,17 +350,20 @@ class GaParams:
 
     def __post_init__(self):
         # crossover pairs consecutive members, so a population of one never recombines
-        _check_param("population", self.population, "be at least 2", lambda v: v >= 2, True)
-        _check_param("generations", self.generations, "be non-negative", lambda v: v >= 0, True)
-        _check_param("crossover_rate", self.crossover_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-        if self.mutation_rate is not None:
-            _check_param("mutation_rate", self.mutation_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+        _raise_problems(
+            param_error("population", self.population, "be at least 2", lambda v: v >= 2, True),
+            param_error("generations", self.generations, "be non-negative", lambda v: v >= 0, True),
+            param_error("crossover_rate", self.crossover_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+            None if self.mutation_rate is None else param_error(
+                "mutation_rate", self.mutation_rate, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0
+            ),
+        )
         evaluations = self.planned_evaluations
         if evaluations > GA_EVALUATIONS_MAX:
-            raise ValueError(
+            raise ValidationErrors([
                 f"population and generations plan {shown(evaluations)} evaluations, "
                 f"more than GA_EVALUATIONS_MAX = {GA_EVALUATIONS_MAX}"
-            )
+            ])
 
     @property
     def planned_evaluations(self) -> int:
@@ -510,16 +513,18 @@ class SaParams:
     def __post_init__(self):
         # geometric cooling from a finite t_initial only reaches t_min when
         # these hold
-        _check_param("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
-        _check_param("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0)
-        _check_param("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True)
-        _check_param("t_min", self.t_min, "be positive", lambda v: v > 0.0)
+        _raise_problems(
+            param_error("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max),
+            param_error("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0),
+            param_error("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True),
+            param_error("t_min", self.t_min, "be positive", lambda v: v > 0.0),
+        )
         moves = self.planned_moves
         if moves > SA_MOVES_MAX:
-            raise ValueError(
+            raise ValidationErrors([
                 f"t_initial, cooling, t_min and iters_per_temp plan {shown(moves)} moves, "
                 f"more than SA_MOVES_MAX = {SA_MOVES_MAX}"
-            )
+            ])
 
     @property
     def planned_moves(self) -> int:
@@ -677,20 +682,23 @@ class AcoParams:
     deposit: float = 1.0
 
     def __post_init__(self):
-        _check_param("ants", self.ants, "be at least 1", lambda v: v >= 1, True)
-        _check_param("iterations", self.iterations, "be at least 1", lambda v: v >= 1, True)
-        # pheromone keeps a 1 - evaporation share each iteration
-        _check_param("evaporation", self.evaporation, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
-        for name in ("alpha", "beta"):
-            _check_param(name, getattr(self, name), "be non-negative and finite", lambda v: 0.0 <= v <= sys.float_info.max)
-        for name in ("pheromone_init", "deposit"):
-            _check_param(name, getattr(self, name), "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max)
+        top = sys.float_info.max
+        _raise_problems(
+            param_error("ants", self.ants, "be at least 1", lambda v: v >= 1, True),
+            param_error("iterations", self.iterations, "be at least 1", lambda v: v >= 1, True),
+            # pheromone keeps a 1 - evaporation share each iteration
+            param_error("evaporation", self.evaporation, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+            param_error("alpha", self.alpha, "be non-negative and finite", lambda v: 0.0 <= v <= top),
+            param_error("beta", self.beta, "be non-negative and finite", lambda v: 0.0 <= v <= top),
+            param_error("pheromone_init", self.pheromone_init, "be positive and finite", lambda v: 0.0 < v <= top),
+            param_error("deposit", self.deposit, "be positive and finite", lambda v: 0.0 < v <= top),
+        )
         solutions = self.planned_solutions
         if solutions > ACO_SOLUTIONS_MAX:
-            raise ValueError(
+            raise ValidationErrors([
                 f"ants and iterations plan {shown(solutions)} ant solutions, "
                 f"more than ACO_SOLUTIONS_MAX = {ACO_SOLUTIONS_MAX}"
-            )
+            ])
 
     @property
     def planned_solutions(self) -> int:
@@ -780,28 +788,9 @@ class BenchmarkTable:
     rows: tuple[BenchmarkRow, ...]
 
     def to_csv_rows(self):
-        header = (
-            "method",
-            "task_type",
-            "before_hours",
-            "after_hours",
-            "before_cost",
-            "after_cost",
-            "seed_count",
-        )
-        rows = [
-            (
-                r.method,
-                r.task_type,
-                repr(r.before_hours),
-                repr(r.after_hours),
-                repr(r.before_cost),
-                repr(r.after_cost),
-                str(r.seed_count),
-            )
-            for r in self.rows
-        ]
-        return header, rows
+        """One column per BenchmarkRow field; floats print as repr."""
+        header = tuple(f.name for f in fields(BenchmarkRow))
+        return header, [tuple(str(getattr(r, name)) for name in header) for r in self.rows]
 
     def row(self, method: str, task_type: str) -> BenchmarkRow:
         for r in self.rows:
@@ -814,12 +803,8 @@ class BenchmarkTable:
         picked = [r for r in self.rows if r.method == method]
         if not picked:
             raise KeyError(method)
-        return (
-            sum(r.before_hours for r in picked),
-            sum(r.after_hours for r in picked),
-            sum(r.before_cost for r in picked),
-            sum(r.after_cost for r in picked),
-        )
+        columns = ("before_hours", "after_hours", "before_cost", "after_cost")
+        return tuple(sum(getattr(r, c) for r in picked) for c in columns)
 
 
 def baseline_assignment(inst: SchedulingInstance) -> Assignment:

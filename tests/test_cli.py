@@ -1,5 +1,6 @@
 """Command-line behaviour: stdout contract, exit codes, artifact determinism."""
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -284,6 +285,18 @@ def test_out_self_loop_at_the_open_margin_exits_2(capsys, tmp_path, command, dim
     assert out.strip() == f"error={error}"
 
 
+def test_non_open_routing_names_the_margin_it_applies(capsys, tmp_path):
+    # a spectral radius of 1 - 5e-13 is below 1 but not below 1 - 1e-12
+    raw = resolve_scenario_raw("queueing_reference")
+    raw["routing"].append({"from": "OUT", "to": "OUT", "value": "const:0.9999999999995"})
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "wip", "--scenario", str(path))
+    assert code == 2
+    assert out.strip() == "error=non_open_network"
+    assert err.strip() == "routing keeps lots circulating forever (spectral radius >= 1 - 1e-12)"
+
+
 def test_infeasible_demand_exits_2(capsys):
     code, out, _ = run_cli(
         capsys, "mincost", "--scenario", "fig9_baseline", "--demand", "20001"
@@ -517,6 +530,43 @@ def test_ga_and_aco_work_above_the_cap_exit_1_at_once(capsys, method, setting, m
     # table1_bench runs on the defaults, far below both caps
     assert GaParams().planned_evaluations == 20_100 < GA_EVALUATIONS_MAX // 40
     assert AcoParams().planned_solutions == 2_000 < ACO_SOLUTIONS_MAX // 400
+
+
+@pytest.mark.parametrize("method, settings, problems", [
+    pytest.param(
+        # population 1 would also plan more evaluations than the cap, which
+        # is checked only once every field is valid
+        "ga", ("population=1", "crossover_rate=2", "generations=1000000000"),
+        ["population must be at least 2 (got 1)", "crossover_rate must lie in [0, 1] (got 2)"],
+        id="ga",
+    ),
+    pytest.param(
+        "sa", ("cooling=1", "t_min=0", "iters_per_temp=0.5"),
+        [
+            "cooling must lie strictly between 0 and 1 (got 1)",
+            "iters_per_temp must be an integer (got 0.5)",
+            "t_min must be positive (got 0)",
+        ],
+        id="sa",
+    ),
+    pytest.param(
+        "aco", ("ants=0", "beta=-1", "deposit=\"x\""),
+        [
+            "ants must be at least 1 (got 0)",
+            "beta must be non-negative and finite (got -1)",
+            "deposit must be a number (got 'x')",
+        ],
+        id="aco",
+    ),
+])
+def test_search_parameters_report_every_problem_at_once(capsys, method, settings, problems):
+    overrides = [arg for s in settings for arg in ("--set", f"metaheuristic_params.{method}.{s}")]
+    code, out, err = run_cli(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", method, *overrides
+    )
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == "; ".join(f"metaheuristic_params.{method}: {p}" for p in problems)
 
 
 @pytest.mark.parametrize("method", ["ga", "sa", "aco"])
@@ -865,6 +915,37 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path):
     first_line = (tmp_path / "a" / "maxflow_edges.csv").read_text(encoding="utf-8").splitlines()[0]
     assert first_line == f"# inputs_digest={doc['inputs_digest']}"
     assert len(doc["inputs_digest"]) == 64
+
+
+# sha256 over every bundled scenario of the exit code, stdout, stderr and each
+# artifact's name and bytes, per command line; fixtures reads no scenario
+PINNED_OUTPUTS = {
+    "maxflow": "944153ad465f0c6fc2ea4b239cdfd4c6901f2f253d0fb03c187c4de9a16124ae",
+    "mincost --demand 100": "9eaec7aca6abf380970c44ada82028cf4b200b8a05b529541779a84d652b47ee",
+    "mincost --demand 99999999": "f60933725f5ad3319f2e17fe41e97bd28a2e1c4bb531590b7eff03b072da2264",
+    "wip": "0e9a3af6b7e0eb56d363db927ce881dc58e850afe6f2f320bd28189f9b96989c",
+    "worstcase": "0ea9112e5c2279df551d6d490a8e506663337e9f9d748f3b5c3a969798347def",
+    "plan": "24176745da3ceb8708afc2b76299f716d938aae147675c4eea7a6e3ec1176184",
+    "report": "4738a4264b6bfe68a351599037163d11472c16f702883af1d5aa0451d93ffc92",
+    "schedule --method ga": "49e200ab0a8c117afb64b157ece3b192cf0c1cc6a5fd0fba3294c9ba25a50c31",
+    "schedule --method sa": "5a7e5bae2daf6ef356a451bafcb78c00b0979506b13b96b3b2caf9f3e0b90378",
+    "schedule --method aco": "24f210277d3c990fb55a16456f11f8b5249a19a50ce5b452281e33f805f91632",
+    "bench --seeds 1": "4e399f9965be5c0e599e9bbeb7f9e5ae746be876d240f2c1bae036b965b38719",
+    "fixtures": "f9507cc01f96bffcfca752d9920d7c6c871a514505c23186889af0f714c9f510",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS)
+def test_outputs_on_every_fixture_match_their_pin(capsys, tmp_path, command):
+    digest = hashlib.sha256()
+    for name in fixture_catalog():
+        out = tmp_path / name
+        scenario = [] if command == "fixtures" else ["--scenario", name, "--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, *command.split(), *scenario)
+        digest.update(f"{name}\n{code}\n{stdout}\n{stderr}\n".encode())
+        for path in sorted(out.glob("*")):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == PINNED_OUTPUTS[command]
 
 
 @pytest.mark.parametrize("argv, name, infinite", [

@@ -12,6 +12,7 @@ from fabflow.errors import (
     InvalidRouting,
     NonOpenNetwork,
     UnstableStation,
+    ValidationErrors,
     ZeroVehicles,
 )
 from fabflow.queueing import (
@@ -32,7 +33,7 @@ from fabflow.queueing import (
     wip_totals_batch,
     wltp_errors,
 )
-from fabflow.scenario import load_fixture, scenario_from_dict
+from fabflow.scenario import load_fixture, resolve_scenario_raw, scenario_from_dict
 
 
 def station(sid, mu, gamma=0.0):
@@ -226,6 +227,19 @@ def test_binding_referencing_unknown_station():
 def test_binding_p_index_out_of_range():
     with pytest.raises(InvalidRouting):
         RoutingModel.from_bindings([station("A", 1.0)], [("A", "A", "p:5")], wltp_dim=2)
+
+
+def test_routing_cell_bound_twice_is_rejected_as_the_reader_rejects_it():
+    stations = [station("IN", 2.0, gamma=1.0), station("T", 4.0)]
+    cells = [("IN", "T", "const:0.1"), ("IN", "T", "const:0.5")]
+    with pytest.raises(InvalidRouting) as exc:
+        RoutingModel.from_bindings(stations, cells, wltp_dim=2)
+    assert str(exc.value) == "routing IN->T: routing cell declared twice: IN->T"
+    raw = resolve_scenario_raw("queueing_reference")
+    raw["routing"].append({"from": "IN", "to": "T", "value": "const:0.5"})
+    with pytest.raises(ValidationErrors) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == ["routing[8]: routing cell declared twice: IN->T"]
 
 
 def test_wip_totals_batch_flags_unstable_rows():
