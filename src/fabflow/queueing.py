@@ -15,16 +15,24 @@ read the utilizations and a per-row stability mask from the arrival rates
 by one rule, `_utilization`; an unstable row raises NonOpenNetwork, else
 ZeroVehicles, else UnstableStation for its first offending station.  The
 arrival rates depend on p alone, so the planner solves them once and reads
-each fleet's utilizations from them by the same rule.
+the utilizations of a whole group of fleets from them by the same rule, in
+one broadcast against the group's service rates (_service_rates).
 
 Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
 e_i - e_0 (which stays on the simplex).  They are exact: every routing cell
 is a product of factors linear in p, so the product rule differentiates R,
-and the adjoint of the traffic equations carries that to total WIP.
+and the adjoint of the traffic equations carries that to total WIP.  Each
+RoutingModel builds its factor tables once, on first use: for each factor
+slot, the column of [P, 1 - P, constants] every cell reads and every cell's
+slope, so R and its derivatives are evaluated slot by slot over all cells
+at once.  A product shorter than the longest is padded in front with
+const:1, which leaves the product rule at its start state, and the first
+slot takes no second-derivative step, as the gradient is still zero there.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -222,21 +230,64 @@ class RoutingModel:
     def station_ids(self) -> tuple[str, ...]:
         return tuple(s.station_id for s in self.stations)
 
+    @functools.cached_property
+    def _factor_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tables _routing reads the cells from: each cell's flat index
+        from * k + to (B,); for each factor slot, the column of
+        [P, 1 - P, constants] each cell reads (S, B); the constants (C,);
+        and for each slot, each cell's free-coordinate slope (S, n, B):
+        slopes[m] for p:m, -slopes[m] for 1-p:m and 0 for a constant, where
+        slopes[m] is how p_m moves along each e_j - e_0.  A product shorter
+        than S factors is padded in front with const:1."""
+        d, n, k = self.wltp_dim, self.wltp_dim - 1, len(self.stations)
+        index = {s.station_id: i for i, s in enumerate(self.stations)}
+        width = max((len(factors) for _, _, factors in self.bindings), default=0)
+        cells, columns, constants = [], [], []
+        for frm, to, factors in self.bindings:
+            cells.append(index[frm] * k + index[to])
+            for kind, m in (("const", 1.0),) * (width - len(factors)) + tuple(factors):
+                if kind == "const":
+                    columns.append(2 * d + len(constants))
+                    constants.append(m)
+                else:
+                    columns.append(m if kind == "p" else d + m)
+        columns = np.array(columns, dtype=np.intp).reshape(len(cells), width).T
+        # the slope of column c: row c of [slopes; -slopes; 0] (the 0 for every constant)
+        slopes = np.vstack([-np.ones(n), np.eye(n)])
+        slopes = np.vstack([slopes, -slopes, np.zeros((1, n))])[np.minimum(columns, 2 * d)]
+        return (
+            np.array(cells, dtype=np.intp),
+            columns,
+            np.array(constants, dtype=float),
+            slopes.transpose(0, 2, 1),
+        )
+
+
+def _service_rates(model: RoutingModel, fleets: Sequence[FleetConfig]) -> np.ndarray:
+    """Effective service rates (G, k) of the stations under each of G fleets:
+    mu_base, times the vehicle count of the bound type at a transport
+    station, so zero-vehicle transport gives 0.  A fleet with fewer types
+    than a station binds raises InvalidRouting for the first such fleet and
+    its first such station."""
+    stations = model.stations
+    binding = [st.vehicle_type if st.kind == StationKind.TRANSPORT else None for st in stations]
+    need = max((t for t in binding if t is not None), default=-1)
+    short = next((fleet for fleet in fleets if len(fleet.counts) <= need), None)
+    if short is not None:
+        st = next(st for st, t in zip(stations, binding) if t is not None and t >= len(short.counts))
+        raise InvalidRouting(
+            f"station {st.station_id} binds vehicle type {st.vehicle_type}, "
+            f"but the fleet has {len(short.counts)} types"
+        )
+    counts = np.array([[1 if t is None else fleet.counts[t] for t in binding] for fleet in fleets], dtype=float)
+    base = np.array([st.mu_base for st in stations])
+    with np.errstate(over="ignore"):  # an overflowing rate reads inf, as a float product does
+        return base * counts.reshape(len(fleets), len(stations))
+
 
 def service_rates(model: RoutingModel, fleet: FleetConfig) -> np.ndarray:
     """Effective service rate per station; zero-vehicle transport gives 0."""
-    mu = np.empty(len(model.stations))
-    for i, st in enumerate(model.stations):
-        if st.kind == StationKind.TRANSPORT:
-            if st.vehicle_type >= len(fleet.counts):
-                raise InvalidRouting(
-                    f"station {st.station_id} binds vehicle type {st.vehicle_type}, "
-                    f"but the fleet has {len(fleet.counts)} types"
-                )
-            mu[i] = st.mu_base * fleet.counts[st.vehicle_type]
-        else:
-            mu[i] = st.mu_base
-    return mu
+    return _service_rates(model, [fleet])[0]
 
 
 # --- the WIP pass ------------------------------------------------------------
@@ -248,29 +299,37 @@ def _routing(model: RoutingModel, P: np.ndarray, order: int):
 
     Cells are products of factors linear in p, so the product rule needs only
     their slopes: along e_j - e_0, p_m moves by +1 when m = j and -1 when m = 0.
+    The model's factor tables hold every cell's factor and slope per slot, so
+    each slot takes one product-rule step for all cells at once, with the
+    cell axis last: value (N, B), gradient (N, n, B), Hessian (N, n, n, B).
+    A cell padded with const:1 leaves that step at its start (1, +0, +0), so
+    padding moves no bit.  On the first slot the gradient is still zero, so
+    the Hessian step would add only zeros and is skipped.  The cells are
+    then scattered into R and its derivatives.
     """
     N, n, k = P.shape[0], model.wltp_dim - 1, len(model.stations)
-    slopes = np.vstack([-np.ones(n), np.eye(n)])
-    index = {s.station_id: i for i, s in enumerate(model.stations)}
-    R = np.zeros((N, k, k))
-    dR = np.zeros((N, n, k, k)) if order >= 1 else None
-    d2R = np.zeros((N, n, n, k, k)) if order == 2 else None
-    for frm, to, factors in model.bindings:
-        val, grad, hess = np.ones(N), np.zeros((N, n)), np.zeros((N, n, n) if order == 2 else 0)
-        for kind, m in factors:
-            f = np.full(N, m) if kind == "const" else P[:, m] if kind == "p" else 1.0 - P[:, m]
-            if order:
-                df = np.zeros(n) if kind == "const" else slopes[m] if kind == "p" else -slopes[m]
-                if order == 2:
-                    cross = grad[:, :, None] * df
-                    hess = hess * f[:, None, None] + cross + np.swapaxes(cross, 1, 2)
-                grad = grad * f[:, None] + val[:, None] * df
-            val = val * f
-        R[:, index[frm], index[to]] = val
+    cells, columns, constants, slopes = model._factor_tables
+    X = np.concatenate([P, 1.0 - P, np.broadcast_to(constants, (N, constants.size))], axis=1)
+    val = np.ones((N, cells.size))
+    grad = np.zeros((N, n, cells.size)) if order else None
+    hess = np.zeros((N, n, n, cells.size)) if order == 2 else None
+    for slot, (column, df) in enumerate(zip(columns, slopes)):
+        f = X[:, column]
         if order:
-            dR[:, :, index[frm], index[to]] = grad
-        if order == 2:
-            d2R[:, :, :, index[frm], index[to]] = hess
+            if order == 2 and slot:
+                cross = grad[:, :, None, :] * df
+                hess = hess * f[:, None, None, :] + cross + np.swapaxes(cross, 1, 2)
+            grad = grad * f[:, None, :] + val[:, None, :] * df
+        val = val * f
+    R = np.zeros((N, k, k))
+    R.reshape(N, k * k)[:, cells] = val
+    dR = d2R = None
+    if order:
+        dR = np.zeros((N, n, k, k))
+        dR.reshape(N, n, k * k)[..., cells] = grad
+    if order == 2:
+        d2R = np.zeros((N, n, n, k, k))
+        d2R.reshape(N, n, n, k * k)[..., cells] = hess
     if (R < 0.0).any():
         row, a, b = np.argwhere(R < 0.0)[0]
         ids = model.station_ids

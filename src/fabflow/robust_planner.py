@@ -24,11 +24,12 @@ step, line search and stopping tests, so it follows exactly the path it
 would follow alone.  The constraint checks of a plan share one traffic
 solve: arrival rates depend on the transfer vector alone, so they are
 solved once at the nominal point, the fluctuation probes and the Monte
-Carlo draws (in fixed-size chunks), and each fleet reads its utilizations
-from them.  The exhaustive scan and the coordinate descent evaluate
-candidates through one group step: the checks, then one lockstep ascent of
-the candidates that pass, in groups that keep one Hessian batch under a
-fixed number of elements.
+Carlo draws (in fixed-size chunks).  A group of fleets reads them in one
+broadcast: the service rates of the whole group are one array, and each
+set of arrival rates is read against all of them at once.  The exhaustive
+scan and the coordinate descent evaluate candidates through one group
+step: the checks, then one lockstep ascent of the candidates that pass, in
+groups that keep one Hessian batch under a fixed number of elements.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -58,15 +59,17 @@ DELTA_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 100_000
 _MC_SEED = 7654321
 # elements of the largest array of one lockstep pass, the second routing
-# derivatives (rows, n, n, k, k), 8 MB of floats; plan_fleet ascends its
-# candidates in groups that stay under it, though never less than one
+# derivatives (rows, n, n, k, k), 8 MB of floats (the routing's per-cell
+# temporaries (rows, n, n, B) are smaller, B <= k^2 cells); plan_fleet ascends
+# its candidates in groups that stay under it, though never less than one
 _HESSIAN_BATCH_ELEMENTS = 1_000_000
 # largest limits.mc_samples; the draws are solved once per plan: `plan` on
 # planner_small (k = 3) at this cap takes ~1.5 s
 MC_SAMPLES_MAX = 200_000
 # elements of the routing matrices (rows, k, k) of one chunk of Monte Carlo
 # draws, 8 MB of floats; a plan solves its draws chunk by chunk and keeps
-# only their (mc_samples, k) arrival rates
+# only their (mc_samples, k) arrival rates, and a group of fleets reads them
+# in chunks of fleets whose (fleets * mc_samples, k) rates stay under it
 _MC_CHUNK_ELEMENTS = 1_000_000
 
 
@@ -317,7 +320,7 @@ def _worst_cases(
         return [None] * len(fleets)
     per = len(pts)
     P = np.tile(simplex.project_capped_simplex(pts, lower, upper), (len(fleets), 1))
-    mu = np.repeat([queueing.service_rates(model, f) for f in fleets], per, axis=0)
+    mu = np.repeat(queueing._service_rates(model, fleets), per, axis=0)
     v, X, G = _phi(model, P, mu)
     best_v, best_p, best_x = v.copy(), P.copy(), X.copy()
     # a row searches while its step t is positive
@@ -365,9 +368,10 @@ class _ConstraintChecks:
     arrival rates: a fleet enters only through its service rates.  So the
     traffic at the nominal point, at the DELTA_DIRECTIONS fluctuation probes
     around it and at the Monte Carlo draws is solved once per plan, each set
-    the first time a check needs it (in the order a single check meets them:
-    the probes only for a fleet whose nominal point is stable), and every
-    fleet reads its utilizations from those arrival rates.
+    the first time a check needs it (in the order the first fleet of a group
+    meets them: the probes only once some fleet's nominal point is stable),
+    and each group of fleets reads its utilizations from those arrival rates
+    in one broadcast against the group's service rates.
     """
 
     def __init__(self, model: RoutingModel, p_nominal, limits: PlannerLimits):
@@ -414,38 +418,69 @@ class _ConstraintChecks:
             for start in range(0, n, rows)
         ])
 
-    def report(self, fleet: FleetConfig) -> ConstraintReport:
+    @staticmethod
+    def _totals(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Total WIP and stability (G, S) of each of G fleets' service rates
+        (G, k) at each of S rows of arrival rates (S, k), from one
+        _wip_totals over their (G * S, k) broadcast."""
+        totals, stable = queueing._wip_totals(np.tile(lam, (len(mu), 1)), np.repeat(mu, len(lam), axis=0))
+        return totals.reshape(len(mu), len(lam)), stable.reshape(len(mu), len(lam))
+
+    def reports(self, fleets: Sequence[FleetConfig]) -> list[ConstraintReport]:
+        """The constraint report of each fleet of a group, read from the
+        plan's shared traffic: the nominal totals in one _wip_totals over
+        the group's service rates (G, k), the probe totals of the fleets
+        whose nominal point is stable in one over their broadcast against
+        the probes, and the Monte Carlo totals in chunks of fleets."""
         limits, model = self.limits, self.model
-        mu = queueing.service_rates(model, fleet)
-        totals, stable = queueing._wip_totals(self.nominal, mu)
+        mu = queueing._service_rates(model, fleets)
+        nominal, stable = queueing._wip_totals(np.broadcast_to(self.nominal, mu.shape), mu)
+        # the shared sets are solved in the order the group's first fleet
+        # meets them: the probes only when its nominal point is stable
         if stable[0]:
-            nominal, nominal_detail = float(totals[0]), ""
-            probes, probes_stable = queueing._wip_totals(self.probes, mu)
-            if probes_stable.all():
-                fluct = float(np.abs(probes - nominal).max())
-                wmax = max(nominal, float(probes.max()))
-            else:
-                # the fluctuation is unbounded at an unstable probe
-                fluct = wmax = math.inf
-            fluct_detail = ""
-        else:
-            nominal = fluct = wmax = math.inf
-            nominal_detail = queueing._instability(model, self.nominal[0], mu).code
-            fluct_detail = "nominal point unstable"
-        mc_exceedance = None
+            self.probes
+        exceedance = [None] * len(mu)
         if limits.mc_samples > 0:
-            totals, stable = queueing._wip_totals(self.draws, mu)
-            mc_exceedance = float((~stable | (totals > limits.u)).mean())
-        checks = (
-            ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
-            *self.wltp,
-            ConstraintCheck("nominal_wip", nominal <= limits.w_star, nominal, limits.w_star, nominal_detail),
-            ConstraintCheck(
-                "wip_fluctuation", fluct <= limits.delta_wip_max, fluct, limits.delta_wip_max, fluct_detail
-            ),
-            ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
-        )
-        return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
+            chunk = max(1, _MC_CHUNK_ELEMENTS // (limits.mc_samples * mu.shape[1]))
+            over = []
+            for part in np.split(mu, range(chunk, len(mu), chunk)):
+                totals, ok = self._totals(self.draws, part)
+                over.append((~ok | (totals > limits.u)).mean(axis=1))
+            exceedance = np.concatenate(over).tolist()
+        fluct = np.full(len(mu), math.inf)
+        wmax = fluct.copy()
+        if stable.any():
+            probes, probes_stable = self._totals(self.probes, mu[stable])
+            # the fluctuation is unbounded at an unstable probe
+            bounded = probes_stable.all(axis=1)
+            at = np.flatnonzero(stable)[bounded]
+            fluct[at] = np.abs(probes[bounded] - nominal[at, None]).max(axis=1)
+            wmax[at] = np.maximum(nominal[at], probes[bounded].max(axis=1))
+        nominal = np.where(stable, nominal, math.inf)
+        out = []
+        for g, (fleet, ok, w, f, top, over) in enumerate(zip(
+            fleets, stable.tolist(), nominal.tolist(), fluct.tolist(), wmax.tolist(), exceedance
+        )):
+            if ok:
+                nominal_detail = fluct_detail = ""
+            else:
+                nominal_detail = queueing._instability(model, self.nominal[0], mu[g]).code
+                fluct_detail = "nominal point unstable"
+            checks = (
+                ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
+                *self.wltp,
+                ConstraintCheck("nominal_wip", w <= limits.w_star, w, limits.w_star, nominal_detail),
+                ConstraintCheck(
+                    "wip_fluctuation", f <= limits.delta_wip_max, f, limits.delta_wip_max, fluct_detail
+                ),
+                ConstraintCheck("wip_hard_cap", top <= limits.u, top, limits.u, fluct_detail),
+            )
+            out.append(ConstraintReport(checks=checks, mc_exceedance=over))
+        return out
+
+    def report(self, fleet: FleetConfig) -> ConstraintReport:
+        """The constraint report of one fleet, the one-fleet case of reports."""
+        return self.reports([fleet])[0]
 
 
 def check_constraints(
@@ -583,7 +618,7 @@ def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
     size = max(1, _HESSIAN_BATCH_ELEMENTS // max(1, rows * n * n * k * k))
     fleets = iter(fleets)
     while group := list(itertools.islice(fleets, size)):
-        reports = [checks.report(fleet) for fleet in group]
+        reports = checks.reports(group)
         passing = [fleet for fleet, report in zip(group, reports) if report.all_passed]
         worst = iter(_worst_cases(model, passing, limits, p_nominal))
         for fleet, report in zip(group, reports):

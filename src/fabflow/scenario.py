@@ -366,9 +366,9 @@ def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str
         if None in (frm, to, expr):
             continue
         factors = _build(errs, where, parse_routing_expr, expr)
-        if factors is not None and not _report(
-            errs, where, binding_errors(frm, to, factors, station_ids, dim, cells)
-        ):
+        # a value that does not parse still has its stations and pair checked
+        problems = binding_errors(frm, to, factors or (), station_ids, dim, cells)
+        if not _report(errs, where, problems) and factors is not None:
             routing.append((frm, to, routing_expr_to_str(factors)))
         cells.add((frm, to))
     return tuple(routing)

@@ -13,6 +13,7 @@ import numpy as np
 from fabflow import simplex
 from fabflow.errors import (
     DuplicateNode,
+    InvalidRouting,
     NonOpenNetwork,
     NoOriginOrDestination,
     NoStablePoint,
@@ -112,6 +113,52 @@ def spectral_open(R) -> np.ndarray:
     radius below 1 - 1e-12.  queueing._solve decides the same rule by an
     M-matrix certificate instead."""
     return spectral_radius(R) < 1.0 - 1e-12
+
+
+def routing_by_cell(model, P, order):
+    """queueing._routing one routing cell at a time: R (N, k, k), and for
+    order >= 1 dR (N, n, k, k), for order 2 d2R (N, n, n, k, k), else None.
+
+    Each cell multiplies in its factors by the product rule, in plain loops
+    over cells and factors; a factor's slope along e_j - e_0 is +1 at
+    p_m when m = j and -1 when m = 0.  _routing takes the same steps slot by
+    slot from the model's factor tables and must give the same bits and the
+    same InvalidRouting messages.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    N, n, k = P.shape[0], model.wltp_dim - 1, len(model.stations)
+    slopes = np.vstack([-np.ones(n), np.eye(n)])
+    index = {s.station_id: i for i, s in enumerate(model.stations)}
+    R = np.zeros((N, k, k))
+    dR = np.zeros((N, n, k, k)) if order >= 1 else None
+    d2R = np.zeros((N, n, n, k, k)) if order == 2 else None
+    for frm, to, factors in model.bindings:
+        val, grad, hess = np.ones(N), np.zeros((N, n)), np.zeros((N, n, n) if order == 2 else 0)
+        for kind, m in factors:
+            f = np.full(N, m) if kind == "const" else P[:, m] if kind == "p" else 1.0 - P[:, m]
+            if order:
+                df = np.zeros(n) if kind == "const" else slopes[m] if kind == "p" else -slopes[m]
+                if order == 2:
+                    cross = grad[:, :, None] * df
+                    hess = hess * f[:, None, None] + cross + np.swapaxes(cross, 1, 2)
+                grad = grad * f[:, None] + val[:, None] * df
+            val = val * f
+        R[:, index[frm], index[to]] = val
+        if order:
+            dR[:, :, index[frm], index[to]] = grad
+        if order == 2:
+            d2R[:, :, :, index[frm], index[to]] = hess
+    if (R < 0.0).any():
+        row, a, b = np.argwhere(R < 0.0)[0]
+        ids = model.station_ids
+        raise InvalidRouting(f"routing cell {ids[a]}->{ids[b]} is {R[row, a, b]:.6g} < 0")
+    row_sums = R.sum(axis=2)
+    if (row_sums > 1.0 + 1e-9).any():
+        bad = np.unravel_index(np.argmax(row_sums), row_sums.shape)
+        raise InvalidRouting(
+            f"routing row for station {model.station_ids[bad[1]]} sums to {row_sums[bad]:.6f} > 1"
+        )
+    return R, dR, d2R
 
 
 def wip_hessian(model, p, fleet):

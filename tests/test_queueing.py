@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from fabflow import queueing
+from fabflow import queueing, simplex
 from fabflow.errors import (
     InvalidRouting,
     NonOpenNetwork,
@@ -240,6 +240,63 @@ def test_routing_cell_bound_twice_is_rejected_as_the_reader_rejects_it():
     with pytest.raises(ValidationErrors) as exc:
         scenario_from_dict(raw)
     assert exc.value.errors == ["routing[8]: routing cell declared twice: IN->T"]
+
+
+def routing_models():
+    """Every fixture with stations, hub models of dims 3-10, and a model
+    whose cells mix 1-, 2- and 3-factor products with const: factors."""
+    models = {
+        name: build_routing_model(load_fixture(name))
+        for name in ("planner_small", "queueing_adversarial", "queueing_reference")
+    }
+    for dim in range(3, 11):
+        models[f"hub_{dim}"] = build_routing_model(scenario_from_dict(support.hub_scenario(dim, [])))
+    models["mixed"] = RoutingModel.from_bindings(
+        [station("A", 2.0, gamma=1.0), station("B", 3.0), station("C", 4.0)],
+        [
+            ("A", "B", "const:0.4*p:1"),
+            ("A", "C", "const:0.5*1-p:2"),
+            ("B", "C", "p:0*1-p:1*const:0.8"),
+            ("B", "B", "const:0.1*p:2"),
+            ("C", "A", "const:0.3"),
+            ("C", "B", "1-p:0"),
+        ],
+        wltp_dim=3,
+    )
+    return models
+
+
+def assert_routing_matches_oracle(model, P):
+    for order in (0, 1, 2):
+        try:
+            want, error = support.routing_by_cell(model, P, order), None
+        except InvalidRouting as exc:
+            want, error = None, str(exc)
+        if error is not None:
+            with pytest.raises(InvalidRouting) as exc:
+                queueing._routing(model, P, order)
+            assert str(exc.value) == error
+            continue
+        got = queueing._routing(model, P, order)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), order
+
+
+@pytest.mark.parametrize("name", list(routing_models()))
+def test_routing_tables_match_per_cell_oracle(name):
+    model = routing_models()[name]
+    for rows in (1, 17, 833):
+        assert_routing_matches_oracle(model, simplex.halton_simplex(rows, model.wltp_dim))
+
+
+def test_routing_tables_raise_the_oracle_negative_cell_message():
+    model = routing_models()["mixed"]
+    P = np.array([[0.2, 0.5, 0.3], [0.3, -0.2, 0.9]])
+    with pytest.raises(InvalidRouting, match="routing cell A->B is -0.08 < 0"):
+        queueing._routing(model, P, 0)
+    assert_routing_matches_oracle(model, P)
 
 
 def test_wip_totals_batch_flags_unstable_rows():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import support
 from fabflow import queueing, robust_planner, simplex
-from fabflow.errors import NoFeasibleFleet, NoStablePoint, ValidationErrors
+from fabflow.errors import InvalidRouting, NoFeasibleFleet, NoStablePoint, ValidationErrors
 from fabflow.queueing import (
     FleetConfig,
     RoutingModel,
@@ -509,14 +509,39 @@ def test_shared_checks_match_per_fleet_oracle(changes):
     limits = dataclasses.replace(limits, **changes)
     checks = robust_planner._ConstraintChecks(model, p, limits)
     details = set()
-    for fleet in load_fixture("planner_small").fleet_candidates:
+    fleets = list(load_fixture("planner_small").fleet_candidates)
+    wants = []
+    for fleet in fleets:
         want = support.per_fleet_constraints(model, p, fleet, limits)
         got = checks.report(fleet)
         assert got == want and repr(got) == repr(want), fleet
         assert check_constraints(model, p, fleet, limits) == want
         details.add(got["nominal_wip"].detail)
+        wants.append(want)
     # zero-vehicle and stable nominal points are both among them
     assert details == {"zero_vehicles", ""}
+    # all 49 fleets read as one group, by a fresh plan's checks too
+    for group_checks in (checks, robust_planner._ConstraintChecks(model, p, limits)):
+        got = group_checks.reports(fleets)
+        assert len(fleets) == 49 and len(got) == 49
+        for fleet, report, want in zip(fleets, got, wants):
+            assert report == want and repr(report) == repr(want), fleet
+
+
+def test_fleet_with_too_few_types_is_named_in_a_group():
+    model, p, limits = small()
+    # the message of the first fleet with too few types, for its first station
+    for fleets, message in (
+        ([FleetConfig((1, 5)), FleetConfig((2,))], "station T2 binds vehicle type 1, but the fleet has 1 types"),
+        ([FleetConfig(()), FleetConfig((1,))], "station T1 binds vehicle type 0, but the fleet has 0 types"),
+    ):
+        with pytest.raises(InvalidRouting) as exc:
+            plan_fleet(model, fleets, limits, p)
+        assert str(exc.value) == message
+        short = next(fleet for fleet in fleets if len(fleet.counts) < 2)
+        with pytest.raises(InvalidRouting) as exc:
+            queueing.service_rates(model, short)
+        assert str(exc.value) == message
 
 
 def test_shared_checks_match_oracle_at_unstable_points():

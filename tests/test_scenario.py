@@ -180,6 +180,22 @@ def test_every_problem_is_collected_in_one_pass():
         assert fragment in messages, fragment
 
 
+def test_unparseable_routing_value_still_has_its_cell_checked():
+    raw = resolve_scenario_raw("queueing_reference")
+    raw["routing"] += [
+        {"from": "IN", "to": "ZZ", "value": "bogus"},
+        {"from": "IN", "to": "T", "value": "bogus"},
+    ]
+    with pytest.raises(ValidationErrors) as exc:
+        scenario_from_dict(raw)
+    assert exc.value.errors == [
+        "routing[8]: unparseable routing factor: 'bogus'",
+        "routing[8]: unknown station 'ZZ'",
+        "routing[9]: unparseable routing factor: 'bogus'",
+        "routing[9]: routing cell declared twice: IN->T",
+    ]
+
+
 def test_transport_station_needs_fleet_context():
     doc = minimal_doc(
         stations=[{"id": "T", "kind": "transport", "mu_base": 1.0, "vehicle_type": 0}],
