@@ -22,13 +22,14 @@ Derivatives over p are taken in free coordinates: p_0 is the dependent
 coordinate, and the i-th partial means the directional derivative along
 e_i - e_0 (which stays on the simplex).  They are exact: every routing cell
 is a product of factors linear in p, so the product rule differentiates R,
-and the adjoint of the traffic equations carries that to total WIP.  Each
-RoutingModel builds its factor tables once, on first use: for each factor
-slot, the column of [P, 1 - P, constants] every cell reads and every cell's
-slope, so R and its derivatives are evaluated slot by slot over all cells
-at once.  A product shorter than the longest is padded in front with
-const:1, which leaves the product rule at its start state, and the first
-slot takes no second-derivative step, as the gradient is still zero there.
+and the adjoint of the traffic equations carries that to total WIP; second
+derivatives are taken only along one direction per row.  Each RoutingModel
+builds its factor tables once, on first use: for each factor slot, the
+column of [P, 1 - P, constants] every cell reads and every cell's slope, so
+R and its derivatives are evaluated slot by slot over all cells at once.  A
+product shorter than the longest is padded in front with const:1, which
+leaves the product rule at its start state, and the first slot takes no
+directional step, as the gradient is still zero there.
 """
 from __future__ import annotations
 
@@ -292,44 +293,44 @@ def service_rates(model: RoutingModel, fleet: FleetConfig) -> np.ndarray:
 
 # --- the WIP pass ------------------------------------------------------------
 
-def _routing(model: RoutingModel, P: np.ndarray, order: int):
+def _routing(model: RoutingModel, P: np.ndarray, order: int, along: np.ndarray | None = None):
     """Routing matrices R (N, k, k) for a batch of p rows; for order >= 1 also
-    the free-coordinate derivatives dR (N, n, k, k), for order 2 also d2R
-    (N, n, n, k, k), else None.
+    the free-coordinate derivatives dR (N, n, k, k), for order 2 also dR's
+    derivative along each row's free-coordinate direction t, the rows of
+    `along` (N, n), else None.
 
     Cells are products of factors linear in p, so the product rule needs only
     their slopes: along e_j - e_0, p_m moves by +1 when m = j and -1 when m = 0.
     The model's factor tables hold every cell's factor and slope per slot, so
     each slot takes one product-rule step for all cells at once, with the
-    cell axis last: value (N, B), gradient (N, n, B), Hessian (N, n, n, B).
-    A cell padded with const:1 leaves that step at its start (1, +0, +0), so
-    padding moves no bit.  On the first slot the gradient is still zero, so
-    the Hessian step would add only zeros and is skipped.  The cells are
-    then scattered into R and its derivatives.
+    cell axis last: value v (N, B), gradient g (N, n, B) and g's derivative h
+    along t, h <- h f + g (s . t) + s (g . t) for a factor f of slope s.  A
+    cell padded with const:1 leaves that step at its start (1, +0, +0), so
+    padding moves no bit; on the first slot g is still zero, so h takes no
+    step.  The cells are then scattered into R and its derivatives.
     """
     N, n, k = P.shape[0], model.wltp_dim - 1, len(model.stations)
     cells, columns, constants, slopes = model._factor_tables
     X = np.concatenate([P, 1.0 - P, np.broadcast_to(constants, (N, constants.size))], axis=1)
     val = np.ones((N, cells.size))
     grad = np.zeros((N, n, cells.size)) if order else None
-    hess = np.zeros((N, n, n, cells.size)) if order == 2 else None
+    dgrad = np.zeros((N, n, cells.size)) if order == 2 else None
     for slot, (column, df) in enumerate(zip(columns, slopes)):
         f = X[:, column]
         if order:
             if order == 2 and slot:
-                cross = grad[:, :, None, :] * df
-                hess = hess * f[:, None, None, :] + cross + np.swapaxes(cross, 1, 2)
+                t = along[:, :, None]  # sums over the free axis keep each row's one-row bits
+                st, gt = (df * t).sum(axis=1), (grad * t).sum(axis=1)
+                dgrad = dgrad * f[:, None, :] + grad * st[:, None, :] + df * gt[:, None, :]
             grad = grad * f[:, None, :] + val[:, None, :] * df
         val = val * f
-    R = np.zeros((N, k, k))
-    R.reshape(N, k * k)[:, cells] = val
-    dR = d2R = None
-    if order:
-        dR = np.zeros((N, n, k, k))
-        dR.reshape(N, n, k * k)[..., cells] = grad
-    if order == 2:
-        d2R = np.zeros((N, n, n, k, k))
-        d2R.reshape(N, n, n, k * k)[..., cells] = hess
+
+    def scatter(values):
+        out = np.zeros(values.shape[:-1] + (k * k,))
+        out[..., cells] = values
+        return out.reshape(values.shape[:-1] + (k, k))
+
+    R, dR, dR_along = (None if v is None else scatter(v) for v in (val, grad, dgrad))
     if (R < 0.0).any():
         row, a, b = np.argwhere(R < 0.0)[0]
         ids = model.station_ids
@@ -340,15 +341,15 @@ def _routing(model: RoutingModel, P: np.ndarray, order: int):
         raise InvalidRouting(
             f"routing row for station {model.station_ids[bad[1]]} sums to {row_sums[bad]:.6f} > 1"
         )
-    return R, dR, d2R
+    return R, dR, dR_along
 
 
 _NOT_OPEN = "routing keeps lots circulating forever (spectral radius >= 1 - 1e-12)"
 
 
 def _solve(model: RoutingModel, P, order: int = 0):
-    """The one WIP pass over a batch of p rows: R, dR and d2R as _routing
-    gives them for `order`, and the arrival rates (N, k) that solve
+    """The one WIP pass over a batch of p rows: R and dR as _routing gives
+    them for `order` (0 or 1), and the arrival rates (N, k) that solve
     lambda = gamma + R(p)^T lambda, NaN on the rows that are not open.
 
     A row is open when the spectral radius of R is below 1 - 1e-12, decided
@@ -358,7 +359,7 @@ def _solve(model: RoutingModel, P, order: int = 0):
     Nonnegative Matrices in the Mathematical Sciences, 1994, ch. 6).
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    R, dR, d2R = _routing(model, P, order)
+    R, dR, _ = _routing(model, P, order)
     gamma = np.asarray([s.gamma for s in model.stations])
     N, k = R.shape[:2]
     Rt = np.swapaxes(R, 1, 2)
@@ -367,7 +368,7 @@ def _solve(model: RoutingModel, P, order: int = 0):
     lam = np.full((N, k), np.nan)
     rhs = np.broadcast_to(gamma[:, None], (int(ok.sum()), k, 1))
     lam[ok] = _rowwise_solve(np.eye(k) - Rt[ok], rhs)[:, :, 0]
-    return R, dR, d2R, np.maximum(lam, 0.0)
+    return R, dR, np.maximum(lam, 0.0)
 
 
 def _rowwise_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -445,13 +446,13 @@ def wip_totals_batch(
     _wip_totals from arrival rates it shares among its fleets.
     """
     mu = service_rates(model, fleet)
-    return _wip_totals(_solve(model, P)[3], mu)
+    return _wip_totals(_solve(model, P)[2], mu)
 
 
 def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     """Steady-state WIP report at a single p; raises on instability."""
     mu = service_rates(model, fleet)
-    lam = _solve(model, p)[3]
+    lam = _solve(model, p)[2]
     _, rho, stable = _utilization(lam, mu)
     if not stable[0]:
         raise _instability(model, lam[0], mu)
@@ -465,30 +466,34 @@ def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     )
 
 
-def _wip_derivatives(
-    model: RoutingModel, P, mu: np.ndarray, hessian: bool = False, raise_unstable: bool = True
-):
-    """Exact free-coordinate WIP gradients (M, n), Hessians (M, n, n) if asked
-    (else None), and the (N,) stability mask of the p rows; M counts the
-    stable rows, in order.  `mu` is as for _utilization: (k,) or (N, k).
+def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = False):
+    """Exact free-coordinate WIP gradients (M, n) and the (N,) stability mask
+    of the p rows; M counts the stable rows, in order.  `mu` is as for
+    _utilization: (k,) or (N, k).  By the adjoint of the traffic equations,
+    after one batched solve for lam:
+      w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b.
+    An unstable row raises the error a direct wip() call there raises.
 
-    The adjoint of the traffic equations, after one batched solve for lam:
-      w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b;
-    differentiating once more, d_i lam = (I - R^T)^-1 d_iR^T lam and
-    d_i w = (I - R)^-1 (d_iR w + 2 mu / (mu - lam)^3 d_i lam).
-    An unstable row raises the error a direct wip() call there raises,
-    unless `raise_unstable` is off; then it is only left out.  A service
-    rate too large for c or its slope in floating point raises
-    ValidationErrors for the first such row and station.
+    With `ascent`, unstable rows are only left out, and the call returns the
+    rows' projected gradients t and norms phi as projected_gradient gives
+    them, H s for the WIP Hessian H and s = t[1:] (M, n), and the mask.  H s
+    is the derivative of the gradient along s (Pearlmutter, Neural
+    Computation 6, 1994), so it takes two more adjoint solves, not 2n:
+      d lam = (I - R^T)^-1 dR_s^T lam,  d w = (I - R)^-1 (dR_s w + 2 mu / (mu - lam)^3 d lam),
+      (H s)_j = sum_ab (d_s dR_j)_ab lam_a w_b + (dR_j)_ab (d lam_a w_b + lam_a d w_b),
+    for dR_s = sum_i s_i dR_i and _routing's d_s dR_j, which is zero, and not
+    taken, when every cell is a single factor.  A service rate too large for
+    c or its slope in floating point raises ValidationErrors for the first
+    such row and station.
     """
-    R, dR, d2R, lam = _solve(model, P, order=2 if hessian else 1)
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    R, dR, lam = _solve(model, P, order=1)
     mu, _, stable = _utilization(lam, mu)
     if not stable.all():
-        if raise_unstable:
+        if not ascent:
             row = int(np.argmin(stable))
             raise _instability(model, lam[row], mu[row])
-        R, dR, lam, mu = R[stable], dR[stable], lam[stable], mu[stable]
-        d2R = d2R[stable] if hessian else None
+        P, R, dR, lam, mu = P[stable], R[stable], dR[stable], lam[stable], mu[stable]
     A = np.eye(lam.shape[1]) - R
     gap = np.where(mu > 0.0, mu - lam, 1.0)  # stable zero-vehicle stations see no traffic
     with np.errstate(over="ignore", invalid="ignore"):
@@ -502,18 +507,18 @@ def _wip_derivatives(
         ])
     w = np.linalg.solve(A, c[:, :, None])[:, :, 0]
     grads = np.einsum("njab,na,nb->nj", dR, lam, w)
-    if not hessian:
-        return grads, None, stable
-    rhs = np.einsum("niab,na->nib", dR, lam)[..., None]
-    dlam = np.linalg.solve(np.swapaxes(A, 1, 2)[:, None], rhs)[..., 0]
-    rhs = (np.einsum("niab,nb->nia", dR, w) + dc_dlam[:, None, :] * dlam)[..., None]
-    dw = np.linalg.solve(A[:, None], rhs)[..., 0]
-    hess = (
-        np.einsum("nijab,na,nb->nij", d2R, lam, w)
-        + np.einsum("njab,nia,nb->nij", dR, dlam, w)
-        + np.einsum("njab,na,nib->nij", dR, lam, dw)
-    )
-    return grads, hess, stable
+    if not ascent:
+        return grads, stable
+    tangent, norm = projected_gradient(grads)
+    s = tangent[:, 1:]
+    dR_s = np.einsum("niab,ni->nab", dR, s)
+    dlam = np.linalg.solve(np.swapaxes(A, 1, 2), np.einsum("nab,na->nb", dR_s, lam)[..., None])[..., 0]
+    rhs = np.einsum("nab,nb->na", dR_s, w) + dc_dlam * dlam
+    dw = np.linalg.solve(A, rhs[..., None])[..., 0]
+    ht = np.einsum("njab,na,nb->nj", dR, dlam, w) + np.einsum("njab,na,nb->nj", dR, lam, dw)
+    if len(model._factor_tables[1]) > 1:
+        ht = np.einsum("njab,na,nb->nj", _routing(model, P, 2, s)[2], lam, w) + ht
+    return tangent, norm, ht, stable
 
 
 def wip_gradient(model: RoutingModel, p, fleet: FleetConfig) -> np.ndarray:

@@ -17,19 +17,21 @@ counts.
 
 Both levels work on groups of fleets.  Every (fleet, start) pair is one row
 of a single lockstep ascent: each step is one row-wise projection of the
-backtracking candidates and one batched Hessian pass over them, which gives
-phi, the steepest direction and the phi gradient of every candidate at
-once, so each point is evaluated exactly once.  Each row keeps its own
-step, line search and stopping tests, so it follows exactly the path it
-would follow alone.  The constraint checks of a plan share one traffic
-solve: arrival rates depend on the transfer vector alone, so they are
-solved once at the nominal point, the fluctuation probes and the Monte
-Carlo draws (in fixed-size chunks).  A group of fleets reads them in one
-broadcast: the service rates of the whole group are one array, and each
-set of arrival rates is read against all of them at once.  The exhaustive
-scan and the coordinate descent evaluate candidates through one group
-step: the checks, then one lockstep ascent of the candidates that pass, in
-groups that keep one Hessian batch under a fixed number of elements.
+backtracking candidates and one batched derivative pass over them, which
+gives phi, the steepest direction and the phi gradient of every candidate
+at once, so each point is evaluated exactly once.  The phi gradient needs
+the WIP Hessian only times the steepest direction, one directional pass.
+Each row keeps its own step, line search and stopping tests, so it follows
+exactly the path it would follow alone.  The constraint checks of a plan
+share one traffic solve: arrival rates depend on the transfer vector alone,
+so they are solved once at the nominal point, the fluctuation probes and
+the Monte Carlo draws (in fixed-size chunks).  A group of fleets reads them
+in one broadcast: the service rates of the whole group are one array, and
+each set of arrival rates is read against all of them at once.  The
+exhaustive scan and the coordinate descent evaluate candidates through one
+group step: the checks, then one lockstep ascent of the candidates that
+pass, in groups that keep the routing derivatives of one pass under a fixed
+number of elements.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -58,11 +60,11 @@ ASCENT_MAX_ITERS = 500
 DELTA_DIRECTIONS = 64
 EXHAUSTIVE_LIMIT = 100_000
 _MC_SEED = 7654321
-# elements of the largest array of one lockstep pass, the second routing
-# derivatives (rows, n, n, k, k), 8 MB of floats (the routing's per-cell
-# temporaries (rows, n, n, B) are smaller, B <= k^2 cells); plan_fleet ascends
+# elements of the largest arrays of one lockstep pass, the routing
+# derivatives (rows, n, k, k), 8 MB of floats (the routing's per-cell
+# temporaries (rows, n, B) are no larger, B <= k^2 cells); plan_fleet ascends
 # its candidates in groups that stay under it, though never less than one
-_HESSIAN_BATCH_ELEMENTS = 1_000_000
+_ROUTING_DERIVATIVE_ELEMENTS = 1_000_000
 # largest limits.mc_samples; the draws are solved once per plan: `plan` on
 # planner_small (k = 3) at this cap takes ~1.5 s
 MC_SAMPLES_MAX = 200_000
@@ -179,29 +181,20 @@ class ConstraintReport:
 
 
 def _phi(model, P: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batched Hessian pass at the rows of P under the service rates of
-    each row: phi, the projected-gradient norm, or -inf where the row is
+    """One batched derivative pass at the rows of P under the service rates
+    of each row: phi, the projected-gradient norm, or -inf where the row is
     unstable; the unit steepest direction, 0 where phi is 0; and G, the
-    centred phi gradient.  An unstable row reads 0 in the last two."""
-    grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
-    tangent, norm = queueing.projected_gradient(grads)
+    centred phi gradient H t[1:] / phi (0 where phi is 0) for the projected
+    gradient t and the WIP Hessian H, whose product the pass gives.  An
+    unstable row reads 0 in the last two."""
+    tangent, norm, ht, stable = queueing._wip_derivatives(model, P, mu, ascent=True)
     v, X, G = np.full(len(P), -np.inf), np.zeros_like(P), np.zeros_like(P)
-    v[stable], G[stable] = norm, queueing.projected_gradient(_phi_gradient(tangent, norm, hess))[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         # the bits of steepest_feasible_direction's tangent / norm
         X[stable] = np.where(norm[:, None] == 0.0, 0.0, tangent / norm[:, None])
+        grad = np.where(norm[:, None] == 0.0, 0.0, ht / norm[:, None])
+    v[stable], G[stable] = norm, queueing.projected_gradient(grad)[0]
     return v, X, G
-
-
-def _phi_gradient(tangent: np.ndarray, v: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Exact free-coordinate gradients of phi from rows of stable WIP
-    gradients g, given by their projected gradients t = Pi[0; g] (N, n + 1)
-    and norms phi (N,) as queueing.projected_gradient gives them, and their
-    Hessians H (N, n, n): grad phi = H^T t[1:] / phi, and 0 where phi = 0."""
-    # stacked products: each row has the bits of its one-row hess.T @ t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.swapaxes(hess, 1, 2) @ tangent[:, 1:, None])[..., 0] / v[:, None]
-    return np.where(v[:, None] == 0.0, 0.0, out)
 
 
 def _search_bounds(dim: int, limits: PlannerLimits, p_nominal) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +381,7 @@ class _ConstraintChecks:
         )
 
     def _traffic(self, P) -> np.ndarray:
-        return queueing._solve(self.model, P)[3]
+        return queueing._solve(self.model, P)[2]
 
     @functools.cached_property
     def nominal(self) -> np.ndarray:
@@ -606,8 +599,9 @@ def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
     """Yield (order key, outcome, worst case, constraint report) of each
     fleet, in order; an infeasible fleet has neither key nor worst case.
 
-    Consecutive fleets form groups, each as large as keeps one Hessian batch
-    of its ascent under _HESSIAN_BATCH_ELEMENTS (at least one fleet): a
+    Consecutive fleets form groups, each as large as keeps the routing
+    derivatives (rows, n, k, k) of one ascent pass under
+    _ROUTING_DERIVATIVE_ELEMENTS (at least one fleet): a
     group's constraints are checked first, then the fleets that pass them
     are ascended in one lockstep.  The key orders by v_star, then fewer
     vehicles, then lexicographically smaller counts.
@@ -615,7 +609,7 @@ def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
     model, limits, p_nominal = checks.model, checks.limits, checks.p_nominal
     rows = ASCENT_STARTS + (p_nominal is not None)
     n, k = model.wltp_dim - 1, len(model.stations)
-    size = max(1, _HESSIAN_BATCH_ELEMENTS // max(1, rows * n * n * k * k))
+    size = max(1, _ROUTING_DERIVATIVE_ELEMENTS // max(1, rows * n * k * k))
     fleets = iter(fleets)
     while group := list(itertools.islice(fleets, size)):
         reports = checks.reports(group)

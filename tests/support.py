@@ -96,7 +96,7 @@ def conservation_residuals(net, assignment) -> dict:
 
 def traffic_equations(model, p) -> np.ndarray:
     """Arrival rate per station for a single p; raises NonOpenNetwork."""
-    lam = _solve(model, p)[3][0]
+    lam = _solve(model, p)[2][0]
     if np.isnan(lam).any():
         raise NonOpenNetwork(_NOT_OPEN)
     return lam
@@ -117,13 +117,15 @@ def spectral_open(R) -> np.ndarray:
 
 def routing_by_cell(model, P, order):
     """queueing._routing one routing cell at a time: R (N, k, k), and for
-    order >= 1 dR (N, n, k, k), for order 2 d2R (N, n, n, k, k), else None.
+    order >= 1 dR (N, n, k, k), for order 2 the full second derivatives d2R
+    (N, n, n, k, k), else None.
 
     Each cell multiplies in its factors by the product rule, in plain loops
     over cells and factors; a factor's slope along e_j - e_0 is +1 at
     p_m when m = j and -1 when m = 0.  _routing takes the same steps slot by
-    slot from the model's factor tables and must give the same bits and the
-    same InvalidRouting messages.
+    slot from the model's factor tables and must give the same bits at
+    orders 0 and 1 and the same InvalidRouting messages; its order-2 term
+    along a direction t is d2R contracted with t.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     N, n, k = P.shape[0], model.wltp_dim - 1, len(model.stations)
@@ -162,9 +164,39 @@ def routing_by_cell(model, P, order):
 
 
 def wip_hessian(model, p, fleet):
-    """Free-coordinate WIP gradient (n,) and Hessian (n, n) at a single p."""
-    grads, hess, _ = _wip_derivatives(model, p, service_rates(model, fleet), hessian=True)
+    """Free-coordinate WIP gradient (n,) and full Hessian (n, n) at a single
+    stable p, from routing_by_cell's d2R and 2n adjoint solves:
+      w = (I - R)^-1 c,  c = mu / (mu - lam)^2,  dW/dp_j = sum_ab dR_ab/dp_j lam_a w_b,
+      d_i lam = (I - R^T)^-1 d_iR^T lam,  d_i w = (I - R)^-1 (d_iR w + 2 mu / (mu - lam)^3 d_i lam),
+      H_ij = sum_ab d2R_ab/dp_i dp_j lam_a w_b + dR_ab/dp_j (d_i lam_a w_b + lam_a d_i w_b).
+    The gradient takes the steps of queueing._wip_derivatives, on a batch of
+    one row, so it has the bits of wip_gradient."""
+    P = np.atleast_2d(np.asarray(p, dtype=float))
+    R, dR, d2R = routing_by_cell(model, P, 2)
+    lam = traffic_equations(model, P[0])[None]
+    mu = service_rates(model, fleet)[None]
+    A = np.eye(lam.shape[1]) - R
+    gap = np.where(mu > 0.0, mu - lam, 1.0)
+    c, dc_dlam = mu / gap**2, 2.0 * mu / gap**3
+    w = np.linalg.solve(A, c[:, :, None])[:, :, 0]
+    grads = np.einsum("njab,na,nb->nj", dR, lam, w)
+    rhs = np.einsum("niab,na->nib", dR, lam)[..., None]
+    dlam = np.linalg.solve(np.swapaxes(A, 1, 2)[:, None], rhs)[..., 0]
+    rhs = (np.einsum("niab,nb->nia", dR, w) + dc_dlam[:, None, :] * dlam)[..., None]
+    dw = np.linalg.solve(A[:, None], rhs)[..., 0]
+    hess = (
+        np.einsum("nijab,na,nb->nij", d2R, lam, w)
+        + np.einsum("njab,nia,nb->nij", dR, dlam, w)
+        + np.einsum("njab,na,nib->nij", dR, lam, dw)
+    )
     return grads[0], hess[0]
+
+
+def ascent_pass(model, p, fleet):
+    """The worst-case ascent's one-row derivative pass at a stable p: the
+    projected gradient t (n + 1,), phi, and the WIP Hessian times t[1:] (n,)."""
+    (tangent,), (norm,), (ht,), _ = _wip_derivatives(model, p, service_rates(model, fleet), ascent=True)
+    return tangent, norm, ht
 
 
 def brute_force_min_cut(net) -> int:
@@ -501,12 +533,12 @@ def sequential_worst_case(
     """The worst-case ascent one start at a time, on one-row calls.
 
     Each start runs to the end before the next one begins.  At p, G is the
-    centred phi gradient H^T t[1:] / phi from the one-row Hessian and d its
-    tangent-cone projection; the start stops when |d| < 1e-10 or G is not
-    finite.  Otherwise it tries project(p + t G) from t = 1/|d|; it accepts
-    when phi rises, and by at least 1e-4 G.(cand - p), shrinks t fourfold
-    when not, and stops when p + t G rounds to p.  The lockstep ascent must
-    give the same WorstCase bit for bit.
+    centred phi gradient H t[1:] / phi from the one-row pass (ascent_pass)
+    and d its tangent-cone projection; the start stops when |d| < 1e-10 or
+    G is not finite.  Otherwise it tries project(p + t G) from t = 1/|d|; it
+    accepts when phi rises, and by at least 1e-4 G.(cand - p), shrinks t
+    fourfold when not, and stops when p + t G rounds to p.  The lockstep
+    ascent must give the same WorstCase bit for bit.
     """
     dim = model.wltp_dim
     lower, upper = _search_bounds(dim, limits, p_nominal)
@@ -525,9 +557,8 @@ def sequential_worst_case(
             continue
         p = p0
         for _ in range(max_iters):
-            g, hess = wip_hessian(model, p, fleet)
-            tangent, norm = projected_gradient(g)
-            grad = np.zeros_like(g) if norm == 0.0 else hess.T @ tangent[1:] / norm
+            _, norm, ht = ascent_pass(model, p, fleet)
+            grad = np.zeros_like(ht) if norm == 0.0 else ht / norm
             G, _ = projected_gradient(grad)
             d = tangent_cone_direction(G, p, lower, upper)
             dnorm = math.sqrt(d @ d)

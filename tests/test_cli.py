@@ -285,6 +285,27 @@ def test_out_self_loop_at_the_open_margin_exits_2(capsys, tmp_path, command, dim
     assert out.strip() == f"error={error}"
 
 
+@pytest.mark.parametrize(
+    "dim, arm_1, v_star",
+    [
+        (14, "p:1", 28.78089287922041),
+        (14, "p:1*1-p:2", 38.98539345910105),
+        (30, "p:1", 29.363583384744476),
+        (30, "p:1*1-p:2", 40.353521396425926),
+    ],
+)
+def test_worstcase_on_a_wide_hub_ends_in_seconds(capsys, tmp_path, dim, arm_1, v_star):
+    # one-factor cells only, and a two-factor arm whose second derivatives
+    # the ascent reads; v_star is pinned bit for bit
+    path = tmp_path / f"hub_{dim}.json"
+    path.write_text(json.dumps(support.hub_scenario(dim, [], arm_1=arm_1)))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "worstcase", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert float(pairs_of(out)["v_star"]) == v_star
+
+
 def test_non_open_routing_names_the_margin_it_applies(capsys, tmp_path):
     # a spectral radius of 1 - 5e-13 is below 1 but not below 1 - 1e-12
     raw = resolve_scenario_raw("queueing_reference")

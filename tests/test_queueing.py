@@ -267,7 +267,7 @@ def routing_models():
 
 
 def assert_routing_matches_oracle(model, P):
-    for order in (0, 1, 2):
+    for order in (0, 1):
         try:
             want, error = support.routing_by_cell(model, P, order), None
         except InvalidRouting as exc:
@@ -297,6 +297,45 @@ def test_routing_tables_raise_the_oracle_negative_cell_message():
     with pytest.raises(InvalidRouting, match="routing cell A->B is -0.08 < 0"):
         queueing._routing(model, P, 0)
     assert_routing_matches_oracle(model, P)
+
+
+def valid_rows(model, P):
+    """The rows of P at which the model's routing is valid."""
+    def valid(p):
+        try:
+            queueing._routing(model, p[None], 0)
+        except InvalidRouting:
+            return False
+        return True
+
+    return P[[valid(p) for p in P]]
+
+
+def test_routing_directional_term_matches_per_cell_oracle():
+    models = routing_models()
+    # cells that name const:1 themselves, beside cells padded with it
+    models["const_1"] = RoutingModel.from_bindings(
+        [station("A", 2.0, gamma=1.0), station("B", 3.0)],
+        [
+            ("A", "B", "const:1*p:1"),
+            ("A", "A", "const:0.3*1-p:2*const:1"),
+            ("B", "A", "p:0*const:1*p:2"),
+            ("B", "B", "const:1"),
+        ],
+        wltp_dim=3,
+    )
+    rng = np.random.default_rng(2405)
+    for name, model in models.items():
+        P = valid_rows(model, simplex.halton_simplex(17, model.wltp_dim))
+        for P in (P[:1], P):
+            t = rng.normal(size=(len(P), model.wltp_dim - 1))
+            R, dR, dR_along = queueing._routing(model, P, 2, t)
+            first = queueing._routing(model, P, 1)
+            assert R.tobytes() == first[0].tobytes() and dR.tobytes() == first[1].tobytes(), name
+            d2R = support.routing_by_cell(model, P, 2)[2]
+            np.testing.assert_allclose(dR_along, np.einsum("nijab,ni->njab", d2R, t), rtol=1e-12, atol=1e-15)
+            for p, s, row in zip(P, t, dR_along):
+                assert queueing._routing(model, p[None], 2, s[None])[2][0].tobytes() == row.tobytes(), name
 
 
 def test_wip_totals_batch_flags_unstable_rows():
@@ -369,17 +408,14 @@ def test_mixed_fleet_batch_matches_one_row_calls():
     fleets = [FleetConfig((3, 0)), FleetConfig((3, 2)), FleetConfig((1, 1)), FleetConfig((0, 0)), FleetConfig((6, 1))]
     rows = [fleets[i % len(fleets)] for i in range(len(P))]
     mu = np.array([service_rates(model, f) for f in rows])
-    lams = queueing._solve(model, P)[3]
+    lams = queueing._solve(model, P)[2]
     _, rhos, _ = queueing._utilization(lams, mu)
-    grads, hess, stable = queueing._wip_derivatives(model, P, mu, hessian=True, raise_unstable=False)
-    first, _, stable_first = queueing._wip_derivatives(model, P, mu, raise_unstable=False)
-    np.testing.assert_array_equal(stable, stable_first)
-    np.testing.assert_array_equal(first, grads)
-    assert len(grads) == stable.sum()
-    stable_rows = iter(range(len(grads)))
+    tangents, norms, hts, stable = queueing._wip_derivatives(model, P, mu, ascent=True)
+    assert len(hts) == stable.sum()
+    stable_rows = iter(range(len(hts)))
     kinds = set()
     for p, fleet, ok, lam, rho in zip(P, rows, stable, lams, rhos):
-        one = queueing._solve(model, p)[3]
+        one = queueing._solve(model, p)[2]
         np.testing.assert_array_equal(lam, one[0])
         np.testing.assert_array_equal(rho, queueing._utilization(one, service_rates(model, fleet))[1][0])
         out = outcome(wip_gradient, model, p, fleet)
@@ -387,9 +423,10 @@ def test_mixed_fleet_batch_matches_one_row_calls():
         assert ok == (out is None)
         if ok:
             r = next(stable_rows)
-            g, h = support.wip_hessian(model, p, fleet)
-            np.testing.assert_array_equal(grads[r], g)
-            np.testing.assert_array_equal(hess[r], h)
+            tangent, norm = projected_gradient(wip_gradient(model, p, fleet))
+            np.testing.assert_array_equal(tangents[r], tangent)
+            assert norms[r] == norm
+            np.testing.assert_array_equal(hts[r], support.ascent_pass(model, p, fleet)[2])
         else:
             assert out == outcome(wip, model, p, fleet)
     assert kinds == {None, UnstableStation, ZeroVehicles, NonOpenNetwork}
@@ -439,7 +476,7 @@ def test_open_rows_follow_the_spectral_rule(seed, k, n):
     R, closed = routing_draws(rng, n, k)
     model = cell_model(rng.random(k) * (rng.random(k) < 0.7))
     P = R.reshape(n, k * k)
-    lam = queueing._solve(model, P)[3]
+    lam = queueing._solve(model, P)[2]
     not_open = np.isnan(lam).all(axis=1)
     assert not np.isnan(lam[~not_open]).any()
     # within rounding of the margin 1 - 1e-12 the two rules may part; a
@@ -448,7 +485,7 @@ def test_open_rows_follow_the_spectral_rule(seed, k, n):
     np.testing.assert_array_equal(not_open[clear], ~support.spectral_open(R)[clear])
     assert not_open[closed].all()
     for p, row in zip(P, lam):
-        np.testing.assert_array_equal(queueing._solve(model, p)[3][0], row)
+        np.testing.assert_array_equal(queueing._solve(model, p)[2][0], row)
 
 
 def test_a_singular_certificate_leaves_the_other_rows_alone():
@@ -456,16 +493,17 @@ def test_a_singular_certificate_leaves_the_other_rows_alone():
     # and the batched solve raises for every row
     model = RoutingModel.from_bindings([station("S", 2.0, gamma=1.0)], [("S", "S", "p:1")], wltp_dim=2)
     P = np.array([[0.5, 0.5], [1e-12, 1.0 - 1e-12], [0.9, 0.1]])
-    lam = queueing._solve(model, P)[3]
+    lam = queueing._solve(model, P)[2]
     assert lam[0, 0] == 2.0 and np.isnan(lam[1, 0])
     for p, row in zip(P, lam):
-        np.testing.assert_array_equal(queueing._solve(model, p)[3][0], row)
+        np.testing.assert_array_equal(queueing._solve(model, p)[2][0], row)
 
 
 def test_rowwise_projected_gradient_matches_one_row_calls():
     rng = np.random.default_rng(12)
     model, P, fleet = mixed_batch()
-    sets = [queueing._wip_derivatives(model, P, service_rates(model, fleet), raise_unstable=False)[0]]
+    stable = wip_totals_batch(model, P, fleet)[1]
+    sets = [queueing._wip_derivatives(model, P[stable], service_rates(model, fleet))[0]]
     sets += [rng.normal(size=(50, n)) * rng.choice([1e-6, 1.0, 1e6], size=(50, 1)) for n in range(1, 15)]
     for G in sets:
         tangents, norms = projected_gradient(G)
@@ -508,6 +546,47 @@ def test_hessian_is_symmetric_and_differentiates_the_gradient():
             d[j], d[0] = 1.0, -1.0
             column = (wip_gradient(model, p + h * d, fleet) - wip_gradient(model, p - h * d, fleet)) / (2 * h)
             np.testing.assert_allclose(hess[:, j - 1], column, rtol=1e-5, atol=1e-7)
+
+
+def ascent_cases():
+    """(model, fleet) of every fixture with stations, hubs of dims 3-14, a
+    hub whose first arm is the two-factor p:1*1-p:2, the mixed 1-, 2- and
+    3-factor model, and random capped instances."""
+    cases = {
+        name: (build_routing_model(load_fixture(name)), fleet)
+        for name, fleet in (
+            ("planner_small", FleetConfig((1, 3))),
+            ("queueing_adversarial", FleetConfig(())),
+            ("queueing_reference", FleetConfig((3,))),
+        )
+    }
+    for dim, arm_1 in [*((dim, "p:1") for dim in range(3, 15)), (6, "p:1*1-p:2")]:
+        sc = scenario_from_dict(support.hub_scenario(dim, [], arm_1=arm_1))
+        cases[f"hub_{dim}_{arm_1}"] = (build_routing_model(sc), sc.nominal_fleet)
+    cases["mixed"] = (routing_models()["mixed"], FleetConfig(()))
+    rng = np.random.default_rng(2404)
+    for i in range(5):
+        model, _, fleet = support.random_capped_instance(rng)
+        cases[f"random_{i}"] = (model, fleet)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(ascent_cases()))
+def test_ascent_pass_matches_the_hessian_oracle_times_t(name):
+    model, fleet = ascent_cases()[name]
+    P = valid_rows(model, simplex.halton_simplex(17, model.wltp_dim))
+    P = P[wip_totals_batch(model, P, fleet)[1]]
+    assert len(P)
+    tangents, norms, hts, stable = queueing._wip_derivatives(model, P, service_rates(model, fleet), ascent=True)
+    assert stable.all()
+    for p, tangent, norm, ht in zip(P, tangents, norms, hts):
+        g, hess = support.wip_hessian(model, p, fleet)
+        want, want_norm = projected_gradient(g)
+        np.testing.assert_array_equal(tangent, want)
+        assert norm == want_norm
+        np.testing.assert_allclose(ht, tangent[1:] @ hess, rtol=1e-12, atol=1e-12 * np.abs(ht).max())
+        # each batched row has the bits of its one-row call
+        np.testing.assert_array_equal(ht, support.ascent_pass(model, p, fleet)[2])
 
 
 def test_gradient_probe_hitting_unstable_point_raises():

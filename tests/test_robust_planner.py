@@ -17,7 +17,7 @@ from fabflow.queueing import (
     StationKind,
     StationProfile,
     build_routing_model,
-    projected_gradient,
+    service_rates,
     steepest_feasible_direction,
     wip,
     wip_totals_batch,
@@ -27,7 +27,6 @@ from fabflow.robust_planner import (
     DELTA_DIRECTIONS,
     FleetCandidateSpace,
     PlannerLimits,
-    _phi_gradient,
     _worst_cases,
     check_constraints,
     plan_fleet,
@@ -323,8 +322,10 @@ def test_phi_gradient_matches_scalar_oracle():
     model, p_nom, fleet = hub()
     cases += [(model, p, fleet) for p in (p_nom, np.array([0.2, 0.5, 0.3]), np.array([0.55, 0.15, 0.3]))]
     for model, p, fleet in cases:
-        g, hess = support.wip_hessian(model, p, fleet)
-        exact = _phi_gradient(*projected_gradient(g[None]), hess[None])[0]
+        # G is the centred embedding of the free-coordinate gradient g,
+        # G = [0, g] - mean, so g = G[1:] - G[0]
+        G = robust_planner._phi(model, p[None], service_rates(model, fleet)[None])[2][0]
+        exact = G[1:] - G[0]
         slow = support.central_phi_gradient(model, p, fleet)
         np.testing.assert_allclose(exact, slow, rtol=1e-4, atol=1e-6)
 
@@ -384,8 +385,8 @@ def test_plan_is_the_same_in_smaller_groups(monkeypatch, groups_of):
     model, p, limits = small()
     space = load_fixture("planner_small").fleet_candidates
     whole = plan_fleet(model, space, limits, p)
-    per_candidate = (robust_planner.ASCENT_STARTS + 1) * (model.wltp_dim - 1) ** 2 * len(model.stations) ** 2
-    monkeypatch.setattr(robust_planner, "_HESSIAN_BATCH_ELEMENTS", groups_of * per_candidate)
+    per_candidate = (robust_planner.ASCENT_STARTS + 1) * (model.wltp_dim - 1) * len(model.stations) ** 2
+    monkeypatch.setattr(robust_planner, "_ROUTING_DERIVATIVE_ELEMENTS", groups_of * per_candidate)
     assert plan_fleet(model, space, limits, p) == whole
 
 
@@ -571,7 +572,7 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
     want = support.per_fleet_constraints(model, p, fleet, limits).mc_exceedance
     assert 0.2 < want < 0.8
     rng = np.random.default_rng(robust_planner._MC_SEED)
-    lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[3]
+    lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[2]
     monkeypatch.setattr(robust_planner, "_MC_CHUNK_ELEMENTS", chunk * len(model.stations) ** 2)
     checks = robust_planner._ConstraintChecks(model, p, limits)
     assert checks.report(fleet).mc_exceedance == want
