@@ -5,27 +5,45 @@ and cut comparisons are exact integer arithmetic.  Edge costs are Fractions
 (scenario files store integer milli-units per kg), so min-cost optimality
 checks never see float drift.
 
-Max flow uses shortest augmenting paths (BFS on the residual graph).  Its
-last BFS, the one that fails to reach the sink, has marked exactly the nodes
-the residual graph reaches from the source: that set is the source side of a
-minimum cut, so `max_flow` returns the cut with the flow and `min_cut` only
-reads it.
+The residual graph is flat int lists: edge i is arc 2i and its reverse arc
+2i+1, so the reverse of arc a is a ^ 1, and the flow on edge i is the
+residual capacity of arc 2i+1.
+
+Max flow augments along Edmonds-Karp's shortest paths (*J. ACM* 19, 1972),
+the very paths a full BFS per path would pick, but finds them in Dinic's
+level graph (*Soviet Math. Dokl.* 11, 1970).  Each phase runs one full BFS
+and keeps the live level graph: arcs u -> v with level(v) = level(u) + 1,
+spare capacity, and v still reaching the sink.  Within the phase a BFS over
+that graph only, in adjacency order, picks each path.  The path is the same:
+the node that discovers a node v on a shortest s-t path is one level above
+v with an arc to it, so it lies on a shortest path too; by induction both
+BFSs meet those nodes in the same order and give each the same parent arc.
+Augmenting only adds arcs that go one level back toward the source, so
+every path of the phase's length stays in the old level graph, and its
+nodes keep their levels.  After each path, nodes left with no live arc are marked dead, back
+through their predecessors; dead nodes never discover live ones, so pruning
+them only saves time.  The last BFS, the one that misses the sink, has
+marked exactly the nodes the residual graph reaches from the source: that
+set is the source side of a minimum cut, so `max_flow` returns the cut with
+the flow and `min_cut` only reads it.
 
 Min-cost flow uses successive shortest paths with node potentials (Ahuja,
-Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Before the first path,
-every cost is multiplied by the lcm L of the cost denominators (L = 1000 for
-scenario files), so Dijkstra adds and compares Python ints.  Scaling by
-L > 0 is exact and keeps the order of every pair of keys, ties included, so
-the paths augmented are the ones the Fraction costs would choose.
+Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Every cost is multiplied
+by the lcm L of the cost denominators (L = 1000 for scenario files), once
+per network, so Dijkstra adds and compares Python ints.  Scaling by L > 0
+is exact and keeps the order of every pair of keys, ties included, so the
+paths augmented are the ones the Fraction costs would choose.  Reduced
+distances d are non-negative ints and nodes v are 0 <= v < n, so the heap
+holds the int d * n + v, which pops in the order the pair (d, v) would.
 `flow_cost` sums the same scaled ints and divides by L once, exactly.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Container, Mapping
 
@@ -72,22 +90,36 @@ class FlowNetwork:
     source: str
     sink: str
 
+    @cached_property
+    def _integer_costs(self) -> tuple[list[int], int]:
+        """Every edge cost times the lcm of the cost denominators, as ints,
+        and that lcm; computed once per network."""
+        costs = [e.cost_per_kg for e in self.edges]
+        scale = math.lcm(*(c.denominator for c in costs))
+        return [c.numerator * (scale // c.denominator) for c in costs], scale
+
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """A feasible flow: kg per edge plus the total value shipped."""
+    """A feasible flow: kg per edge plus the total value shipped.  `paths`
+    counts the augmenting paths the solver pushed; it is work done, not
+    part of the answer, so equality ignores it."""
 
     flow: Mapping[tuple[str, str], int]
     value: int
+    paths: int = field(default=0, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class MaxFlowAssignment(FlowAssignment):
     """A maximum flow with the minimum cut its final residual graph proves:
-    the source side and the capacity of the edges leaving it."""
+    the source side and the capacity of the edges leaving it.  `phases`
+    counts the level graphs built, one per shortest-path length; like
+    `paths`, equality ignores it."""
 
     source_side: frozenset[str]
     cut_capacity: int
+    phases: int = field(default=0, compare=False, kw_only=True)
 
 
 def node_errors(node_id: str, declared: Container[str]) -> list[str]:
@@ -160,98 +192,126 @@ def build_network(scenario) -> FlowNetwork:
 
 # --- residual graph machinery ----------------------------------------------
 
-class _Arc:
-    __slots__ = ("head", "cap", "cost", "rev", "edge_key")
-
-    def __init__(self, head, cap, cost, rev, edge_key):
-        self.head = head
-        self.cap = cap
-        self.cost = cost
-        self.rev = rev       # index of the reverse arc in graph[head]
-        self.edge_key = edge_key  # (tail, head) for forward arcs, None for reverse
-
-
-def _build_residual(net: FlowNetwork, costs=None):
-    """Residual graph with one forward and one reverse arc per edge; `costs`
-    lists one arc cost per edge of `net` (all 0 when omitted)."""
+def _build_residual(net: FlowNetwork):
+    """Residual graph as flat int lists.  Edge i is arc 2i and its reverse
+    arc 2i+1, so the reverse of arc a is a ^ 1; `head[a]` and `cap[a]` are
+    per arc, and `adj[u]` lists u's arc ids in edge order.  The flow on
+    edge i is the capacity of its reverse arc, `cap[2i + 1]`."""
     index = {nid: i for i, nid in enumerate(net.nodes)}
-    graph: list[list[_Arc]] = [[] for _ in index]
-    for e, cost in zip(net.edges, costs or [0] * len(net.edges)):
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in index]
+    for a, e in enumerate(net.edges):
         u, v = index[e.tail], index[e.head]
-        fwd = _Arc(v, e.capacity_kg, cost, len(graph[v]), (e.tail, e.head))
-        rev = _Arc(u, 0, -cost, len(graph[u]), None)
-        graph[u].append(fwd)
-        graph[v].append(rev)
-    return index, graph
+        head += (v, u)
+        cap += (e.capacity_kg, 0)
+        adj[u].append(2 * a)
+        adj[v].append(2 * a + 1)
+    return index, head, cap, adj
 
 
-def _integer_costs(net: FlowNetwork) -> tuple[list[int], int]:
-    """Every edge cost times the lcm of the cost denominators, as ints, and that lcm."""
-    costs = [e.cost_per_kg for e in net.edges]
-    scale = math.lcm(*(c.denominator for c in costs))
-    return [c.numerator * (scale // c.denominator) for c in costs], scale
+def _extract_flow(net: FlowNetwork, cap) -> dict[tuple[str, str], int]:
+    return {(e.tail, e.head): cap[2 * i + 1] for i, e in enumerate(net.edges)}
 
 
-def _extract_flow(net: FlowNetwork, graph, index) -> dict[tuple[str, str], int]:
-    cap_by_key = {(e.tail, e.head): e.capacity_kg for e in net.edges}
-    flow = {key: 0 for key in cap_by_key}
-    for arcs in graph:
-        for arc in arcs:
-            if arc.edge_key is not None:
-                flow[arc.edge_key] = cap_by_key[arc.edge_key] - arc.cap
-    return flow
-
-
-def _augment(graph, parent, s: int, t: int, limit=None) -> int:
-    """Push the bottleneck of the parent path from s to t (at most `limit`)."""
-    bottleneck = limit
+def _path(head, parent, s: int, t: int) -> list[int]:
+    """The arcs of the parent-arc tree path from s to t, from t backwards."""
+    path = []
     v = t
     while v != s:
-        u, ai = parent[v]
-        cap = graph[u][ai].cap
-        bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-        v = u
-    v = t
-    while v != s:
-        u, ai = parent[v]
-        arc = graph[u][ai]
-        arc.cap -= bottleneck
-        graph[v][arc.rev].cap += bottleneck
-        v = u
-    return bottleneck
+        a = parent[v]
+        path.append(a)
+        v = head[a ^ 1]
+    return path
+
+
+def _augment(cap, path, limit=None) -> int:
+    """Push the bottleneck of `path` (at most `limit`) along its arcs."""
+    push = min(cap[a] for a in path)
+    if limit is not None and limit < push:
+        push = limit
+    for a in path:
+        cap[a] -= push
+        cap[a ^ 1] += push
+    return push
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowAssignment:
-    """Maximum s-t flow via BFS augmenting paths (Edmonds-Karp), with the
-    minimum cut read from the last BFS."""
-    index, graph = _build_residual(net)
+    """Maximum s-t flow along Edmonds-Karp's shortest augmenting paths, each
+    found in its phase's level graph, with the minimum cut read from the
+    last BFS."""
+    index, head, cap, adj = _build_residual(net)
+    n = len(adj)
     s, t = index[net.source], index[net.sink]
-    total = 0
+    total = paths = phases = 0
     while True:
-        # shortest augmenting path in the residual graph
-        parent: list[tuple[int, int] | None] = [None] * len(graph)
-        parent[s] = (s, -1)
-        queue = deque([s])
-        while queue and parent[t] is None:
-            u = queue.popleft()
-            for ai, arc in enumerate(graph[u]):
-                if arc.cap > 0 and parent[arc.head] is None:
-                    parent[arc.head] = (u, ai)
-                    queue.append(arc.head)
-        if parent[t] is None:
+        # full BFS from s, stopped once it meets t: every node nearer to s
+        # than t has its level by then
+        level = [-1] * n
+        level[s] = 0
+        order = [s]
+        for u in order:
+            next_level = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = next_level
+                    order.append(v)
+            if level[t] >= 0:
+                break
+        else:
             break
-        total += _augment(graph, parent, s, t)
+        phases += 1
+        # live level graph, deepest node first: arcs one level deeper, to a
+        # node that still reaches t, in adjacency order
+        depth = level[t]
+        live = {}  # live node other than t -> its level-graph arcs
+        preds: dict[int, list[int]] = {t: []}  # live node -> its predecessors
+        for u in reversed(order):
+            next_level = level[u] + 1
+            if next_level > depth:
+                continue
+            arcs = [a for a in adj[u] if cap[a] and level[head[a]] == next_level and head[a] in preds]
+            if arcs:
+                live[u] = arcs
+                preds[u] = []
+                for a in arcs:
+                    preds[head[a]].append(u)
+        while s in preds:
+            parent = {s: -1}
+            queue = [s]
+            for u in queue:
+                for a in live[u]:
+                    v = head[a]
+                    if v not in parent and cap[a] and v in preds:
+                        parent[v] = a
+                        queue.append(v)
+                if t in parent:
+                    break
+            path = _path(head, parent, s, t)
+            total += _augment(cap, path)
+            paths += 1
+            # a node with no live arc left is dead, and so may be its predecessors
+            stack = [head[a ^ 1] for a in path if not cap[a]]
+            while stack:
+                u = stack.pop()
+                if u in preds:
+                    live[u] = [a for a in live[u] if cap[a] and head[a] in preds]
+                    if not live[u]:
+                        stack += preds.pop(u)
     # the BFS that missed t ran until its queue was empty, so it marked
     # every node reachable from s in the final residual graph
-    side = frozenset(nid for nid, i in index.items() if parent[i] is not None)
+    side = frozenset(nid for nid, i in index.items() if level[i] >= 0)
     capacity = sum(
         e.capacity_kg for e in net.edges if e.tail in side and e.head not in side
     )
     return MaxFlowAssignment(
-        flow=_extract_flow(net, graph, index),
+        flow=_extract_flow(net, cap),
         value=total,
         source_side=side,
         cut_capacity=capacity,
+        paths=paths,
+        phases=phases,
     )
 
 
@@ -271,41 +331,42 @@ def min_cost_flow(net: FlowNetwork, demand: int) -> FlowAssignment:
     """
     if demand < 0:
         raise ValidationErrors(["demand must be non-negative"])
-    index, graph = _build_residual(net, _integer_costs(net)[0])
+    index, head, cap, adj = _build_residual(net)
+    cost = [x for c in net._integer_costs[0] for x in (c, -c)]
     s, t = index[net.source], index[net.sink]
-    n = len(graph)
+    n = len(adj)
     potential = [0] * n
-    sent = 0
+    sent = paths = 0
     while sent < demand:
-        dist: list[int | None] = [None] * n
-        parent: list[tuple[int, int] | None] = [None] * n
+        dist = [-1] * n
+        parent = [-1] * n
         dist[s] = 0
-        heap = [(0, s)]
+        heap = [s]  # key d * n + v orders as (d, v) does, since 0 <= v < n
         while heap:
-            d, u = heappop(heap)
+            d, u = divmod(heappop(heap), n)
             if d > dist[u]:
                 continue
             base = d + potential[u]
-            for ai, arc in enumerate(graph[u]):
-                if arc.cap <= 0:
-                    continue
-                v = arc.head
-                nd = base + arc.cost - potential[v]  # reduced costs are >= 0
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (u, ai)
-                    heappush(heap, (nd, v))
-        if dist[t] is None:
+            for a in adj[u]:
+                if cap[a]:
+                    v = head[a]
+                    nd = base + cost[a] - potential[v]  # reduced costs are >= 0
+                    if dist[v] < 0 or nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = a
+                        heappush(heap, nd * n + v)
+        if dist[t] < 0:
             raise InfeasibleDemand(demand, sent)
         for v in range(n):
-            if dist[v] is not None:
+            if dist[v] >= 0:
                 potential[v] += dist[v]
-        sent += _augment(graph, parent, s, t, demand - sent)
-    return FlowAssignment(flow=_extract_flow(net, graph, index), value=sent)
+        sent += _augment(cap, _path(head, parent, s, t), demand - sent)
+        paths += 1
+    return FlowAssignment(flow=_extract_flow(net, cap), value=sent, paths=paths)
 
 
 def flow_cost(net: FlowNetwork, assignment: FlowAssignment) -> Fraction:
     """Total cost of an assignment, exact: the scaled int costs summed, over their scale."""
-    costs, scale = _integer_costs(net)
+    costs, scale = net._integer_costs
     by_key = {(e.tail, e.head): c for e, c in zip(net.edges, costs)}
     return Fraction(sum(by_key[key] * kg for key, kg in assignment.flow.items()), scale)

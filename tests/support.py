@@ -7,6 +7,9 @@ single-point and validating helpers that only tests call live here too.
 import bisect
 import itertools
 import math
+from collections import deque
+from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -21,7 +24,14 @@ from fabflow.errors import (
     ValidationErrors,
     ZeroVehicles,
 )
-from fabflow.netflow import FlowNetwork, edge_errors, node_errors
+from fabflow.errors import InfeasibleDemand
+from fabflow.netflow import (
+    FlowAssignment,
+    FlowNetwork,
+    MaxFlowAssignment,
+    edge_errors,
+    node_errors,
+)
 from fabflow.queueing import (
     _NOT_OPEN,
     WLTP_SUM_TOL,
@@ -197,6 +207,148 @@ def ascent_pass(model, p, fleet):
     projected gradient t (n + 1,), phi, and the WIP Hessian times t[1:] (n,)."""
     (tangent,), (norm,), (ht,), _ = _wip_derivatives(model, p, service_rates(model, fleet), ascent=True)
     return tangent, norm, ht
+
+
+# --- netflow oracles: Edmonds-Karp with a full BFS per path, and successive
+# shortest paths over a (distance, node) tuple heap, on per-node arc objects
+
+class _Arc:
+    __slots__ = ("head", "cap", "cost", "rev", "edge_key")
+
+    def __init__(self, head, cap, cost, rev, edge_key):
+        self.head = head
+        self.cap = cap
+        self.cost = cost
+        self.rev = rev       # index of the reverse arc in graph[head]
+        self.edge_key = edge_key  # (tail, head) for forward arcs, None for reverse
+
+
+def _arc_residual(net: FlowNetwork, costs=None):
+    index = {nid: i for i, nid in enumerate(net.nodes)}
+    graph: list[list[_Arc]] = [[] for _ in index]
+    for e, cost in zip(net.edges, costs or [0] * len(net.edges)):
+        u, v = index[e.tail], index[e.head]
+        fwd = _Arc(v, e.capacity_kg, cost, len(graph[v]), (e.tail, e.head))
+        rev = _Arc(u, 0, -cost, len(graph[u]), None)
+        graph[u].append(fwd)
+        graph[v].append(rev)
+    return index, graph
+
+
+def _arc_integer_costs(net: FlowNetwork) -> tuple[list[int], int]:
+    costs = [e.cost_per_kg for e in net.edges]
+    scale = math.lcm(*(c.denominator for c in costs))
+    return [c.numerator * (scale // c.denominator) for c in costs], scale
+
+
+def _arc_flow(net: FlowNetwork, graph) -> dict:
+    cap_by_key = {(e.tail, e.head): e.capacity_kg for e in net.edges}
+    flow = {key: 0 for key in cap_by_key}
+    for arcs in graph:
+        for arc in arcs:
+            if arc.edge_key is not None:
+                flow[arc.edge_key] = cap_by_key[arc.edge_key] - arc.cap
+    return flow
+
+
+def _arc_augment(graph, parent, s, t, limit=None) -> tuple[int, int]:
+    """Push the bottleneck of the parent path (at most `limit`); returns it
+    and the path's arc count."""
+    bottleneck, length = limit, 0
+    v = t
+    while v != s:
+        u, ai = parent[v]
+        cap = graph[u][ai].cap
+        bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+        v = u
+        length += 1
+    v = t
+    while v != s:
+        u, ai = parent[v]
+        arc = graph[u][ai]
+        arc.cap -= bottleneck
+        graph[v][arc.rev].cap += bottleneck
+        v = u
+    return bottleneck, length
+
+
+def edmonds_karp(net: FlowNetwork) -> MaxFlowAssignment:
+    """Maximum flow by a full BFS for every augmenting path, with the cut
+    read from the last BFS; `phases` counts the distinct path lengths."""
+    index, graph = _arc_residual(net)
+    s, t = index[net.source], index[net.sink]
+    total, lengths = 0, []
+    while True:
+        parent = [None] * len(graph)
+        parent[s] = (s, -1)
+        queue = deque([s])
+        while queue and parent[t] is None:
+            u = queue.popleft()
+            for ai, arc in enumerate(graph[u]):
+                if arc.cap > 0 and parent[arc.head] is None:
+                    parent[arc.head] = (u, ai)
+                    queue.append(arc.head)
+        if parent[t] is None:
+            break
+        pushed, length = _arc_augment(graph, parent, s, t)
+        total += pushed
+        lengths.append(length)
+    side = frozenset(nid for nid, i in index.items() if parent[i] is not None)
+    capacity = sum(
+        e.capacity_kg for e in net.edges if e.tail in side and e.head not in side
+    )
+    return MaxFlowAssignment(
+        flow=_arc_flow(net, graph),
+        value=total,
+        source_side=side,
+        cut_capacity=capacity,
+        paths=len(lengths),
+        phases=len(set(lengths)),
+    )
+
+
+def tuple_heap_min_cost_flow(net: FlowNetwork, demand: int) -> FlowAssignment:
+    """Successive shortest paths with potentials, Dijkstra over (d, v)
+    tuples and None for unreached; raises InfeasibleDemand(demand, sent)."""
+    index, graph = _arc_residual(net, _arc_integer_costs(net)[0])
+    s, t = index[net.source], index[net.sink]
+    n = len(graph)
+    potential = [0] * n
+    sent = paths = 0
+    while sent < demand:
+        dist = [None] * n
+        parent = [None] * n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            base = d + potential[u]
+            for ai, arc in enumerate(graph[u]):
+                if arc.cap <= 0:
+                    continue
+                v = arc.head
+                nd = base + arc.cost - potential[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, ai)
+                    heappush(heap, (nd, v))
+        if dist[t] is None:
+            raise InfeasibleDemand(demand, sent)
+        for v in range(n):
+            if dist[v] is not None:
+                potential[v] += dist[v]
+        sent += _arc_augment(graph, parent, s, t, demand - sent)[0]
+        paths += 1
+    return FlowAssignment(flow=_arc_flow(net, graph), value=sent, paths=paths)
+
+
+def arc_flow_cost(net: FlowNetwork, assignment: FlowAssignment) -> Fraction:
+    """Exact cost of an assignment from freshly scaled costs."""
+    costs, scale = _arc_integer_costs(net)
+    by_key = {(e.tail, e.head): c for e, c in zip(net.edges, costs)}
+    return Fraction(sum(by_key[key] * kg for key, kg in assignment.flow.items()), scale)
 
 
 def brute_force_min_cut(net) -> int:
@@ -667,3 +819,41 @@ def hub_scenario(dim, free_axes, arm_1="p:1", mu_base=None):
         "nominal_p": [1.0 / dim] * dim,
         "nominal_fleet": [3],
     }
+
+
+def _network_scenario(name, nodes, edges):
+    return {
+        "schema_version": 1,
+        "name": name,
+        "network": {
+            "nodes": [{"id": nid, "kind": kind} for nid, kind in nodes],
+            "edges": [
+                {"from": u, "to": v, "capacity_kg": cap, "cost_milli_per_kg": cost}
+                for u, v, cap, cost in edges
+            ],
+        },
+    }
+
+
+def chain_network(n):
+    """Raw scenario of an `n`-node path c0 -> ... -> c{n-1}: edge i carries
+    5 + i % 3 kg at i % 7 milli-units per kg, so the max flow is 5 kg and
+    each kg costs the sum of i % 7."""
+    kinds = ["production"] + ["logistics"] * (n - 2) + ["destination"]
+    return _network_scenario(
+        f"chain_{n}",
+        [(f"c{i}", kind) for i, kind in enumerate(kinds)],
+        [(f"c{i}", f"c{i + 1}", 5 + i % 3, i % 7) for i in range(n - 1)],
+    )
+
+
+def bipartite_network(k):
+    """Raw scenario of an assignment problem: s feeds a0..a{k-1}, every a_i
+    links to every b_j at (i * j) % 11 milli-units per kg, the b_j drain
+    into t, and every capacity is 1 kg, so shortest paths tie everywhere."""
+    left, right = [f"a{i}" for i in range(k)], [f"b{j}" for j in range(k)]
+    nodes = [("s", "production"), *((x, "logistics") for x in left + right), ("t", "destination")]
+    edges = [("s", a, 1, 0) for a in left]
+    edges += [(a, b, 1, (i * j) % 11) for i, a in enumerate(left) for j, b in enumerate(right)]
+    edges += [(b, "t", 1, 0) for b in right]
+    return _network_scenario(f"bipartite_{k}", nodes, edges)

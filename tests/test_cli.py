@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import support
 from fabflow import cli
 from fabflow.cli import main
+from fabflow.errors import InfeasibleDemand
+from fabflow.netflow import build_network
 from fabflow.queueing import GRID_LINES_MAX, GRID_POINTS_MAX
 from fabflow.robust_planner import MC_SAMPLES_MAX, PlannerLimits
-from fabflow.scenario import fixture_catalog, resolve_scenario_raw
+from fabflow.scenario import fixture_catalog, resolve_scenario_raw, scenario_from_dict
 from fabflow.scheduler import (
     ACO_SOLUTIONS_MAX,
     BENCH_WORK_MAX,
@@ -915,6 +917,38 @@ def test_hostile_search_parameter_ends_in_an_exit_code(capsys, group, field, val
     assert code in (0, 1, 2)
     if code != 0:
         assert out.startswith("error=") and out.count("\n") == 1
+
+
+LARGE_NETWORKS = {"chain": support.chain_network(3000), "bipartite": support.bipartite_network(60)}
+
+
+@pytest.mark.parametrize("name, argv, expected", [
+    ("chain", ["maxflow"], "value_kg=5"),
+    ("chain", ["mincost", "--demand", "5"], "cost=44.955"),
+    ("chain", ["mincost", "--demand", "6"], "error=infeasible_demand"),
+    ("bipartite", ["maxflow"], "value_kg=60"),
+    ("bipartite", ["mincost", "--demand", "60"], "cost=0.048"),
+])
+def test_large_network_ends_in_seconds_with_the_oracle_answer(capsys, tmp_path, name, argv, expected):
+    # a 2,999-arc augmenting path, and 60 unit paths among 3,600 tied links
+    raw = LARGE_NETWORKS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv[0], "--scenario", str(path), *argv[1:])
+    assert time.perf_counter() - start < 5.0
+    key, value = expected.split("=")
+    assert code == (2 if key == "error" else 0)
+    assert pairs_of(out)[key] == value
+    net = build_network(scenario_from_dict(raw))
+    if argv[0] == "maxflow":
+        assert support.edmonds_karp(net).value == int(value)
+    elif key == "error":
+        with pytest.raises(InfeasibleDemand):
+            support.tuple_heap_min_cost_flow(net, int(argv[2]))
+    else:
+        oracle = support.tuple_heap_min_cost_flow(net, int(argv[2]))
+        assert float(support.arc_flow_cost(net, oracle)) == float(value)
 
 
 # --- determinism -------------------------------------------------------------

@@ -6,11 +6,19 @@ integer flow vector on tiny ones.
 """
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import brute_force_min_cut, conservation_residuals, make_network
+from support import (
+    arc_flow_cost,
+    brute_force_min_cut,
+    conservation_residuals,
+    edmonds_karp,
+    make_network,
+    tuple_heap_min_cost_flow,
+)
 
 from fabflow import netflow
 from fabflow.cli import main
@@ -100,6 +108,35 @@ def costed_network(rng, denominator, names=("s", "a", "b", "t"), max_cap=3):
     spec.setdefault((names[0], names[1]), 2), costs.setdefault((names[0], names[1]), Fraction(1))
     spec.setdefault((names[1], names[-1]), 2), costs.setdefault((names[1], names[-1]), Fraction(1))
     return net_of(spec, source=names[0], sink=names[-1], costs=costs)
+
+
+def tied_network(rng):
+    """Random network with many tied shortest paths: capacities mostly 0
+    and 1, antiparallel edges, one to three origins and destinations (so
+    build_network may add super terminals), and dead-end branches that
+    reach no destination."""
+    n = rng.randint(4, 12)
+    kinds = [NodeKind.PRODUCTION] * rng.randint(1, 3) + [NodeKind.DESTINATION] * rng.randint(1, 3)
+    kinds += [NodeKind.LOGISTICS] * max(n - len(kinds), 0)
+    rng.shuffle(kinds)
+    names = [f"n{i}" for i in range(len(kinds))]
+    spurs = [f"x{i}" for i in range(rng.randint(0, 3))]
+    edges = [
+        Edge(u, v, rng.choice([0, 1, 1, 1, 2, rng.randint(0, 9)]), Fraction(rng.randint(0, 3), 1000))
+        for u, v in itertools.permutations(names, 2)
+        if rng.random() < 0.35
+    ]
+    # spurs take flow in but never lead back
+    edges += [
+        Edge(u, x, rng.randint(1, 3), Fraction(rng.randint(0, 3), 1000))
+        for i, x in enumerate(spurs)
+        for u in rng.sample(names + spurs[:i], 2)
+    ]
+    section = SimpleNamespace(
+        nodes=tuple(zip(names, kinds)) + tuple((x, NodeKind.LOGISTICS) for x in spurs),
+        edges=tuple(edges),
+    )
+    return build_network(SimpleNamespace(network=section))
 
 
 def scaled_costs(net: FlowNetwork, factor: Fraction) -> FlowNetwork:
@@ -366,6 +403,42 @@ def test_fixture_mincost_known_values():
     net = build_network(load_fixture("fig9_baseline"))
     assert float(flow_cost(net, min_cost_flow(net, 10000))) == pytest.approx(2260.0)
     assert float(flow_cost(net, min_cost_flow(net, 20000))) == pytest.approx(5170.0)
+
+
+# --- against the Edmonds-Karp and tuple-heap oracles --------------------------
+
+def assert_same_as_oracles(net):
+    """max_flow and min_cost_flow equal the oracles bit for bit, work counts
+    included; min-cost flow at no, a third, all and one more than the max flow."""
+    fa, oracle = max_flow(net), edmonds_karp(net)
+    assert fa == oracle
+    assert list(fa.flow.items()) == list(oracle.flow.items())
+    assert (fa.paths, fa.phases) == (oracle.paths, oracle.phases)
+    for demand in (0, fa.value // 3, fa.value, fa.value + 1):
+        try:
+            expected = tuple_heap_min_cost_flow(net, demand)
+        except InfeasibleDemand as exc:
+            with pytest.raises(InfeasibleDemand) as got:
+                min_cost_flow(net, demand)
+            assert (got.value.demand, got.value.max_value) == (exc.demand, exc.max_value)
+            continue
+        mc = min_cost_flow(net, demand)
+        assert list(mc.flow.items()) == list(expected.flow.items())
+        assert (mc.value, mc.paths) == (expected.value, expected.paths)
+        assert flow_cost(net, mc) == arc_flow_cost(net, expected)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=300, deadline=None)
+def test_solvers_match_the_oracles_on_tied_networks(seed):
+    import random
+
+    assert_same_as_oracles(tied_network(random.Random(seed)))
+
+
+@pytest.mark.parametrize("fixture", ["fig9_baseline", "fig10_optimized"])
+def test_solvers_match_the_oracles_on_the_bundled_networks(fixture):
+    assert_same_as_oracles(build_network(load_fixture(fixture)))
 
 
 # --- bundled network fixtures ------------------------------------------------
