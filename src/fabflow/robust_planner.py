@@ -10,10 +10,14 @@ Math. Programming 39, 1987): the phi gradient projected onto the tangent
 cone of the box tells whether the point is a KKT point, where the start
 stops, and how far to reach; the step then follows the projection arc of
 the phi gradient, so one step can run along a face to a vertex, and
-backtracks fourfold until phi rises enough.  The upper level scans fleet
-configurations and keeps the feasible one whose worst case is smallest,
-tie-breaking toward fewer vehicles and then lexicographically smaller
-counts.
+backtracks fourfold until phi rises enough.  The upper level scans every
+fleet configuration and keeps the feasible one whose worst case is
+smallest, tie-breaking toward fewer vehicles and then lexicographically
+smaller counts.  v_star is not monotone in the vehicle counts, so no local
+search can stand in for the scan; instead a space of per-type ranges is cut
+to the smallest box that holds every fleet within the vehicle cap c_max
+(every fleet cut away would fail that cap), and a box of more than
+FLEETS_MAX fleets is refused before any fleet is checked.
 
 Both levels work on groups of fleets.  Every (fleet, start) pair is one row
 of a single lockstep ascent: each step is one row-wise projection of the
@@ -27,11 +31,10 @@ share one traffic solve: arrival rates depend on the transfer vector alone,
 so they are solved once at the nominal point, the fluctuation probes and
 the Monte Carlo draws (in fixed-size chunks).  A group of fleets reads them
 in one broadcast: the service rates of the whole group are one array, and
-each set of arrival rates is read against all of them at once.  The
-exhaustive scan and the coordinate descent evaluate candidates through one
-group step: the checks, then one lockstep ascent of the candidates that
-pass, in groups that keep the routing derivatives of one pass under a fixed
-number of elements.
+each set of arrival rates is read against all of them at once.  The scan
+takes its candidates in groups that keep the routing derivatives of one
+ascent pass under a fixed number of elements: a group's checks, then one
+lockstep ascent of the candidates that pass them.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -58,7 +61,10 @@ CLIP_ETA = 1e-3          # probes stay in [eta, 1 - eta]
 ASCENT_STARTS = 16
 ASCENT_MAX_ITERS = 500
 DELTA_DIRECTIONS = 64
-EXHAUSTIVE_LIMIT = 100_000
+# largest number of fleets plan_fleet scans from a FleetCandidateSpace, after
+# the cut at c_max: `plan` on planner_small with infinite limits (every fleet
+# passes its checks and is ascended) takes about 20 s at the cap
+FLEETS_MAX = 100_000
 _MC_SEED = 7654321
 # elements of the largest arrays of one lockstep pass, the routing
 # derivatives (rows, n, k, k), 8 MB of floats (the routing's per-cell
@@ -504,7 +510,7 @@ class FleetCandidateSpace:
     Iteration yields the fleets in product order.  The first one builds
     them all and keeps them, so the examined outcomes of every plan over
     this space share one set of FleetConfig objects; plan_fleet iterates
-    only spaces of at most EXHAUSTIVE_LIMIT fleets.
+    only boxes of at most FLEETS_MAX fleets (see _within).
     """
 
     bounds: tuple[tuple[int, int], ...]
@@ -532,6 +538,17 @@ class FleetCandidateSpace:
 
     def __iter__(self):
         return iter(self._fleets)
+
+    def _within(self, c_max: int) -> FleetCandidateSpace | None:
+        """The smallest box that holds every fleet of this space whose total
+        is at most c_max, by max_i <- min(max_i, c_max - sum of the other
+        minima): this space itself when nothing is cut, None when even the
+        minima exceed c_max."""
+        spare = c_max - sum(lo for lo, _ in self.bounds)
+        if spare < 0:
+            return None
+        bounds = tuple((lo, min(hi, lo + spare)) for lo, hi in self.bounds)
+        return self if bounds == self.bounds else FleetCandidateSpace(bounds)
 
 
 @dataclass(frozen=True, slots=True)
@@ -564,8 +581,9 @@ class PlanResult:
     worst_case: WorstCase
     constraints: ConstraintReport
     nominal_wip: float
-    search_mode: str
     examined: tuple[CandidateOutcome, ...]
+    # the one search there is; artifacts and stdout keep naming it
+    search_mode = "exhaustive"
 
     def to_dict(self) -> dict:
         return {
@@ -637,101 +655,39 @@ def plan_fleet(
 ) -> PlanResult:
     """Pick the feasible fleet with the smallest worst-case WIP growth rate.
 
-    `candidates` is a FleetCandidateSpace or any iterable of FleetConfig.
-    Spaces up to EXHAUSTIVE_LIMIT configurations are enumerated outright;
-    larger spaces fall back to coordinate descent over vehicle counts from
-    the largest config that fits under c_max, accepting only moves that
-    improve the (v_star, total, counts) ordering.  Both searches evaluate
-    fleets through one group step: every fleet's constraints are read from
-    the plan's one shared traffic solve, then the fleets that pass them are
-    ascended together.  The search mode used is recorded on the result.
+    `candidates` is a FleetCandidateSpace or any iterable of FleetConfig,
+    and every fleet of it is examined, in order, through _evaluate's group
+    step: its constraints are read from the plan's one shared traffic
+    solve, then the fleets that pass them are ascended together.  A space
+    is first cut to FleetCandidateSpace._within(c_max); a fleet cut away
+    would fail fleet_total, so neither the best fleet nor its worst case
+    changes.  A cut box of more than FLEETS_MAX fleets raises
+    ValidationErrors before any fleet is checked, and an empty one (the
+    minima alone exceed c_max) raises NoFeasibleFleet, as a scan that finds
+    no feasible fleet does.  Only the best fleet's report is kept.
     """
+    if isinstance(candidates, FleetCandidateSpace):
+        box = candidates._within(limits.c_max)
+        if box is not None and box.count > FLEETS_MAX:
+            raise ValidationErrors([
+                f"fleet_candidates: cut at limits.c_max={limits.c_max}, the ranges hold "
+                f"{box.count} fleets; a plan scans at most {FLEETS_MAX}"
+            ])
+        candidates = () if box is None else box
     checks = _ConstraintChecks(model, p_nominal, limits)
     examined: list[CandidateOutcome] = []
-
-    def evaluate(fleets):
-        for result in _evaluate(checks, fleets):
-            examined.append(result[1])
-            yield result
-
-    if isinstance(candidates, FleetCandidateSpace) and candidates.count > EXHAUSTIVE_LIMIT:
-        mode, best = "coordinate_descent", _descend(candidates, limits.c_max, evaluate)
-    else:
-        mode = "exhaustive"
-        feasible = (r for r in evaluate(candidates) if r[0] is not None)
-        best = min(feasible, key=lambda r: r[0], default=None)
-        if best is None:
-            raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
+    best = None
+    for result in _evaluate(checks, candidates):
+        examined.append(result[1])
+        if result[0] is not None and (best is None or result[0] < best[0]):
+            best = result
+    if best is None:
+        raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
     _, outcome, wc, report = best
     return PlanResult(
         c_star=outcome.fleet,
         worst_case=wc,
         constraints=report,
         nominal_wip=report["nominal_wip"].measured,
-        search_mode=mode,
         examined=tuple(examined),
     )
-
-
-def _largest_start(space: FleetCandidateSpace, c_max: int) -> FleetConfig:
-    # fill types left to right up to their maxima while the total fits
-    counts = [lo for lo, _ in space.bounds]
-    budget = c_max - sum(counts)
-    for i, (lo, hi) in enumerate(space.bounds):
-        if budget <= 0:
-            break
-        add = min(hi - lo, budget)
-        counts[i] = lo + add
-        budget -= add
-    return FleetConfig(counts=tuple(counts))
-
-
-def _descend(space: FleetCandidateSpace, c_max: int, evaluate):
-    """Coordinate descent; the best (key, outcome, worst case, report).
-
-    From the largest start, walk breadth-first to the first feasible
-    config, one fleet at a time; then ask the incumbent's neighbours that
-    are not yet evaluated as one group, move to the best of them that beats
-    it, and repeat until none does.
-    """
-    cache: dict[tuple, tuple] = {}
-
-    def ask(fleets):
-        new = [fleet for fleet in fleets if fleet.counts not in cache]
-        for fleet, result in zip(new, list(evaluate(new))):
-            cache[fleet.counts] = result
-        return [cache[fleet.counts] for fleet in fleets]
-
-    current = _largest_start(space, c_max)
-    (best,) = ask([current])
-    frontier = [current]
-    while best[0] is None and frontier:
-        for neigh in _neighbors(frontier.pop(0), space, c_max):
-            if neigh.counts in cache:
-                continue
-            (best,) = ask([neigh])
-            if best[0] is not None:
-                break
-            frontier.append(neigh)
-    if best[0] is None:
-        raise NoFeasibleFleet("coordinate descent found no feasible fleet")
-    improved = True
-    while improved:
-        improved = False
-        for result in ask(list(_neighbors(best[1].fleet, space, c_max))):
-            if result[0] is not None and result[0] < best[0]:
-                best, improved = result, True
-    return best
-
-
-def _neighbors(fleet: FleetConfig, space: FleetCandidateSpace, c_max: int):
-    for i in range(len(fleet.counts)):
-        for delta in (-1, 1):
-            counts = list(fleet.counts)
-            counts[i] += delta
-            lo, hi = space.bounds[i]
-            if not (lo <= counts[i] <= hi):
-                continue
-            if sum(counts) > c_max:
-                continue
-            yield FleetConfig(counts=tuple(counts))

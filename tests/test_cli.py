@@ -919,6 +919,33 @@ def test_hostile_search_parameter_ends_in_an_exit_code(capsys, group, field, val
         assert out.startswith("error=") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    # 160,801 fleets, none feasible: refused before any is checked
+    (
+        {"fleet_candidates.0.max": 400, "fleet_candidates.1.max": 400,
+         "limits.c_max": 800, "limits.w_star": 1e-9, "limits.u": 1e-9},
+        {"error": "validation_errors"},
+    ),
+    # cut back to the fixture's 49 fleets at c_max = 6
+    (
+        {"fleet_candidates.0.max": 10**12, "fleet_candidates.1.max": 10**12},
+        {"c_star": "1,5", "v_star": "0.25698180940212895"},
+    ),
+    # the minima alone exceed c_max = 6
+    ({"fleet_candidates.0.min": 4, "fleet_candidates.1.min": 4}, {"error": "no_feasible_fleet"}),
+], ids=["over_the_cap", "cut_to_the_fixture", "minima_over_c_max"])
+def test_hostile_fleet_candidates_end_in_seconds(capsys, overrides, expected):
+    argv = [arg for path, value in overrides.items() for arg in ("--set", f"{path}={value}")]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "plan", "--scenario", "planner_small", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == {"validation_errors": 1, "no_feasible_fleet": 2}.get(expected.get("error"), 0)
+    got = pairs_of(out)
+    assert {key: got[key] for key in expected} == expected
+    if code == 1:
+        assert "fleet_candidates" in err and "limits.c_max=800" in err
+
+
 LARGE_NETWORKS = {"chain": support.chain_network(3000), "bipartite": support.bipartite_network(60)}
 
 

@@ -1,11 +1,12 @@
 """Planner tests: simplex geometry, adversarial search, constraint audit, fleet scan."""
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
@@ -592,11 +593,9 @@ def counted_traffic_solves(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("limit", [robust_planner.EXHAUSTIVE_LIMIT, 0], ids=["exhaustive", "descent"])
-def test_plan_solves_the_shared_traffic_once(monkeypatch, limit):
+def test_plan_solves_the_shared_traffic_once(monkeypatch):
     model, p, limits = small()
     space = load_fixture("planner_small").fleet_candidates
-    monkeypatch.setattr(robust_planner, "EXHAUSTIVE_LIMIT", limit)
     rows = counted_traffic_solves(monkeypatch)
     plan_fleet(model, space, dataclasses.replace(limits, mc_samples=300), p)
     # the nominal point, then the Monte Carlo draws for the first fleet, which
@@ -633,39 +632,74 @@ def test_plan_matches_lattice_oracle_on_subrange():
     assert rows[-1][0] == "1:5" and rows[-1][1] == "true"
 
 
-def test_plan_descent_matches_exhaustive(monkeypatch):
+def test_a_space_is_cut_at_c_max_before_the_scan():
     model, p, limits = small()
-    space = FleetCandidateSpace(((1, 1), (2, 5)))
-    full = plan_fleet(model, space, limits, p)
-    monkeypatch.setattr(robust_planner, "EXHAUSTIVE_LIMIT", 0)
-    walked = plan_fleet(model, space, limits, p)
-    assert full.search_mode == "exhaustive"
-    assert walked.search_mode == "coordinate_descent"
-    assert walked.c_star == full.c_star
-    assert walked.worst_case.v_star == full.worst_case.v_star
-    assert len(walked.examined) <= len(full.examined)
+    space = load_fixture("planner_small").fleet_candidates
+    fixture = plan_fleet(model, space, limits, p)
+    # the fixture's ranges already fit c_max = 6: its own fleets are scanned
+    assert all(o.fleet is f for o, f in zip(fixture.examined, space))
+    # (0, 6) x (0, 100000) is cut back to the fixture's (0, 6) x (0, 6), whose
+    # plan test_plan_is_pinned pins
+    wide = plan_fleet(model, FleetCandidateSpace(((0, 6), (0, 100_000))), limits, p)
+    assert repr(wide.to_dict()) == repr(fixture.to_dict())
+    # 160,801 fleets cut to the 1,681 of (0, 40) x (0, 40)
+    wider = plan_fleet(
+        model, FleetCandidateSpace(((0, 400), (0, 400))), dataclasses.replace(limits, c_max=40), p
+    )
+    assert len(wider.examined) == 41 * 41
+    assert wider.c_star.counts == (1, 39)
+    assert wider.worst_case.v_star == 0.02779678064589654
 
 
-def test_descent_examines_the_pinned_sequence():
+def test_a_cut_box_above_the_cap_is_refused_before_any_check(monkeypatch):
     model, p, limits = small()
-    result = plan_fleet(model, FleetCandidateSpace(((0, 6), (0, 100_000))), limits, p)
-    assert result.search_mode == "coordinate_descent"
-    assert result.c_star.counts == (1, 5)
-    # the feasibility walk, breadth-first from the largest start to the first
-    # feasible config, then each incumbent's unevaluated neighbours in order
-    assert [o.fleet.counts for o in result.examined] == [
-        (6, 0), (5, 0), (4, 0), (5, 1),
-        (4, 1),
-        (3, 1), (4, 2),
-        (3, 2),
-        (2, 2), (3, 3),
-        (2, 3),
-        (1, 3), (2, 4),
-        (1, 4),
-        (0, 4), (1, 5),
-        (0, 5),
+    space = FleetCandidateSpace(((0, 6), (0, 100_000)))  # cut to 49 fleets
+    rows = counted_traffic_solves(monkeypatch)
+    monkeypatch.setattr(robust_planner, "FLEETS_MAX", 48)
+    with pytest.raises(ValidationErrors) as exc:
+        plan_fleet(model, space, limits, p)
+    assert exc.value.errors == [
+        "fleet_candidates: cut at limits.c_max=6, the ranges hold 49 fleets; a plan scans at most 48"
     ]
-    assert [o.feasible for o in result.examined] == [False] * 3 + [True] * 11 + [False, True, False]
+    # minima above c_max leave nothing to scan
+    with pytest.raises(NoFeasibleFleet, match="^no candidate fleet satisfies every constraint$"):
+        plan_fleet(model, FleetCandidateSpace(((4, 6), (3, 100_000))), limits, p)
+    assert rows == []
+    monkeypatch.setattr(robust_planner, "FLEETS_MAX", 49)
+    assert len(plan_fleet(model, space, limits, p).examined) == 49
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda b: tuple(sorted(b))),
+        min_size=2,
+        max_size=3,
+    ),
+    st.integers(1, 10),
+)
+def test_a_cut_space_plans_as_its_uncut_list(bounds, c_max):
+    model, p, limits = small()
+    # open WIP caps: a fleet fails only fleet_total or an unstable nominal point
+    limits = PlannerLimits(c_max=c_max, w_star=math.inf, u=math.inf, delta_wip_max=math.inf)
+    space = FleetCandidateSpace(tuple(bounds))
+    fleets = list(space)
+    # the smallest box holding every fleet whose total is at most c_max
+    spare = c_max - sum(lo for lo, _ in bounds)
+    box = set(itertools.product(*(range(lo, min(hi, lo + spare) + 1) for lo, hi in bounds)))
+    assert all(f.total > c_max for f in fleets if f.counts not in box)
+    try:
+        whole = plan_fleet(model, fleets, limits, p)
+    except NoFeasibleFleet:
+        with pytest.raises(NoFeasibleFleet):
+            plan_fleet(model, space, limits, p)
+        return
+    cut = plan_fleet(model, space, limits, p)
+    assert cut.c_star == whole.c_star
+    assert cut.worst_case == whole.worst_case
+    assert cut.constraints == whole.constraints
+    assert [o.fleet.counts for o in cut.examined] == [f.counts for f in fleets if f.counts in box]
+    assert all("fleet_total" in o.reasons for o in whole.examined if o.fleet.counts not in box)
 
 
 def test_worst_case_shrinks_as_fleet_grows():
