@@ -27,14 +27,15 @@ at once, so each point is evaluated exactly once.  The phi gradient needs
 the WIP Hessian only times the steepest direction, one directional pass.
 Each row keeps its own step, line search and stopping tests, so it follows
 exactly the path it would follow alone.  The constraint checks of a plan
-share one traffic solve: arrival rates depend on the transfer vector alone,
-so they are solved once at the nominal point, the fluctuation probes and
-the Monte Carlo draws (in fixed-size chunks).  A group of fleets reads them
-in one broadcast: the service rates of the whole group are one array, and
-each set of arrival rates is read against all of them at once.  The scan
-takes its candidates in groups that keep the routing derivatives of one
-ascent pass under a fixed number of elements: a group's checks, then one
-lockstep ascent of the candidates that pass them.
+share one traffic table: arrival rates depend on the transfer vector alone,
+so the plan solves them once, for the nominal point and its fluctuation
+probes in one pass and then for the Monte Carlo draws in fixed-size chunks,
+the first time a group of fleets is checked.  A group reads every row of
+the table in one broadcast against the service rates of all its fleets,
+and each check is a slice of the totals: the nominal point, the probes,
+the draws.  The scan takes its candidates in groups that keep the routing
+derivatives of one ascent pass under a fixed number of elements: a group's
+checks, then one lockstep ascent of the candidates that pass them.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -66,19 +67,17 @@ DELTA_DIRECTIONS = 64
 # passes its checks and is ascended) takes about 20 s at the cap
 FLEETS_MAX = 100_000
 _MC_SEED = 7654321
-# elements of the largest arrays of one lockstep pass, the routing
-# derivatives (rows, n, k, k), 8 MB of floats (the routing's per-cell
-# temporaries (rows, n, B) are no larger, B <= k^2 cells); plan_fleet ascends
-# its candidates in groups that stay under it, though never less than one
-_ROUTING_DERIVATIVE_ELEMENTS = 1_000_000
 # largest limits.mc_samples; the draws are solved once per plan: `plan` on
 # planner_small (k = 3) at this cap takes ~1.5 s
 MC_SAMPLES_MAX = 200_000
-# elements of the routing matrices (rows, k, k) of one chunk of Monte Carlo
-# draws, 8 MB of floats; a plan solves its draws chunk by chunk and keeps
-# only their (mc_samples, k) arrival rates, and a group of fleets reads them
-# in chunks of fleets whose (fleets * mc_samples, k) rates stay under it
-_MC_CHUNK_ELEMENTS = 1_000_000
+# elements of the largest arrays of one batch, 8 MB of floats: the routing
+# derivatives (rows, n, k, k) of one lockstep pass (the routing's per-cell
+# temporaries (rows, n, B) are no larger, B <= k^2 cells), which size
+# plan_fleet's fleet groups; the routing matrices (rows, k, k) of one chunk
+# of Monte Carlo draws; and the (fleets * table rows, k) broadcast of one
+# chunk of a group's fleets against the traffic table.  Each is at least
+# one fleet or one row.
+_BATCH_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -365,12 +364,12 @@ class _ConstraintChecks:
 
     The transfer-vector checks do not depend on the fleet, and neither do the
     arrival rates: a fleet enters only through its service rates.  So the
-    traffic at the nominal point, at the DELTA_DIRECTIONS fluctuation probes
-    around it and at the Monte Carlo draws is solved once per plan, each set
-    the first time a check needs it (in the order the first fleet of a group
-    meets them: the probes only once some fleet's nominal point is stable),
-    and each group of fleets reads its utilizations from those arrival rates
-    in one broadcast against the group's service rates.
+    plan holds one traffic table, the arrival rates at the nominal point, at
+    the DELTA_DIRECTIONS fluctuation probes around it and at the Monte Carlo
+    draws, built by the first reports call, and every group of fleets reads
+    its totals from that table in one broadcast against the group's service
+    rates.  A routing that is invalid at any row of the table raises
+    InvalidRouting on that first call, whatever the fleets.
     """
 
     def __init__(self, model: RoutingModel, p_nominal, limits: PlannerLimits):
@@ -386,84 +385,64 @@ class _ConstraintChecks:
             ),
         )
 
-    def _traffic(self, P) -> np.ndarray:
-        return queueing._solve(self.model, P)[2]
-
     @functools.cached_property
-    def nominal(self) -> np.ndarray:
-        return self._traffic(self.p)
-
-    @functools.cached_property
-    def probes(self) -> np.ndarray:
-        # p + epsilon*x for fixed sum-zero unit directions x, clamped into
-        # the clipped simplex
-        dim = self.p.size
+    def traffic(self) -> np.ndarray:
+        """Arrival rates (1 + DELTA_DIRECTIONS + mc_samples, k): the nominal
+        point and its probes p + epsilon*x, for fixed sum-zero unit
+        directions x clamped into the clipped simplex, from one solve, then
+        the Monte Carlo draws."""
+        dim, model = self.p.size, self.model
         dirs = simplex.unit_directions(DELTA_DIRECTIONS, dim)
-        return self._traffic(simplex.project_capped_simplex(
+        probes = simplex.project_capped_simplex(
             self.p + self.limits.epsilon * dirs, np.full(dim, CLIP_ETA), np.full(dim, 1.0 - CLIP_ETA)
-        ))
-
-    @functools.cached_property
-    def draws(self) -> np.ndarray:
+        )
         # chunks of rng.dirichlet continue one stream, so they draw the rows
         # of one call, and each row's solve is its own: the chunk size moves
         # no bit
         rng = np.random.default_rng(_MC_SEED)
         alpha = np.maximum(self.limits.mc_alpha * self.p, 1e-9)
-        n, k = self.limits.mc_samples, len(self.model.stations)
-        rows = max(1, _MC_CHUNK_ELEMENTS // (k * k))
+        n, k = self.limits.mc_samples, len(model.stations)
+        rows = max(1, _BATCH_ELEMENTS // (k * k))
         return np.concatenate([
-            self._traffic(rng.dirichlet(alpha, size=min(rows, n - start)))
-            for start in range(0, n, rows)
+            queueing._solve(model, np.vstack([self.p, probes]))[2],
+            *(queueing._solve(model, rng.dirichlet(alpha, size=min(rows, n - start)))[2]
+              for start in range(0, n, rows)),
         ])
 
-    @staticmethod
-    def _totals(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Total WIP and stability (G, S) of each of G fleets' service rates
-        (G, k) at each of S rows of arrival rates (S, k), from one
-        _wip_totals over their (G * S, k) broadcast."""
-        totals, stable = queueing._wip_totals(np.tile(lam, (len(mu), 1)), np.repeat(mu, len(lam), axis=0))
-        return totals.reshape(len(mu), len(lam)), stable.reshape(len(mu), len(lam))
-
     def reports(self, fleets: Sequence[FleetConfig]) -> list[ConstraintReport]:
-        """The constraint report of each fleet of a group, read from the
-        plan's shared traffic: the nominal totals in one _wip_totals over
-        the group's service rates (G, k), the probe totals of the fleets
-        whose nominal point is stable in one over their broadcast against
-        the probes, and the Monte Carlo totals in chunks of fleets."""
+        """The constraint report of each fleet of a group: the totals of its
+        service rates (G, k) at every row of the traffic table, from one
+        _wip_totals over their broadcast in chunks of fleets, read as
+        column 0 (the nominal point), the probe columns and the draw
+        columns."""
         limits, model = self.limits, self.model
         mu = queueing._service_rates(model, fleets)
-        nominal, stable = queueing._wip_totals(np.broadcast_to(self.nominal, mu.shape), mu)
-        # the shared sets are solved in the order the group's first fleet
-        # meets them: the probes only when its nominal point is stable
-        if stable[0]:
-            self.probes
-        exceedance = [None] * len(mu)
-        if limits.mc_samples > 0:
-            chunk = max(1, _MC_CHUNK_ELEMENTS // (limits.mc_samples * mu.shape[1]))
-            over = []
-            for part in np.split(mu, range(chunk, len(mu), chunk)):
-                totals, ok = self._totals(self.draws, part)
-                over.append((~ok | (totals > limits.u)).mean(axis=1))
-            exceedance = np.concatenate(over).tolist()
-        fluct = np.full(len(mu), math.inf)
-        wmax = fluct.copy()
-        if stable.any():
-            probes, probes_stable = self._totals(self.probes, mu[stable])
-            # the fluctuation is unbounded at an unstable probe
-            bounded = probes_stable.all(axis=1)
-            at = np.flatnonzero(stable)[bounded]
-            fluct[at] = np.abs(probes[bounded] - nominal[at, None]).max(axis=1)
-            wmax[at] = np.maximum(nominal[at], probes[bounded].max(axis=1))
-        nominal = np.where(stable, nominal, math.inf)
+        lam = self.traffic
+        rows, probed = len(lam), 1 + DELTA_DIRECTIONS
+        chunk = max(1, _BATCH_ELEMENTS // (rows * lam.shape[1]))
+        measured = []
+        for part in np.split(mu, range(chunk, len(mu), chunk)):
+            totals, stable = queueing._wip_totals(np.tile(lam, (len(part), 1)), np.repeat(part, rows, axis=0))
+            totals, stable = totals.reshape(len(part), rows), stable.reshape(len(part), rows)
+            nominal, probes = totals[:, 0], totals[:, 1:probed]
+            # the fluctuation is unbounded at an unstable nominal point or probe
+            bounded = stable[:, :probed].all(axis=1)
+            exceedance = [None] * len(part)
+            if limits.mc_samples > 0:
+                exceedance = (~stable[:, probed:] | (totals[:, probed:] > limits.u)).mean(axis=1).tolist()
+            measured.extend(zip(
+                stable[:, 0].tolist(),
+                np.where(stable[:, 0], nominal, math.inf).tolist(),
+                np.where(bounded, np.abs(probes - nominal[:, None]).max(axis=1), math.inf).tolist(),
+                np.where(bounded, np.maximum(nominal, probes.max(axis=1)), math.inf).tolist(),
+                exceedance,
+            ))
         out = []
-        for g, (fleet, ok, w, f, top, over) in enumerate(zip(
-            fleets, stable.tolist(), nominal.tolist(), fluct.tolist(), wmax.tolist(), exceedance
-        )):
+        for g, (fleet, (ok, w, f, top, over)) in enumerate(zip(fleets, measured)):
             if ok:
                 nominal_detail = fluct_detail = ""
             else:
-                nominal_detail = queueing._instability(model, self.nominal[0], mu[g]).code
+                nominal_detail = queueing._instability(model, lam[0], mu[g]).code
                 fluct_detail = "nominal point unstable"
             checks = (
                 ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
@@ -498,7 +477,9 @@ def check_constraints(
     probes vs u).  An unstable nominal point reads inf with the error code
     as detail; an unstable probe makes both probe values inf.  With
     mc_samples > 0 the report carries the Monte Carlo exceedance frequency.
-    The one-fleet case of plan_fleet's shared checks.
+    A routing that is invalid at the nominal point, a probe or a draw
+    raises InvalidRouting, whatever the fleet.  The one-fleet case of
+    plan_fleet's shared checks.
     """
     return _ConstraintChecks(model, p_nominal, limits).report(fleet)
 
@@ -618,16 +599,15 @@ def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
     fleet, in order; an infeasible fleet has neither key nor worst case.
 
     Consecutive fleets form groups, each as large as keeps the routing
-    derivatives (rows, n, k, k) of one ascent pass under
-    _ROUTING_DERIVATIVE_ELEMENTS (at least one fleet): a
-    group's constraints are checked first, then the fleets that pass them
-    are ascended in one lockstep.  The key orders by v_star, then fewer
+    derivatives (rows, n, k, k) of one ascent pass under _BATCH_ELEMENTS
+    (at least one fleet): a group's constraints are checked first, then
+    the fleets that pass them are ascended in one lockstep.  The key orders by v_star, then fewer
     vehicles, then lexicographically smaller counts.
     """
     model, limits, p_nominal = checks.model, checks.limits, checks.p_nominal
     rows = ASCENT_STARTS + (p_nominal is not None)
     n, k = model.wltp_dim - 1, len(model.stations)
-    size = max(1, _ROUTING_DERIVATIVE_ELEMENTS // max(1, rows * n * k * k))
+    size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k))
     fleets = iter(fleets)
     while group := list(itertools.islice(fleets, size)):
         reports = checks.reports(group)
@@ -657,8 +637,8 @@ def plan_fleet(
 
     `candidates` is a FleetCandidateSpace or any iterable of FleetConfig,
     and every fleet of it is examined, in order, through _evaluate's group
-    step: its constraints are read from the plan's one shared traffic
-    solve, then the fleets that pass them are ascended together.  A space
+    step: its constraints are read from the plan's one traffic table, then
+    the fleets that pass them are ascended together.  A space
     is first cut to FleetCandidateSpace._within(c_max); a fleet cut away
     would fail fleet_total, so neither the best fleet nor its worst case
     changes.  A cut box of more than FLEETS_MAX fleets raises

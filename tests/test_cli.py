@@ -843,6 +843,22 @@ def leaf_paths(node, prefix=""):
         yield from leaf_paths(child, f"{prefix}.{key}")
 
 
+def node_paths(node, prefix=""):
+    """Dotted --set paths of every non-empty list and object below the root."""
+    if isinstance(node, (dict, list)) and node:
+        if prefix:
+            yield prefix[1:]
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, f"{prefix}.{key}")
+
+
+def assert_ends_in_an_exit_code(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        assert out.startswith("error=") and out.count("\n") == 1, argv
+
+
 LEAVES = {name: sorted(leaf_paths(resolve_scenario_raw(name))) for name in HOSTILE_FIXTURES}
 
 
@@ -861,12 +877,20 @@ LEAVES = {name: sorted(leaf_paths(resolve_scenario_raw(name))) for name in HOSTI
 def test_hostile_leaf_ends_in_an_exit_code(capsys, leaf, value):
     # in-process report: no scheduler loop can start, a crash is a traceback
     fixture, path = leaf
-    code, out, _ = run_cli(
+    assert_ends_in_an_exit_code(
         capsys, "report", "--scenario", fixture, "--set", f"{path}={json.dumps(value)}"
     )
-    assert code in (0, 1, 2)
-    if code != 0:
-        assert out.startswith("error=") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("fixture, path", [
+    (name, path) for name in HOSTILE_FIXTURES for path in node_paths(resolve_scenario_raw(name))
+])
+def test_hostile_node_ends_in_an_exit_code(capsys, fixture, path):
+    # a wrong shape: every list and object, not a sample, takes each hostile value
+    for value in HOSTILE_VALUES:
+        assert_ends_in_an_exit_code(
+            capsys, "report", "--scenario", fixture, "--set", f"{path}={json.dumps(value)}"
+        )
 
 
 PLANNER_LEAVES = [
@@ -879,12 +903,9 @@ PLANNER_LEAVES = [
 @pytest.mark.parametrize("path", PLANNER_LEAVES)
 def test_hostile_planner_leaf_ends_in_an_exit_code(capsys, path, value):
     # every planner leaf, not a sample of them: report runs plan on them
-    code, out, _ = run_cli(
+    assert_ends_in_an_exit_code(
         capsys, "report", "--scenario", "planner_small", "--set", f"{path}={json.dumps(value)}"
     )
-    assert code in (0, 1, 2)
-    if code != 0:
-        assert out.startswith("error=") and out.count("\n") == 1
 
 
 # a09's shrunk search sizes: the one hostile field decides how the run ends
@@ -905,18 +926,22 @@ SHRUNK_PARAMS = {
     ],
 )
 def test_hostile_search_parameter_ends_in_an_exit_code(capsys, group, field, value):
-    params = {**SHRUNK_PARAMS[group], field: value}
-    overrides = [
-        arg
-        for key, v in params.items()
-        for arg in ("--set", f"metaheuristic_params.{group}.{key}={json.dumps(v)}")
-    ]
-    code, out, _ = run_cli(
-        capsys, "schedule", "--scenario", "table1_bench", "--method", group, *overrides
+    def overrides(groups):
+        return [
+            arg
+            for g in groups
+            for key, v in {**SHRUNK_PARAMS[g], **({field: value} if g == group else {})}.items()
+            for arg in ("--set", f"metaheuristic_params.{g}.{key}={json.dumps(v)}")
+        ]
+
+    assert_ends_in_an_exit_code(
+        capsys, "schedule", "--scenario", "table1_bench", "--method", group, *overrides([group])
     )
-    assert code in (0, 1, 2)
-    if code != 0:
-        assert out.startswith("error=") and out.count("\n") == 1
+    # bench runs all three searches, each shrunk, on workers when it can
+    assert_ends_in_an_exit_code(
+        capsys, "bench", "--scenario", "table1_bench", "--seeds", "1", *overrides(SHRUNK_PARAMS)
+    )
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("overrides, expected", [

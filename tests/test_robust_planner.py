@@ -2,7 +2,9 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from fabflow import queueing, robust_planner, simplex
+from fabflow import cli, queueing, robust_planner, simplex
 from fabflow.errors import InvalidRouting, NoFeasibleFleet, NoStablePoint, ValidationErrors
 from fabflow.queueing import (
     FleetConfig,
@@ -33,7 +35,7 @@ from fabflow.robust_planner import (
     plan_fleet,
     worst_case_direction,
 )
-from fabflow.scenario import load_fixture
+from fabflow.scenario import load_fixture, resolve_scenario_raw, scenario_from_dict
 
 
 def small():
@@ -387,7 +389,7 @@ def test_plan_is_the_same_in_smaller_groups(monkeypatch, groups_of):
     space = load_fixture("planner_small").fleet_candidates
     whole = plan_fleet(model, space, limits, p)
     per_candidate = (robust_planner.ASCENT_STARTS + 1) * (model.wltp_dim - 1) * len(model.stations) ** 2
-    monkeypatch.setattr(robust_planner, "_ROUTING_DERIVATIVE_ELEMENTS", groups_of * per_candidate)
+    monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", groups_of * per_candidate)
     assert plan_fleet(model, space, limits, p) == whole
 
 
@@ -574,10 +576,10 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
     assert 0.2 < want < 0.8
     rng = np.random.default_rng(robust_planner._MC_SEED)
     lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[2]
-    monkeypatch.setattr(robust_planner, "_MC_CHUNK_ELEMENTS", chunk * len(model.stations) ** 2)
+    monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", chunk * len(model.stations) ** 2)
     checks = robust_planner._ConstraintChecks(model, p, limits)
     assert checks.report(fleet).mc_exceedance == want
-    assert np.array_equal(checks.draws, lam)
+    assert np.array_equal(checks.traffic[1 + DELTA_DIRECTIONS:], lam)
 
 
 def counted_traffic_solves(monkeypatch):
@@ -598,18 +600,44 @@ def test_plan_solves_the_shared_traffic_once(monkeypatch):
     space = load_fixture("planner_small").fleet_candidates
     rows = counted_traffic_solves(monkeypatch)
     plan_fleet(model, space, dataclasses.replace(limits, mc_samples=300), p)
-    # the nominal point, then the Monte Carlo draws for the first fleet, which
-    # has no vehicle of type 0 (or 1), and the fluctuation probes for the
-    # first fleet whose nominal point is stable
-    assert rows == [1, 300, DELTA_DIRECTIONS]
+    # the nominal point and its fluctuation probes in one solve, then the
+    # Monte Carlo draws
+    assert rows == [1 + DELTA_DIRECTIONS, 300]
 
 
-def test_probes_are_solved_only_for_a_stable_nominal_point(monkeypatch):
-    model, p, limits = small()
-    rows = counted_traffic_solves(monkeypatch)
-    with pytest.raises(NoFeasibleFleet):
-        plan_fleet(model, [FleetConfig((0, 0)), FleetConfig((0, 3))], limits, p)
-    assert rows == [1]
+# planner_small's routing with T2's row at 0.6 + p_0: it sums to 1 at the
+# nominal point and exceeds 1 at the probes that raise p_0
+PROBE_INVALID = {
+    "nominal_p": [0.4, 0.4, 0.2],
+    "routing": [
+        {"from": "T1", "to": "T2", "value": "p:1"},
+        {"from": "T1", "to": "P1", "value": "p:2"},
+        {"from": "T2", "to": "P1", "value": "const:0.6"},
+        {"from": "T2", "to": "T1", "value": "p:0"},
+    ],
+}
+
+
+def test_a_routing_invalid_at_a_probe_is_refused_whatever_the_fleets(capsys):
+    sets = [arg for key, value in PROBE_INVALID.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+    message = "routing row for station T2 sums to 1.008164 > 1"
+    # the fixture's ranges, then ranges where no nominal point is stable
+    for extra in ([], ["--set", "fleet_candidates.1.max=0"]):
+        start = time.perf_counter()
+        assert cli.main(["plan", "--scenario", "planner_small", *sets, *extra]) == 1
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        assert out == "error=invalid_routing\n"
+        assert err.strip() == message
+    sc = scenario_from_dict({**resolve_scenario_raw("planner_small"), **PROBE_INVALID})
+    model = build_routing_model(sc)
+    # the nominal point alone is valid; (1, 0) has no vehicle at T2, so its
+    # nominal point is unstable
+    assert wip_totals_batch(model, sc.nominal_p, FleetConfig((1, 1)))[1].all()
+    assert not wip_totals_batch(model, sc.nominal_p, FleetConfig((1, 0)))[1].any()
+    with pytest.raises(InvalidRouting) as exc:
+        check_constraints(model, sc.nominal_p, FleetConfig((1, 0)), sc.limits)
+    assert str(exc.value) == message
 
 
 # --- fleet scan --------------------------------------------------------------
