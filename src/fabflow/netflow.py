@@ -10,22 +10,33 @@ The residual graph is flat int lists: edge i is arc 2i and its reverse arc
 residual capacity of arc 2i+1.
 
 Max flow augments along Edmonds-Karp's shortest paths (*J. ACM* 19, 1972),
-the very paths a full BFS per path would pick, but finds them in Dinic's
-level graph (*Soviet Math. Dokl.* 11, 1970).  Each phase runs one full BFS
-and keeps the live level graph: arcs u -> v with level(v) = level(u) + 1,
-spare capacity, and v still reaching the sink.  Within the phase a BFS over
-that graph only, in adjacency order, picks each path.  The path is the same:
-the node that discovers a node v on a shortest s-t path is one level above
-v with an arc to it, so it lies on a shortest path too; by induction both
-BFSs meet those nodes in the same order and give each the same parent arc.
-Augmenting only adds arcs that go one level back toward the source, so
-every path of the phase's length stays in the old level graph, and its
-nodes keep their levels.  After each path, nodes left with no live arc are marked dead, back
-through their predecessors; dead nodes never discover live ones, so pruning
-them only saves time.  The last BFS, the one that misses the sink, has
-marked exactly the nodes the residual graph reaches from the source: that
-set is the source side of a minimum cut, so `max_flow` returns the cut with
-the flow and `min_cut` only reads it.
+the very paths a full BFS per path would pick, but finds them with Dinic's
+level graph and current-arc walk (*Soviet Math. Dokl.* 11, 1970).  Each
+phase runs one full BFS and keeps the live level graph: arcs u -> v with
+level(v) = level(u) + 1, spare capacity, and v still reaching the sink, in
+adjacency order.  A BFS over that graph alone would pick the same path as
+the full BFS: the node that discovers a node v on a shortest s-t path is
+one level above v with an arc to it, so it lies on a shortest path too; by
+induction both BFSs meet those nodes in the same order and give each the
+same parent arc.  Augmenting only adds arcs that go one level back toward
+the source, so every path of the phase's length stays in the old level
+graph, and its nodes keep their levels.
+
+The live level graph is a layered DAG in which every node reaches the sink,
+so that BFS meets the sink through the first node of each level, which is
+the head of the first live arc of the node before it: its path is the
+lexicographically first s-t path by adjacency position, and the walk that
+follows each node's first live arc from s finds exactly that path.  Each
+live node keeps a pointer to that arc.  Within a phase an arc only loses
+capacity and a dead node never comes back, so an arc that is no longer live
+stays dead and the pointer only moves forward.  After each path the
+pointers of the nodes whose arc the path saturated or whose head died move
+past the dead arcs; a node whose pointer runs off its list is dead, and its
+predecessors are checked in turn.  A phase thus costs one BFS, O(E) pointer
+moves and O(depth) per path, not a BFS per path.  The last BFS, the one
+that misses the sink, has marked exactly the nodes the residual graph
+reaches from the source: that set is the source side of a minimum cut, so
+`max_flow` returns the cut with the flow and `min_cut` only reads it.
 
 Min-cost flow uses successive shortest paths with node potentials (Ahuja,
 Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Every cost is multiplied
@@ -45,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Container, Mapping
+from typing import Container, Mapping, NamedTuple
 
 from .errors import (
     DuplicateNode,
@@ -66,8 +77,11 @@ class NodeKind(Enum):
     SINK = "sink"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One directed edge: an immutable record, built without per-field
+    setattr calls, that also compares equal to the plain tuple of its
+    fields."""
+
     tail: str
     head: str
     capacity_kg: int
@@ -238,8 +252,8 @@ def _augment(cap, path, limit=None) -> int:
 
 def max_flow(net: FlowNetwork) -> MaxFlowAssignment:
     """Maximum s-t flow along Edmonds-Karp's shortest augmenting paths, each
-    found in its phase's level graph, with the minimum cut read from the
-    last BFS."""
+    found by the current-arc walk over its phase's level graph, with the
+    minimum cut read from the last BFS."""
     index, head, cap, adj = _build_residual(net)
     n = len(adj)
     s, t = index[net.source], index[net.sink]
@@ -277,27 +291,30 @@ def max_flow(net: FlowNetwork) -> MaxFlowAssignment:
                 preds[u] = []
                 for a in arcs:
                     preds[head[a]].append(u)
+        # each live node's current arc: live[u][ptr[u]] is its first arc
+        # that still has spare capacity and a live head
+        ptr = dict.fromkeys(live, 0)
         while s in preds:
-            parent = {s: -1}
-            queue = [s]
-            for u in queue:
-                for a in live[u]:
-                    v = head[a]
-                    if v not in parent and cap[a] and v in preds:
-                        parent[v] = a
-                        queue.append(v)
-                if t in parent:
-                    break
-            path = _path(head, parent, s, t)
+            path = []
+            u = s
+            while u != t:
+                a = live[u][ptr[u]]
+                path.append(a)
+                u = head[a]
             total += _augment(cap, path)
             paths += 1
-            # a node with no live arc left is dead, and so may be its predecessors
+            # move the pointers past the arcs this path killed; a node whose
+            # pointer runs off its list is dead, and so may be its predecessors
             stack = [head[a ^ 1] for a in path if not cap[a]]
             while stack:
                 u = stack.pop()
                 if u in preds:
-                    live[u] = [a for a in live[u] if cap[a] and head[a] in preds]
-                    if not live[u]:
+                    arcs, i = live[u], ptr[u]
+                    while i < len(arcs) and not (cap[arcs[i]] and head[arcs[i]] in preds):
+                        i += 1
+                    if i < len(arcs):
+                        ptr[u] = i
+                    else:
                         stack += preds.pop(u)
     # the BFS that missed t ran until its queue was empty, so it marked
     # every node reachable from s in the final residual graph

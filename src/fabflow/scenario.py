@@ -271,15 +271,23 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
     # than the rest of an edge's checks
     per_kg: dict[int, Fraction] = {}
     for i, ed in _objects(raw.get("edges", []), errs, "network.edges"):
-        where = f"network.edges[{i}]"
-        frm = _req(ed, "from", str, errs, where)
-        to = _req(ed, "to", str, errs, where)
-        cap = _req(ed, "capacity_kg", int, errs, where)
-        # unlike the optional floats, a null cost is no default
-        cost = _req(ed, "cost_milli_per_kg", int, errs, where) if "cost_milli_per_kg" in ed else 0
-        transit = _req(ed, "transit_time_h", float, errs, where, default=0.0)
-        if frm is None or to is None or cap is None or cost is None or transit is None:
-            continue
+        frm, to, cap = ed.get("from"), ed.get("to"), ed.get("capacity_kg")
+        cost, transit = ed.get("cost_milli_per_kg", 0), ed.get("transit_time_h", 0.0)
+        # the usual edge, exact JSON types and a finite float, is read as is;
+        # any other goes through _req, for its coercions and its messages
+        if not (
+            type(frm) is str and type(to) is str and type(cap) is int and type(cost) is int
+            and type(transit) is float and -_FLOAT_MAX <= transit <= _FLOAT_MAX
+        ):
+            where = f"network.edges[{i}]"
+            frm = _req(ed, "from", str, errs, where)
+            to = _req(ed, "to", str, errs, where)
+            cap = _req(ed, "capacity_kg", int, errs, where)
+            # unlike the optional floats, a null cost is no default
+            cost = _req(ed, "cost_milli_per_kg", int, errs, where) if "cost_milli_per_kg" in ed else 0
+            transit = _req(ed, "transit_time_h", float, errs, where, default=0.0)
+            if frm is None or to is None or cap is None or cost is None or transit is None:
+                continue
         if cost not in per_kg:
             per_kg[cost] = Fraction(cost, 1000)
         edge = Edge(frm, to, cap, per_kg[cost], transit)
@@ -291,7 +299,7 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
                 if value > _MAX_EDGE_INT
             ]
         if problems:
-            _report(errs, where, problems)
+            _report(errs, f"network.edges[{i}]", problems)
         else:
             edges.append(edge)
         pairs.add((frm, to))

@@ -7,6 +7,7 @@ single-point and validating helpers that only tests call live here too.
 import bisect
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -857,3 +858,54 @@ def bipartite_network(k):
     edges += [(a, b, 1, (i * j) % 11) for i, a in enumerate(left) for j, b in enumerate(right)]
     edges += [(b, "t", 1, 0) for b in right]
     return _network_scenario(f"bipartite_{k}", nodes, edges)
+
+
+def freight_network(seed, n_nodes=300):
+    """Raw scenario of a seeded multi-plant freight network of `n_nodes`
+    nodes: three plants feed the first two of the logistics layers (each
+    about the square root of their node count wide), every logistics node
+    feeds three nodes of the next two layers, every third one also a node of
+    its own layer and every tenth one a node of the layer before (so cycles
+    exist), and the last two layers feed three destinations.  Capacities are
+    500-9000 kg, costs 50-400 milli-units per kg, transit times 0.5-6 h."""
+    rng = random.Random(f"freight:{seed}:{n_nodes}")
+    plants, dests = ["P0", "P1", "P2"], ["D0", "D1", "D2"]
+    logs = [f"L{i}" for i in range(n_nodes - 6)]
+    width = max(4, round(len(logs) ** 0.5))
+    layers = [logs[i:i + width] for i in range(0, len(logs), width)]
+    pairs = {}
+    for p in plants:
+        for x in rng.sample(layers[0] + layers[1], 4):
+            pairs[p, x] = None
+    for d in dests:
+        for x in rng.sample(layers[-1] + layers[-2], 4):
+            pairs[x, d] = None
+    for li, layer in enumerate(layers):
+        ahead = [x for later in layers[li + 1:li + 3] for x in later]
+        for i, x in enumerate(layer):
+            for y in rng.sample(ahead, min(len(ahead), 3)):
+                pairs[x, y] = None
+            same = [y for y in layer if y != x]
+            if same and i % 3 == 0:
+                pairs[x, rng.choice(same)] = None
+            if li and i % 10 == 0:
+                pairs[x, rng.choice(layers[li - 1])] = None
+    kinds = [(p, "production") for p in plants] + [(x, "logistics") for x in logs]
+    kinds += [(d, "destination") for d in dests]
+    return {
+        "schema_version": 1,
+        "name": f"freight_{n_nodes}_{seed}",
+        "network": {
+            "nodes": [{"id": nid, "kind": kind} for nid, kind in kinds],
+            "edges": [
+                {
+                    "from": u,
+                    "to": v,
+                    "capacity_kg": rng.randrange(500, 9001, 50),
+                    "cost_milli_per_kg": rng.randint(50, 400),
+                    "transit_time_h": round(rng.uniform(0.5, 6.0), 2),
+                }
+                for u, v in pairs
+            ],
+        },
+    }

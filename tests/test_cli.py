@@ -1055,6 +1055,27 @@ def test_outputs_on_every_fixture_match_their_pin(capsys, tmp_path, command):
     assert digest.hexdigest() == PINNED_OUTPUTS[command]
 
 
+# the same hash for one command line on a seeded 300-node freight network,
+# whose max flow of 40400 kg takes 59 augmenting paths in 3 phases
+FREIGHT_PINNED_OUTPUTS = {
+    "maxflow": "72bd9900ba68a08ca9c52be6eed58e3c70bea130e0bbd8e7bb5b6a2abe62705f",
+    "mincost --demand 20000": "f9c895839d5d32b56ac9e364e46a75a24e3864953e37b90d2ff6dd7fcf497bab",
+    "report": "b27f21add25ac921f2667ba5b26a4f58f9ddda5e1859d08035c67b54e7067e6b",
+}
+
+
+@pytest.mark.parametrize("command", FREIGHT_PINNED_OUTPUTS)
+def test_outputs_on_a_large_freight_network_match_their_pin(capsys, tmp_path, command):
+    path = tmp_path / "freight.json"
+    path.write_text(json.dumps(support.freight_network(1)), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, *command.split(), "--scenario", str(path), "--out", str(out))
+    digest = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+    for artifact in sorted(out.glob("*")):
+        digest.update(artifact.name.encode() + b"\n" + artifact.read_bytes())
+    assert digest.hexdigest() == FREIGHT_PINNED_OUTPUTS[command]
+
+
 @pytest.mark.parametrize("argv, name, infinite", [
     (
         ("plan", "--scenario", "planner_small",

@@ -139,6 +139,39 @@ def tied_network(rng):
     return build_network(SimpleNamespace(network=section))
 
 
+def layered_network(rng):
+    """Random layered network, 20-80 nodes in 3-8 layers between a source
+    and a sink, so that a phase has many equal-length paths that share arcs
+    and a level-graph node has many arcs for the current-arc pointer to
+    pass: the terminals fully wired to their layers, dense arcs from each
+    layer to the next with capacities mostly 0, 1 or 2, some arcs doubled
+    by an antiparallel one, and a few arcs within a layer or skipping one
+    (so later phases find longer paths), all in shuffled adjacency order."""
+    n_layers = rng.randint(3, 8)
+    sizes = [2] * n_layers
+    for _ in range(rng.randint(20, 80) - 2 - 2 * n_layers):
+        sizes[rng.randrange(n_layers)] += 1
+    names = iter(f"v{i}" for i in range(sum(sizes)))
+    inner = [[next(names) for _ in range(k)] for k in sizes]
+    layers = [["s"], *inner, ["t"]]
+
+    def capacity():
+        return rng.choice([0, 1, 1, 2, 2, rng.randint(0, 5)])
+
+    wired = [(("s", v), rng.randint(1, 9)) for v in inner[0]]
+    wired += [((u, "t"), rng.randint(1, 9)) for u in inner[-1]]
+    pairs = [(u, v) for here, ahead in zip(inner, inner[1:]) for u in here for v in ahead]
+    pairs = [pair for pair in pairs if rng.random() < 0.6]
+    pairs += [(v, u) for u, v in pairs if rng.random() < 0.2]
+    pairs += [(u, v) for layer in inner for u, v in itertools.permutations(layer, 2) if rng.random() < 0.05]
+    pairs += [(u, v) for here, ahead in zip(inner, inner[2:]) for u in here for v in ahead if rng.random() < 0.03]
+    arcs = wired + [(pair, capacity()) for pair in pairs]
+    rng.shuffle(arcs)
+    edges = [Edge(u, v, cap, Fraction(rng.randint(0, 3), 1000)) for (u, v), cap in arcs]
+    kinds = [(n, NodeKind.LOGISTICS) for layer in layers for n in layer]
+    return make_network(kinds, edges, "s", "t")
+
+
 def scaled_costs(net: FlowNetwork, factor: Fraction) -> FlowNetwork:
     edges = [
         Edge(e.tail, e.head, e.capacity_kg, e.cost_per_kg * factor, e.transit_time_h)
@@ -434,6 +467,14 @@ def test_solvers_match_the_oracles_on_tied_networks(seed):
     import random
 
     assert_same_as_oracles(tied_network(random.Random(seed)))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_solvers_match_the_oracles_on_layered_networks(seed):
+    import random
+
+    assert_same_as_oracles(layered_network(random.Random(seed)))
 
 
 @pytest.mark.parametrize("fixture", ["fig9_baseline", "fig10_optimized"])

@@ -1,5 +1,7 @@
 """Scenario schema: round trips, digests, error collection, report emission."""
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -178,6 +180,159 @@ def test_every_problem_is_collected_in_one_pass():
         "unknown task type 'Q'",
     ):
         assert fragment in messages, fragment
+
+
+# --- hostile edge fields -----------------------------------------------------
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+EDGE = {"from": "a", "to": "b", "capacity_kg": 5, "cost_milli_per_kg": 7, "transit_time_h": 1.5}
+ABSENT = object()
+HOSTILE_EDGE_VALUES = {
+    "absent": lambda field: ABSENT,
+    "null": lambda field: None,
+    "true": lambda field: True,
+    "string": lambda field: "5",
+    "7.5": lambda field: 7.5,
+    "int": lambda field: 5,
+    "10**400": lambda field: 10 ** 400,
+    "nan": lambda field: math.nan,
+    "inf": lambda field: math.inf,
+    "-inf": lambda field: -math.inf,
+    "str subclass": lambda field: Name(EDGE[field] if field in ("from", "to") else "5"),
+    "int subclass": lambda field: Count(5),
+}
+# for each field and value: the exact problems under network.edges[0], or
+# the edge's fields (types included) and the scenario digest; taken from the
+# parser before its exact-type fast path was added
+HOSTILE_EDGE_ANSWERS = {
+    ("from", "absent"): ["missing required field 'from'"],
+    ("from", "null"): ["missing required field 'from'"],
+    ("from", "true"): ["field 'from' has wrong type"],
+    ("from", "string"): ["unknown node '5'"],
+    ("from", "7.5"): ["field 'from' has wrong type"],
+    ("from", "int"): ["field 'from' has wrong type"],
+    ("from", "10**400"): ["field 'from' has wrong type"],
+    ("from", "nan"): ["field 'from' has wrong type"],
+    ("from", "inf"): ["field 'from' has wrong type"],
+    ("from", "-inf"): ["field 'from' has wrong type"],
+    ("from", "str subclass"): (
+        (Name("a"), "b", 5, Fraction(7, 1000), 1.5),
+        "8361bd2b82a3df7e816e83d0f68df8f7cc5011173fc88812fd886adb2613dad8",
+    ),
+    ("from", "int subclass"): ["field 'from' has wrong type"],
+    ("to", "absent"): ["missing required field 'to'"],
+    ("to", "null"): ["missing required field 'to'"],
+    ("to", "true"): ["field 'to' has wrong type"],
+    ("to", "string"): ["unknown node '5'"],
+    ("to", "7.5"): ["field 'to' has wrong type"],
+    ("to", "int"): ["field 'to' has wrong type"],
+    ("to", "10**400"): ["field 'to' has wrong type"],
+    ("to", "nan"): ["field 'to' has wrong type"],
+    ("to", "inf"): ["field 'to' has wrong type"],
+    ("to", "-inf"): ["field 'to' has wrong type"],
+    ("to", "str subclass"): (
+        ("a", Name("b"), 5, Fraction(7, 1000), 1.5),
+        "8361bd2b82a3df7e816e83d0f68df8f7cc5011173fc88812fd886adb2613dad8",
+    ),
+    ("to", "int subclass"): ["field 'to' has wrong type"],
+    ("capacity_kg", "absent"): ["missing required field 'capacity_kg'"],
+    ("capacity_kg", "null"): ["missing required field 'capacity_kg'"],
+    ("capacity_kg", "true"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "string"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "7.5"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "int"): (
+        ("a", "b", 5, Fraction(7, 1000), 1.5),
+        "8361bd2b82a3df7e816e83d0f68df8f7cc5011173fc88812fd886adb2613dad8",
+    ),
+    ("capacity_kg", "10**400"): ["capacity_kg must be at most 2**53 - 1"],
+    ("capacity_kg", "nan"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "inf"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "-inf"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "str subclass"): ["field 'capacity_kg' has wrong type"],
+    ("capacity_kg", "int subclass"): (
+        ("a", "b", Count(5), Fraction(7, 1000), 1.5),
+        "8361bd2b82a3df7e816e83d0f68df8f7cc5011173fc88812fd886adb2613dad8",
+    ),
+    ("cost_milli_per_kg", "absent"): (
+        ("a", "b", 5, Fraction(0, 1), 1.5),
+        "ab1492b8e4e717e163ef6a89902f4e1f77fd7e4f4221b036493712c8a7cf8aff",
+    ),
+    ("cost_milli_per_kg", "null"): ["missing required field 'cost_milli_per_kg'"],
+    ("cost_milli_per_kg", "true"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "string"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "7.5"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "int"): (
+        ("a", "b", 5, Fraction(1, 200), 1.5),
+        "68f134d78625d8a455e7ec32caf884fee590a4fdee8b69b972d56955d352923f",
+    ),
+    ("cost_milli_per_kg", "10**400"): ["cost_milli_per_kg must be at most 2**53 - 1"],
+    ("cost_milli_per_kg", "nan"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "inf"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "-inf"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "str subclass"): ["field 'cost_milli_per_kg' has wrong type"],
+    ("cost_milli_per_kg", "int subclass"): (
+        ("a", "b", 5, Fraction(1, 200), 1.5),
+        "68f134d78625d8a455e7ec32caf884fee590a4fdee8b69b972d56955d352923f",
+    ),
+    ("transit_time_h", "absent"): (
+        ("a", "b", 5, Fraction(7, 1000), 0.0),
+        "bc28716576a6737431bce181f83a9caee9ad014eafdc7547624ce52fd4ea328d",
+    ),
+    ("transit_time_h", "null"): (
+        ("a", "b", 5, Fraction(7, 1000), 0.0),
+        "bc28716576a6737431bce181f83a9caee9ad014eafdc7547624ce52fd4ea328d",
+    ),
+    ("transit_time_h", "true"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "string"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "7.5"): (
+        ("a", "b", 5, Fraction(7, 1000), 7.5),
+        "629af87787fef57528d4d70c552a94e1177c1c3c8cbc950e641caaee985fd862",
+    ),
+    ("transit_time_h", "int"): (
+        ("a", "b", 5, Fraction(7, 1000), 5.0),
+        "85fa210fc62f011fe201943a3ace43d2d49ebd5647fe1388df335eba6be49e64",
+    ),
+    ("transit_time_h", "10**400"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "nan"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "inf"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "-inf"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "str subclass"): ["field 'transit_time_h' must be a finite number"],
+    ("transit_time_h", "int subclass"): (
+        ("a", "b", 5, Fraction(7, 1000), 5.0),
+        "85fa210fc62f011fe201943a3ace43d2d49ebd5647fe1388df335eba6be49e64",
+    ),
+}
+
+
+@pytest.mark.parametrize("field, label", list(HOSTILE_EDGE_ANSWERS), ids="{0[0]}={0[1]}".format)
+def test_hostile_edge_field_gets_the_pinned_answer(field, label):
+    edge = dict(EDGE)
+    value = HOSTILE_EDGE_VALUES[label](field)
+    if value is ABSENT:
+        del edge[field]
+    else:
+        edge[field] = value
+    nodes = [{"id": "a", "kind": "production"}, {"id": "b", "kind": "destination"}]
+    doc = minimal_doc(network={"nodes": nodes, "edges": [edge]})
+    expected = HOSTILE_EDGE_ANSWERS[field, label]
+    if isinstance(expected, list):
+        with pytest.raises(ValidationErrors) as exc:
+            scenario_from_dict(doc)
+        assert exc.value.errors == [f"network.edges[0]: {p}" for p in expected]
+        return
+    sc = scenario_from_dict(doc)
+    (got,) = sc.network.edges
+    values, digest = expected
+    assert tuple(got) == values
+    assert [type(v) for v in got] == [type(v) for v in values]
+    assert scenario_digest(sc) == digest
 
 
 def test_unparseable_routing_value_still_has_its_cell_checked():
