@@ -60,13 +60,17 @@ class ValidationErrors(ScenarioValidationError):
         super().__init__("; ".join(self.errors))
 
 
-def shown(value, limit: int = 80) -> str:
-    """repr(value) for a problem message: cut to `limit` characters, with the
-    full length noted, so that the message stays short whatever the input."""
+# most characters of a value's repr that a problem message shows
+_SHOWN_MAX = 80
+
+
+def shown(value) -> str:
+    """repr(value) for a problem message: cut to _SHOWN_MAX characters, with
+    the full length noted, so that the message stays short whatever the input."""
     text = repr(value)
-    if len(text) <= limit:
+    if len(text) <= _SHOWN_MAX:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:_SHOWN_MAX]}... ({len(text)} characters)"
 
 
 def param_error(name: str, value, domain: str, ok, integer: bool = False) -> str | None:
@@ -81,6 +85,13 @@ def param_error(name: str, value, domain: str, ok, integer: bool = False) -> str
     if not ok(value):
         return f"{name} must {domain} (got {shown(value)})"
     return None
+
+
+def _raise_problems(*problems: str | None) -> None:
+    """ValidationErrors listing every problem param_error found, if any."""
+    found = [p for p in problems if p is not None]
+    if found:
+        raise ValidationErrors(found)
 
 
 class IoError(ScenarioValidationError):

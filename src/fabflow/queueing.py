@@ -87,7 +87,8 @@ class StationProfile:
 
     mu_base is lots/hour; for transport stations the effective rate is
     mu_base times the vehicle count of `vehicle_type` (an index into
-    FleetConfig.counts).  gamma is the external arrival rate.
+    FleetConfig.counts), and a process station has no vehicle_type.  gamma
+    is the external arrival rate.
     """
 
     station_id: str
@@ -105,6 +106,8 @@ class StationProfile:
             problems.append("gamma must be non-negative")
         if self.kind == StationKind.TRANSPORT and self.vehicle_type is None:
             problems.append("a transport station needs a vehicle_type binding")
+        if self.kind == StationKind.PROCESS and self.vehicle_type is not None:
+            problems.append("a process station takes no vehicle_type")
         if problems:
             raise InvalidRouting(f"station {self.station_id}: " + "; ".join(problems))
 

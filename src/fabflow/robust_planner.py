@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import queueing, simplex
-from .errors import NoFeasibleFleet, NoStablePoint, ValidationErrors, param_error
+from .errors import NoFeasibleFleet, NoStablePoint, ValidationErrors, _raise_problems, param_error
 from .queueing import FleetConfig, RoutingModel
 
 CLIP_ETA = 1e-3          # probes stay in [eta, 1 - eta]
@@ -107,7 +107,7 @@ class PlannerLimits:
         # Dirichlet draw, so their bound is the largest float.  u is compared
         # with w_star only when w_star is a number.
         w_star = self.w_star if isinstance(self.w_star, (int, float)) else -math.inf
-        problems = [
+        _raise_problems(
             param_error("c_max", self.c_max, "be at least 1", lambda v: v >= 1, integer=True),
             param_error("w_star", self.w_star, "be positive", lambda v: v > 0),
             param_error("u", self.u, "be at least w_star", lambda v: v >= w_star),
@@ -128,10 +128,7 @@ class PlannerLimits:
                 "mc_alpha", self.mc_alpha, "be positive and finite",
                 lambda v: 0 < v <= sys.float_info.max,
             ),
-        ]
-        problems = [p for p in problems if p is not None]
-        if problems:
-            raise ValidationErrors(problems)
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,10 +12,15 @@ targets by library code).
 `resolve_scenario_raw` is the one reader: it decodes the JSON of a file or
 of a bundled fixture.  `scenario_from_dict` then walks the sections in
 order and reports every problem at once, each under a `where` prefix such
-as `network.edges[3]`.  The parser itself checks only the JSON shape and
-the leaf types, the file-format rules (known kinds, the edge-number bound,
-unique routing cells, vehicles, distances and tasks) and the references
-between sections.  Every value rule of an entity lives with its type: the
+as `network.edges[3]`.  Every list section but `network.edges` is read by
+one record walk, `_records`, from one statement of its fields: key, type
+and default.  The walk reads every field, and skips a record with a field
+that is missing or wrong, or with a key outside its fields.  An edge is
+read by hand, so that the usual edge, of exact JSON types, is taken as it
+is.  The parser itself checks only the JSON shape and the leaf types, the
+file-format rules (known kinds and fields, the edge-number bound, unique
+routing cells, vehicles, distances and tasks) and the references between
+sections.  Every value rule of an entity lives with its type: the
 constructors and the `*_errors` rule functions of `netflow` (nodes, edges),
 `queueing` (stations, routing cells, fleets, transfer probabilities),
 `robust_planner` (candidate ranges, limits) and `scheduler` (tasks,
@@ -97,6 +102,8 @@ _TOP_LEVEL_KEYS = {
     "distances",
     "metaheuristic_params",
 }
+_NETWORK_KEYS = {"nodes", "edges"}
+_EDGE_KEYS = {"from", "to", "capacity_kg", "cost_milli_per_kg", "transit_time_h"}
 
 
 @dataclass(frozen=True)
@@ -212,15 +219,36 @@ def _objects(raw, errs: list[str], where: str) -> list[tuple[int, Mapping]]:
     return out
 
 
+def _unknown(entry: Mapping, known, errs: list[str], where: str) -> bool:
+    """Whether `entry` has keys outside `known`, a set or a key view; they
+    are reported."""
+    if entry.keys() <= known:
+        return False
+    errs.append(f"{where}: unknown fields {sorted(entry.keys() - known)}")
+    return True
+
+
+def _records(raw, errs: list[str], section: str, *spec, extra=()):
+    """(where, entry, values) for each object of a list section, its fields
+    read by _req as `spec` lists them, `(key, kind)` or `(key, kind,
+    default)`.  A record with a missing or wrong field, or with a key that
+    is neither in `spec` nor in `extra` (read by the caller), is skipped."""
+    spec = [(key, kind, rest[0] if rest else None) for key, kind, *rest in spec]
+    known = {key for key, _, _ in spec}.union(extra)
+    for i, entry in _objects(raw, errs, section):
+        where = f"{section}[{i}]"
+        values = [_req(entry, key, kind, errs, where, default) for key, kind, default in spec]
+        if not _unknown(entry, known, errs, where) and None not in values:
+            yield where, entry, values
+
+
 def _fields(cls, raw, errs: list[str], where: str):
     """cls(**raw) for an object whose keys are fields of the dataclass cls,
     or None with its problems reported under `where`."""
     if not isinstance(raw, Mapping):
         errs.append(f"{where}: must be an object")
         return None
-    unknown = set(raw) - set(cls.__dataclass_fields__)
-    if unknown:
-        errs.append(f"{where}: unknown fields {sorted(unknown)}")
+    if _unknown(raw, cls.__dataclass_fields__.keys(), errs, where):
         return None
     missing = [
         f.name for f in fields(cls)
@@ -254,13 +282,11 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
     if not isinstance(raw, Mapping):
         errs.append("network: must be an object with nodes and edges")
         return None
+    _unknown(raw, _NETWORK_KEYS, errs, "network")
     nodes: dict[str, NodeKind] = {}
-    for i, nd in _objects(raw.get("nodes", []), errs, "network.nodes"):
-        where = f"network.nodes[{i}]"
-        nid = _req(nd, "id", str, errs, where)
-        kind = _req(nd, "kind", str, errs, where)
-        if nid is None or kind is None:
-            continue
+    for where, _, (nid, kind) in _records(
+        raw.get("nodes", []), errs, "network.nodes", ("id", str), ("kind", str)
+    ):
         if kind not in _NODE_KINDS:
             errs.append(f"{where}: unknown node kind '{kind}'")
         elif not _report(errs, where, node_errors(nid, nodes)):
@@ -272,12 +298,14 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
     per_kg: dict[int, Fraction] = {}
     for i, ed in _objects(raw.get("edges", []), errs, "network.edges"):
         frm, to, cap = ed.get("from"), ed.get("to"), ed.get("capacity_kg")
-        cost, transit = ed.get("cost_milli_per_kg", 0), ed.get("transit_time_h", 0.0)
-        # the usual edge, exact JSON types and a finite float, is read as is;
-        # any other goes through _req, for its coercions and its messages
+        cost, transit = ed.get("cost_milli_per_kg"), ed.get("transit_time_h")
+        # the usual edge, its five fields alone, of exact JSON types and a
+        # finite transit time, is read as is; any other goes through _req and
+        # the key check, for their coercions and their messages
         if not (
             type(frm) is str and type(to) is str and type(cap) is int and type(cost) is int
             and type(transit) is float and -_FLOAT_MAX <= transit <= _FLOAT_MAX
+            and len(ed) == 5
         ):
             where = f"network.edges[{i}]"
             frm = _req(ed, "from", str, errs, where)
@@ -286,7 +314,7 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
             # unlike the optional floats, a null cost is no default
             cost = _req(ed, "cost_milli_per_kg", int, errs, where) if "cost_milli_per_kg" in ed else 0
             transit = _req(ed, "transit_time_h", float, errs, where, default=0.0)
-            if frm is None or to is None or cap is None or cost is None or transit is None:
+            if _unknown(ed, _EDGE_KEYS, errs, where) or None in (frm, to, cap, cost, transit):
                 continue
         if cost not in per_kg:
             per_kg[cost] = Fraction(cost, 1000)
@@ -309,14 +337,10 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
 def _parse_stations(raw, errs: list[str]) -> tuple[StationProfile, ...]:
     stations = []
     ids: set[str] = set()
-    for i, st in _objects(raw, errs, "stations"):
-        where = f"stations[{i}]"
-        sid = _req(st, "id", str, errs, where)
-        kind = _req(st, "kind", str, errs, where)
-        mu = _req(st, "mu_base", float, errs, where)
-        gamma = _req(st, "gamma", float, errs, where, default=0.0)
-        if None in (sid, kind, mu, gamma):
-            continue
+    for where, st, (sid, kind, mu, gamma) in _records(
+        raw, errs, "stations", ("id", str), ("kind", str), ("mu_base", float), ("gamma", float, 0.0),
+        extra=("vehicle_type",),
+    ):
         if kind not in ("process", "transport"):
             errs.append(f"{where}: unknown station kind '{kind}'")
             continue
@@ -352,11 +376,8 @@ def _check_vehicle_types(stations, n_types: int | None, errs: list[str]):
 
 
 def _parse_candidates(raw, errs: list[str]) -> FleetCandidateSpace | None:
-    bounds = []
-    for i, b in _objects(raw, errs, "fleet_candidates"):
-        where = f"fleet_candidates[{i}]"
-        bounds.append((_req(b, "min", int, errs, where), _req(b, "max", int, errs, where)))
-    if not bounds or len(bounds) != len(raw) or any(None in b for b in bounds):
+    bounds = [tuple(b) for _, _, b in _records(raw, errs, "fleet_candidates", ("min", int), ("max", int))]
+    if not bounds or len(bounds) != len(raw):
         return None
     return _build(errs, "fleet_candidates", FleetCandidateSpace, tuple(bounds))
 
@@ -366,13 +387,9 @@ def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str
     dim = None if nominal_p is None else len(nominal_p)
     routing = []
     cells: set[tuple[str, str]] = set()
-    for i, cell in _objects(raw, errs, "routing"):
-        where = f"routing[{i}]"
-        frm = _req(cell, "from", str, errs, where)
-        to = _req(cell, "to", str, errs, where)
-        expr = _req(cell, "value", str, errs, where)
-        if None in (frm, to, expr):
-            continue
+    for where, _, (frm, to, expr) in _records(
+        raw, errs, "routing", ("from", str), ("to", str), ("value", str)
+    ):
         factors = _build(errs, where, parse_routing_expr, expr)
         # a value that does not parse still has its stations and pair checked
         problems = binding_errors(frm, to, factors or (), station_ids, dim, cells)
@@ -385,17 +402,14 @@ def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str
 def _parse_vehicles(raw, errs: list[str]) -> tuple[VehicleSpec, ...]:
     vehicles = []
     ids: set[str] = set()
-    for i, vd in _objects(raw, errs, "vehicles"):
-        where = f"vehicles[{i}]"
-        vid = _req(vd, "vehicle_id", str, errs, where)
-        speed = _req(vd, "speed", float, errs, where)
-        extras = {
-            key: _req(vd, key, float, errs, where, default=0.0)
-            for key in ("load_time_h", "unload_time_h", "cost_rate")
-        }
-        if None in (vid, speed, *extras.values()) or not _new(vid, ids, errs, where, "vehicle id"):
+    for where, _, values in _records(
+        raw, errs, "vehicles", ("vehicle_id", str), ("speed", float),
+        ("load_time_h", float, 0.0), ("unload_time_h", float, 0.0), ("cost_rate", float, 0.0),
+    ):
+        if not _new(values[0], ids, errs, where, "vehicle id"):
             continue
-        vehicle = _build(errs, where, VehicleSpec, vehicle_id=vid, speed=speed, **extras)
+        # the fields in VehicleSpec's order
+        vehicle = _build(errs, where, VehicleSpec, *values)
         if vehicle is not None:
             vehicles.append(vehicle)
     return tuple(vehicles)
@@ -404,13 +418,9 @@ def _parse_vehicles(raw, errs: list[str]) -> tuple[VehicleSpec, ...]:
 def _parse_distances(raw, errs: list[str]) -> dict[tuple[str, str], float]:
     distances: dict[tuple[str, str], float] = {}
     pairs: set[tuple[str, str]] = set()
-    for i, dd in _objects(raw, errs, "distances"):
-        where = f"distances[{i}]"
-        frm = _req(dd, "from", str, errs, where)
-        to = _req(dd, "to", str, errs, where)
-        dist = _req(dd, "distance", float, errs, where)
-        if None in (frm, to, dist):
-            continue
+    for where, _, (frm, to, dist) in _records(
+        raw, errs, "distances", ("from", str), ("to", str), ("distance", float)
+    ):
         if frm == to:
             errs.append(f"{where}: distance from a node to itself")
         elif dist < 0:
@@ -424,17 +434,11 @@ def _parse_tasks(raw, errs: list[str], network, distances) -> tuple[TransportTas
     node_ids = None if network is None else dict(network.nodes)
     tasks = []
     ids: set[str] = set()
-    for i, td in _objects(raw, errs, "tasks"):
-        where = f"tasks[{i}]"
-        tid = _req(td, "task_id", str, errs, where)
-        ttype = _req(td, "task_type", str, errs, where)
-        origin = _req(td, "origin", str, errs, where)
-        dest = _req(td, "destination", str, errs, where)
-        mass = _req(td, "lot_mass_kg", float, errs, where)
-        baseline = _req(td, "baseline_duration_h", float, errs, where, default=0.0)
-        if None in (tid, ttype, origin, dest, mass, baseline) or not _new(
-            tid, ids, errs, where, "task id"
-        ):
+    for where, _, (tid, ttype, origin, dest, mass, baseline) in _records(
+        raw, errs, "tasks", ("task_id", str), ("task_type", str), ("origin", str),
+        ("destination", str), ("lot_mass_kg", float), ("baseline_duration_h", float, 0.0),
+    ):
+        if not _new(tid, ids, errs, where, "task id"):
             continue
         try:
             task_type = TaskType(ttype)
@@ -628,17 +632,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             del limits["p_neighborhood_radius"]
         out["limits"] = limits
     if scenario.tasks is not None:
-        out["tasks"] = [
-            {
-                "task_id": t.task_id,
-                "task_type": t.task_type.value,
-                "origin": t.origin,
-                "destination": t.destination,
-                "lot_mass_kg": t.lot_mass_kg,
-                "baseline_duration_h": t.baseline_duration_h,
-            }
-            for t in scenario.tasks
-        ]
+        out["tasks"] = [{**_dataclass_public_dict(t), "task_type": t.task_type.value} for t in scenario.tasks]
     if scenario.vehicles is not None:
         out["vehicles"] = [_dataclass_public_dict(v) for v in scenario.vehicles]
     if scenario.distances:

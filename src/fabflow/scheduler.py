@@ -62,6 +62,7 @@ from .errors import (
     MissingDistance,
     OverloadedVehicleRound,
     ValidationErrors,
+    _raise_problems,
     param_error,
     shown,
 )
@@ -325,13 +326,6 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValidationErrors([f"seed {seed} is negative; seeds must be non-negative integers"])
     return np.random.default_rng(seed)
-
-
-def _raise_problems(*problems: str | None) -> None:
-    """ValidationErrors listing every problem errors.param_error found, if any."""
-    found = [p for p in problems if p is not None]
-    if found:
-        raise ValidationErrors(found)
 
 
 # most schedule evaluations one GA run may plan: the default plans 20,100; at

@@ -461,6 +461,34 @@ def test_section_of_wrong_type_exits_1(capsys, scenario, override, where):
 
 
 @pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("wip", "--scenario", "queueing_reference", "--set", "stations.0.gama=5"),
+         "stations[0]: unknown fields ['gama']"),
+        (("wip", "--scenario", "queueing_reference", "--set", "routing.0.valeu=p:1"),
+         "routing[0]: unknown fields ['valeu']"),
+        (("maxflow", "--scenario", "fig9_baseline", "--set", "network.edges.0.capacity=5"),
+         "network.edges[0]: unknown fields ['capacity']"),
+        (("maxflow", "--scenario", "fig9_baseline", "--set", "network.edgez=[]"),
+         "network: unknown fields ['edgez']"),
+        (("schedule", "--method", "sa", "--scenario", "table1_bench", "--set", "vehicles.0.cost_rat=1e6"),
+         "vehicles[0]: unknown fields ['cost_rat']"),
+        (("schedule", "--method", "sa", "--scenario", "table1_bench", "--set", "tasks.0.baseline=9"),
+         "tasks[0]: unknown fields ['baseline']"),
+        (("wip", "--scenario", "queueing_reference", "--set", "stations.0.vehicle_type=[1,2]"),
+         "stations[0]: station IN: a process station takes no vehicle_type"),
+        (("wip", "--scenario", "queueing_reference", "--set", "stations.0.vehicle_type=NaN"),
+         "stations[0]: station IN: a process station takes no vehicle_type"),
+    ],
+)
+def test_misspelled_or_unused_record_field_exits_1(capsys, argv, where):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.startswith(where)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("c_max", "1.5"),

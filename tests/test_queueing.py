@@ -169,6 +169,11 @@ def test_transport_station_requires_vehicle_type():
         StationProfile("T", StationKind.TRANSPORT, 0.7)
 
 
+def test_process_station_takes_no_vehicle_type():
+    with pytest.raises(InvalidRouting, match="a process station takes no vehicle_type"):
+        StationProfile("IN", StationKind.PROCESS, 3.0, vehicle_type=0)
+
+
 def test_vehicle_type_out_of_range():
     model, p, _ = hub()
     with pytest.raises(InvalidRouting, match="vehicle type"):
