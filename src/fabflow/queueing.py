@@ -34,8 +34,8 @@ directional step, as the gradient is still zero there.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -726,11 +726,15 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
     coordinate without an axis is 0.  A point is kept only when every
     coordinate, p_0 included, lies strictly inside (0, 1), the rule
     wltp_errors applies to a nominal p; so a free_axes shorter than dim - 1
-    keeps no point.  Raises ValidationErrors unless free_axes is a list of
-    at most dim - 1 lists of numbers that leaves at least one point, or
-    when the product of the axis lengths is above GRID_POINTS_MAX or the
-    line records of its audit above GRID_LINES_MAX (both counted before
-    anything is enumerated).
+    keeps no point, nor does a value beyond the float range.  Raises
+    ValidationErrors unless free_axes is a list of at most dim - 1 lists of
+    numbers that leaves at least one point, or when the product of the axis
+    lengths is above GRID_POINTS_MAX or the line records of its audit above
+    GRID_LINES_MAX (both counted before anything is enumerated).
+
+    The points are built as one (count, dim) array, in itertools.product
+    order, and returned as its kept rows, for gradient_grid; each row is bit
+    for bit the point that p_0 = 1 - np.sum(combination) gives alone.
     """
     where = "metadata.monotonicity_grid.free_axes"
     if not (
@@ -759,13 +763,19 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
             f"{where}: the axis lengths {shown(lengths)} plan {records} line records over "
             f"{dim - 1} free coordinates, more than GRID_LINES_MAX = {GRID_LINES_MAX}"
         ])
-    points = []
-    for combo in itertools.product(*free_axes):
-        p = np.zeros(dim)
-        p[1 : 1 + len(combo)] = combo
-        p[0] = 1.0 - float(np.sum(combo))
-        if ((0.0 < p) & (p < 1.0)).all():
-            points.append(p)
+    # every point at once, in itertools.product's order (the last axis
+    # fastest); a value too large for a float lies outside (0, 1) as inf does
+    axes = [
+        np.array([v if abs(v) <= sys.float_info.max else math.inf for v in axis], dtype=float)
+        for axis in free_axes
+    ]
+    combos = np.empty((count, len(axes)))
+    for j, column in enumerate(np.meshgrid(*axes, indexing="ij")):
+        combos[:, j] = column.ravel()
+    P = np.zeros((count, dim))
+    P[:, 1 : 1 + len(axes)] = combos
+    P[:, 0] = 1.0 - combos.sum(axis=1)
+    points = list(P[((0.0 < P) & (P < 1.0)).all(axis=1)])
     if not points:
         raise ValidationErrors([f"{where}: no grid point lies inside the open simplex"])
     return points

@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import queueing, simplex
-from .errors import NoFeasibleFleet, NoStablePoint, ValidationErrors, _raise_problems, param_error
+from .errors import NoFeasibleFleet, NoStablePoint, ValidationErrors, _raise_problems, param_error, shown
 from .queueing import FleetConfig, RoutingModel
 
 CLIP_ETA = 1e-3          # probes stay in [eta, 1 - eta]
@@ -495,7 +495,7 @@ class FleetCandidateSpace:
 
     def __post_init__(self):
         problems = [
-            f"range {i} is ({lo}, {hi}); need 0 <= min <= max"
+            f"range {i} is ({shown(lo)}, {shown(hi)}); need 0 <= min <= max"
             for i, (lo, hi) in enumerate(self.bounds)
             if not 0 <= lo <= hi
         ]

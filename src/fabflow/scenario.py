@@ -16,19 +16,21 @@ as `network.edges[3]`.  Every list section but `network.edges` is read by
 one record walk, `_records`, from one statement of its fields: key, type
 and default.  The walk reads every field, and skips a record with a field
 that is missing or wrong, or with a key outside its fields.  An edge is
-read by hand, so that the usual edge, of exact JSON types, is taken as it
-is.  The parser itself checks only the JSON shape and the leaf types, the
-file-format rules (known kinds and fields, the edge-number bound, unique
-routing cells, vehicles, distances and tasks) and the references between
-sections.  Every value rule of an entity lives with its type: the
-constructors and the `*_errors` rule functions of `netflow` (nodes, edges),
-`queueing` (stations, routing cells, fleets, transfer probabilities),
-`robust_planner` (candidate ranges, limits) and `scheduler` (tasks,
-vehicles, search parameters).
+read by hand, so that the usual edge, of exact JSON types and within every
+edge rule, is taken after one test.  The parser itself checks only the
+JSON shape and the leaf types, the file-format rules (known kinds and
+fields, the edge-number bound, unique routing cells, vehicles, distances
+and tasks) and the references between sections.  Every value rule of an
+entity lives with its type: the constructors and the `*_errors` rule
+functions of `netflow` (nodes, edges), `queueing` (stations, routing
+cells, fleets, transfer probabilities), `robust_planner` (candidate
+ranges, limits) and `scheduler` (tasks, vehicles, search parameters).
 
 Serialization is canonical: stable key order, explicit parameter defaults,
 so the SHA-256 `inputs_digest` changes exactly when a semantically
-meaningful field changes.
+meaningful field changes.  `scenario_to_dict` and `scenario_digest` read one
+list of sections; the digest writes the network's records with a
+fixed-shape writer, not through a dict per edge.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -237,7 +240,10 @@ def _records(raw, errs: list[str], section: str, *spec, extra=()):
     known = {key for key, _, _ in spec}.union(extra)
     for i, entry in _objects(raw, errs, section):
         where = f"{section}[{i}]"
-        values = [_req(entry, key, kind, errs, where, default) for key, kind, default in spec]
+        # a plain loop: a comprehension here would be a call per record
+        values = []
+        for key, kind, default in spec:
+            values.append(_req(entry, key, kind, errs, where, default))
         if not _unknown(entry, known, errs, where) and None not in values:
             yield where, entry, values
 
@@ -299,13 +305,16 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
     for i, ed in _objects(raw.get("edges", []), errs, "network.edges"):
         frm, to, cap = ed.get("from"), ed.get("to"), ed.get("capacity_kg")
         cost, transit = ed.get("cost_milli_per_kg"), ed.get("transit_time_h")
-        # the usual edge, its five fields alone, of exact JSON types and a
-        # finite transit time, is read as is; any other goes through _req and
-        # the key check, for their coercions and their messages
+        # the usual edge, its five fields alone, of exact JSON types, that
+        # breaks no rule of edge_errors and the edge-number bound, is taken
+        # after this one test; any other goes through _req, the key check and
+        # those rules, for their coercions and their messages
         if not (
             type(frm) is str and type(to) is str and type(cap) is int and type(cost) is int
-            and type(transit) is float and -_FLOAT_MAX <= transit <= _FLOAT_MAX
-            and len(ed) == 5
+            and type(transit) is float and len(ed) == 5
+            and 0 <= cap <= _MAX_EDGE_INT and 0 <= cost <= _MAX_EDGE_INT
+            and 0.0 <= transit <= _FLOAT_MAX
+            and frm in nodes and to in nodes and frm != to and (frm, to) not in pairs
         ):
             where = f"network.edges[{i}]"
             frm = _req(ed, "from", str, errs, where)
@@ -316,20 +325,18 @@ def _parse_network(raw, errs: list[str]) -> NetworkSection | None:
             transit = _req(ed, "transit_time_h", float, errs, where, default=0.0)
             if _unknown(ed, _EDGE_KEYS, errs, where) or None in (frm, to, cap, cost, transit):
                 continue
-        if cost not in per_kg:
-            per_kg[cost] = Fraction(cost, 1000)
-        edge = Edge(frm, to, cap, per_kg[cost], transit)
-        problems = edge_errors(edge, nodes, pairs)
-        if cap > _MAX_EDGE_INT or cost > _MAX_EDGE_INT:
+            problems = edge_errors(Edge(frm, to, cap, Fraction(cost, 1000), transit), nodes, pairs)
             problems += [
                 f"{name} must be at most 2**53 - 1"
                 for name, value in (("capacity_kg", cap), ("cost_milli_per_kg", cost))
                 if value > _MAX_EDGE_INT
             ]
-        if problems:
-            _report(errs, f"network.edges[{i}]", problems)
-        else:
-            edges.append(edge)
+            if _report(errs, where, problems):
+                pairs.add((frm, to))
+                continue
+        if cost not in per_kg:
+            per_kg[cost] = Fraction(cost, 1000)
+        edges.append(Edge(frm, to, cap, per_kg[cost], transit))
         pairs.add((frm, to))
     return NetworkSection(nodes=tuple(nodes.items()), edges=tuple(edges))
 
@@ -370,7 +377,7 @@ def _check_vehicle_types(stations, n_types: int | None, errs: list[str]):
             )
         elif not 0 <= vt < n_types:
             errs.append(
-                f"station {st.station_id}: vehicle_type {vt} "
+                f"station {st.station_id}: vehicle_type {shown(vt)} "
                 f"outside the {n_types} declared fleet types"
             )
 
@@ -382,8 +389,16 @@ def _parse_candidates(raw, errs: list[str]) -> FleetCandidateSpace | None:
     return _build(errs, "fleet_candidates", FleetCandidateSpace, tuple(bounds))
 
 
-def _parse_routing(raw, errs: list[str], stations, nominal_p) -> tuple[tuple[str, str, str], ...]:
-    station_ids = None if stations is None else {s.station_id for s in stations}
+def _declared_stations(raw) -> set[str]:
+    """The id of every station record with a string id, refused or not: a
+    routing cell that names a station refused for another field problem
+    should not add that the station is unknown."""
+    if not isinstance(raw, list):
+        return set()
+    return {st["id"] for st in raw if isinstance(st, Mapping) and isinstance(st.get("id"), str)}
+
+
+def _parse_routing(raw, errs: list[str], station_ids, nominal_p) -> tuple[tuple[str, str, str], ...]:
     dim = None if nominal_p is None else len(nominal_p)
     routing = []
     cells: set[tuple[str, str]] = set()
@@ -539,7 +554,10 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
         _check_vehicle_types(stations, n_types, errs)
         if "nominal_p" not in raw:
             errs.append("stations declared but nominal_p missing")
-    routing = _parse_routing(raw["routing"], errs, stations, nominal_p) if "routing" in raw else ()
+    routing = ()
+    if "routing" in raw:
+        station_ids = _declared_stations(raw["stations"]) if "stations" in raw else None
+        routing = _parse_routing(raw["routing"], errs, station_ids, nominal_p)
     limits = _fields(PlannerLimits, raw["limits"], errs, "limits") if "limits" in raw else None
     vehicles = _parse_vehicles(raw["vehicles"], errs) if "vehicles" in raw else None
     distances = _parse_distances(raw["distances"], errs) if "distances" in raw else {}
@@ -576,8 +594,52 @@ def _dataclass_public_dict(obj) -> dict:
     return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical plain-dict form; feeding it back reproduces an equal Scenario."""
+def _milli(cost: Fraction) -> int:
+    """int(cost * 1000) for a non-negative cost, without a Fraction multiply."""
+    return cost.numerator * 1000 // cost.denominator
+
+
+def _network_dict(network: NetworkSection) -> dict:
+    return {
+        "nodes": [{"id": nid, "kind": _KIND_NAMES[kind]} for nid, kind in network.nodes],
+        "edges": [
+            {
+                "from": e.tail,
+                "to": e.head,
+                "capacity_kg": e.capacity_kg,
+                "cost_milli_per_kg": _milli(e.cost_per_kg),
+                "transit_time_h": e.transit_time_h,
+            }
+            for e in network.edges
+        ],
+    }
+
+
+# canonical_json of a node and of an edge of a parsed network, keys sorted
+_NODE_TEXT = {kind: '{"id":%s,"kind":"' + name + '"}' for kind, name in _KIND_NAMES.items()}
+_EDGE_TEXT = '{"capacity_kg":%d,"cost_milli_per_kg":%d,"from":%s,"to":%s,"transit_time_h":%r}'
+
+
+def _network_text(network: NetworkSection) -> str:
+    """canonical_json(_network_dict(network)), written record by record: a
+    parsed node or edge has one shape (str ids, int capacity and cost, a
+    finite float transit time), so its text is one format.  Each id is
+    encoded once, by json's own C string encoder; %d prints an int, of a
+    subclass too, as json does, and %r of a float is float.__repr__, json's
+    own float text."""
+    ids = {nid: encode_basestring_ascii(nid) for nid, _ in network.nodes}
+    nodes = [_NODE_TEXT[kind] % ids[nid] for nid, kind in network.nodes]
+    edges = [
+        _EDGE_TEXT % (cap, _milli(cost), ids[tail], ids[head], transit)
+        for tail, head, cap, cost, transit in network.edges
+    ]
+    return '{"edges":[' + ",".join(edges) + '],"nodes":[' + ",".join(nodes) + "]}"
+
+
+def _sections(scenario: Scenario, network) -> dict:
+    """The canonical sections of `scenario`, the network section as
+    network(scenario.network) gives it: the one list of what the canonical
+    form and the digest hold."""
     out: dict[str, Any] = {
         "schema_version": scenario.schema_version,
         "name": scenario.name,
@@ -587,22 +649,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.metadata:
         out["metadata"] = scenario.metadata
     if scenario.network is not None:
-        out["network"] = {
-            "nodes": [
-                {"id": nid, "kind": _KIND_NAMES[kind]} for nid, kind in scenario.network.nodes
-            ],
-            "edges": [
-                {
-                    "from": e.tail,
-                    "to": e.head,
-                    "capacity_kg": e.capacity_kg,
-                    # int(cost * 1000) for a non-negative cost, without a Fraction multiply
-                    "cost_milli_per_kg": e.cost_per_kg.numerator * 1000 // e.cost_per_kg.denominator,
-                    "transit_time_h": e.transit_time_h,
-                }
-                for e in scenario.network.edges
-            ],
-        }
+        out["network"] = network(scenario.network)
     if scenario.stations is not None:
         out["stations"] = [
             {
@@ -650,13 +697,25 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """Canonical plain-dict form; feeding it back reproduces an equal Scenario."""
+    return _sections(scenario, _network_dict)
+
+
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """SHA-256 over the canonical JSON form."""
-    return hashlib.sha256(canonical_json(scenario_to_dict(scenario)).encode("utf-8")).hexdigest()
+    """SHA-256 over the canonical JSON form, canonical_json(scenario_to_dict(
+    scenario)).  The text is joined section by section in sorted key order:
+    the network section, one record per node and edge, comes from the
+    fixed-shape writer _network_text, every other section from canonical_json."""
+    text = ",".join(
+        f'"{key}":' + (value if key == "network" else canonical_json(value))
+        for key, value in sorted(_sections(scenario, _network_text).items())
+    )
+    return hashlib.sha256(("{" + text + "}").encode("utf-8")).hexdigest()
 
 
 # --- bundled fixtures --------------------------------------------------------

@@ -5,6 +5,7 @@ exhaustive enumeration.  The real package must agree with these.  The
 single-point and validating helpers that only tests call live here too.
 """
 import bisect
+import hashlib
 import itertools
 import math
 import random
@@ -61,6 +62,7 @@ from fabflow.robust_planner import (
     WorstCase,
     _search_bounds,
 )
+from fabflow.scenario import canonical_json, scenario_to_dict
 from fabflow.scheduler import (
     Assignment,
     SaParams,
@@ -785,6 +787,25 @@ def per_fleet_constraints(model, p_nominal, fleet, limits):
         ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
     )
     return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
+
+
+def dict_digest(scenario) -> str:
+    """scenario_digest the long way: SHA-256 over canonical_json of the
+    whole scenario_to_dict, one dict per node and edge."""
+    return hashlib.sha256(canonical_json(scenario_to_dict(scenario)).encode("utf-8")).hexdigest()
+
+
+def per_point_grid(free_axes, dim):
+    """grid_from_axes's points, without its checks, one point at a time:
+    p_0 absorbs the remainder, and a point is kept only inside (0, 1)."""
+    points = []
+    for combo in itertools.product(*free_axes):
+        p = np.zeros(dim)
+        p[1 : 1 + len(combo)] = combo
+        p[0] = 1.0 - float(np.sum(combo))
+        if ((0.0 < p) & (p < 1.0)).all():
+            points.append(p)
+    return points
 
 
 def hub_scenario(dim, free_axes, arm_1="p:1", mu_base=None):

@@ -413,6 +413,12 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
         ("queueing_reference", f"{FREE_AXES}=[[-0.2],[0.5]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.5]]", FREE_AXES),
         ("queueing_reference", f"{FREE_AXES}=[[0.0],[0.5]]", FREE_AXES),
+        pytest.param(
+            "queueing_reference",
+            f"{FREE_AXES}=[[1{'0' * 400}],[0.5]]",
+            f"{FREE_AXES}: no grid point",
+            id="free_axes value=10**400",
+        ),
         ("queueing_reference", "stations.0.gamma=NaN", "stations[0]: field 'gamma'"),
         ("queueing_reference", "stations.0.mu_base=NaN", "stations[0]: field 'mu_base'"),
         ("table1_bench", "vehicles.0.speed=Infinity", "vehicles[0]: field 'speed'"),
@@ -486,6 +492,19 @@ def test_misspelled_or_unused_record_field_exits_1(capsys, argv, where):
     assert code == 1
     assert out.strip() == "error=validation_errors"
     assert err.startswith(where)
+
+
+@pytest.mark.parametrize("override, problem", [
+    ("stations.0.mu_base=-1", "stations[0]: station IN: mu_base must be positive"),
+    ("stations.0.gama=5", "stations[0]: unknown fields ['gama']"),
+    ("stations.0.kind=teleport", "stations[0]: unknown station kind 'teleport'"),
+], ids=["mu_base", "unknown_field", "unknown_kind"])
+def test_refused_station_is_still_declared_for_routing(capsys, override, problem):
+    # the routing cells that name station IN add no "unknown station" line
+    code, out, err = run_cli(capsys, "wip", "--scenario", "queueing_reference", "--set", override)
+    assert code == 1
+    assert out.strip() == "error=validation_errors"
+    assert err.strip() == problem
 
 
 @pytest.mark.parametrize(
@@ -1213,8 +1232,10 @@ def test_cli_import_loads_no_process_pool_module():
     [
         ("plan", "--scenario", "planner_small", "--set", "limits.c_max=" + "9" * 5001),
         ("plan", "--scenario", "a" * 3000),
+        ("report", "--scenario", "planner_small", "--set", "stations.1.vehicle_type=1" + "0" * 3000),
+        ("plan", "--scenario", "planner_small", "--set", "fleet_candidates.0.min=1" + "0" * 3000),
     ],
-    ids=["long_value", "long_path"],
+    ids=["long_value", "long_path", "long_vehicle_type", "long_range_bound"],
 )
 def test_problem_messages_echo_bounded_values(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
@@ -740,6 +740,49 @@ def test_grid_from_axes_drops_points_outside_open_simplex():
     # p_0 = 0.7 lies inside, but p_1 = -0.2 does not
     pts = grid_from_axes([[-0.2, 0.3], [0.5]], dim=3)
     assert [p.tolist() for p in pts] == [[1.0 - 0.8, 0.3, 0.5]]
+
+
+@st.composite
+def free_axes(draw):
+    """(free_axes, dim) for dims 2-14: at most 2,000 points.  Most axes
+    hold values that keep their points inside the simplex; the others mix
+    in values and ints that drop points, and some free_axes are short."""
+    dim = draw(st.integers(2, 14))
+    inside = st.floats(1e-9, 1.0 / dim)
+    mixed = st.one_of(inside, st.floats(-0.2, 1.2), st.integers(-1, 2), st.sampled_from([0.0, 0.5, 1.0]))
+    axes, budget = [], 2000
+    for _ in range(draw(st.sampled_from([dim - 1] * 4 + [draw(st.integers(0, dim - 1))]))):
+        length = draw(st.integers(1, max(1, min(4, budget))))
+        budget //= length
+        values = draw(st.sampled_from([inside] * 5 + [mixed]))
+        axes.append(draw(st.lists(values, min_size=length, max_size=length)))
+    return axes, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_axes())
+def test_grid_from_axes_matches_the_per_point_oracle(case):
+    axes, dim = case
+    want = support.per_point_grid(axes, dim)
+    if not want:
+        with pytest.raises(ValidationErrors, match="no grid point"):
+            grid_from_axes(axes, dim)
+        return
+    got = grid_from_axes(axes, dim)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("name", ["queueing_reference", "queueing_adversarial"])
+def test_fixture_grid_matches_the_per_point_oracle(name):
+    sc = load_fixture(name)
+    axes = sc.metadata["monotonicity_grid"]["free_axes"]
+    want = support.per_point_grid(axes, len(sc.nominal_p))
+    assert [p.tobytes() for p in reference_grid(sc)] == [p.tobytes() for p in want]
+
+
+def test_grid_axis_value_beyond_a_float_drops_its_points():
+    # no float holds 10**400: like inf, it lies outside (0, 1)
+    assert [p.tolist() for p in grid_from_axes([[10 ** 400, 0.25], [0.5]], dim=3)] == [[0.25, 0.25, 0.5]]
 
 
 def test_wip_report_csv_shape():
