@@ -117,10 +117,9 @@ def _limits_of(scenario) -> robust_planner.PlannerLimits:
     if scenario.limits is not None:
         return scenario.limits
     # permissive defaults for ad hoc adversarial runs on fixtures without a
-    # limits section; the fleet cap still has to cover the nominal fleet
-    total = scenario.nominal_fleet.total if scenario.nominal_fleet else 0
+    # limits section; worstcase reads only p_neighborhood_radius from them
     return robust_planner.PlannerLimits(
-        c_max=max(total, 1),
+        c_max=1,
         w_star=float("inf"),
         u=float("inf"),
         delta_wip_max=float("inf"),

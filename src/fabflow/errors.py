@@ -135,7 +135,9 @@ class UnstableStation(InfeasibleError):
     def __init__(self, station_id, rho):
         self.station_id = station_id
         self.rho = float(rho)
-        super().__init__(f"station {station_id} unstable: utilization {rho:.6f}")
+        # from 1e6 on, 6 significant digits, not up to 300 fixed-point ones
+        shown_rho = f"{self.rho:.6f}" if self.rho < 1e6 else f"{self.rho:.6g}"
+        super().__init__(f"station {station_id} unstable: utilization {shown_rho}")
 
 
 class ZeroVehicles(InfeasibleError):

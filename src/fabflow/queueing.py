@@ -386,16 +386,16 @@ def _rowwise_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _utilization(lam: np.ndarray, mu: np.ndarray):
-    """The utilization rule: service rates broadcast to the (N, k) arrival
-    rates, rho = lambda / mu, except that a zero-vehicle station reads 0 when
-    idle and inf under traffic, and the (N,) mask of rows whose every station
-    sits at rho <= 1 - STABILITY_MARGIN; NaN arrival rates fail it."""
-    mu = np.broadcast_to(mu, lam.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """The utilization rule: arrival and service rates broadcast, stations on
+    the last axis, rho = lambda / mu (inf where it overflows), except that a
+    zero-vehicle station reads 0 when idle and inf under traffic, and the mask
+    of rows whose every station sits at rho <= 1 - STABILITY_MARGIN (NaN fails)."""
+    lam, mu = np.broadcast_arrays(lam, mu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = lam / mu
     rho = np.where((mu <= 0.0) & (lam <= _ARRIVAL_EPS), 0.0, rho)
     rho = np.where((mu <= 0.0) & (lam > _ARRIVAL_EPS), np.inf, rho)
-    return mu, rho, (rho <= 1.0 - STABILITY_MARGIN).all(axis=1)
+    return mu, rho, (rho <= 1.0 - STABILITY_MARGIN).all(axis=-1)
 
 
 def _instability(model: RoutingModel, lam: np.ndarray, mu: np.ndarray) -> Exception:
@@ -417,7 +417,7 @@ def _wip_totals(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for _utilization), NaN where the row is unstable, and the stability mask."""
     _, rho, stable = _utilization(lam, mu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        totals = (rho / (1.0 - rho)).sum(axis=1)
+        totals = (rho / (1.0 - rho)).sum(axis=-1)
     return np.where(stable, totals, np.nan), stable
 
 
@@ -620,8 +620,9 @@ def _fmt_point(p: np.ndarray) -> str:
 def gradient_grid(
     model: RoutingModel, grid: Sequence, fleet: FleetConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Free-coordinate gradients at every grid point, one batched solve."""
-    pts = np.vstack([np.asarray(p, dtype=float) for p in grid])
+    """Free-coordinate gradients at every point of an (N, dim) grid, one
+    batched solve."""
+    pts = np.asarray(grid, dtype=float)
     return pts, _wip_derivatives(model, pts, service_rates(model, fleet))[0]
 
 
@@ -719,7 +720,7 @@ GRID_POINTS_MAX = 10_000
 GRID_LINES_MAX = 500_000
 
 
-def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.ndarray]:
+def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> np.ndarray:
     """Grid from explicit per-coordinate value lists (free coords 1..n in order).
 
     This is what scenario metadata carries; p_0 absorbs the remainder and a
@@ -733,8 +734,8 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
     GRID_LINES_MAX (both counted before anything is enumerated).
 
     The points are built as one (count, dim) array, in itertools.product
-    order, and returned as its kept rows, for gradient_grid; each row is bit
-    for bit the point that p_0 = 1 - np.sum(combination) gives alone.
+    order, and its kept rows are returned as one array; each row is bit for
+    bit the point that p_0 = 1 - np.sum(combination) gives alone.
     """
     where = "metadata.monotonicity_grid.free_axes"
     if not (
@@ -775,8 +776,8 @@ def grid_from_axes(free_axes: Sequence[Sequence[float]], dim: int) -> list[np.nd
     P = np.zeros((count, dim))
     P[:, 1 : 1 + len(axes)] = combos
     P[:, 0] = 1.0 - combos.sum(axis=1)
-    points = list(P[((0.0 < P) & (P < 1.0)).all(axis=1)])
-    if not points:
+    points = P[((0.0 < P) & (P < 1.0)).all(axis=1)]
+    if not len(points):
         raise ValidationErrors([f"{where}: no grid point lies inside the open simplex"])
     return points
 

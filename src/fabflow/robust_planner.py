@@ -30,12 +30,13 @@ exactly the path it would follow alone.  The constraint checks of a plan
 share one traffic table: arrival rates depend on the transfer vector alone,
 so the plan solves them once, for the nominal point and its fluctuation
 probes in one pass and then for the Monte Carlo draws in fixed-size chunks,
-the first time a group of fleets is checked.  A group reads every row of
-the table in one broadcast against the service rates of all its fleets,
-and each check is a slice of the totals: the nominal point, the probes,
-the draws.  The scan takes its candidates in groups that keep the routing
-derivatives of one ascent pass under a fixed number of elements: a group's
-checks, then one lockstep ascent of the candidates that pass them.
+the first time a group of fleets is checked.  The upper level is one loop
+over groups of candidates, each small enough to keep the routing
+derivatives of one ascent pass under a fixed number of elements.  A pass
+reads the group's totals from one (fleets, table rows, k) broadcast of
+their service rates against the table, each check a slice of them (the
+nominal point, the probes, the draws), then ascends the fleets that pass
+in one lockstep and keeps the best.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -50,7 +51,7 @@ import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,7 +75,7 @@ MC_SAMPLES_MAX = 200_000
 # derivatives (rows, n, k, k) of one lockstep pass (the routing's per-cell
 # temporaries (rows, n, B) are no larger, B <= k^2 cells), which size
 # plan_fleet's fleet groups; the routing matrices (rows, k, k) of one chunk
-# of Monte Carlo draws; and the (fleets * table rows, k) broadcast of one
+# of Monte Carlo draws; and the (fleets, table rows, k) broadcast of one
 # chunk of a group's fleets against the traffic table.  Each is at least
 # one fleet or one row.
 _BATCH_ELEMENTS = 1_000_000
@@ -407,55 +408,46 @@ class _ConstraintChecks:
         ])
 
     def reports(self, fleets: Sequence[FleetConfig]) -> list[ConstraintReport]:
-        """The constraint report of each fleet of a group: the totals of its
-        service rates (G, k) at every row of the traffic table, from one
-        _wip_totals over their broadcast in chunks of fleets, read as
-        column 0 (the nominal point), the probe columns and the draw
-        columns."""
-        limits, model = self.limits, self.model
+        """The constraint report of each fleet of a group: in chunks of
+        fleets, one _wip_totals over the (fleets, table rows, k) broadcast of
+        their service rates against the traffic table, read as column 0 (the
+        nominal point), the probe columns and the draw columns."""
+        limits, model, lam = self.limits, self.model, self.traffic
         mu = queueing._service_rates(model, fleets)
-        lam = self.traffic
-        rows, probed = len(lam), 1 + DELTA_DIRECTIONS
-        chunk = max(1, _BATCH_ELEMENTS // (rows * lam.shape[1]))
-        measured = []
-        for part in np.split(mu, range(chunk, len(mu), chunk)):
-            totals, stable = queueing._wip_totals(np.tile(lam, (len(part), 1)), np.repeat(part, rows, axis=0))
-            totals, stable = totals.reshape(len(part), rows), stable.reshape(len(part), rows)
+        probed = 1 + DELTA_DIRECTIONS
+        chunk = max(1, _BATCH_ELEMENTS // lam.size)
+        out = []
+        for start in range(0, len(fleets), chunk):
+            part = mu[start : start + chunk]
+            totals, stable = queueing._wip_totals(lam, part[:, None, :])
             nominal, probes = totals[:, 0], totals[:, 1:probed]
             # the fluctuation is unbounded at an unstable nominal point or probe
             bounded = stable[:, :probed].all(axis=1)
             exceedance = [None] * len(part)
             if limits.mc_samples > 0:
                 exceedance = (~stable[:, probed:] | (totals[:, probed:] > limits.u)).mean(axis=1).tolist()
-            measured.extend(zip(
+            for fleet, m, ok, w, f, top, over in zip(
+                fleets[start : start + chunk],
+                part,
                 stable[:, 0].tolist(),
                 np.where(stable[:, 0], nominal, math.inf).tolist(),
                 np.where(bounded, np.abs(probes - nominal[:, None]).max(axis=1), math.inf).tolist(),
                 np.where(bounded, np.maximum(nominal, probes.max(axis=1)), math.inf).tolist(),
                 exceedance,
-            ))
-        out = []
-        for g, (fleet, (ok, w, f, top, over)) in enumerate(zip(fleets, measured)):
-            if ok:
-                nominal_detail = fluct_detail = ""
-            else:
-                nominal_detail = queueing._instability(model, lam[0], mu[g]).code
-                fluct_detail = "nominal point unstable"
-            checks = (
-                ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
-                *self.wltp,
-                ConstraintCheck("nominal_wip", w <= limits.w_star, w, limits.w_star, nominal_detail),
-                ConstraintCheck(
-                    "wip_fluctuation", f <= limits.delta_wip_max, f, limits.delta_wip_max, fluct_detail
-                ),
-                ConstraintCheck("wip_hard_cap", top <= limits.u, top, limits.u, fluct_detail),
-            )
-            out.append(ConstraintReport(checks=checks, mc_exceedance=over))
+            ):
+                nominal_detail = "" if ok else queueing._instability(model, lam[0], m).code
+                fluct_detail = "" if ok else "nominal point unstable"
+                checks = (
+                    ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
+                    *self.wltp,
+                    ConstraintCheck("nominal_wip", w <= limits.w_star, w, limits.w_star, nominal_detail),
+                    ConstraintCheck(
+                        "wip_fluctuation", f <= limits.delta_wip_max, f, limits.delta_wip_max, fluct_detail
+                    ),
+                    ConstraintCheck("wip_hard_cap", top <= limits.u, top, limits.u, fluct_detail),
+                )
+                out.append(ConstraintReport(checks=checks, mc_exceedance=over))
         return out
-
-    def report(self, fleet: FleetConfig) -> ConstraintReport:
-        """The constraint report of one fleet, the one-fleet case of reports."""
-        return self.reports([fleet])[0]
 
 
 def check_constraints(
@@ -478,7 +470,7 @@ def check_constraints(
     raises InvalidRouting, whatever the fleet.  The one-fleet case of
     plan_fleet's shared checks.
     """
-    return _ConstraintChecks(model, p_nominal, limits).report(fleet)
+    return _ConstraintChecks(model, p_nominal, limits).reports([fleet])[0]
 
 
 @dataclass(frozen=True)
@@ -591,39 +583,6 @@ class PlanResult:
         return header, rows
 
 
-def _evaluate(checks: _ConstraintChecks, fleets: Iterable[FleetConfig]):
-    """Yield (order key, outcome, worst case, constraint report) of each
-    fleet, in order; an infeasible fleet has neither key nor worst case.
-
-    Consecutive fleets form groups, each as large as keeps the routing
-    derivatives (rows, n, k, k) of one ascent pass under _BATCH_ELEMENTS
-    (at least one fleet): a group's constraints are checked first, then
-    the fleets that pass them are ascended in one lockstep.  The key orders by v_star, then fewer
-    vehicles, then lexicographically smaller counts.
-    """
-    model, limits, p_nominal = checks.model, checks.limits, checks.p_nominal
-    rows = ASCENT_STARTS + (p_nominal is not None)
-    n, k = model.wltp_dim - 1, len(model.stations)
-    size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k))
-    fleets = iter(fleets)
-    while group := list(itertools.islice(fleets, size)):
-        reports = checks.reports(group)
-        passing = [fleet for fleet, report in zip(group, reports) if report.all_passed]
-        worst = iter(_worst_cases(model, passing, limits, p_nominal))
-        for fleet, report in zip(group, reports):
-            wc = next(worst) if report.all_passed else None
-            key = None if wc is None else (wc.v_star, fleet.total, fleet.counts)
-            nominal = report["nominal_wip"].measured
-            outcome = CandidateOutcome(
-                fleet,
-                wc is not None,
-                report.failed_keys or (() if wc is not None else ("no_stable_point",)),
-                None if wc is None else wc.v_star,
-                nominal if math.isfinite(nominal) else None,
-            )
-            yield key, outcome, wc, report
-
-
 def plan_fleet(
     model: RoutingModel,
     candidates,
@@ -633,15 +592,19 @@ def plan_fleet(
     """Pick the feasible fleet with the smallest worst-case WIP growth rate.
 
     `candidates` is a FleetCandidateSpace or any iterable of FleetConfig,
-    and every fleet of it is examined, in order, through _evaluate's group
-    step: its constraints are read from the plan's one traffic table, then
-    the fleets that pass them are ascended together.  A space
-    is first cut to FleetCandidateSpace._within(c_max); a fleet cut away
-    would fail fleet_total, so neither the best fleet nor its worst case
-    changes.  A cut box of more than FLEETS_MAX fleets raises
-    ValidationErrors before any fleet is checked, and an empty one (the
-    minima alone exceed c_max) raises NoFeasibleFleet, as a scan that finds
-    no feasible fleet does.  Only the best fleet's report is kept.
+    and every fleet of it is examined, in order, in consecutive groups, each
+    as large as keeps the routing derivatives (rows, n, k, k) of one ascent
+    pass under _BATCH_ELEMENTS (at least one fleet).  Each pass of the one
+    loop reads a group's constraint checks from the plan's one traffic
+    table, ascends the fleets that pass them in one lockstep, records every
+    fleet's outcome and keeps the best fleet by v_star, then fewer vehicles,
+    then lexicographically smaller counts.  A space is first cut to
+    FleetCandidateSpace._within(c_max); a fleet cut away would fail
+    fleet_total, so neither the best fleet nor its worst case changes.  A
+    cut box of more than FLEETS_MAX fleets raises ValidationErrors before
+    any fleet is checked, and an empty one (the minima alone exceed c_max)
+    raises NoFeasibleFleet, as a scan that finds no feasible fleet does.
+    Only the best fleet's report is kept.
     """
     if isinstance(candidates, FleetCandidateSpace):
         box = candidates._within(limits.c_max)
@@ -652,17 +615,34 @@ def plan_fleet(
             ])
         candidates = () if box is None else box
     checks = _ConstraintChecks(model, p_nominal, limits)
+    rows = ASCENT_STARTS + (p_nominal is not None)
+    n, k = model.wltp_dim - 1, len(model.stations)
+    size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k))
+    fleets = iter(candidates)
     examined: list[CandidateOutcome] = []
     best = None
-    for result in _evaluate(checks, candidates):
-        examined.append(result[1])
-        if result[0] is not None and (best is None or result[0] < best[0]):
-            best = result
+    while group := list(itertools.islice(fleets, size)):
+        reports = checks.reports(group)
+        passing = [fleet for fleet, report in zip(group, reports) if report.all_passed]
+        worst = iter(_worst_cases(model, passing, limits, p_nominal))
+        for fleet, report in zip(group, reports):
+            wc = next(worst) if report.all_passed else None
+            nominal = report["nominal_wip"].measured
+            examined.append(CandidateOutcome(
+                fleet,
+                wc is not None,
+                report.failed_keys or (() if wc is not None else ("no_stable_point",)),
+                None if wc is None else wc.v_star,
+                nominal if math.isfinite(nominal) else None,
+            ))
+            key = None if wc is None else (wc.v_star, fleet.total, fleet.counts)
+            if key is not None and (best is None or key < best[0]):
+                best = key, fleet, wc, report
     if best is None:
         raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
-    _, outcome, wc, report = best
+    _, fleet, wc, report = best
     return PlanResult(
-        c_star=outcome.fleet,
+        c_star=fleet,
         worst_case=wc,
         constraints=report,
         nominal_wip=report["nominal_wip"].measured,

@@ -506,12 +506,16 @@ class SaParams:
 
     def __post_init__(self):
         # geometric cooling from a finite t_initial only reaches t_min when
-        # these hold
+        # these hold: each product lowers a normal temperature, but a
+        # subnormal one can round back to itself
         _raise_problems(
             param_error("t_initial", self.t_initial, "be positive and finite", lambda v: 0.0 < v <= sys.float_info.max),
             param_error("cooling", self.cooling, "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0),
             param_error("iters_per_temp", self.iters_per_temp, "be at least 1", lambda v: v >= 1, True),
-            param_error("t_min", self.t_min, "be positive", lambda v: v > 0.0),
+            param_error(
+                "t_min", self.t_min, f"be at least {sys.float_info.min!r}, the smallest normal float",
+                lambda v: v >= sys.float_info.min,
+            ),
         )
         moves = self.planned_moves
         if moves > SA_MOVES_MAX:

@@ -1,10 +1,12 @@
 """Command-line behaviour: stdout contract, exit codes, artifact determinism."""
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -615,7 +617,7 @@ def test_ga_and_aco_work_above_the_cap_exit_1_at_once(capsys, method, setting, m
         [
             "cooling must lie strictly between 0 and 1 (got 1)",
             "iters_per_temp must be an integer (got 0.5)",
-            "t_min must be positive (got 0)",
+            "t_min must be at least 2.2250738585072014e-308, the smallest normal float (got 0)",
         ],
         id="sa",
     ),
@@ -771,7 +773,9 @@ def test_edge_numbers_at_the_bound_print_finite_costs(capsys, tmp_path):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ("sa.t_min=-1", "t_min must be positive"),
+        ("sa.t_min=-1", "t_min must be at least 2.2250738585072014e-308"),
+        # cooling a subnormal temperature can round it back to itself
+        ("sa.t_min=5e-324", "t_min must be at least 2.2250738585072014e-308"),
         ("sa.cooling=1.0", "cooling must lie strictly between 0 and 1"),
         ("aco.ants=0", "ants must be at least 1"),
         ("ga.population=0", "population must be at least 2"),
@@ -878,7 +882,8 @@ def test_bench_job_error_exits_1_and_leaves_no_worker(capsys):
 
 
 HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench", "planner_small")
-HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, float("nan"))
+# 5e-324 is the smallest subnormal float
+HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, 5e-324, float("nan"))
 
 
 def leaf_paths(node, prefix=""):
@@ -904,6 +909,23 @@ def assert_ends_in_an_exit_code(capsys, *argv):
     assert code in (0, 1, 2), argv
     if code != 0:
         assert out.startswith("error=") and out.count("\n") == 1, argv
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail the test from a SIGALRM when its block runs past `seconds`, so
+    that a hang ends the test, not the suite.  The failure is raised in the
+    main process; leaving bench's pool then terminates its workers."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 LEAVES = {name: sorted(leaf_paths(resolve_scenario_raw(name))) for name in HOSTILE_FIXTURES}
@@ -981,13 +1003,15 @@ def test_hostile_search_parameter_ends_in_an_exit_code(capsys, group, field, val
             for arg in ("--set", f"metaheuristic_params.{g}.{key}={json.dumps(v)}")
         ]
 
-    assert_ends_in_an_exit_code(
-        capsys, "schedule", "--scenario", "table1_bench", "--method", group, *overrides([group])
-    )
+    with time_bound(60):
+        assert_ends_in_an_exit_code(
+            capsys, "schedule", "--scenario", "table1_bench", "--method", group, *overrides([group])
+        )
     # bench runs all three searches, each shrunk, on workers when it can
-    assert_ends_in_an_exit_code(
-        capsys, "bench", "--scenario", "table1_bench", "--seeds", "1", *overrides(SHRUNK_PARAMS)
-    )
+    with time_bound(60):
+        assert_ends_in_an_exit_code(
+            capsys, "bench", "--scenario", "table1_bench", "--seeds", "1", *overrides(SHRUNK_PARAMS)
+        )
     assert multiprocessing.active_children() == []
 
 
@@ -1242,3 +1266,21 @@ def test_problem_messages_echo_bounded_values(capsys, argv):
     assert code == 1 and out.startswith("error=")
     assert len(err) < 300
     assert "characters)" in err
+
+
+@pytest.mark.parametrize("gamma, shown", [
+    # station IN serves at mu = 3: below 1e6 the utilization keeps its
+    # fixed-point form
+    (7.0, "2.333333"),
+    (2.4e6, "800000.000000"),
+    # from 1e6 on, 6 significant digits instead of up to 300 fixed-point ones
+    (6e6, "2e+06"),
+    (1e308, "3.33333e+307"),
+])
+def test_unstable_station_message_is_bounded(capsys, gamma, shown):
+    code, out, err = run_cli(
+        capsys, "wip", "--scenario", "queueing_reference", "--set", f"stations.0.gamma={gamma!r}"
+    )
+    assert code == 2 and out.strip() == "error=unstable_station"
+    assert err.strip() == f"station IN unstable: utilization {shown}"
+    assert len(err) < 300

@@ -521,7 +521,7 @@ def test_shared_checks_match_per_fleet_oracle(changes):
     wants = []
     for fleet in fleets:
         want = support.per_fleet_constraints(model, p, fleet, limits)
-        got = checks.report(fleet)
+        got = checks.reports([fleet])[0]
         assert got == want and repr(got) == repr(want), fleet
         assert check_constraints(model, p, fleet, limits) == want
         details.add(got["nominal_wip"].detail)
@@ -534,6 +534,23 @@ def test_shared_checks_match_per_fleet_oracle(changes):
         assert len(fleets) == 49 and len(got) == 49
         for fleet, report, want in zip(fleets, got, wants):
             assert report == want and repr(report) == repr(want), fleet
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_shared_checks_match_per_fleet_oracle_in_chunks(monkeypatch, chunk):
+    # chunks of 1, 2 and 7 fleets split the 49 fleets evenly and unevenly
+    model, p, limits = small()
+    limits = dataclasses.replace(limits, mc_samples=300)
+    fleets = list(load_fixture("planner_small").fleet_candidates)
+    wants = [support.per_fleet_constraints(model, p, fleet, limits) for fleet in fleets]
+    checks = robust_planner._ConstraintChecks(model, p, limits)
+    table = checks.traffic
+    assert table.shape == (1 + DELTA_DIRECTIONS + 300, len(model.stations))
+    monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", chunk * table.size)
+    got = checks.reports(fleets)
+    assert len(got) == len(fleets) == 49
+    for fleet, report, want in zip(fleets, got, wants):
+        assert repr(report) == repr(want), fleet
 
 
 def test_fleet_with_too_few_types_is_named_in_a_group():
@@ -582,7 +599,7 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
     lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[2]
     monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", chunk * len(model.stations) ** 2)
     checks = robust_planner._ConstraintChecks(model, p, limits)
-    assert checks.report(fleet).mc_exceedance == want
+    assert checks.reports([fleet])[0].mc_exceedance == want
     assert np.array_equal(checks.traffic[1 + DELTA_DIRECTIONS:], lam)
 
 
