@@ -115,7 +115,7 @@ class InfeasibleDemand(InfeasibleError):
         self.demand = demand
         self.max_value = max_value
         super().__init__(
-            f"demand {demand} kg exceeds network capacity {max_value} kg"
+            f"demand {shown(demand)} kg exceeds network capacity {max_value} kg"
         )
 
 
@@ -169,10 +169,6 @@ class MissingDistance(ScenarioValidationError):
         self.origin = origin
         self.destination = destination
         super().__init__(f"no distance entry for {origin} -> {destination}")
-
-
-class OverloadedVehicleRound(ScenarioValidationError):
-    code = "overloaded_vehicle_round"
 
 
 class EmptySeeds(ScenarioValidationError):

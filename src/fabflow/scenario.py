@@ -518,6 +518,11 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     if not isinstance(name, str) or not name:
         errs.append("scenario needs a non-empty string 'name'")
         name = ""
+    description = raw.get("description")
+    if description is None:
+        description = ""
+    elif not isinstance(description, str):
+        errs.append("description: must be a string")
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, Mapping):
         errs.append("metadata: must be an object")
@@ -569,7 +574,7 @@ def scenario_from_dict(raw: Mapping) -> Scenario:
     return Scenario(
         schema_version=version,
         name=name,
-        description=raw.get("description", ""),
+        description=description,
         metadata=dict(metadata),
         network=network,
         stations=stations,

@@ -1,21 +1,23 @@
 """Transport task assignment: evaluation, GA front search, SA and ACO baselines.
 
-A schedule assigns each transport task to one vehicle; vehicles work through
-their tasks in dispatch rounds, one task per round, so a vehicle's completion
-time is the sum of its task times (travel at constant speed plus fixed load
-and unload handling).  Objectives: total cost (busy time times cost rate,
-summed over vehicles), makespan (latest completion), and productivity
-(tasks per hour of makespan, 0 at makespan 0).
+A schedule assigns each transport task to one vehicle; a vehicle works
+through its tasks one after another, so its completion time is the sum of
+its task times (travel at constant speed plus fixed load and unload
+handling).  Objectives: total cost (busy time times cost rate, summed over
+vehicles), makespan (latest completion), and productivity (tasks per hour
+of makespan, 0 at makespan 0).
 
-A schedule is scored from its per-vehicle busy times alone: the makespan is
-the largest, and the cost adds busy time times cost rate vehicle by vehicle,
-left to right (`_busy_cost`).  One kernel, `_objectives`, gives (cost,
-makespan) for one chromosome or a whole batch, and `evaluate_schedule` adds
-the same way, so every search reports the objectives it would give.  SA
-moves one or two tasks at a time, so it scores a move by delta evaluation:
-it re-sums only the two vehicles the move touches and adds the cost over its
-busy times with the kernel's own arithmetic, so each score has the kernel's
-bits (see `sa_optimize`).
+A schedule is scored from its per-vehicle busy times alone.  One kernel,
+`_busy`, adds them: each vehicle's task times from 0.0 in task order, for
+one chromosome or a whole batch.  The makespan is the largest busy time,
+and the cost adds busy time times cost rate vehicle by vehicle, left to
+right (`_busy_cost`).  `_objectives` gives (cost, makespan) from these, and
+`evaluate_schedule` scores an assignment through it, so every search
+reports the objectives `evaluate_schedule` gives.  SA moves one or two
+tasks at a time, so it scores a move by delta evaluation: it re-sums only
+the two vehicles the move touches, from 0.0 in task order, and adds the
+cost over its busy times with the kernel's own arithmetic, so each score
+has the kernel's bits (see `sa_optimize`).
 
 Cost rates must be non-negative, and an instance is rejected when its
 worst-case busy time (every task on its slowest vehicle) or that time at the
@@ -60,7 +62,6 @@ import numpy as np
 from .errors import (
     EmptySeeds,
     MissingDistance,
-    OverloadedVehicleRound,
     ValidationErrors,
     _raise_problems,
     param_error,
@@ -113,10 +114,9 @@ class VehicleSpec:
 
 @dataclass(frozen=True)
 class Assignment:
-    """task_id -> vehicle_id, with optional explicit dispatch rounds."""
+    """task_id -> vehicle_id."""
 
     mapping: Mapping[str, str]
-    rounds: Mapping[str, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -212,47 +212,51 @@ def _time_matrices(inst: SchedulingInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_schedule(inst: SchedulingInstance, assignment: Assignment) -> ObjectiveVector:
-    """Objectives of one assignment.
+    """Objectives of one assignment, scored as every search scores it.
 
-    The mapping must cover every task.  Explicit rounds, when given, must
-    put at most one task per vehicle in any round; without them tasks simply
-    queue on their vehicle in declaration order.  Round structure does not
-    change the objectives (a vehicle's completion is the sum of its task
-    times either way); it is validated because overlapping dispatches are a
-    modeling error worth surfacing.
+    Raises ValidationErrors when the mapping does not send every task to a
+    known vehicle or, as the searches do, when the instance's worst case
+    overflows; MissingDistance when a task's leg has no distance entry.
     """
     if not inst.tasks:
         raise ValidationErrors(["cannot evaluate an empty task list"])
     vehicle_index = {v.vehicle_id: i for i, v in enumerate(inst.vehicles)}
-    busy = np.zeros(len(inst.vehicles))
-    if assignment.rounds is not None:
-        seen: set[tuple[str, int]] = set()
-        for task in inst.tasks:
-            if task.task_id not in assignment.rounds:
-                raise OverloadedVehicleRound(
-                    f"task {task.task_id} has no dispatch round"
-                )
-            key = (assignment.mapping.get(task.task_id), assignment.rounds[task.task_id])
-            if key in seen:
-                raise OverloadedVehicleRound(
-                    f"vehicle {key[0]} holds two tasks in round {key[1]}"
-                )
-            seen.add(key)
+    chromosome = []
     for task in inst.tasks:
-        vid = assignment.mapping.get(task.task_id)
-        if vid is None or vid not in vehicle_index:
-            raise ValidationErrors(
-                [f"task {task.task_id} is not assigned to a known vehicle"]
-            )
-        vi = vehicle_index[vid]
-        busy[vi] += task_time_h(task, inst.vehicles[vi], inst.distances)
-    rates = np.array([v.cost_rate for v in inst.vehicles])
-    return _objective_vector(len(inst.tasks), _busy_cost(busy, rates), busy.max())
+        vi = vehicle_index.get(assignment.mapping.get(task.task_id))
+        if vi is None:
+            raise ValidationErrors([f"task {task.task_id} is not assigned to a known vehicle"])
+        chromosome.append(vi)
+    T, rates = _time_matrices(inst)
+    return _objective_vector(len(chromosome), *_objectives(np.array(chromosome), T, rates))
 
 
 def _objective_vector(n_tasks: int, cost, makespan) -> ObjectiveVector:
     makespan = float(makespan)
     return ObjectiveVector(float(cost), makespan, n_tasks / makespan if makespan > 0 else 0.0)
+
+
+def _assignment(inst: SchedulingInstance, chromosome: np.ndarray) -> Assignment:
+    """The assignment a chromosome of vehicle indices, one per task, encodes."""
+    return Assignment(mapping={
+        task.task_id: inst.vehicles[v].vehicle_id for task, v in zip(inst.tasks, chromosome.tolist())
+    })
+
+
+def _busy(pop: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Busy time per vehicle of one chromosome (n_tasks,) -> (n_vehicles,),
+    or per row of a batch (m, n_tasks) -> (m, n_vehicles).
+
+    `np.bincount` adds each weight T[task, vehicle] into its bin
+    row * n_vehicles + vehicle in input order, from 0.0, so each vehicle's
+    busy time is its task times added in task order: a row scores the same
+    alone or in a batch, and no NumPy summation order enters it.
+    """
+    n_tasks, n_veh = T.shape
+    rows = pop.reshape(-1, n_tasks)
+    bins = rows + np.arange(0, len(rows) * n_veh, n_veh)[:, None]
+    busy = np.bincount(bins.ravel(), T[np.arange(n_tasks), rows].ravel(), len(rows) * n_veh)
+    return busy.reshape(*pop.shape[:-1], n_veh)
 
 
 def _busy_cost(busy, rates):
@@ -267,10 +271,9 @@ def _busy_cost(busy, rates):
 
 def _objectives(pop: np.ndarray, T: np.ndarray, rates: np.ndarray):
     """(cost, makespan) of one chromosome (n_tasks,) or per row of a batch
-    (m, n_tasks), from the busy times alone.  Busy time adds task times in
-    task order, so a row scores the same alone or in a batch."""
-    # ufunc reductions skip the .sum/.max wrappers, a real share of a one-row call
-    busy = np.add.reduce(np.where(pop[..., None] == np.arange(T.shape[1]), T, 0.0), axis=-2)
+    (m, n_tasks), from the `_busy` times alone."""
+    busy = _busy(pop, T)
+    # a ufunc reduction skips the .max wrapper, a real share of a one-row call
     return _busy_cost(busy, rates), np.maximum.reduce(busy, axis=-1)
 
 
@@ -324,7 +327,7 @@ def _crowding_distance(F: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _seeded_rng(seed: int) -> np.random.Generator:
     """The search's generator; NumPy seeds only non-negative integers."""
     if seed < 0:
-        raise ValidationErrors([f"seed {seed} is negative; seeds must be non-negative integers"])
+        raise ValidationErrors([f"seed {shown(seed)} is negative; seeds must be non-negative integers"])
     return np.random.default_rng(seed)
 
 
@@ -371,15 +374,12 @@ def _front_to_pareto(inst, pop, F) -> ParetoSet:
     keep = np.flatnonzero(ranks == 0)
     seen: set[bytes] = set()
     members = []
-    task_ids = [t.task_id for t in inst.tasks]
-    veh_ids = [v.vehicle_id for v in inst.vehicles]
     for i in keep:
         key = pop[i].tobytes()
         if key in seen:
             continue
         seen.add(key)
-        mapping = {task_ids[t]: veh_ids[pop[i, t]] for t in range(len(task_ids))}
-        members.append((Assignment(mapping=mapping), _objective_vector(len(task_ids), *F[i])))
+        members.append((_assignment(inst, pop[i]), _objective_vector(len(inst.tasks), *F[i])))
     members.sort(key=lambda m: (m[1].total_cost, m[1].makespan_h))
     return ParetoSet(members=tuple(members))
 
@@ -480,11 +480,8 @@ def _sample_bounds(rng, T, rates) -> ScalarBounds:
 
 def _as_result(inst, a, T, rates, bounds) -> ScalarResult:
     obj = _objective_vector(len(a), *_objectives(a, T, rates))
-    mapping = {
-        inst.tasks[t].task_id: inst.vehicles[a[t]].vehicle_id for t in range(len(a))
-    }
     return ScalarResult(
-        assignment=Assignment(mapping=mapping),
+        assignment=_assignment(inst, a),
         objectives=obj,
         scalar_score=bounds.score(obj.total_cost, obj.makespan_h),
         bounds=bounds,
@@ -562,13 +559,13 @@ def sa_optimize(
     on Python floats, so every score, and so every accept decision, has the
     bits a full `_objectives` re-score would give.  Each vehicle keeps the
     sorted indices of its tasks, and only the busy times of the two vehicles
-    a move touches are re-summed, in task order as the kernel adds them (its
-    zeros leave a non-negative sum unchanged).  The cost is then added over
-    all busy times, busy time times cost rate from the first vehicle to the
-    last as `_busy_cost` adds them, never as a running total; the makespan
-    is the largest busy time.  A rejected move puts the touched entries
-    back.  A move that changes no vehicle's task set keeps the current
-    score.
+    a move touches are re-summed, from 0.0 in task order as `_busy` adds
+    them, by an explicit loop (builtin sum() compensates from Python 3.12
+    on).  The cost is then added over all busy times, busy time times cost
+    rate from the first vehicle to the last as `_busy_cost` adds them, never
+    as a running total; the makespan is the largest busy time.  A rejected
+    move puts the touched entries back.  A move that changes no vehicle's
+    task set keeps the current score.
     """
     params = params or SaParams()
     if not inst.tasks:
@@ -591,15 +588,7 @@ def sa_optimize(
     held: list[list[int]] = [[] for _ in range(n_veh)]
     for ti, v in enumerate(current):
         held[v].append(ti)
-
-    def busy_time(v: int) -> float:
-        # an explicit loop: builtin sum() compensates from Python 3.12 on
-        total, col = 0.0, time_cols[v]
-        for ti in held[v]:
-            total += col[ti]
-        return total
-
-    busy = [busy_time(v) for v in range(n_veh)]
+    busy = _busy(start, T).tolist()
     insort, exp = bisect.insort, math.exp
     m = params.iters_per_temp
     swappable = n_tasks >= 2 and n_veh >= 2

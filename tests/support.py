@@ -435,6 +435,24 @@ def brute_force_best_scalar(inst, bounds):
     return best
 
 
+def task_order_objectives(pop, T, rates):
+    """(busy, cost, makespan) of each row of a batch `pop` (m, n_tasks), on
+    Python floats: busy[v] += T[t, v] for each task t in task order from
+    0.0, the cost added over vehicles left to right, the makespan the
+    largest busy time.  The reference for scheduler._busy and _objectives."""
+    times, rate_of = T.tolist(), rates.tolist()
+    out = []
+    for row in pop.tolist():
+        busy = [0.0] * len(rate_of)
+        for t, v in enumerate(row):
+            busy[v] += times[t][v]
+        cost = busy[0] * rate_of[0]
+        for v in range(1, len(rate_of)):
+            cost = cost + busy[v] * rate_of[v]
+        out.append((busy, cost, max(busy)))
+    return out
+
+
 def full_rescore_sa(inst, params=None, seed=42):
     """Simulated annealing that copies the chromosome and re-scores it whole
     through `_objectives` for every move: the loop `sa_optimize` replaced

@@ -152,6 +152,31 @@ def test_bench_aggregates_per_method(capsys):
     assert float(got["aco_after_hours"]) < 135.0
 
 
+def test_one_vehicle_bench_reports_its_only_schedule_before_and_after(capsys):
+    # every search on one vehicle finds the baseline schedule, and scores it
+    # with the baseline's bits: 8 or more tasks were once summed pairwise
+    code, out, _ = run_cli(
+        capsys,
+        "bench",
+        "--scenario",
+        "table1_bench",
+        "--seeds",
+        "1",
+        "--set",
+        'vehicles=[{"vehicle_id":"V2","speed":60.0,"load_time_h":0.2,"unload_time_h":0.2,"cost_rate":70.0}]',
+        *SHRUNK_GA,
+        "--set",
+        "metaheuristic_params.aco.ants=5",
+        "--set",
+        "metaheuristic_params.aco.iterations=10",
+    )
+    assert code == 0
+    got = pairs_of(out)
+    for method in ("ga", "sa", "aco"):
+        assert got[f"{method}_after_hours"] == got["before_hours"]
+    assert got["ga_after_cost"] == got["before_cost"]
+
+
 def test_fixtures_lists_catalog(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0
@@ -449,6 +474,7 @@ FREE_AXES = "metadata.monotonicity_grid.free_axes"
             "stations[0]: field 'mu_base'",
             id="mu_base=10**400",
         ),
+        ("queueing_reference", 'description=[1,{"a":NaN}]', "description: must be a string"),
         ("queueing_reference", "routing.0.value=p:x", "routing[0]: unparseable routing factor: 'p:x'"),
         ("queueing_reference", "routing.0.value=const:x", "routing[0]: unparseable routing factor: 'const:x'"),
         ("planner_small", "stations.1.vehicle_type=true", "station T2: vehicle_type must be an integer"),
@@ -1258,14 +1284,23 @@ def test_cli_import_loads_no_process_pool_module():
         ("plan", "--scenario", "a" * 3000),
         ("report", "--scenario", "planner_small", "--set", "stations.1.vehicle_type=1" + "0" * 3000),
         ("plan", "--scenario", "planner_small", "--set", "fleet_candidates.0.min=1" + "0" * 3000),
+        ("schedule", "--scenario", "table1_bench", "--seed", "-1" + "0" * 400),
+        ("bench", "--scenario", "table1_bench", "--seeds", "-1" + "0" * 400),
     ],
-    ids=["long_value", "long_path", "long_vehicle_type", "long_range_bound"],
+    ids=["long_value", "long_path", "long_vehicle_type", "long_range_bound", "long_seed", "long_bench_seed"],
 )
 def test_problem_messages_echo_bounded_values(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out.startswith("error=")
     assert len(err) < 300
     assert "characters)" in err
+
+
+def test_infeasible_demand_message_echoes_a_bounded_demand(capsys):
+    code, out, err = run_cli(capsys, "mincost", "--scenario", "fig9_baseline", "--demand", "1" + "0" * 400)
+    assert code == 2 and out.strip() == "error=infeasible_demand"
+    assert err.startswith("demand 1000") and len(err) < 300
+    assert "(401 characters) kg exceeds network capacity" in err
 
 
 @pytest.mark.parametrize("gamma, shown", [

@@ -14,7 +14,6 @@ from fabflow import scheduler
 from fabflow.errors import (
     EmptySeeds,
     MissingDistance,
-    OverloadedVehicleRound,
     ValidationErrors,
 )
 from fabflow.scheduler import (
@@ -26,7 +25,9 @@ from fabflow.scheduler import (
     TaskType,
     TransportTask,
     VehicleSpec,
+    _busy,
     _nondominated_sort,
+    _objectives,
     aco_optimize,
     baseline_assignment,
     benchmark,
@@ -42,6 +43,7 @@ from support import (
     dominance_ranks,
     full_rescore_sa,
     row_by_row_nondominated_sort,
+    task_order_objectives,
 )
 
 V_SLOW = VehicleSpec("V1", speed=30.0, load_time_h=0.25, unload_time_h=0.25, cost_rate=60.0)
@@ -83,31 +85,35 @@ def test_evaluate_schedule_hand_example():
     assert obj.productivity == pytest.approx(1.0)
 
 
-def test_rounds_do_not_change_objectives():
-    inst = small_instance()
-    mapping = {"t1": "V1", "t2": "V2", "t3": "V2"}
-    plain = evaluate_schedule(inst, Assignment(mapping=mapping))
-    staged = evaluate_schedule(
-        inst, Assignment(mapping=mapping, rounds={"t1": 1, "t2": 1, "t3": 2})
-    )
-    assert staged == plain
-
-
-def test_rounds_with_two_tasks_on_one_vehicle_in_same_round():
-    inst = small_instance()
-    mapping = {"t1": "V1", "t2": "V2", "t3": "V2"}
-    with pytest.raises(OverloadedVehicleRound):
-        evaluate_schedule(inst, Assignment(mapping=mapping, rounds={"t1": 1, "t2": 1, "t3": 1}))
-    with pytest.raises(OverloadedVehicleRound):
-        evaluate_schedule(inst, Assignment(mapping=mapping, rounds={"t1": 1, "t2": 1}))
-
-
 def test_unassigned_task_rejected():
     inst = small_instance()
     with pytest.raises(ValidationErrors):
         evaluate_schedule(inst, Assignment(mapping={"t1": "V1"}))
     with pytest.raises(ValidationErrors):
         evaluate_schedule(inst, Assignment(mapping={"t1": "V1", "t2": "V2", "t3": "ghost"}))
+
+
+# task times whose sums round differently in different orders
+TASK_TIMES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.15, 1.65, 3.0]), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_busy_and_objectives_add_in_task_order(data):
+    # one vehicle and 8 or more tasks made NumPy sum a contiguous axis
+    # pairwise, not in task order
+    n_veh, n_tasks = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 40))
+    T = np.array(data.draw(st.lists(st.lists(TASK_TIMES, min_size=n_veh, max_size=n_veh), min_size=n_tasks, max_size=n_tasks)))
+    rates = np.array(data.draw(st.lists(st.floats(0.0, 200.0), min_size=n_veh, max_size=n_veh)))
+    m = data.draw(st.integers(1, 6))
+    pop = np.array(data.draw(st.lists(st.lists(st.integers(0, n_veh - 1), min_size=n_tasks, max_size=n_tasks), min_size=m, max_size=m)))
+    want = task_order_objectives(pop, T, rates)
+    busy, (cost, makespan) = _busy(pop, T), _objectives(pop, T, rates)
+    assert repr(busy.tolist()) == repr([b for b, _, _ in want])
+    assert repr((cost.tolist(), makespan.tolist())) == repr(([c for _, c, _ in want], [mk for _, _, mk in want]))
+    # one chromosome alone scores as it does in the batch
+    one_busy, (one_cost, one_makespan) = _busy(pop[0], T), _objectives(pop[0], T, rates)
+    assert repr((one_busy.tolist(), float(one_cost), float(one_makespan))) == repr(want[0])
 
 
 @given(st.permutations(list(range(4))))
@@ -161,6 +167,10 @@ def test_instance_whose_worst_case_overflows_is_rejected(field, value, problem):
     for run in (ga_optimize, sa_optimize, aco_optimize):
         with pytest.raises(ValidationErrors, match=re.escape(f"vehicle V2: {problem}")):
             run(inst, seed=1)
+    # evaluate_schedule scores through the same time matrices, so it refuses
+    # the instance even for a schedule that leaves V2 idle
+    with pytest.raises(ValidationErrors, match=re.escape(f"vehicle V2: {problem}")):
+        evaluate_schedule(inst, baseline_assignment(inst))
 
 
 # --- GA ----------------------------------------------------------------------
@@ -395,11 +405,19 @@ def test_aco_deposits_stay_positive_below_the_sampled_bounds(task_type, seed):
     assert result.objectives == evaluate_schedule(inst, result.assignment)
 
 
-@pytest.mark.parametrize("task_type", list(TaskType), ids=lambda tt: tt.value)
-def test_every_search_reports_what_evaluate_schedule_gives(task_type):
+@pytest.mark.parametrize(
+    "task_type, only",
+    [*((tt, None) for tt in TaskType), (TaskType.PROCESSING, "V2")],
+    ids=[*(tt.value for tt in TaskType), "A-only-V2"],
+)
+def test_every_search_reports_what_evaluate_schedule_gives(task_type, only):
     # one cost definition: the searches and evaluate_schedule add busy time
-    # times cost rate in the same order, so their objectives are equal, not close
+    # times cost rate in the same order, so their objectives are equal, not
+    # close; type A on one vehicle holds 18 tasks, which NumPy once summed
+    # pairwise
     inst = SchedulingInstance.from_scenario(load_fixture("table1_bench")).restricted_to(task_type)
+    if only is not None:
+        inst = SchedulingInstance(inst.tasks, tuple(v for v in inst.vehicles if v.vehicle_id == only), inst.distances)
     for seed in range(1, 4):
         for assignment, obj in ga_optimize(inst, seed=seed).members:
             assert obj == evaluate_schedule(inst, assignment)
