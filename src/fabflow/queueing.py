@@ -617,15 +617,6 @@ def _fmt_point(p: np.ndarray) -> str:
     return "(" + ",".join(f"{x:.6f}" for x in p) + ")"
 
 
-def gradient_grid(
-    model: RoutingModel, grid: Sequence, fleet: FleetConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Free-coordinate gradients at every point of an (N, dim) grid, one
-    batched solve."""
-    pts = np.asarray(grid, dtype=float)
-    return pts, _wip_derivatives(model, pts, service_rates(model, fleet))[0]
-
-
 def check_monotonicity(
     model: RoutingModel, grid: Sequence, fleet: FleetConfig
 ) -> MonotonicityReport:
@@ -635,9 +626,11 @@ def check_monotonicity(
     of claim (i, j) share every free coordinate except p_j, rounded to 10
     decimals, so the grid is grouped once per j and each grouping serves
     the p0_decreasing lines of every i != j and the pi_increasing line of
-    i = j.
+    i = j.  The free-coordinate gradients at every point come from one
+    batched solve.
     """
-    pts, grads = gradient_grid(model, grid, fleet)
+    pts = np.asarray(grid, dtype=float)
+    grads = _wip_derivatives(model, pts, service_rates(model, fleet))[0]
     n = pts.shape[1] - 1
     violations = [
         MonotonicityViolation(

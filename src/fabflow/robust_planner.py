@@ -32,11 +32,12 @@ so the plan solves them once, for the nominal point and its fluctuation
 probes in one pass and then for the Monte Carlo draws in fixed-size chunks,
 the first time a group of fleets is checked.  The upper level is one loop
 over groups of candidates, each small enough to keep the routing
-derivatives of one ascent pass under a fixed number of elements.  A pass
-reads the group's totals from one (fleets, table rows, k) broadcast of
-their service rates against the table, each check a slice of them (the
-nominal point, the probes, the draws), then ascends the fleets that pass
-in one lockstep and keeps the best.
+derivatives of one ascent pass, and the group's probe broadcast, under a
+fixed number of elements.  A pass reads the group's checks from one
+(fleets, 1 + DELTA_DIRECTIONS, k) broadcast of their service rates against
+the table's nominal and probe rows, then ascends the fleets that pass in
+one lockstep and keeps the best.  The draw rows are read once, for the
+fleet the plan keeps: its exceedance is the only one a plan reports.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -68,16 +69,17 @@ DELTA_DIRECTIONS = 64
 # passes its checks and is ascended) takes about 20 s at the cap
 FLEETS_MAX = 100_000
 _MC_SEED = 7654321
-# largest limits.mc_samples; the draws are solved once per plan: `plan` on
-# planner_small (k = 3) at this cap takes ~1.5 s
+# largest limits.mc_samples; a plan solves the draws once and reads them for
+# the kept fleet alone: `plan` on planner_small (k = 3) at this cap takes
+# about 0.7 s, and about 1.2 s with ranges (0, 60) and c_max 120 (3,721 fleets)
 MC_SAMPLES_MAX = 200_000
 # elements of the largest arrays of one batch, 8 MB of floats: the routing
 # derivatives (rows, n, k, k) of one lockstep pass (the routing's per-cell
-# temporaries (rows, n, B) are no larger, B <= k^2 cells), which size
-# plan_fleet's fleet groups; the routing matrices (rows, k, k) of one chunk
-# of Monte Carlo draws; and the (fleets, table rows, k) broadcast of one
-# chunk of a group's fleets against the traffic table.  Each is at least
-# one fleet or one row.
+# temporaries (rows, n, B) are no larger, B <= k^2 cells) and the (fleets,
+# 1 + DELTA_DIRECTIONS, k) broadcast of a group's fleets against the nominal
+# and probe rows, which together size plan_fleet's fleet groups; and the
+# routing matrices (rows, k, k) of one chunk of Monte Carlo draws.  Each is
+# at least one fleet or one row.
 _BATCH_ELEMENTS = 1_000_000
 
 
@@ -364,10 +366,11 @@ class _ConstraintChecks:
     arrival rates: a fleet enters only through its service rates.  So the
     plan holds one traffic table, the arrival rates at the nominal point, at
     the DELTA_DIRECTIONS fluctuation probes around it and at the Monte Carlo
-    draws, built by the first reports call, and every group of fleets reads
-    its totals from that table in one broadcast against the group's service
-    rates.  A routing that is invalid at any row of the table raises
-    InvalidRouting on that first call, whatever the fleets.
+    draws, built by the first reports call.  Every group of fleets reads its
+    checks from the nominal and probe rows in one broadcast against the
+    group's service rates; only report reads the draw rows, for one fleet.
+    A routing that is invalid at any row of the table raises InvalidRouting
+    on that first call, whatever the fleets.
     """
 
     def __init__(self, model: RoutingModel, p_nominal, limits: PlannerLimits):
@@ -408,46 +411,51 @@ class _ConstraintChecks:
         ])
 
     def reports(self, fleets: Sequence[FleetConfig]) -> list[ConstraintReport]:
-        """The constraint report of each fleet of a group: in chunks of
-        fleets, one _wip_totals over the (fleets, table rows, k) broadcast of
-        their service rates against the traffic table, read as column 0 (the
-        nominal point), the probe columns and the draw columns."""
-        limits, model, lam = self.limits, self.model, self.traffic
+        """The constraint checks of each fleet of a group, without the Monte
+        Carlo exceedance: one _wip_totals over the (fleets, 1 +
+        DELTA_DIRECTIONS, k) broadcast of their service rates against the
+        table's nominal and probe rows, read as column 0 (the nominal point)
+        and the probe columns."""
+        limits, model = self.limits, self.model
+        lam = self.traffic[: 1 + DELTA_DIRECTIONS]
         mu = queueing._service_rates(model, fleets)
-        probed = 1 + DELTA_DIRECTIONS
-        chunk = max(1, _BATCH_ELEMENTS // lam.size)
+        totals, stable = queueing._wip_totals(lam, mu[:, None, :])
+        nominal, probes = totals[:, 0], totals[:, 1:]
+        # the fluctuation is unbounded at an unstable nominal point or probe
+        bounded = stable.all(axis=1)
         out = []
-        for start in range(0, len(fleets), chunk):
-            part = mu[start : start + chunk]
-            totals, stable = queueing._wip_totals(lam, part[:, None, :])
-            nominal, probes = totals[:, 0], totals[:, 1:probed]
-            # the fluctuation is unbounded at an unstable nominal point or probe
-            bounded = stable[:, :probed].all(axis=1)
-            exceedance = [None] * len(part)
-            if limits.mc_samples > 0:
-                exceedance = (~stable[:, probed:] | (totals[:, probed:] > limits.u)).mean(axis=1).tolist()
-            for fleet, m, ok, w, f, top, over in zip(
-                fleets[start : start + chunk],
-                part,
-                stable[:, 0].tolist(),
-                np.where(stable[:, 0], nominal, math.inf).tolist(),
-                np.where(bounded, np.abs(probes - nominal[:, None]).max(axis=1), math.inf).tolist(),
-                np.where(bounded, np.maximum(nominal, probes.max(axis=1)), math.inf).tolist(),
-                exceedance,
-            ):
-                nominal_detail = "" if ok else queueing._instability(model, lam[0], m).code
-                fluct_detail = "" if ok else "nominal point unstable"
-                checks = (
-                    ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
-                    *self.wltp,
-                    ConstraintCheck("nominal_wip", w <= limits.w_star, w, limits.w_star, nominal_detail),
-                    ConstraintCheck(
-                        "wip_fluctuation", f <= limits.delta_wip_max, f, limits.delta_wip_max, fluct_detail
-                    ),
-                    ConstraintCheck("wip_hard_cap", top <= limits.u, top, limits.u, fluct_detail),
-                )
-                out.append(ConstraintReport(checks=checks, mc_exceedance=over))
+        for fleet, m, ok, w, f, top in zip(
+            fleets,
+            mu,
+            stable[:, 0].tolist(),
+            np.where(stable[:, 0], nominal, math.inf).tolist(),
+            np.where(bounded, np.abs(probes - nominal[:, None]).max(axis=1), math.inf).tolist(),
+            np.where(bounded, np.maximum(nominal, probes.max(axis=1)), math.inf).tolist(),
+        ):
+            nominal_detail = "" if ok else queueing._instability(model, lam[0], m).code
+            fluct_detail = "" if ok else "nominal point unstable"
+            out.append(ConstraintReport((
+                ConstraintCheck("fleet_total", fleet.total <= limits.c_max, float(fleet.total), float(limits.c_max)),
+                *self.wltp,
+                ConstraintCheck("nominal_wip", w <= limits.w_star, w, limits.w_star, nominal_detail),
+                ConstraintCheck(
+                    "wip_fluctuation", f <= limits.delta_wip_max, f, limits.delta_wip_max, fluct_detail
+                ),
+                ConstraintCheck("wip_hard_cap", top <= limits.u, top, limits.u, fluct_detail),
+            )))
         return out
+
+    def report(self, fleet: FleetConfig) -> ConstraintReport:
+        """The whole report of one fleet: its checks as reports reads them
+        and, with mc_samples > 0, the Monte Carlo exceedance, the share of
+        the table's draw rows where the fleet is unstable or its WIP exceeds
+        u, from one _wip_totals over those rows."""
+        (report,) = self.reports([fleet])
+        if not self.limits.mc_samples:
+            return report
+        mu = queueing.service_rates(self.model, fleet)
+        totals, stable = queueing._wip_totals(self.traffic[1 + DELTA_DIRECTIONS :], mu)
+        return ConstraintReport(report.checks, float((~stable | (totals > self.limits.u)).mean()))
 
 
 def check_constraints(
@@ -467,10 +475,10 @@ def check_constraints(
     as detail; an unstable probe makes both probe values inf.  With
     mc_samples > 0 the report carries the Monte Carlo exceedance frequency.
     A routing that is invalid at the nominal point, a probe or a draw
-    raises InvalidRouting, whatever the fleet.  The one-fleet case of
-    plan_fleet's shared checks.
+    raises InvalidRouting, whatever the fleet.  The read plan_fleet makes
+    once, for the fleet it keeps.
     """
-    return _ConstraintChecks(model, p_nominal, limits).reports([fleet])[0]
+    return _ConstraintChecks(model, p_nominal, limits).report(fleet)
 
 
 @dataclass(frozen=True)
@@ -593,9 +601,10 @@ def plan_fleet(
 
     `candidates` is a FleetCandidateSpace or any iterable of FleetConfig,
     and every fleet of it is examined, in order, in consecutive groups, each
-    as large as keeps the routing derivatives (rows, n, k, k) of one ascent
-    pass under _BATCH_ELEMENTS (at least one fleet).  Each pass of the one
-    loop reads a group's constraint checks from the plan's one traffic
+    as large as keeps both the routing derivatives (rows, n, k, k) of one
+    ascent pass and the group's (fleets, 1 + DELTA_DIRECTIONS, k) probe
+    broadcast under _BATCH_ELEMENTS (at least one fleet).  Each pass of the
+    one loop reads a group's constraint checks from the plan's one traffic
     table, ascends the fleets that pass them in one lockstep, records every
     fleet's outcome and keeps the best fleet by v_star, then fewer vehicles,
     then lexicographically smaller counts.  A space is first cut to
@@ -604,7 +613,8 @@ def plan_fleet(
     cut box of more than FLEETS_MAX fleets raises ValidationErrors before
     any fleet is checked, and an empty one (the minima alone exceed c_max)
     raises NoFeasibleFleet, as a scan that finds no feasible fleet does.
-    Only the best fleet's report is kept.
+    The best fleet's whole report, with its Monte Carlo exceedance, is read
+    once the scan ends, from the same table.
     """
     if isinstance(candidates, FleetCandidateSpace):
         box = candidates._within(limits.c_max)
@@ -617,7 +627,7 @@ def plan_fleet(
     checks = _ConstraintChecks(model, p_nominal, limits)
     rows = ASCENT_STARTS + (p_nominal is not None)
     n, k = model.wltp_dim - 1, len(model.stations)
-    size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k))
+    size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k, (1 + DELTA_DIRECTIONS) * k))
     fleets = iter(candidates)
     examined: list[CandidateOutcome] = []
     best = None
@@ -637,10 +647,11 @@ def plan_fleet(
             ))
             key = None if wc is None else (wc.v_star, fleet.total, fleet.counts)
             if key is not None and (best is None or key < best[0]):
-                best = key, fleet, wc, report
+                best = key, fleet, wc
     if best is None:
         raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
-    _, fleet, wc, report = best
+    _, fleet, wc = best
+    report = checks.report(fleet)
     return PlanResult(
         c_star=fleet,
         worst_case=wc,

@@ -28,9 +28,9 @@ ranges, limits) and `scheduler` (tasks, vehicles, search parameters).
 
 Serialization is canonical: stable key order, explicit parameter defaults,
 so the SHA-256 `inputs_digest` changes exactly when a semantically
-meaningful field changes.  `scenario_to_dict` and `scenario_digest` read one
-list of sections; the digest writes the network's records with a
-fixed-shape writer, not through a dict per edge.
+meaningful field changes.  `scenario_digest` reads one list of sections
+and writes the network's records with a fixed-shape writer, not through a
+dict per edge.
 """
 from __future__ import annotations
 
@@ -604,34 +604,18 @@ def _milli(cost: Fraction) -> int:
     return cost.numerator * 1000 // cost.denominator
 
 
-def _network_dict(network: NetworkSection) -> dict:
-    return {
-        "nodes": [{"id": nid, "kind": _KIND_NAMES[kind]} for nid, kind in network.nodes],
-        "edges": [
-            {
-                "from": e.tail,
-                "to": e.head,
-                "capacity_kg": e.capacity_kg,
-                "cost_milli_per_kg": _milli(e.cost_per_kg),
-                "transit_time_h": e.transit_time_h,
-            }
-            for e in network.edges
-        ],
-    }
-
-
 # canonical_json of a node and of an edge of a parsed network, keys sorted
 _NODE_TEXT = {kind: '{"id":%s,"kind":"' + name + '"}' for kind, name in _KIND_NAMES.items()}
 _EDGE_TEXT = '{"capacity_kg":%d,"cost_milli_per_kg":%d,"from":%s,"to":%s,"transit_time_h":%r}'
 
 
 def _network_text(network: NetworkSection) -> str:
-    """canonical_json(_network_dict(network)), written record by record: a
-    parsed node or edge has one shape (str ids, int capacity and cost, a
-    finite float transit time), so its text is one format.  Each id is
-    encoded once, by json's own C string encoder; %d prints an int, of a
-    subclass too, as json does, and %r of a float is float.__repr__, json's
-    own float text."""
+    """The canonical JSON text of a network section, one dict per node and
+    edge, written record by record: a parsed node or edge has one shape (str
+    ids, int capacity and cost, a finite float transit time), so its text is
+    one format.  Each id is encoded once, by json's own C string encoder; %d
+    prints an int, of a subclass too, as json does, and %r of a float is
+    float.__repr__, json's own float text."""
     ids = {nid: encode_basestring_ascii(nid) for nid, _ in network.nodes}
     nodes = [_NODE_TEXT[kind] % ids[nid] for nid, kind in network.nodes]
     edges = [
@@ -641,10 +625,9 @@ def _network_text(network: NetworkSection) -> str:
     return '{"edges":[' + ",".join(edges) + '],"nodes":[' + ",".join(nodes) + "]}"
 
 
-def _sections(scenario: Scenario, network) -> dict:
-    """The canonical sections of `scenario`, the network section as
-    network(scenario.network) gives it: the one list of what the canonical
-    form and the digest hold."""
+def _sections(scenario: Scenario) -> dict:
+    """The canonical sections of `scenario`, the one list of what the digest
+    holds; the network section is its canonical JSON text, _network_text."""
     out: dict[str, Any] = {
         "schema_version": scenario.schema_version,
         "name": scenario.name,
@@ -654,7 +637,7 @@ def _sections(scenario: Scenario, network) -> dict:
     if scenario.metadata:
         out["metadata"] = scenario.metadata
     if scenario.network is not None:
-        out["network"] = network(scenario.network)
+        out["network"] = _network_text(scenario.network)
     if scenario.stations is not None:
         out["stations"] = [
             {
@@ -702,23 +685,18 @@ def _sections(scenario: Scenario, network) -> dict:
     return out
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical plain-dict form; feeding it back reproduces an equal Scenario."""
-    return _sections(scenario, _network_dict)
-
-
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """SHA-256 over the canonical JSON form, canonical_json(scenario_to_dict(
-    scenario)).  The text is joined section by section in sorted key order:
-    the network section, one record per node and edge, comes from the
-    fixed-shape writer _network_text, every other section from canonical_json."""
+    """SHA-256 over the canonical JSON form of the scenario.  The text is
+    joined section by section in sorted key order: the network section, one
+    record per node and edge, comes from the fixed-shape writer
+    _network_text, every other section from canonical_json."""
     text = ",".join(
         f'"{key}":' + (value if key == "network" else canonical_json(value))
-        for key, value in sorted(_sections(scenario, _network_text).items())
+        for key, value in sorted(_sections(scenario).items())
     )
     return hashlib.sha256(("{" + text + "}").encode("utf-8")).hexdigest()
 

@@ -41,7 +41,6 @@ from fabflow.queueing import (
     RoutingModel,
     StationKind,
     StationProfile,
-    gradient_grid,
     projected_gradient,
     _solve,
     _wip_derivatives,
@@ -62,7 +61,7 @@ from fabflow.robust_planner import (
     WorstCase,
     _search_bounds,
 )
-from fabflow.scenario import canonical_json, scenario_to_dict
+from fabflow.scenario import _KIND_NAMES, _milli, _sections, canonical_json
 from fabflow.scheduler import (
     Assignment,
     SaParams,
@@ -597,7 +596,7 @@ def lattice_phi_max(model, fleet, dim, eta, m):
     tangent vector and takes the largest norm.  Returns (value, argmax point).
     """
     pts = clipped_simplex_lattice(dim, eta, m)
-    _, grads = gradient_grid(model, pts, fleet)
+    grads = _wip_derivatives(model, pts, service_rates(model, fleet))[0]
     emb = np.hstack([np.zeros((len(pts), 1)), grads])
     tangents = emb - emb.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(tangents, axis=1)
@@ -805,6 +804,33 @@ def per_fleet_constraints(model, p_nominal, fleet, limits):
         ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
     )
     return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
+
+
+def network_dict(network) -> dict:
+    """A parsed network section as plain dicts, one per node and edge."""
+    return {
+        "nodes": [{"id": nid, "kind": _KIND_NAMES[kind]} for nid, kind in network.nodes],
+        "edges": [
+            {
+                "from": e.tail,
+                "to": e.head,
+                "capacity_kg": e.capacity_kg,
+                "cost_milli_per_kg": _milli(e.cost_per_kg),
+                "transit_time_h": e.transit_time_h,
+            }
+            for e in network.edges
+        ],
+    }
+
+
+def scenario_to_dict(scenario) -> dict:
+    """The canonical plain-dict form of a scenario: scenario_digest's
+    sections, the network as network_dict.  Feeding it back to
+    scenario_from_dict reproduces an equal Scenario."""
+    out = _sections(scenario)
+    if scenario.network is not None:
+        out["network"] = network_dict(scenario.network)
+    return out
 
 
 def dict_digest(scenario) -> str:

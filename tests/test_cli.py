@@ -1161,16 +1161,38 @@ FREIGHT_PINNED_OUTPUTS = {
 }
 
 
+def run_hash(capsys, out, *argv) -> str:
+    """sha256 of the exit code, stdout, stderr and each artifact's name and
+    bytes of one command line that writes to `out`."""
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+    digest = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+    for artifact in sorted(out.glob("*")):
+        digest.update(artifact.name.encode() + b"\n" + artifact.read_bytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("command", FREIGHT_PINNED_OUTPUTS)
 def test_outputs_on_a_large_freight_network_match_their_pin(capsys, tmp_path, command):
     path = tmp_path / "freight.json"
     path.write_text(json.dumps(support.freight_network(1)), encoding="utf-8")
-    out = tmp_path / "out"
-    code, stdout, stderr = run_cli(capsys, *command.split(), "--scenario", str(path), "--out", str(out))
-    digest = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
-    for artifact in sorted(out.glob("*")):
-        digest.update(artifact.name.encode() + b"\n" + artifact.read_bytes())
-    assert digest.hexdigest() == FREIGHT_PINNED_OUTPUTS[command]
+    digest = run_hash(capsys, tmp_path / "out", *command.split(), "--scenario", str(path))
+    assert digest == FREIGHT_PINNED_OUTPUTS[command]
+
+
+# the same hash for one Monte Carlo plan, caps near the median WIP of its
+# draws: it keeps c_star (1, 5) with an mc_exceedance of 0.20033333333333334
+MONTE_CARLO_PINNED_OUTPUTS = {
+    "plan --scenario planner_small --set limits.mc_samples=3000 --set limits.w_star=5.08 --set limits.u=5.08":
+        "d2a7e16f1bb9e53f349548bd547e197acd330909dfcb40d08eddc8eac4ea77ef",
+}
+
+
+@pytest.mark.parametrize("command", MONTE_CARLO_PINNED_OUTPUTS)
+def test_outputs_of_a_monte_carlo_plan_match_their_pin(capsys, tmp_path, command):
+    assert run_hash(capsys, tmp_path, *command.split()) == MONTE_CARLO_PINNED_OUTPUTS[command]
+    summary = json.loads((tmp_path / "plan_summary.json").read_text(encoding="utf-8"))["data"]
+    assert summary["c_star"] == [1, 5]
+    assert summary["constraints"]["mc_exceedance"] == 0.20033333333333334
 
 
 @pytest.mark.parametrize("argv, name, infinite", [

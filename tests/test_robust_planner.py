@@ -521,36 +521,40 @@ def test_shared_checks_match_per_fleet_oracle(changes):
     wants = []
     for fleet in fleets:
         want = support.per_fleet_constraints(model, p, fleet, limits)
-        got = checks.reports([fleet])[0]
+        got = checks.report(fleet)
         assert got == want and repr(got) == repr(want), fleet
         assert check_constraints(model, p, fleet, limits) == want
         details.add(got["nominal_wip"].detail)
         wants.append(want)
     # zero-vehicle and stable nominal points are both among them
     assert details == {"zero_vehicles", ""}
-    # all 49 fleets read as one group, by a fresh plan's checks too
+    # all 49 fleets read as one group, by a fresh plan's checks too, with
+    # every check and no exceedance
     for group_checks in (checks, robust_planner._ConstraintChecks(model, p, limits)):
         got = group_checks.reports(fleets)
         assert len(fleets) == 49 and len(got) == 49
         for fleet, report, want in zip(fleets, got, wants):
+            want = dataclasses.replace(want, mc_exceedance=None)
             assert report == want and repr(report) == repr(want), fleet
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_shared_checks_match_per_fleet_oracle_in_chunks(monkeypatch, chunk):
-    # chunks of 1, 2 and 7 fleets split the 49 fleets evenly and unevenly
+def test_shared_checks_match_per_fleet_oracle_in_chunks(chunk):
+    # groups of 1, 2 and 7 fleets, as plan_fleet's groups would be, split
+    # the 49 fleets evenly and unevenly
     model, p, limits = small()
     limits = dataclasses.replace(limits, mc_samples=300)
     fleets = list(load_fixture("planner_small").fleet_candidates)
     wants = [support.per_fleet_constraints(model, p, fleet, limits) for fleet in fleets]
     checks = robust_planner._ConstraintChecks(model, p, limits)
-    table = checks.traffic
-    assert table.shape == (1 + DELTA_DIRECTIONS + 300, len(model.stations))
-    monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", chunk * table.size)
-    got = checks.reports(fleets)
+    got = [
+        report for start in range(0, len(fleets), chunk) for report in checks.reports(fleets[start : start + chunk])
+    ]
+    assert checks.traffic.shape == (1 + DELTA_DIRECTIONS + 300, len(model.stations))
     assert len(got) == len(fleets) == 49
     for fleet, report, want in zip(fleets, got, wants):
-        assert repr(report) == repr(want), fleet
+        assert repr(report) == repr(dataclasses.replace(want, mc_exceedance=None)), fleet
+        assert repr(checks.report(fleet)) == repr(want), fleet
 
 
 def test_fleet_with_too_few_types_is_named_in_a_group():
@@ -593,13 +597,14 @@ def test_monte_carlo_draws_are_the_same_in_chunks(monkeypatch, chunk):
     limits = dataclasses.replace(limits, mc_samples=5000, w_star=5.0, u=5.07)
     fleet = FleetConfig((1, 5))
     # the oracle draws and solves all 5000 rows in one batch
-    want = support.per_fleet_constraints(model, p, fleet, limits).mc_exceedance
-    assert 0.2 < want < 0.8
+    want = support.per_fleet_constraints(model, p, fleet, limits)
+    assert 0.2 < want.mc_exceedance < 0.8
     rng = np.random.default_rng(robust_planner._MC_SEED)
     lam = queueing._solve(model, rng.dirichlet(limits.mc_alpha * p, size=5000))[2]
     monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", chunk * len(model.stations) ** 2)
     checks = robust_planner._ConstraintChecks(model, p, limits)
-    assert checks.reports([fleet])[0].mc_exceedance == want
+    got = checks.report(fleet)
+    assert got == want and repr(got) == repr(want)
     assert np.array_equal(checks.traffic[1 + DELTA_DIRECTIONS:], lam)
 
 
@@ -624,6 +629,46 @@ def test_plan_solves_the_shared_traffic_once(monkeypatch):
     # the nominal point and its fluctuation probes in one solve, then the
     # Monte Carlo draws
     assert rows == [1 + DELTA_DIRECTIONS, 300]
+
+
+def recorded_wip_totals(monkeypatch):
+    """Record the arrival and service rates of every queueing._wip_totals call."""
+    calls, totals = [], queueing._wip_totals
+
+    def recording(lam, mu):
+        calls.append((lam, mu))
+        return totals(lam, mu)
+
+    monkeypatch.setattr(queueing, "_wip_totals", recording)
+    return calls
+
+
+@pytest.mark.parametrize("batch_elements", [robust_planner._BATCH_ELEMENTS, 1000, 100])
+def test_plan_reads_the_draws_for_the_kept_fleet_only(monkeypatch, batch_elements):
+    model, p, limits = small()
+    fleets = list(load_fixture("planner_small").fleet_candidates)
+    k = len(model.stations)
+    monkeypatch.setattr(robust_planner, "_BATCH_ELEMENTS", batch_elements)
+    calls = recorded_wip_totals(monkeypatch)
+    result = plan_fleet(model, fleets, dataclasses.replace(limits, mc_samples=300), p)
+    assert result.constraints.mc_exceedance is not None
+    probed = 1 + DELTA_DIRECTIONS
+    # the service rates of the fleets each call reads, of the calls that
+    # read the draw rows and of those that read only the probe rows
+    draws = [mu.reshape(-1, k) for lam, mu in calls if len(lam) > probed]
+    probes = [(lam, mu.reshape(-1, k)) for lam, mu in calls if len(lam) == probed]
+    # one read of the draw rows, against the kept fleet alone
+    kept = service_rates(model, result.c_star)[None]
+    assert len(draws) == 1 and np.array_equal(draws[0], kept)
+    # every fleet in its group's probe broadcast, in order, then the kept
+    # fleet's own read; a broadcast holds at most _BATCH_ELEMENTS elements,
+    # or one fleet
+    read = np.vstack([mu for _, mu in probes])
+    assert np.array_equal(read, np.vstack([queueing._service_rates(model, fleets), kept]))
+    # groups of 49, 3 and 1 fleets, then the kept fleet's read
+    assert len(probes) == {1_000_000: 2, 1000: 18, 100: 50}[batch_elements]
+    for lam, mu in probes:
+        assert len(mu) * lam.size <= batch_elements or len(mu) == 1
 
 
 # planner_small's routing with T2's row at 0.6 + p_0: it sums to 1 at the

@@ -23,7 +23,6 @@ from fabflow.scenario import (
     resolve_scenario_raw,
     scenario_digest,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 ALL_FIXTURES = (
@@ -51,7 +50,7 @@ def test_fixture_catalog_is_sorted_and_complete():
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_fixture_round_trip_is_identity(name):
     sc = load_fixture(name)
-    again = scenario_from_dict(scenario_to_dict(sc))
+    again = scenario_from_dict(support.scenario_to_dict(sc))
     assert again == sc
     assert scenario_digest(again) == scenario_digest(sc)
 
@@ -60,7 +59,7 @@ def test_product_routing_expression_survives_round_trip():
     sc = load_fixture("queueing_adversarial")
     exprs = {expr for _, _, expr in sc.routing}
     assert "p:1*1-p:2" in exprs
-    again = scenario_from_dict(scenario_to_dict(sc))
+    again = scenario_from_dict(support.scenario_to_dict(sc))
     assert again.routing == sc.routing
 
 
@@ -495,7 +494,7 @@ def test_metaheuristic_params_validation():
 
 def test_minimal_document_omits_empty_sections():
     sc = scenario_from_dict(minimal_doc())
-    out = scenario_to_dict(sc)
+    out = support.scenario_to_dict(sc)
     assert "description" not in out and "metadata" not in out
     assert "network" not in out and "stations" not in out
     assert set(out["metaheuristic_params"]) == {"ga", "sa", "aco"}
