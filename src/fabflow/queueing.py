@@ -469,7 +469,7 @@ def wip(model: RoutingModel, p, fleet: FleetConfig) -> WipReport:
     )
 
 
-def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = False):
+def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = False, shared=None):
     """Exact free-coordinate WIP gradients (M, n) and the (N,) stability mask
     of the p rows; M counts the stable rows, in order.  `mu` is as for
     _utilization: (k,) or (N, k).  By the adjoint of the traffic equations,
@@ -488,15 +488,26 @@ def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = Fals
     taken, when every cell is a single factor.  A service rate too large for
     c or its slope in floating point raises ValidationErrors for the first
     such row and station.
+
+    With ascent and `shared`, a pair of _solve(model, P0, order=1) at a few
+    points P0 and the index into P0 of each row, the call is an ascent's
+    first pass at start points its rows share: R, dR and lam are read from
+    that one solve by row index, P is not read, and H s is not taken, so the
+    call returns t, phi and the mask.  Each row has the bits it has in a
+    call that solves its own point.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    R, dR, lam = _solve(model, P, order=1)
+    if shared is None:
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        R, dR, lam = _solve(model, P, order=1)
+    else:
+        solved, at = shared
+        R, dR, lam = (x[at] for x in solved)
     mu, _, stable = _utilization(lam, mu)
     if not stable.all():
         if not ascent:
             row = int(np.argmin(stable))
             raise _instability(model, lam[row], mu[row])
-        P, R, dR, lam, mu = P[stable], R[stable], dR[stable], lam[stable], mu[stable]
+        R, dR, lam, mu = R[stable], dR[stable], lam[stable], mu[stable]
     A = np.eye(lam.shape[1]) - R
     gap = np.where(mu > 0.0, mu - lam, 1.0)  # stable zero-vehicle stations see no traffic
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,6 +524,8 @@ def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = Fals
     if not ascent:
         return grads, stable
     tangent, norm = projected_gradient(grads)
+    if shared is not None:
+        return tangent, norm, stable
     s = tangent[:, 1:]
     dR_s = np.einsum("niab,ni->nab", dR, s)
     dlam = np.linalg.solve(np.swapaxes(A, 1, 2), np.einsum("nab,na->nb", dR_s, lam)[..., None])[..., 0]
@@ -520,7 +533,7 @@ def _wip_derivatives(model: RoutingModel, P, mu: np.ndarray, ascent: bool = Fals
     dw = np.linalg.solve(A, rhs[..., None])[..., 0]
     ht = np.einsum("njab,na,nb->nj", dR, dlam, w) + np.einsum("njab,na,nb->nj", dR, lam, dw)
     if len(model._factor_tables[1]) > 1:
-        ht = np.einsum("njab,na,nb->nj", _routing(model, P, 2, s)[2], lam, w) + ht
+        ht = np.einsum("njab,na,nb->nj", _routing(model, P[stable], 2, s)[2], lam, w) + ht
     return tangent, norm, ht, stable
 
 

@@ -10,14 +10,18 @@ Math. Programming 39, 1987): the phi gradient projected onto the tangent
 cone of the box tells whether the point is a KKT point, where the start
 stops, and how far to reach; the step then follows the projection arc of
 the phi gradient, so one step can run along a face to a vertex, and
-backtracks fourfold until phi rises enough.  The upper level scans every
+backtracks fourfold until phi rises enough.  The upper level examines every
 fleet configuration and keeps the feasible one whose worst case is
 smallest, tie-breaking toward fewer vehicles and then lexicographically
 smaller counts.  v_star is not monotone in the vehicle counts, so no local
 search can stand in for the scan; instead a space of per-type ranges is cut
 to the smallest box that holds every fleet within the vehicle cap c_max
 (every fleet cut away would fail that cap), and a box of more than
-FLEETS_MAX fleets is refused before any fleet is checked.
+FLEETS_MAX fleets is refused before any fleet is checked.  The scan is
+branch and bound (Land & Doig, Econometrica 28, 1960), best first: an
+ascent accepts only steps where phi rises, so a fleet's v_star is at least
+its bound L, the largest phi at its start points, and a fleet whose L is
+above the best v_star found so far is not ascended.
 
 Both levels work on groups of fleets.  Every (fleet, start) pair is one row
 of a single lockstep ascent: each step is one row-wise projection of the
@@ -35,9 +39,14 @@ over groups of candidates, each small enough to keep the routing
 derivatives of one ascent pass, and the group's probe broadcast, under a
 fixed number of elements.  A pass reads the group's checks from one
 (fleets, 1 + DELTA_DIRECTIONS, k) broadcast of their service rates against
-the table's nominal and probe rows, then ascends the fleets that pass in
-one lockstep and keeps the best.  The draw rows are read once, for the
-fleet the plan keeps: its exceedance is the only one a plan reports.
+the table's nominal and probe rows, then takes the bounds of the fleets
+that pass from one first-order derivative pass.  Every fleet starts from
+the same points, where the routing and arrival rates do not depend on the
+fleet, so the plan solves them once and each bound pass reads them by row
+index.  The fleets are then ascended in order of bound, in lockstep
+groups of the same size, each cut to the fleets that can still win.  The
+draw rows are read once, for the fleet the plan keeps: its exceedance is
+the only one a plan reports.
 
 The stochastic service-level constraint of the underlying model is replaced
 by this deterministic worst-case cap (W at every probed point must stay
@@ -65,8 +74,10 @@ ASCENT_STARTS = 16
 ASCENT_MAX_ITERS = 500
 DELTA_DIRECTIONS = 64
 # largest number of fleets plan_fleet scans from a FleetCandidateSpace, after
-# the cut at c_max: `plan` on planner_small with infinite limits (every fleet
-# passes its checks and is ascended) takes about 20 s at the cap
+# the cut at c_max: `plan` on planner_small at the cap (99,225 fleets pass
+# their checks, 11,340 are ascended past their bound) takes about 9 s; on a
+# dimension-14 hub of one vehicle type the bound prunes few fleets, and a plan
+# at the cap takes about 5 minutes
 FLEETS_MAX = 100_000
 _MC_SEED = 7654321
 # largest limits.mc_samples; a plan solves the draws once and reads them for
@@ -107,11 +118,15 @@ class PlannerLimits:
 
     def __post_init__(self):
         # the caps may be inf; epsilon and mc_alpha feed the probes and the
-        # Dirichlet draw, so their bound is the largest float.  u is compared
-        # with w_star only when w_star is a number.
+        # Dirichlet draw, and the checks report c_max as a float, so their
+        # bound is the largest float.  u is compared with w_star only when
+        # w_star is a number.
         w_star = self.w_star if isinstance(self.w_star, (int, float)) else -math.inf
         _raise_problems(
-            param_error("c_max", self.c_max, "be at least 1", lambda v: v >= 1, integer=True),
+            param_error(
+                "c_max", self.c_max, "be at least 1 and at most the largest float",
+                lambda v: 1 <= v <= sys.float_info.max, integer=True,
+            ),
             param_error("w_star", self.w_star, "be positive", lambda v: v > 0),
             param_error("u", self.u, "be at least w_star", lambda v: v >= w_star),
             param_error("delta_wip_max", self.delta_wip_max, "be positive", lambda v: v > 0),
@@ -280,6 +295,33 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _start_points(lower: np.ndarray, upper: np.ndarray, p_nominal, starts: int = ASCENT_STARTS):
+    """The ascent's start points, shared by every fleet: the nominal point
+    when given, then `starts` Halton points, projected onto the search box
+    (lower, upper) of _search_bounds."""
+    pts = simplex.halton_simplex(starts, len(lower))
+    if p_nominal is not None:
+        pts = np.vstack([np.asarray(p_nominal, dtype=float), pts])
+    return simplex.project_capped_simplex(pts, lower, upper) if len(pts) else pts
+
+
+def _bounds(model: RoutingModel, fleets: Sequence[FleetConfig], solved) -> np.ndarray:
+    """L of each fleet, the largest phi at its start points, -inf where none
+    is stable (NaN where some phi is NaN); an ascent accepts only a step
+    where phi rises, so a fleet's v_star is at least its L.  `solved` is
+    _solve(model, P0, order=1) at the start points P0.  The rows are the
+    (fleet, start) pairs of _worst_cases, and one first-order
+    _wip_derivatives pass reads that solve by row index, so each phi has
+    the bits of _worst_cases's first _phi pass."""
+    per = len(solved[2])
+    mu = np.repeat(queueing._service_rates(model, fleets), per, axis=0)
+    at = np.tile(np.arange(per), len(fleets))
+    _, norm, stable = queueing._wip_derivatives(model, None, mu, ascent=True, shared=(solved, at))
+    v = np.full(len(at), -np.inf)
+    v[stable] = norm
+    return v.reshape(len(fleets), per).max(axis=1)
+
+
 def _worst_cases(
     model: RoutingModel,
     fleets: Sequence[FleetConfig],
@@ -287,9 +329,11 @@ def _worst_cases(
     p_nominal,
     starts: int = ASCENT_STARTS,
     max_iters: int = ASCENT_MAX_ITERS,
+    points: np.ndarray | None = None,
 ) -> list[WorstCase | None]:
     """The worst case of each fleet, None where no start is stable.
 
+    `points` are the fleets' _start_points when the caller has them.
     Every (fleet, start) pair is a row, in fleet order and then start order.
     Each point, start or candidate, is evaluated once, by one _phi pass per
     step over every row that tries a point.  A row at a new point p turns:
@@ -309,15 +353,13 @@ def _worst_cases(
     """
     if not fleets:
         return []
-    dim = model.wltp_dim
-    lower, upper = _search_bounds(dim, limits, p_nominal)
-    pts = simplex.halton_simplex(starts, dim)
-    if p_nominal is not None:
-        pts = np.vstack([np.asarray(p_nominal, dtype=float), pts])
-    if not len(pts):
+    lower, upper = _search_bounds(model.wltp_dim, limits, p_nominal)
+    if points is None:
+        points = _start_points(lower, upper, p_nominal, starts)
+    if not len(points):
         return [None] * len(fleets)
-    per = len(pts)
-    P = np.tile(simplex.project_capped_simplex(pts, lower, upper), (len(fleets), 1))
+    per = len(points)
+    P = np.tile(points, (len(fleets), 1))
     mu = np.repeat(queueing._service_rates(model, fleets), per, axis=0)
     v, X, G = _phi(model, P, mu)
     best_v, best_p, best_x = v.copy(), P.copy(), X.copy()
@@ -533,13 +575,19 @@ class FleetCandidateSpace:
 class CandidateOutcome:
     """One examined fleet; `reasons` names every constraint check it
     failed, or no_stable_point when it passed them all but no start was
-    stable."""
+    stable, or pruned_by_bound when it passed them all and its bound is
+    above the kept fleet's v_star: it is feasible but cannot win, and it
+    records no v_star, whether or not the scan ascended it.  v_bound is the
+    bound, the largest phi at the fleet's start points, which its v_star is
+    at least, for every fleet that passed its checks (-inf when no start is
+    stable), else None."""
 
     fleet: FleetConfig
     feasible: bool
     reasons: tuple[str, ...]
     v_star: float | None
     nominal_wip: float | None
+    v_bound: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -547,6 +595,7 @@ class CandidateOutcome:
             "feasible": self.feasible,
             "reasons": list(self.reasons),
             "v_star": self.v_star,
+            "v_bound": self.v_bound,
             "nominal_wip": self.nominal_wip,
         }
 
@@ -577,12 +626,13 @@ class PlanResult:
     def to_csv_rows(self):
         """One row per examined fleet, with a pass_<key> column per constraint check."""
         keys = [c.key for c in self.constraints.checks]
-        header = ("config", "feasible", "v_star", "nominal_wip", *(f"pass_{k}" for k in keys))
+        header = ("config", "feasible", "v_star", "v_bound", "nominal_wip", *(f"pass_{k}" for k in keys))
         rows = [
             (
                 ":".join(str(c) for c in o.fleet.counts),
                 "true" if o.feasible else "false",
                 "" if o.v_star is None else repr(o.v_star),
+                "" if o.v_bound is None else repr(o.v_bound),
                 "" if o.nominal_wip is None else repr(o.nominal_wip),
                 *("false" if k in o.reasons else "true" for k in keys),
             )
@@ -603,18 +653,30 @@ def plan_fleet(
     and every fleet of it is examined, in order, in consecutive groups, each
     as large as keeps both the routing derivatives (rows, n, k, k) of one
     ascent pass and the group's (fleets, 1 + DELTA_DIRECTIONS, k) probe
-    broadcast under _BATCH_ELEMENTS (at least one fleet).  Each pass of the
-    one loop reads a group's constraint checks from the plan's one traffic
-    table, ascends the fleets that pass them in one lockstep, records every
-    fleet's outcome and keeps the best fleet by v_star, then fewer vehicles,
-    then lexicographically smaller counts.  A space is first cut to
-    FleetCandidateSpace._within(c_max); a fleet cut away would fail
-    fleet_total, so neither the best fleet nor its worst case changes.  A
-    cut box of more than FLEETS_MAX fleets raises ValidationErrors before
-    any fleet is checked, and an empty one (the minima alone exceed c_max)
-    raises NoFeasibleFleet, as a scan that finds no feasible fleet does.
-    The best fleet's whole report, with its Monte Carlo exceedance, is read
-    once the scan ends, from the same table.
+    broadcast under _BATCH_ELEMENTS (at least one fleet).  Each group's
+    constraint checks are read from the plan's one traffic table, and the
+    fleets that pass them get their bound L (_bounds) from one solve at the
+    start points, shared by the plan.
+
+    The upper level is then branch and bound, best first: the fleet of
+    smallest (L, total, counts) is ascended alone, then the rest in that
+    order in lockstep groups of the same size, each cut to the fleets whose
+    L is not above the best v_star so far.  A fleet cut away cannot win, so
+    the best fleet, by v_star, then fewer vehicles, then lexicographically
+    smaller counts, is the one a scan that ascends every fleet keeps.  The
+    records depend on no grouping: a fleet that passes its checks carries
+    its L as v_bound, and is pruned_by_bound, feasible with no v_star,
+    exactly when its L is above the best fleet's v_star (a NaN L never is).
+    A fleet with no stable start (L = -inf) is not ascended and reads
+    no_stable_point.
+
+    A space is first cut to FleetCandidateSpace._within(c_max); a fleet cut
+    away would fail fleet_total, so neither the best fleet nor its worst
+    case changes.  A cut box of more than FLEETS_MAX fleets raises
+    ValidationErrors before any fleet is checked, and an empty one (the
+    minima alone exceed c_max) raises NoFeasibleFleet, as a scan that finds
+    no feasible fleet does.  The best fleet's whole report, with its Monte
+    Carlo exceedance, is read once the scan ends, from the same table.
     """
     if isinstance(candidates, FleetCandidateSpace):
         box = candidates._within(limits.c_max)
@@ -629,28 +691,60 @@ def plan_fleet(
     n, k = model.wltp_dim - 1, len(model.stations)
     size = max(1, _BATCH_ELEMENTS // max(1, rows * n * k * k, (1 + DELTA_DIRECTIONS) * k))
     fleets = iter(candidates)
-    examined: list[CandidateOutcome] = []
-    best = None
+    # every examined fleet with the checks it failed, its nominal WIP and its
+    # index among the fleets that pass them all, whose bounds these are
+    scanned, passing, bounds = [], [], []
+    points = solved = None
     while group := list(itertools.islice(fleets, size)):
         reports = checks.reports(group)
-        passing = [fleet for fleet, report in zip(group, reports) if report.all_passed]
-        worst = iter(_worst_cases(model, passing, limits, p_nominal))
-        for fleet, report in zip(group, reports):
-            wc = next(worst) if report.all_passed else None
-            nominal = report["nominal_wip"].measured
-            examined.append(CandidateOutcome(
-                fleet,
-                wc is not None,
-                report.failed_keys or (() if wc is not None else ("no_stable_point",)),
-                None if wc is None else wc.v_star,
-                nominal if math.isfinite(nominal) else None,
-            ))
-            key = None if wc is None else (wc.v_star, fleet.total, fleet.counts)
-            if key is not None and (best is None or key < best[0]):
-                best = key, fleet, wc
+        failed = [report.failed_keys for report in reports]
+        ok = [fleet for fleet, keys in zip(group, failed) if not keys]
+        if ok:
+            if solved is None:
+                points = _start_points(*_search_bounds(model.wltp_dim, limits, p_nominal), p_nominal)
+                solved = queueing._solve(model, points, order=1)
+            bounds.append(_bounds(model, ok, solved))
+        for fleet, report, keys in zip(group, reports, failed):
+            scanned.append((fleet, keys, report["nominal_wip"].measured, None if keys else len(passing)))
+            if not keys:
+                passing.append(fleet)
+    bound = np.concatenate(bounds) if bounds else np.empty(0)
+    L = bound.tolist()
+    # best first; a fleet with no stable start (L = -inf) has no ascent to
+    # run, and a NaN bound sorts last and is never cut
+    pending = np.array(sorted(
+        (i for i in range(len(passing)) if L[i] != -math.inf),
+        key=lambda i: (math.inf if math.isnan(L[i]) else L[i], passing[i].total, passing[i].counts),
+    ), dtype=int)
+    v_stars: dict[int, float] = {}
+    best, width = None, 1
+    while pending.size:
+        ascend, pending, width = pending[:width].tolist(), pending[width:], size
+        found = _worst_cases(model, [passing[i] for i in ascend], limits, p_nominal, points=points)
+        for i, wc in zip(ascend, found):
+            v_stars[i] = wc.v_star
+            key = (wc.v_star, passing[i].total, passing[i].counts)
+            if best is None or key < best[0]:
+                best = key, passing[i], wc
+        pending = pending[~(bound[pending] > best[0][0])]
     if best is None:
         raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
-    _, fleet, wc = best
+    (v_best, *_), fleet, wc = best
+    examined = []
+    for candidate, failed, nominal, i in scanned:
+        if i is None:
+            feasible, reasons, v_star = False, failed, None
+        elif L[i] > v_best:
+            feasible, reasons, v_star = True, ("pruned_by_bound",), None
+        elif L[i] == -math.inf:
+            feasible, reasons, v_star = False, ("no_stable_point",), None
+        else:
+            feasible, reasons, v_star = True, (), v_stars[i]
+        examined.append(CandidateOutcome(
+            candidate, feasible, reasons, v_star,
+            nominal if math.isfinite(nominal) else None,
+            None if i is None else L[i],
+        ))
     report = checks.report(fleet)
     return PlanResult(
         c_star=fleet,

@@ -20,6 +20,7 @@ from fabflow.errors import (
     DuplicateNode,
     InvalidRouting,
     NonOpenNetwork,
+    NoFeasibleFleet,
     NoOriginOrDestination,
     NoStablePoint,
     UnstableStation,
@@ -60,6 +61,8 @@ from fabflow.robust_planner import (
     ConstraintReport,
     WorstCase,
     _search_bounds,
+    _worst_cases,
+    check_constraints,
 )
 from fabflow.scenario import _KIND_NAMES, _milli, _sections, canonical_json
 from fabflow.scheduler import (
@@ -804,6 +807,29 @@ def per_fleet_constraints(model, p_nominal, fleet, limits):
         ConstraintCheck("wip_hard_cap", wmax <= limits.u, wmax, limits.u, fluct_detail),
     )
     return ConstraintReport(checks=checks, mc_exceedance=mc_exceedance)
+
+
+def exhaustive_plan(model, fleets, limits, p_nominal):
+    """The plan of a scan that ascends every fleet passing its checks.
+
+    Each fleet's checks come from its own check_constraints call; every
+    fleet that passes them all is ascended to the end, in one lockstep, and
+    the kept fleet is the smallest by (v_star, total, counts).  Returns the
+    kept fleet, its worst case and its report, and each fleet's v_star (None
+    where it failed a check or no start is stable); raises NoFeasibleFleet
+    when no fleet has a worst case.
+    """
+    passing = [i for i, f in enumerate(fleets) if check_constraints(model, p_nominal, f, limits).all_passed]
+    worst = [None] * len(fleets)
+    for i, wc in zip(passing, _worst_cases(model, [fleets[i] for i in passing], limits, p_nominal)):
+        worst[i] = wc
+    # the earliest fleet wins a tie
+    found = [(wc.v_star, f.total, f.counts, i) for i, (f, wc) in enumerate(zip(fleets, worst)) if wc is not None]
+    if not found:
+        raise NoFeasibleFleet("no candidate fleet satisfies every constraint")
+    i = min(found)[3]
+    report = check_constraints(model, p_nominal, fleets[i], limits)
+    return fleets[i], worst[i], report, [None if wc is None else wc.v_star for wc in worst]
 
 
 def network_dict(network) -> dict:

@@ -908,8 +908,8 @@ def test_bench_job_error_exits_1_and_leaves_no_worker(capsys):
 
 
 HOSTILE_FIXTURES = ("queueing_reference", "fig10_optimized", "table1_bench", "planner_small")
-# 5e-324 is the smallest subnormal float
-HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, 5e-324, float("nan"))
+# 5e-324 is the smallest subnormal float; 10**400 is an integer too large for one
+HOSTILE_VALUES = ("x", 5, -1, 0, 1.5, [], {}, None, True, 1e308, 5e-324, float("nan"), 10**400)
 
 
 def leaf_paths(node, prefix=""):
@@ -1129,8 +1129,8 @@ PINNED_OUTPUTS = {
     "mincost --demand 99999999": "f60933725f5ad3319f2e17fe41e97bd28a2e1c4bb531590b7eff03b072da2264",
     "wip": "0e9a3af6b7e0eb56d363db927ce881dc58e850afe6f2f320bd28189f9b96989c",
     "worstcase": "0ea9112e5c2279df551d6d490a8e506663337e9f9d748f3b5c3a969798347def",
-    "plan": "24176745da3ceb8708afc2b76299f716d938aae147675c4eea7a6e3ec1176184",
-    "report": "4738a4264b6bfe68a351599037163d11472c16f702883af1d5aa0451d93ffc92",
+    "plan": "28612eaa2a9efc926495a8354a28354595bea9c190cd078b27f093be3507ba85",
+    "report": "b6f9bae21500974b563d28adb5892af81b3242dea303786094320696cd695f4a",
     "schedule --method ga": "49e200ab0a8c117afb64b157ece3b192cf0c1cc6a5fd0fba3294c9ba25a50c31",
     "schedule --method sa": "5a7e5bae2daf6ef356a451bafcb78c00b0979506b13b96b3b2caf9f3e0b90378",
     "schedule --method aco": "24f210277d3c990fb55a16456f11f8b5249a19a50ce5b452281e33f805f91632",
@@ -1179,11 +1179,18 @@ def test_outputs_on_a_large_freight_network_match_their_pin(capsys, tmp_path, co
     assert digest == FREIGHT_PINNED_OUTPUTS[command]
 
 
+def test_a_service_rate_too_large_for_the_derivatives_is_refused(capsys):
+    # the plan's bound pass meets the rate first, at the first fleet that passes its checks
+    code, out, err = run_cli(capsys, "plan", "--scenario", "planner_small", "--set", "stations.0.mu_base=1e308")
+    assert code == 1 and out == "error=validation_errors\n"
+    assert err.strip() == "stations[0]: service rate 1e+308 of station T1 is too large for the WIP derivatives"
+
+
 # the same hash for one Monte Carlo plan, caps near the median WIP of its
 # draws: it keeps c_star (1, 5) with an mc_exceedance of 0.20033333333333334
 MONTE_CARLO_PINNED_OUTPUTS = {
     "plan --scenario planner_small --set limits.mc_samples=3000 --set limits.w_star=5.08 --set limits.u=5.08":
-        "d2a7e16f1bb9e53f349548bd547e197acd330909dfcb40d08eddc8eac4ea77ef",
+        "03e6450bd9551b1e5004df60adf9744786ea70c4df6c44d9238d3c20311d4030",
 }
 
 

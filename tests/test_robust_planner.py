@@ -397,6 +397,125 @@ def test_plan_is_the_same_in_smaller_groups(monkeypatch, groups_of):
     assert plan_fleet(model, space, limits, p) == whole
 
 
+# --- the bound scan ----------------------------------------------------------
+
+def first_pass_bounds(model, fleets, limits, p_nominal):
+    """_bounds of the fleets, and the largest phi of each fleet's rows in
+    _worst_cases's first _phi pass over the same rows."""
+    points = robust_planner._start_points(*robust_planner._search_bounds(model.wltp_dim, limits, p_nominal), p_nominal)
+    bounds = robust_planner._bounds(model, fleets, queueing._solve(model, points, order=1))
+    mu = np.repeat(queueing._service_rates(model, fleets), len(points), axis=0)
+    first = robust_planner._phi(model, np.tile(points, (len(fleets), 1)), mu)[0]
+    return bounds, first.reshape(len(fleets), len(points)).max(axis=1)
+
+
+def test_bound_is_the_largest_phi_of_the_ascents_first_pass():
+    model, p, limits = small()
+    # a fleet with no vehicle at a transport station has no stable start
+    fleets = [FleetConfig(c) for c in itertools.product(range(21), repeat=2)]
+    bounds, want = first_pass_bounds(model, fleets, limits, p)
+    assert bounds.tobytes() == want.tobytes()
+    assert list(bounds == -np.inf) == [0 in f.counts for f in fleets]
+    assert np.isfinite(bounds[bounds != -np.inf]).all()
+    # one vehicle is unstable everywhere, two at some starts only
+    hub_model, hub_p, _ = hub()
+    fleets = [FleetConfig((c,)) for c in range(6)]
+    for nominal in (hub_p, None):
+        bounds, want = first_pass_bounds(hub_model, fleets, limits, nominal)
+        assert bounds.tobytes() == want.tobytes()
+        assert bounds[1] == -np.inf and np.isfinite(bounds[2:]).all()
+
+
+def test_plan_ascends_only_the_fleets_that_can_still_win(monkeypatch):
+    model, p, limits = small()
+    ascended, worst_cases = [], robust_planner._worst_cases
+
+    def recording(model, fleets, *args, **kwargs):
+        ascended.append([f.counts for f in fleets])
+        return worst_cases(model, fleets, *args, **kwargs)
+
+    monkeypatch.setattr(robust_planner, "_worst_cases", recording)
+    result = plan_fleet(model, load_fixture("planner_small").fleet_candidates, limits, p)
+    # the fleet of smallest bound alone, then nothing is left below its v_star
+    assert ascended == [[(1, 5)]]
+    pruned = [o for o in result.examined if o.reasons == ("pruned_by_bound",)]
+    assert len(pruned) == 14
+    assert all(o.feasible and o.v_star is None and o.v_bound > result.worst_case.v_star for o in pruned)
+
+
+def test_a_nan_bound_never_prunes(monkeypatch):
+    model, p, limits = small()
+    space = load_fixture("planner_small").fleet_candidates
+    whole = plan_fleet(model, space, limits, p)
+    bounds = robust_planner._bounds
+
+    def nan_for_2_1(model, fleets, solved):
+        return np.where([f.counts == (2, 1) for f in fleets], np.nan, bounds(model, fleets, solved))
+
+    monkeypatch.setattr(robust_planner, "_bounds", nan_for_2_1)
+    got = plan_fleet(model, space, limits, p)
+    assert (got.c_star, got.worst_case, got.constraints) == (whole.c_star, whole.worst_case, whole.constraints)
+    (nan,) = [o for o in got.examined if o.fleet.counts == (2, 1)]
+    assert nan.feasible and nan.reasons == () and math.isnan(nan.v_bound)
+    assert nan.v_star == worst_case_direction(model, nan.fleet, limits, p).v_star
+    assert [o for o in got.examined if o is not nan] == [o for o in whole.examined if o.fleet != nan.fleet]
+
+
+def hub_case(dim):
+    sc = scenario_from_dict(support.hub_scenario(dim, []))
+    # T serves 0.8 per vehicle against 1 to 2 lots per hour: one vehicle is
+    # unstable everywhere, two only where p_0 < 0.25
+    return build_routing_model(sc), np.asarray(sc.nominal_p), [FleetConfig((c,)) for c in range(7)]
+
+
+def small_case(bounds):
+    model, p, _ = small()
+    return model, p, list(FleetCandidateSpace(bounds))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda b: tuple(sorted(b))),
+            min_size=2, max_size=2,
+        ).map(lambda bounds: small_case(tuple(bounds))),
+        st.integers(2, 4).map(hub_case),
+    ),
+    st.integers(1, 12),
+    st.sampled_from([math.inf, 1.0, 2.0, 5.0, 6.0]),
+    st.sampled_from([1.0, 1.02, math.inf]),
+    st.sampled_from([math.inf, 0.05, 0.5]),
+    st.sampled_from([None, 0.2]),
+)
+def test_plan_matches_an_exhaustive_scan(case, c_max, w_star, u_over_w, delta_wip_max, radius):
+    model, p, fleets = case
+    limits = PlannerLimits(c_max, w_star, w_star * u_over_w, delta_wip_max, p_neighborhood_radius=radius)
+    try:
+        c_star, worst_case, constraints, v_stars = support.exhaustive_plan(model, fleets, limits, p)
+    except NoFeasibleFleet:
+        with pytest.raises(NoFeasibleFleet):
+            plan_fleet(model, fleets, limits, p)
+        return
+    got = plan_fleet(model, fleets, limits, p)
+    assert repr(got.c_star) == repr(c_star)
+    assert repr(got.worst_case) == repr(worst_case)
+    assert repr(got.constraints) == repr(constraints)
+    kept = got.worst_case.v_star
+    assert [o.fleet.counts for o in got.examined] == [f.counts for f in fleets]
+    for o, v_star in zip(got.examined, v_stars):
+        pruned = o.reasons == ("pruned_by_bound",)
+        assert pruned == (o.v_bound is not None and o.v_bound > kept)
+        if pruned:
+            assert o.feasible and o.v_star is None and v_star > kept
+        else:
+            assert o.v_star == v_star and o.feasible == (v_star is not None)
+        # every fleet that passes its checks has a bound, below its v_star
+        assert (o.v_bound is None) == (o.feasible is False and o.reasons != ("no_stable_point",))
+        assert v_star is None or v_star >= o.v_bound
+        assert o.reasons != ("no_stable_point",) or o.v_bound == -math.inf
+
+
 # --- fluctuation probes ------------------------------------------------------
 
 def fluctuation(model, p, fleet, epsilon):
@@ -863,4 +982,4 @@ def test_worst_case_is_pinned(name, sha256):
 def test_plan_is_pinned():
     sc = load_fixture("planner_small")
     result = plan_fleet(build_routing_model(sc), sc.fleet_candidates, sc.limits, sc.nominal_p)
-    assert sha256_of_repr(result.to_dict()) == "1d06b3128c497ec8b29bd39b1ec7892899824ae3dae93505e9f25e8697ee88d9"
+    assert sha256_of_repr(result.to_dict()) == "4edbbab992a69ad5bfe71101e171f612d3747e82d159e027dc593eeca38b9c9c"
